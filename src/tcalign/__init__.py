@@ -42,13 +42,11 @@ from .pipeline import (
 )
 from .pseudo_source import (
     BalancedSelection,
-    BankEntry,
-    PseudoSourceBank,
     batch_uncertainties,
     class_balanced_select,
+    most_certain,
     one_hot,
     prediction_uncertainty,
-    pseudo_stats,
 )
 from .synth import LabeledBatch, NormalStream, ShiftDataset, gen_linear_shift, gen_nonlinear_shift
 from .transform import (
@@ -68,7 +66,6 @@ __all__ = [
     "AdaptReport",
     "AlignmentTransform",
     "BalancedSelection",
-    "BankEntry",
     "CovarianceAccumulator",
     "DegenerateLabels",
     "DivergenceError",
@@ -83,7 +80,6 @@ __all__ = [
     "NumericalFailure",
     "ParseError",
     "PredictionBatch",
-    "PseudoSourceBank",
     "ShiftDataset",
     "SingularMatrix",
     "SoftmaxHead",
@@ -103,12 +99,12 @@ __all__ = [
     "gen_nonlinear_shift",
     "linear_fit_r2",
     "load_head",
+    "most_certain",
     "objective",
     "objective_gradient",
     "one_hot",
     "predict",
     "prediction_uncertainty",
-    "pseudo_stats",
     "save_head",
     "shrink",
     "solve_closed_form",

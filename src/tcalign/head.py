@@ -8,12 +8,12 @@ deterministic without threading an RNG through the API.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateLabels, InvalidInput, ParseError
+from .io import _atomic_write_text, fmt17
 from .linalg import validate_embeddings
 
 HEAD_FORMAT_VERSION = 1
@@ -143,17 +143,13 @@ def accuracy(preds: PredictionBatch, labels) -> float:
     return float(np.mean(preds.argmax == labels.astype(np.int64)))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save_head(head: SoftmaxHead, path) -> None:
     """Write the head as JSON with 17-significant-digit decimals (lossless for float64)."""
     c, d = head.weight.shape
     rows = ",\n    ".join(
-        "[" + ", ".join(_fmt(v) for v in row) + "]" for row in head.weight
+        "[" + ", ".join(fmt17(v) for v in row) + "]" for row in head.weight
     )
-    bias = ", ".join(_fmt(v) for v in head.bias)
+    bias = ", ".join(fmt17(v) for v in head.bias)
     text = (
         "{\n"
         f'  "version": {HEAD_FORMAT_VERSION},\n'
@@ -163,10 +159,7 @@ def save_head(head: SoftmaxHead, path) -> None:
         f'  "bias": [{bias}]\n'
         "}\n"
     )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    _atomic_write_text(path, text)
 
 
 def load_head(path) -> SoftmaxHead:

@@ -1,10 +1,10 @@
 """End-to-end adaptation pipelines and theory-validation experiments.
 
-Transductive mode scores the whole test set, fills the certainty bank,
+Transductive mode scores the whole test set, selects the pseudo-source rows,
 solves for the alignment transform once, and re-predicts everything through
-it. Online mode folds batches into streaming statistics and predicts each
-batch with the transform available at that moment, falling back to the
-unadapted head until enough evidence exists.
+it. Online mode folds batches into streaming statistics and a bounded index
+bank, and predicts each batch with the transform available at that moment,
+falling back to the unadapted head until enough evidence exists.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ from .errors import InsufficientSamples, InvalidConfig, InvalidInput
 from .head import PredictionBatch, SoftmaxHead, accuracy, predict
 from .linalg import CovarianceAccumulator, correlation_distance, covariance, validate_embeddings
 from .metrics import linear_fit_r2, spearman
-from .pseudo_source import (
-    BankEntry,
-    PseudoSourceBank,
-    batch_uncertainties,
-    class_balanced_select,
-    pseudo_stats,
-)
+from .pseudo_source import batch_uncertainties, class_balanced_select, most_certain
 from .transform import AlignmentTransform, SolverTrace, apply_transform, solve_closed_form, solve_gradient
 
 SOLVERS = ("closed", "gradient")
@@ -111,34 +105,35 @@ class AdaptReport:
         return out
 
 
-def _entries_from_batch(z: np.ndarray, probs: np.ndarray, start_index: int) -> list[BankEntry]:
-    uncertainties = batch_uncertainties(probs)
-    classes = probs.argmax(axis=1)
-    return [
-        BankEntry(
-            embedding=z[i],
-            uncertainty=float(uncertainties[i]),
-            predicted_class=int(classes[i]),
-            arrival_index=start_index + i,
-        )
-        for i in range(z.shape[0])
-    ]
-
-
-def _select_pseudo_source(entries, cfg: AdaptConfig, class_counts) -> tuple[np.ndarray, bool]:
-    """Return the selected embedding matrix (arrival order) and the fallback flag."""
+def _select(cfg: AdaptConfig, uncertainty, classes, class_counts, rows) -> tuple[np.ndarray, bool]:
+    """Pseudo-source rows (ascending) chosen among candidate ``rows``, and the fallback flag."""
     if cfg.selection_mode == "class_balanced":
-        selection = class_balanced_select(entries, cfg.k, class_counts)
-        chosen, fallback = selection.entries, selection.fallback
-    else:
-        bank = PseudoSourceBank(cfg.k)
-        for e in sorted(entries, key=lambda e: e.arrival_index):
-            bank.add(e)
-        chosen, fallback = bank.snapshot(), False
-    if len(chosen) < 2:
+        selection = class_balanced_select(uncertainty[rows], classes[rows], cfg.k, class_counts, rows)
+        return selection.entries, selection.fallback
+    return most_certain(uncertainty[rows], cfg.k, rows), False
+
+
+def _fold(cfg: AdaptConfig, bank, rows, uncertainty, classes) -> np.ndarray:
+    """Merge ``rows`` into the online bank of rows still eligible for selection:
+    the k most certain so far, or the k most certain of each class in
+    class-balanced mode (no per-class quota exceeds k, so selecting from the
+    bank picks what selecting from every row would)."""
+    bank = np.concatenate([bank, rows])
+    per_class = classes[bank] if cfg.selection_mode == "class_balanced" else None
+    return most_certain(uncertainty[bank], cfg.k, bank, per_class)
+
+
+def _full_batch_core(test: np.ndarray, head: SoftmaxHead, cfg: AdaptConfig):
+    """Predict, score and select over the whole test set, then take the moments
+    of the pseudo-source and of the test set."""
+    preds = predict(head, test)
+    class_counts = np.bincount(preds.argmax, minlength=head.n_classes)
+    rows, fallback = _select(
+        cfg, batch_uncertainties(preds.probs), preds.argmax, class_counts, np.arange(test.shape[0])
+    )
+    if len(rows) < 2:
         raise InsufficientSamples("pseudo-source selection produced fewer than 2 entries")
-    chosen = sorted(chosen, key=lambda e: e.arrival_index)
-    return np.vstack([e.embedding for e in chosen]), fallback
+    return preds, fallback, covariance(test[rows]), covariance(test)
 
 
 def _solve(cfg: AdaptConfig, sigma_t, sigma_s_hat) -> tuple[np.ndarray, SolverTrace | None]:
@@ -173,13 +168,7 @@ def adapt_transductive(
     if test.shape[0] < 2:
         raise InsufficientSamples("transductive adaptation needs at least 2 test rows")
 
-    preds_before = predict(head, test)
-    entries = _entries_from_batch(test, preds_before.probs, 0)
-    class_counts = np.bincount(preds_before.argmax, minlength=head.n_classes)
-    pseudo, fallback = _select_pseudo_source(entries, cfg, class_counts)
-
-    mu_s_hat, sigma_s_hat = covariance(pseudo)
-    mu_t, sigma_t = covariance(test)
+    preds_before, fallback, (mu_s_hat, sigma_s_hat), (mu_t, sigma_t) = _full_batch_core(test, head, cfg)
     w, trace = _solve(cfg, sigma_t, sigma_s_hat)
     transform = AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
 
@@ -208,54 +197,6 @@ def adapt_transductive(
     return preds_after, report, transform
 
 
-class _OnlineSelector:
-    """Bounded-memory pseudo-source selection for the streaming pipeline.
-
-    Global mode keeps one capacity-k bank. Class-balanced mode keeps one
-    capacity-k bank per class (any per-class quota is at most k, so the
-    union always contains the entries a full re-selection would pick) plus
-    the running predicted-class counts.
-    """
-
-    def __init__(self, cfg: AdaptConfig, n_classes: int):
-        self.cfg = cfg
-        self.counts = np.zeros(n_classes, dtype=np.int64)
-        if cfg.selection_mode == "class_balanced":
-            self.per_class = [PseudoSourceBank(cfg.k) for _ in range(n_classes)]
-            self.bank = None
-        else:
-            self.per_class = None
-            self.bank = PseudoSourceBank(cfg.k)
-
-    def add(self, entry: BankEntry) -> None:
-        self.counts[entry.predicted_class] += 1
-        if self.bank is not None:
-            self.bank.add(entry)
-        else:
-            self.per_class[entry.predicted_class].add(entry)
-
-    def current(self) -> tuple[np.ndarray | None, bool]:
-        if self.bank is not None:
-            if len(self.bank) < 2:
-                return None, False
-            return self.bank.embedding_matrix(), False
-        pool = [e for b in self.per_class for e in b.entries]
-        if len(pool) < 2:
-            return None, False
-        selection = class_balanced_select(pool, self.cfg.k, self.counts)
-        if len(selection.entries) < 2:
-            return None, selection.fallback
-        chosen = sorted(selection.entries, key=lambda e: e.arrival_index)
-        return np.vstack([e.embedding for e in chosen]), selection.fallback
-
-    def final_entries(self):
-        if self.bank is not None:
-            return self.bank.snapshot()
-        pool = [e for b in self.per_class for e in b.entries]
-        selection = class_balanced_select(pool, self.cfg.k, self.counts)
-        return sorted(selection.entries, key=lambda e: e.arrival_index)
-
-
 def adapt_online(
     test,
     head: SoftmaxHead,
@@ -274,7 +215,10 @@ def adapt_online(
         raise InsufficientSamples("online adaptation needs at least 2 test rows")
 
     stats = CovarianceAccumulator(d)
-    selector = _OnlineSelector(cfg, head.n_classes)
+    uncertainty = np.empty(n)
+    classes = np.empty(n, dtype=np.int64)
+    class_counts = np.zeros(head.n_classes, dtype=np.int64)
+    bank = selected = np.empty(0, dtype=np.int64)
     probs_out = np.empty((n, head.n_classes))
     emitted = np.empty_like(test)
     probs_before = np.empty((n, head.n_classes))
@@ -282,32 +226,34 @@ def adapt_online(
     fallback_seen = False
 
     for lo in range(0, n, cfg.batch_size):
-        batch = test[lo : lo + cfg.batch_size]
+        hi = min(lo + cfg.batch_size, n)
+        batch = test[lo:hi]
         preds = predict(head, batch)
-        probs_before[lo : lo + batch.shape[0]] = preds.probs
+        probs_before[lo:hi] = preds.probs
         stats.update(batch)
-        for entry in _entries_from_batch(batch, preds.probs, lo):
-            selector.add(entry)
-        pseudo, fallback = selector.current()
+        uncertainty[lo:hi] = batch_uncertainties(preds.probs)
+        classes[lo:hi] = preds.argmax
+        class_counts += np.bincount(preds.argmax, minlength=head.n_classes)
+        bank = _fold(cfg, bank, np.arange(lo, hi), uncertainty, classes)
+        selected, fallback = _select(cfg, uncertainty, classes, class_counts, bank)
         fallback_seen = fallback_seen or fallback
-        if pseudo is None or stats.count < 2:
-            probs_out[lo : lo + batch.shape[0]] = preds.probs
-            emitted[lo : lo + batch.shape[0]] = batch
+        if len(selected) < 2 or stats.count < 2:
+            probs_out[lo:hi] = preds.probs
+            emitted[lo:hi] = batch
             unadapted_batches += 1
             continue
-        mu_s_hat, sigma_s_hat = covariance(pseudo)
+        mu_s_hat, sigma_s_hat = covariance(test[selected])
         mu_t, sigma_t = stats.finalize()
         w, _ = _solve(cfg, sigma_t, sigma_s_hat)
         transform = AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
         transformed = apply_transform(batch, transform)
         adapted = predict(head, transformed)
-        probs_out[lo : lo + batch.shape[0]] = adapted.probs
-        emitted[lo : lo + batch.shape[0]] = transformed
+        probs_out[lo:hi] = adapted.probs
+        emitted[lo:hi] = transformed
 
     preds_out = PredictionBatch(probs=probs_out, argmax=probs_out.argmax(axis=1))
     preds_unadapted = PredictionBatch(probs=probs_before, argmax=probs_before.argmax(axis=1))
 
-    final_entries = selector.final_entries()
     mu_t, sigma_t = stats.finalize()
     report = AdaptReport(
         n=n,
@@ -318,8 +264,8 @@ def adapt_online(
         unadapted_batches=unadapted_batches,
     )
     _, sigma_emitted = covariance(emitted)
-    if len(final_entries) >= 2:
-        _, sigma_s_hat = covariance(np.vstack([e.embedding for e in final_entries]))
+    if len(selected) >= 2:  # the pseudo-source selected after the last batch
+        _, sigma_s_hat = covariance(test[selected])
         report.dist_test_to_pseudo_before = correlation_distance(sigma_t, sigma_s_hat)
         report.dist_test_to_pseudo_after = correlation_distance(sigma_emitted, sigma_s_hat)
         if source_stats is not None:
@@ -432,12 +378,7 @@ def validate_alignment_trace(
     test = validate_embeddings(test, "test")
     _, sigma_s = source_stats
 
-    preds_before = predict(head, test)
-    entries = _entries_from_batch(test, preds_before.probs, 0)
-    class_counts = np.bincount(preds_before.argmax, minlength=head.n_classes)
-    pseudo, _ = _select_pseudo_source(entries, cfg, class_counts)
-    mu_s_hat, sigma_s_hat = covariance(pseudo)
-    mu_t, sigma_t = covariance(test)
+    _, _, (mu_s_hat, sigma_s_hat), (mu_t, sigma_t) = _full_batch_core(test, head, cfg)
 
     recorded: list[tuple[int, np.ndarray]] = []
 

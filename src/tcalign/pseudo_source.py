@@ -1,9 +1,11 @@
 """High-certainty pseudo-source construction.
 
 Prediction uncertainty is the squared distance between a probability row and
-the one-hot encoding of its argmax; the bank keeps the k most certain
-embeddings seen so far (ties broken toward earlier arrivals), optionally
-re-balanced to match predicted class proportions.
+the one-hot encoding of its argmax. The pseudo-source is a set of row indices
+into the test matrix: the k most certain rows, ties broken toward the lower
+row (a row's arrival index is its row number), optionally re-balanced to
+match predicted class proportions. Every selection is one ``lexsort`` over
+(row, uncertainty[, class]) and returns row indices in ascending order.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientSamples, InvalidInput
-from .linalg import covariance
+from .errors import InvalidInput
 
 PROB_SUM_ATOL = 1e-6
 
@@ -33,10 +34,10 @@ def prediction_uncertainty(p) -> float:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size < 1:
         raise InvalidInput("probability vector must be 1-D and non-empty")
-    if np.min(p) < 0:
+    if not np.min(p) >= 0:  # written so that NaN fails too
         raise InvalidInput(f"probabilities must be nonnegative, got min {np.min(p):.3e}")
     total = float(np.sum(p))
-    if abs(total - 1.0) > PROB_SUM_ATOL:
+    if not abs(total - 1.0) <= PROB_SUM_ATOL:
         raise InvalidInput(f"probabilities must sum to 1 within {PROB_SUM_ATOL}, got {total}")
     diff = one_hot(p) - p
     return float(diff @ diff)
@@ -47,10 +48,10 @@ def batch_uncertainties(probs) -> np.ndarray:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[1] < 1:
         raise InvalidInput("probability matrix must be 2-D")
-    if np.min(probs) < 0:
+    if not np.min(probs) >= 0:  # written so that NaN fails too
         raise InvalidInput("probabilities must be nonnegative")
     sums = probs.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > PROB_SUM_ATOL:
+    if not np.max(np.abs(sums - 1.0)) <= PROB_SUM_ATOL:
         raise InvalidInput(f"probability rows must sum to 1 within {PROB_SUM_ATOL}")
     n = probs.shape[0]
     top = probs[np.arange(n), probs.argmax(axis=1)]
@@ -58,88 +59,62 @@ def batch_uncertainties(probs) -> np.ndarray:
     return np.sum(probs * probs, axis=1) - top * top + (1.0 - top) ** 2
 
 
-@dataclass
-class BankEntry:
-    """One stored (embedding, uncertainty, predicted class) observation."""
-
-    embedding: np.ndarray
-    uncertainty: float
-    predicted_class: int
-    arrival_index: int
-
-    def __post_init__(self):
-        self.embedding = np.asarray(self.embedding, dtype=np.float64)
-        if self.embedding.ndim != 1:
-            raise InvalidInput("bank entry embedding must be a 1-D vector")
-        if not np.all(np.isfinite(self.embedding)):
-            raise InvalidInput("bank entry embedding contains non-finite values")
-        if not 0.0 <= self.uncertainty < 2.0:
-            raise InvalidInput(f"uncertainty must lie in [0, 2), got {self.uncertainty}")
-        if self.predicted_class < 0:
-            raise InvalidInput("predicted class must be nonnegative")
-
-    def sort_key(self) -> tuple[float, int]:
-        # eviction order: higher uncertainty first, later arrival first on ties
-        return (self.uncertainty, self.arrival_index)
+def _candidates(uncertainty, rows, classes) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Validate candidate arrays; ``rows`` defaults to 0..n-1."""
+    uncertainty = np.asarray(uncertainty, dtype=np.float64)
+    if uncertainty.ndim != 1:
+        raise InvalidInput("uncertainties must be a 1-D vector")
+    if uncertainty.size and not (uncertainty.min() >= 0.0 and uncertainty.max() < 2.0):
+        raise InvalidInput("uncertainties must lie in [0, 2)")
+    rows = np.arange(uncertainty.size) if rows is None else np.asarray(rows, dtype=np.int64)
+    if rows.shape != uncertainty.shape:
+        raise InvalidInput(f"{rows.size} row indices for {uncertainty.size} uncertainties")
+    if classes is not None:
+        classes = np.asarray(classes, dtype=np.int64)
+        if classes.shape != uncertainty.shape:
+            raise InvalidInput(f"{classes.size} predicted classes for {uncertainty.size} uncertainties")
+        if classes.size and classes.min() < 0:
+            raise InvalidInput("predicted classes must be nonnegative")
+    return uncertainty, rows, classes
 
 
-class PseudoSourceBank:
-    """Capacity-k store of the lowest-uncertainty entries seen so far.
+def _class_rank(sorted_classes: np.ndarray) -> np.ndarray:
+    """Position of each element within its run of a class-sorted vector."""
+    return np.arange(sorted_classes.size) - np.searchsorted(sorted_classes, sorted_classes)
 
-    The retained set after any update sequence equals the k smallest entries
-    of the whole stream ordered by (uncertainty, arrival_index), which makes
-    streaming and offline selection interchangeable. Single writer only.
+
+def most_certain(uncertainty, k: int, rows=None, classes=None) -> np.ndarray:
+    """Rows of the min(k, n) lowest-uncertainty candidates, in ascending row order.
+
+    ``rows`` names each candidate's row (default 0..n-1); ties go to the lower
+    row. With ``classes``, keep the k most certain candidates of each class
+    instead. Folding a stream in batches through this function retains the
+    same rows as one call over the whole stream.
     """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise InvalidInput(f"bank capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self.entries: list[BankEntry] = []
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def add(self, entry: BankEntry) -> "PseudoSourceBank":
-        """Insert an entry, evicting the worst (uncertainty, arrival) if over capacity."""
-        if self.entries and entry.embedding.shape != self.entries[0].embedding.shape:
-            raise InvalidInput(
-                f"entry dimension {entry.embedding.shape[0]} does not match bank "
-                f"dimension {self.entries[0].embedding.shape[0]}"
-            )
-        self.entries.append(entry)
-        if len(self.entries) > self.capacity:
-            worst = max(range(len(self.entries)), key=lambda i: self.entries[i].sort_key())
-            self.entries.pop(worst)
-        return self
-
-    def snapshot(self) -> list[BankEntry]:
-        """Retained entries in arrival order."""
-        return sorted(self.entries, key=lambda e: e.arrival_index)
-
-    def embedding_matrix(self) -> np.ndarray:
-        if not self.entries:
-            raise InsufficientSamples("bank is empty")
-        return np.vstack([e.embedding for e in self.snapshot()])
-
-
-def pseudo_stats(bank: PseudoSourceBank) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of the banked embeddings (the pseudo-source statistics)."""
-    if len(bank) < 2:
-        raise InsufficientSamples(f"pseudo-source statistics need >= 2 entries, got {len(bank)}")
-    return covariance(bank.embedding_matrix())
+    if k < 1:
+        raise InvalidInput(f"k must be >= 1, got {k}")
+    uncertainty, rows, classes = _candidates(uncertainty, rows, classes)
+    if classes is None:
+        kept = np.lexsort((rows, uncertainty))[:k]
+    else:
+        order = np.lexsort((rows, uncertainty, classes))
+        kept = order[_class_rank(classes[order]) < k]
+    return np.sort(rows[kept])
 
 
 @dataclass
 class BalancedSelection:
-    """Result of class-proportional selection; ``fallback`` marks a global top-k rescue."""
+    """Result of class-proportional selection; ``fallback`` marks a global top-k rescue.
 
-    entries: list[BankEntry]
+    ``entries`` holds the selected rows in ascending order.
+    """
+
+    entries: np.ndarray
     quotas: dict[int, int] = field(default_factory=dict)
     fallback: bool = False
 
 
-def _largest_remainder(weights: np.ndarray, slots: int, class_ids: list[int]) -> dict[int, int]:
+def _largest_remainder(weights: np.ndarray, slots: int, class_ids: np.ndarray) -> np.ndarray:
     """Apportion ``slots`` among classes proportionally to ``weights``.
 
     Floor quotas first, then hand leftover slots to the largest remainders;
@@ -147,78 +122,61 @@ def _largest_remainder(weights: np.ndarray, slots: int, class_ids: list[int]) ->
     """
     total = float(weights.sum())
     exact = weights * (slots / total)
-    base = np.floor(exact).astype(int)
-    leftover = slots - int(base.sum())
-    order = sorted(
-        range(len(class_ids)),
-        key=lambda i: (-(exact[i] - base[i]), -weights[i], class_ids[i]),
-    )
-    quotas = {class_ids[i]: int(base[i]) for i in range(len(class_ids))}
-    for i in order[:leftover]:
-        quotas[class_ids[i]] += 1
+    quotas = np.floor(exact).astype(np.int64)
+    leftover = slots - int(quotas.sum())
+    order = np.lexsort((class_ids, -weights, quotas - exact))
+    quotas[order[:leftover]] += 1
     return quotas
 
 
-def class_balanced_select(entries, k: int, class_counts) -> BalancedSelection:
-    """Pick min(k, len(entries)) entries matching predicted-class proportions.
+def class_balanced_select(uncertainty, classes, k: int, class_counts, rows=None) -> BalancedSelection:
+    """Pick min(k, n) candidates matching predicted-class proportions.
 
     Per-class quotas follow the largest-remainder rule over ``class_counts``;
-    within a class the lowest-uncertainty entries win. Classes short of their
-    quota surrender the shortfall, which is re-apportioned over classes that
-    still have candidates left.
+    within a class the lowest-uncertainty candidates win (ties to the lower
+    row). Classes short of their quota surrender the shortfall, which is
+    re-apportioned over classes that still have candidates left. Candidates
+    of zero-count classes only fill slots that counted classes cannot.
     """
     if k < 1:
         raise InvalidInput(f"k must be >= 1, got {k}")
-    entries = list(entries)
+    uncertainty, rows, classes = _candidates(uncertainty, rows, classes)
     class_counts = np.asarray(class_counts, dtype=np.int64)
     if class_counts.ndim != 1 or np.min(class_counts, initial=0) < 0:
         raise InvalidInput("class_counts must be a 1-D vector of nonnegative counts")
-    if not entries:
-        return BalancedSelection(entries=[], quotas={}, fallback=False)
-
-    budget = min(k, len(entries))
-    by_class: dict[int, list[BankEntry]] = {}
-    for e in sorted(entries, key=lambda e: e.sort_key()):
-        by_class.setdefault(e.predicted_class, []).append(e)
-
-    nonzero = [j for j in range(len(class_counts)) if class_counts[j] > 0]
-    if not nonzero or class_counts.sum() == 0:
+    budget = min(k, rows.size)
+    ids = np.flatnonzero(class_counts)
+    if budget == 0 or ids.size == 0:
         # no proportions to honor: degenerate global top-k
-        picked = sorted(entries, key=lambda e: e.sort_key())[:budget]
-        return BalancedSelection(entries=picked, quotas={}, fallback=True)
+        picked = np.lexsort((rows, uncertainty))[:budget]
+        return BalancedSelection(entries=np.sort(rows[picked]), fallback=budget > 0)
 
-    quotas = _largest_remainder(class_counts[nonzero].astype(np.float64), budget, nonzero)
-    if all(q == 0 for q in quotas.values()):
-        picked = sorted(entries, key=lambda e: e.sort_key())[:budget]
-        return BalancedSelection(entries=picked, quotas=quotas, fallback=True)
-
-    picked: list[BankEntry] = []
-    remaining = {j: by_class.get(j, []) for j in nonzero}
-    # entries predicted as a zero-count class can only enter via fallback
-    demand = dict(quotas)
+    weights = class_counts[ids].astype(np.float64)
+    quotas = _largest_remainder(weights, budget, ids)
+    per_class = np.bincount(classes, minlength=class_counts.size)
+    available = per_class[ids]
+    taken = np.zeros_like(quotas)
+    demand = quotas
     while True:
-        shortfall = 0
-        for j, q in demand.items():
-            take = remaining[j][:q]
-            picked.extend(take)
-            remaining[j] = remaining[j][q:]
-            shortfall += q - len(take)
-        if shortfall == 0 or len(picked) >= budget:
+        take = np.minimum(demand, available - taken)
+        taken += take
+        shortfall = int(demand.sum() - take.sum())
+        open_classes = taken < available
+        if shortfall == 0 or not open_classes.any():
             break
-        open_classes = [j for j in nonzero if remaining[j]]
-        if not open_classes:
-            break
-        demand = _largest_remainder(
-            class_counts[open_classes].astype(np.float64), shortfall, open_classes
-        )
-        # guard against a zero-progress apportionment when shortfall < #classes
-        if all(demand[j] == 0 for j in open_classes):
-            j = max(open_classes, key=lambda j: (class_counts[j], -j))
-            demand = {j: shortfall}
-    if len(picked) < budget:
+        demand = np.zeros_like(quotas)
+        demand[open_classes] = _largest_remainder(weights[open_classes], shortfall, ids[open_classes])
+
+    order = np.lexsort((rows, uncertainty, classes))
+    limit = np.zeros_like(per_class)
+    limit[ids] = taken
+    sorted_classes = classes[order]
+    picked = order[_class_rank(sorted_classes) < limit[sorted_classes]]
+    if picked.size < budget:
         # not enough candidates in counted classes; top up globally
-        chosen = {id(e) for e in picked}
-        rest = [e for e in sorted(entries, key=lambda e: e.sort_key()) if id(e) not in chosen]
-        picked.extend(rest[: budget - len(picked)])
-    picked = sorted(picked, key=lambda e: e.arrival_index)[:budget]
-    return BalancedSelection(entries=picked, quotas=quotas, fallback=False)
+        chosen = np.zeros(rows.size, dtype=bool)
+        chosen[picked] = True
+        rest = np.lexsort((rows, uncertainty))
+        picked = np.concatenate([picked, rest[~chosen[rest]][: budget - picked.size]])
+    quota_map = dict(zip(ids.tolist(), quotas.tolist()))
+    return BalancedSelection(entries=np.sort(rows[picked]), quotas=quota_map)

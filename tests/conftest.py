@@ -22,3 +22,22 @@ def make_spd(rng, d, cond=100.0, scale=1.0):
 def make_symmetric(rng, d, scale=1.0):
     a = rng.standard_normal((d, d)) * scale
     return (a + a.T) / 2.0
+
+
+def streamed_pseudo_source(test, head, cfg):
+    """Fold ``test`` batch by batch into a bounded index bank, as online mode
+    does, and return the pseudo-source rows selected after the last batch."""
+    from tcalign import batch_uncertainties, predict
+    from tcalign.pipeline import _fold, _select
+
+    n = len(test)
+    omegas, classes = np.empty(n), np.empty(n, dtype=np.int64)
+    counts = np.zeros(head.n_classes, dtype=np.int64)
+    bank = np.empty(0, dtype=np.int64)
+    for lo in range(0, n, cfg.batch_size):
+        hi = min(lo + cfg.batch_size, n)
+        probs = predict(head, test[lo:hi]).probs
+        omegas[lo:hi], classes[lo:hi] = batch_uncertainties(probs), probs.argmax(axis=1)
+        counts += np.bincount(classes[lo:hi], minlength=head.n_classes)
+        bank = _fold(cfg, bank, np.arange(lo, hi), omegas, classes)
+    return _select(cfg, omegas, classes, counts, bank)[0].tolist()

@@ -12,17 +12,16 @@ import pytest
 
 from tcalign import (
     AdaptConfig,
-    BankEntry,
     CovarianceAccumulator,
     DivergenceError,
     ParseError,
-    PseudoSourceBank,
     SoftmaxHead,
     adapt_online,
     adapt_transductive,
     covariance,
     gen_linear_shift,
     load_head,
+    most_certain,
     objective,
     objective_gradient,
     predict,
@@ -36,7 +35,7 @@ from tcalign import (
     validate_uncertainty_groups,
 )
 from tcalign.io import read_embeddings, read_labels, write_embeddings, write_labels
-from conftest import make_spd
+from conftest import make_spd, streamed_pseudo_source
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -250,17 +249,13 @@ def test_criterion_09_bank_oracle_equivalence():
         k = int(rng.integers(1, 21))
         # coarse uncertainty grid forces plenty of ties
         omegas = np.round(rng.uniform(0.0, 1.9, size=n), 2)
-        bank = PseudoSourceBank(k)
-        for i in range(n):
-            bank.add(
-                BankEntry(
-                    embedding=np.array([float(i)]),
-                    uncertainty=float(omegas[i]),
-                    predicted_class=0,
-                    arrival_index=i,
-                )
-            )
-        got = sorted(e.arrival_index for e in bank.entries)
+        # stream the rows through a capacity-k index bank, 1 to 4 rows at a time
+        batch_size = 1 + trial % 4
+        bank = np.empty(0, dtype=np.int64)
+        for lo in range(0, n, batch_size):
+            bank = np.concatenate([bank, np.arange(lo, min(lo + batch_size, n))])
+            bank = most_certain(omegas[bank], k, bank)
+        got = bank.tolist()
         expected = sorted(sorted(range(n), key=lambda i: (omegas[i], i))[: min(n, k)])
         assert got == expected, f"trial {trial}: n={n} k={k}"
     report(9, True, "1000 random streams match brute-force (uncertainty, arrival) selection")
@@ -342,8 +337,6 @@ def test_criterion_11_batch_size_robustness(demos):
     _, trans_report, _ = adapt_transductive(test, head, AdaptConfig(), labels=labels)
     _, sigma_ref = covariance(test)
 
-    from tcalign.pipeline import _OnlineSelector, _entries_from_batch
-
     banks = []
     stats_err = 0.0
     acc_gaps = {}
@@ -353,15 +346,11 @@ def test_criterion_11_batch_size_robustness(demos):
         acc_gaps[batch_size] = abs(rep.accuracy_after - trans_report.accuracy_after)
 
         acc = CovarianceAccumulator(2)
-        selector = _OnlineSelector(cfg, head.n_classes)
         for lo in range(0, len(test), batch_size):
-            batch = test[lo : lo + batch_size]
-            acc.update(batch)
-            for entry in _entries_from_batch(batch, predict(head, batch).probs, lo):
-                selector.add(entry)
+            acc.update(test[lo : lo + batch_size])
         _, sigma = acc.finalize()
         stats_err = max(stats_err, np.linalg.norm(sigma - sigma_ref) / np.linalg.norm(sigma_ref))
-        banks.append(sorted(e.arrival_index for e in selector.final_entries()))
+        banks.append(streamed_pseudo_source(test, head, cfg))
 
     banks_equal = all(b == banks[0] for b in banks)
     worst_gap = max(acc_gaps.values())

@@ -152,6 +152,16 @@ class TestPersistence:
         assert np.array_equal(loaded.weight, head.weight)
         assert np.array_equal(loaded.bias, head.bias)
 
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "head.json"
+        save_head(SoftmaxHead(weight=[[0.1], [-2.5]], bias=[1 / 3, 1e-20]), path)
+        assert path.read_bytes() == (
+            b'{\n  "version": 1,\n  "c": 2,\n  "d": 1,\n'
+            b'  "weight": [\n    [0.10000000000000001],\n    [-2.5]\n  ],\n'
+            b'  "bias": [0.33333333333333331, 9.9999999999999995e-21]\n}\n'
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["head.json"]
+
     def test_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(

@@ -18,6 +18,7 @@ from tcalign import (
     validate_alignment_trace,
     validate_uncertainty_groups,
 )
+from conftest import streamed_pseudo_source
 
 
 @pytest.fixture(scope="module")
@@ -155,21 +156,14 @@ class TestAdaptOnline:
             _, sigma = acc.finalize()
             assert np.linalg.norm(sigma - sigma_ref) <= 1e-10 * np.linalg.norm(sigma_ref)
 
-    def test_final_bank_identical_across_batch_sizes(self, linear_demo):
+    @pytest.mark.parametrize("selection_mode", ["global", "class_balanced"])
+    def test_final_bank_identical_across_batch_sizes(self, linear_demo, selection_mode):
         data, head = linear_demo
         test = data.target.features
         banks = []
         for batch_size in (1, 8, 64, 750):
-            cfg = AdaptConfig(mode="online", batch_size=batch_size)
-            from tcalign.pipeline import _OnlineSelector, _entries_from_batch
-
-            selector = _OnlineSelector(cfg, head.n_classes)
-            for lo in range(0, len(test), batch_size):
-                batch = test[lo : lo + batch_size]
-                probs = predict(head, batch).probs
-                for entry in _entries_from_batch(batch, probs, lo):
-                    selector.add(entry)
-            banks.append(sorted(e.arrival_index for e in selector.final_entries()))
+            cfg = AdaptConfig(mode="online", batch_size=batch_size, selection_mode=selection_mode)
+            banks.append(streamed_pseudo_source(test, head, cfg))
         assert banks[0] == banks[1] == banks[2] == banks[3]
 
     def test_cold_start_flagged_for_unit_batches(self, linear_demo):

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from tcalign import (
-    BankEntry,
     InsufficientSamples,
     InvalidInput,
-    PseudoSourceBank,
     batch_uncertainties,
     class_balanced_select,
     covariance,
+    most_certain,
     one_hot,
     prediction_uncertainty,
-    pseudo_stats,
 )
+from tcalign.pseudo_source import _largest_remainder
 
 
 class TestUncertainty:
@@ -35,6 +34,12 @@ class TestUncertainty:
     def test_rejects_negative(self):
         with pytest.raises(InvalidInput):
             prediction_uncertainty([-0.1, 1.1])
+
+    def test_rejects_nan(self):
+        with pytest.raises(InvalidInput):
+            prediction_uncertainty([np.nan, 1.0])
+        with pytest.raises(InvalidInput):
+            batch_uncertainties([[0.5, 0.5], [np.nan, np.nan]])
 
     def test_range(self, rng):
         for _ in range(200):
@@ -76,38 +81,27 @@ class TestOneHot:
             one_hot([])
 
 
-def entry(omega, arrival, embedding=(0.0, 0.0), cls=0):
-    return BankEntry(
-        embedding=np.asarray(embedding, dtype=float),
-        uncertainty=omega,
-        predicted_class=cls,
-        arrival_index=arrival,
-    )
+def fold(omegas, k, order, batch_size=1, classes=None):
+    """Stream rows in ``order`` through a bounded index bank, as online mode does."""
+    omegas = np.asarray(omegas, dtype=float)
+    bank = np.empty(0, dtype=np.int64)
+    for lo in range(0, len(order), batch_size):
+        bank = np.concatenate([bank, np.asarray(order[lo : lo + batch_size], dtype=np.int64)])
+        per_class = None if classes is None else np.asarray(classes)[bank]
+        bank = most_certain(omegas[bank], k, bank, per_class)
+    return bank
 
 
 class TestBank:
     def test_under_capacity_keeps_all(self):
-        bank = PseudoSourceBank(3)
-        bank.add(entry(0.5, 0)).add(entry(0.2, 1))
-        assert sorted(e.uncertainty for e in bank.entries) == [0.2, 0.5]
+        assert most_certain([0.5, 0.2], 3).tolist() == [0, 1]
 
     def test_eviction_keeps_k_lowest(self):
-        bank = PseudoSourceBank(2)
-        for i, w in enumerate((0.5, 0.3, 0.4)):
-            bank.add(entry(w, i))
-        assert sorted(e.uncertainty for e in bank.entries) == [0.3, 0.4]
+        assert fold([0.5, 0.3, 0.4], 2, range(3)).tolist() == [1, 2]
 
     def test_tie_keeps_first_arrival(self):
-        bank = PseudoSourceBank(1)
-        bank.add(entry(0.3, 0)).add(entry(0.3, 1))
-        assert len(bank) == 1
-        assert bank.entries[0].arrival_index == 0
-
-    def test_dimension_mismatch_rejected(self):
-        bank = PseudoSourceBank(4)
-        bank.add(entry(0.1, 0, embedding=(1.0, 2.0)))
-        with pytest.raises(InvalidInput):
-            bank.add(entry(0.1, 1, embedding=(1.0, 2.0, 3.0)))
+        assert fold([0.3, 0.3], 1, range(2)).tolist() == [0]
+        assert most_certain([0.3, 0.3], 1, rows=[7, 4]).tolist() == [4]
 
     def test_streaming_equals_offline_selection(self, rng):
         # brute-force oracle: k smallest by (uncertainty, arrival) over the stream
@@ -115,44 +109,46 @@ class TestBank:
             n = int(rng.integers(1, 60))
             k = int(rng.integers(1, 12))
             omegas = np.round(rng.uniform(0, 1.9, size=n), 2)  # coarse grid forces ties
-            bank = PseudoSourceBank(k)
-            for i, w in enumerate(omegas):
-                bank.add(entry(float(w), i))
-            got = sorted(e.arrival_index for e in bank.entries)
-            expected = sorted(
-                sorted(range(n), key=lambda i: (omegas[i], i))[: min(k, n)]
-            )
+            classes = rng.integers(0, 3, size=n)
+            batch_size = int(rng.integers(1, 10))
+            got = fold(omegas, k, range(n), batch_size).tolist()
+            expected = sorted(sorted(range(n), key=lambda i: (omegas[i], i))[: min(k, n)])
             assert got == expected, f"trial {trial}: {got} != {expected}"
+            got = fold(omegas, k, range(n), batch_size, classes).tolist()
+            expected = sorted(
+                i
+                for c in range(3)
+                for i in sorted(np.flatnonzero(classes == c), key=lambda i: (omegas[i], i))[:k]
+            )
+            assert got == expected, f"trial {trial} per class: {got} != {expected}"
 
     def test_invalid_uncertainty_rejected(self):
         with pytest.raises(InvalidInput):
-            entry(2.0, 0)
+            most_certain([2.0], 1)
         with pytest.raises(InvalidInput):
-            entry(-0.1, 0)
+            most_certain([-0.1], 1)
+        with pytest.raises(InvalidInput):
+            most_certain([np.nan], 1)
+        with pytest.raises(InvalidInput):
+            most_certain([0.1], 0)
 
 
 class TestPseudoStats:
     def test_mirrors_covariance_example(self):
-        bank = PseudoSourceBank(5)
-        bank.add(entry(0.1, 0, embedding=(1.0, 0.0)))
-        bank.add(entry(0.1, 1, embedding=(-1.0, 0.0)))
-        mu, sigma = pseudo_stats(bank)
+        z = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        mu, sigma = covariance(z[most_certain([0.1, 0.1], 5)])
         assert np.array_equal(mu, [0.0, 0.0])
         assert np.array_equal(sigma, [[2.0, 0.0], [0.0, 0.0]])
 
     def test_identical_embeddings_zero_covariance(self):
-        bank = PseudoSourceBank(5)
-        for i in range(4):
-            bank.add(entry(0.1, i, embedding=(3.0, -2.0)))
-        _, sigma = pseudo_stats(bank)
+        z = np.tile([3.0, -2.0], (4, 1))
+        _, sigma = covariance(z[most_certain(np.full(4, 0.1), 5)])
         assert np.array_equal(sigma, np.zeros((2, 2)))
 
     def test_full_test_set_matches_direct_covariance(self, rng):
         z = rng.standard_normal((20, 3))
-        bank = PseudoSourceBank(50)
-        for i in range(20):
-            bank.add(entry(0.5, i, embedding=z[i], cls=0))
-        mu, sigma = pseudo_stats(bank)
+        rows = most_certain(np.full(20, 0.5), 50)
+        mu, sigma = covariance(z[rows])
         mu_ref, sigma_ref = covariance(z)
         assert np.array_equal(mu, mu_ref)
         assert np.array_equal(sigma, sigma_ref)
@@ -160,24 +156,16 @@ class TestPseudoStats:
     def test_insertion_order_invariance(self, rng):
         z = rng.standard_normal((10, 2))
         omegas = rng.uniform(0, 1, size=10)
-        banks = []
-        for perm in (np.arange(10), rng.permutation(10)):
-            bank = PseudoSourceBank(6)
-            for i in perm:
-                bank.add(entry(float(omegas[i]), int(i), embedding=z[i]))
-            banks.append(bank)
-        assert sorted(e.arrival_index for e in banks[0].entries) == sorted(
-            e.arrival_index for e in banks[1].entries
-        )
-        s0 = pseudo_stats(banks[0])[1]
-        s1 = pseudo_stats(banks[1])[1]
+        banks = [fold(omegas, 6, perm) for perm in (np.arange(10), rng.permutation(10))]
+        assert np.array_equal(banks[0], banks[1])
+        s0 = covariance(z[banks[0]])[1]
+        s1 = covariance(z[banks[1]])[1]
         assert np.array_equal(s0, s1)
 
     def test_too_few_entries_rejected(self):
-        bank = PseudoSourceBank(5)
-        bank.add(entry(0.1, 0))
+        z = np.zeros((1, 2))
         with pytest.raises(InsufficientSamples):
-            pseudo_stats(bank)
+            covariance(z[most_certain([0.1], 5)])
 
 
 def quota_oracle(counts, k):
@@ -198,36 +186,78 @@ def quota_oracle(counts, k):
     return best
 
 
+def arrays(omegas_by_class):
+    """Uncertainty and class vectors, classes arriving one after another."""
+    omegas = [w for ws in omegas_by_class.values() for w in ws]
+    classes = [cls for cls, ws in omegas_by_class.items() for _ in ws]
+    return np.asarray(omegas, dtype=float), np.asarray(classes)
+
+
+class TestLargestRemainder:
+    def test_quotas_sum_to_slots(self, rng):
+        cases = [(np.ones(c), 1) for c in (1, 2, 7, 100)]
+        cases.append((rng.uniform(0.01, 5, size=100), 1024))
+        cases.append((rng.integers(1, 1000, size=100).astype(float), 1024))
+        for trial in range(500):
+            c = int(rng.integers(1, 120))
+            if trial % 2:
+                weights = rng.uniform(0.01, 5, size=c)
+            else:
+                weights = rng.integers(1, 50, size=c).astype(float)  # integer counts tie often
+            cases.append((weights, int(rng.integers(1, 2048))))
+        for weights, slots in cases:
+            quotas = _largest_remainder(weights, slots, np.arange(len(weights)))
+            assert int(quotas.sum()) == slots
+            assert quotas.min() >= 0
+
+
+def loop_balanced_select(omegas, classes, k, counts):
+    """Row-by-row reference for class_balanced_select: per-class queues in
+    (uncertainty, row) order, shortfall rounds, then a global top-up."""
+    key = lambda i: (omegas[i], i)
+    n, budget = len(omegas), min(k, len(omegas))
+    counted = [j for j in range(len(counts)) if counts[j] > 0]
+    if not counted:
+        return sorted(sorted(range(n), key=key)[:budget])
+    queues = {j: sorted((i for i in range(n) if classes[i] == j), key=key) for j in counted}
+    weights = np.asarray(counts, dtype=float)
+    picked, open_classes, slots = [], counted, budget
+    while slots and open_classes:
+        quotas = _largest_remainder(weights[open_classes], slots, np.asarray(open_classes))
+        for j, q in zip(open_classes, quotas):
+            picked += queues[j][:q]
+            queues[j] = queues[j][q:]
+        slots = budget - len(picked)
+        open_classes = [j for j in counted if queues[j]]
+    rest = [i for i in sorted(range(n), key=key) if i not in picked]
+    return sorted(picked + rest[: budget - len(picked)])
+
+
 class TestClassBalancedSelect:
-    def _entries(self, omegas_by_class):
-        out = []
-        arrival = 0
-        for cls, omegas in omegas_by_class.items():
-            for w in omegas:
-                out.append(entry(w, arrival, embedding=(float(arrival), 0.0), cls=cls))
-                arrival += 1
-        return out
+    def test_matches_loop_reference(self, rng):
+        for trial in range(400):
+            n, k, c = int(rng.integers(1, 80)), int(rng.integers(1, 30)), int(rng.integers(1, 6))
+            omegas = np.round(rng.uniform(0, 1.9, size=n), 1)  # coarse grid forces ties
+            classes = rng.integers(0, c + 1, size=n)  # class c is never counted
+            counts = rng.integers(0, 6, size=c) * (trial % 10 != 0)
+            sel = class_balanced_select(omegas, classes, k, counts)
+            assert sel.entries.tolist() == loop_balanced_select(omegas, classes, k, counts), trial
 
     def test_single_class_equals_global_topk(self):
-        entries = self._entries({0: [0.5, 0.1, 0.3, 0.2]})
-        sel = class_balanced_select(entries, 2, [4])
-        assert sorted(e.uncertainty for e in sel.entries) == [0.1, 0.2]
+        omegas, classes = arrays({0: [0.5, 0.1, 0.3, 0.2]})
+        sel = class_balanced_select(omegas, classes, 2, [4])
+        assert sorted(omegas[sel.entries]) == [0.1, 0.2]
         assert not sel.fallback
 
     def test_equal_counts_split_evenly(self):
-        entries = self._entries({0: [0.4, 0.1, 0.3], 1: [0.2, 0.5, 0.05]})
-        sel = class_balanced_select(entries, 4, [3, 3])
-        by_class = {0: [], 1: []}
-        for e in sel.entries:
-            by_class[e.predicted_class].append(e.uncertainty)
-        assert sorted(by_class[0]) == [0.1, 0.3]
-        assert sorted(by_class[1]) == [0.05, 0.2]
+        omegas, classes = arrays({0: [0.4, 0.1, 0.3], 1: [0.2, 0.5, 0.05]})
+        sel = class_balanced_select(omegas, classes, 4, [3, 3])
+        assert sorted(omegas[sel.entries[classes[sel.entries] == 0]]) == [0.1, 0.3]
+        assert sorted(omegas[sel.entries[classes[sel.entries] == 1]]) == [0.05, 0.2]
 
     def test_largest_remainder_matches_enumeration_oracle(self):
         counts, k = (5, 3, 2), 5
-        sel = class_balanced_select(
-            self._entries({0: [0.1] * 5, 1: [0.2] * 3, 2: [0.3] * 2}), k, counts
-        )
+        sel = class_balanced_select(*arrays({0: [0.1] * 5, 1: [0.2] * 3, 2: [0.3] * 2}), k, counts)
         quotas = tuple(sel.quotas.get(j, 0) for j in range(3))
         assert quotas in set(map(tuple, quota_oracle(counts, k)))
         # deterministic tie-break: higher class count wins the leftover slot
@@ -239,32 +269,50 @@ class TestClassBalancedSelect:
             counts = rng.integers(1, 9, size=c)
             k = int(rng.integers(1, counts.sum() + 1))
             omegas = {j: list(rng.uniform(0, 1, size=counts[j])) for j in range(c)}
-            sel = class_balanced_select(self._entries(omegas), k, counts)
+            sel = class_balanced_select(*arrays(omegas), k, counts)
             quotas = tuple(sel.quotas.get(j, 0) for j in range(c))
             assert sum(quotas) == min(k, int(counts.sum()))
             assert quotas in set(map(tuple, quota_oracle(counts, k)))
 
     def test_shortfall_redistributed(self):
         # class 0 has only 1 entry but earns quota 2; the spare slot moves to class 1
-        entries = self._entries({0: [0.1], 1: [0.3, 0.2, 0.4, 0.5]})
-        sel = class_balanced_select(entries, 4, [4, 4])
+        omegas, classes = arrays({0: [0.1], 1: [0.3, 0.2, 0.4, 0.5]})
+        sel = class_balanced_select(omegas, classes, 4, [4, 4])
         assert len(sel.entries) == 4
-        assert sorted(e.predicted_class for e in sel.entries) == [0, 1, 1, 1]
+        assert sorted(classes[sel.entries]) == [0, 1, 1, 1]
+        # quotas (2, 3, 1); class 0 has no candidates, and its 2 spare slots go
+        # by proportion to class 1, not to class 2's more certain leftovers
+        omegas, classes = arrays({1: [0.1, 0.2, 0.3, 0.5, 0.6, 0.7], 2: [0.05, 0.01, 0.02]})
+        sel = class_balanced_select(omegas, classes, 6, [4, 6, 2])
+        assert sel.quotas == {0: 2, 1: 3, 2: 1}
+        assert omegas[sel.entries].tolist() == [0.1, 0.2, 0.3, 0.5, 0.6, 0.01]
+
+    def test_uncounted_classes_fill_remaining_slots(self):
+        # only class 0 is counted and it has 1 candidate; the other 2 slots go
+        # to the most certain rows of the uncounted class, ties to the lower row
+        omegas, classes = arrays({0: [0.4], 1: [0.3, 0.1, 0.2, 0.1]})
+        sel = class_balanced_select(omegas, classes, 3, [5, 0])
+        assert not sel.fallback
+        assert sel.entries.tolist() == [0, 2, 4]
 
     def test_selection_size_capped_by_entries(self):
-        entries = self._entries({0: [0.1, 0.2]})
-        sel = class_balanced_select(entries, 10, [2])
+        sel = class_balanced_select(*arrays({0: [0.1, 0.2]}), 10, [2])
         assert len(sel.entries) == 2
 
     def test_zero_counts_fall_back_to_global(self):
-        entries = self._entries({0: [0.3, 0.1]})
-        sel = class_balanced_select(entries, 1, [0, 0])
+        omegas, classes = arrays({0: [0.3, 0.1]})
+        sel = class_balanced_select(omegas, classes, 1, [0, 0])
         assert sel.fallback
-        assert [e.uncertainty for e in sel.entries] == [0.1]
+        assert omegas[sel.entries].tolist() == [0.1]
+        # the fallback returns rows in arrival order, like every other path
+        sel = class_balanced_select([0.3, 0.1], [0, 0], 2, [0, 0], rows=[5, 9])
+        assert sel.fallback
+        assert sel.entries.tolist() == [5, 9]
 
     def test_within_class_lowest_uncertainty_wins(self, rng):
         omegas = {0: list(rng.uniform(0, 1, size=8)), 1: list(rng.uniform(0, 1, size=8))}
-        sel = class_balanced_select(self._entries(omegas), 4, [8, 8])
+        u, classes = arrays(omegas)
+        sel = class_balanced_select(u, classes, 4, [8, 8])
         for cls in (0, 1):
-            chosen = sorted(e.uncertainty for e in sel.entries if e.predicted_class == cls)
+            chosen = sorted(u[sel.entries[classes[sel.entries] == cls]])
             assert chosen == sorted(omegas[cls])[:2]
