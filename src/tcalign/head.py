@@ -133,14 +133,17 @@ def cross_entropy(head: SoftmaxHead, z, labels) -> float:
     return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
 
+def check_labels(labels, n: int) -> np.ndarray:
+    """Labels of n predictions as an int64 vector."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.shape[0] != n:
+        raise InvalidInput(f"label count {labels.shape} does not match prediction count {n}")
+    return labels.astype(np.int64)
+
+
 def accuracy(preds: PredictionBatch, labels) -> float:
     """Fraction of rows whose argmax matches the label."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != preds.argmax.shape[0]:
-        raise InvalidInput(
-            f"label count {labels.shape} does not match prediction count {preds.argmax.shape[0]}"
-        )
-    return float(np.mean(preds.argmax == labels.astype(np.int64)))
+    return float(np.mean(preds.argmax == check_labels(labels, preds.argmax.shape[0])))
 
 
 def save_head(head: SoftmaxHead, path) -> None:

@@ -118,18 +118,19 @@ def embeddings_to_csv(path, z, header: list[str] | None = None) -> None:
     names = header if header is not None else [f"x{j}" for j in range(z.shape[1])]
     if len(names) != z.shape[1]:
         raise InvalidInput(f"header has {len(names)} names for {z.shape[1]} columns")
+    row = ",".join(["%.17g"] * z.shape[1])  # one template per row; "%.17g" is fmt17
     lines = [",".join(names)]
-    for row in z:
-        lines.append(",".join(fmt17(v) for v in row))
+    lines.extend(row % tuple(values) for values in map(np.ndarray.tolist, z))
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_predictions_csv(path, preds) -> None:
     """Persist a PredictionBatch as CSV: argmax column then one column per class."""
     c = preds.n_classes
+    row = "%d" + ",%.17g" * c  # one template per row; "%.17g" is fmt17
     lines = [",".join(["argmax"] + [f"p{j}" for j in range(c)])]
-    for label, row in zip(preds.argmax, preds.probs):
-        lines.append(",".join([str(int(label))] + [fmt17(v) for v in row]))
+    rows = zip(preds.argmax.tolist(), map(np.ndarray.tolist, preds.probs))
+    lines.extend(row % (label, *probs) for label, probs in rows)
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -1,20 +1,22 @@
 """End-to-end adaptation pipelines and theory-validation experiments.
 
-Transductive mode scores the whole test set, selects the pseudo-source rows,
-solves for the alignment transform once, and re-predicts everything through
-it. Online mode folds batches into streaming statistics and a bounded index
-bank, and predicts each batch with the transform available at that moment,
-falling back to the unadapted head until enough evidence exists.
+Both modes run one loop. Per batch it folds the rows into streaming
+statistics and a bounded index bank, selects the pseudo-source, solves for
+the alignment transform and predicts the batch through it, falling back to
+the unadapted head until 2 rows can be selected. Online mode feeds the test
+set in batches; transductive mode is the same loop with a single batch of
+all n rows, so it scores the whole test set, solves once and re-predicts
+everything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import InsufficientSamples, InvalidConfig, InvalidInput
-from .head import PredictionBatch, SoftmaxHead, accuracy, predict
+from .head import PredictionBatch, SoftmaxHead, accuracy, check_labels, predict
 from .linalg import CovarianceAccumulator, correlation_distance, covariance, validate_embeddings
 from .metrics import linear_fit_r2, spearman
 from .pseudo_source import batch_uncertainties, class_balanced_select, most_certain
@@ -81,27 +83,10 @@ class AdaptReport:
     unadapted_batches: int = 0
 
     def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "d": self.d,
-            "c": self.c,
-            "mode": self.mode,
-            "accuracy_before": self.accuracy_before,
-            "accuracy_after": self.accuracy_after,
-            "dist_test_to_pseudo_before": self.dist_test_to_pseudo_before,
-            "dist_test_to_pseudo_after": self.dist_test_to_pseudo_after,
-            "dist_test_to_source_before": self.dist_test_to_source_before,
-            "dist_test_to_source_after": self.dist_test_to_source_after,
-            "dist_pseudo_to_source": self.dist_pseudo_to_source,
-            "selection_fallback": self.selection_fallback,
-            "unadapted_batches": self.unadapted_batches,
-        }
-        if self.solver_trace is not None:
-            out["solver_trace"] = {
-                "objective_values": list(self.solver_trace.objective_values),
-                "iterations": self.solver_trace.iterations,
-                "converged": self.solver_trace.converged,
-            }
+        out = asdict(self)
+        trace = out.pop("solver_trace")  # last, and only when present
+        if trace is not None:
+            out["solver_trace"] = trace
         return out
 
 
@@ -123,22 +108,47 @@ def _fold(cfg: AdaptConfig, bank, rows, uncertainty, classes) -> np.ndarray:
     return most_certain(uncertainty[bank], cfg.k, bank, per_class)
 
 
-def _full_batch_core(test: np.ndarray, head: SoftmaxHead, cfg: AdaptConfig):
-    """Predict, score and select over the whole test set, then take the moments
-    of the pseudo-source and of the test set."""
-    preds = predict(head, test)
-    class_counts = np.bincount(preds.argmax, minlength=head.n_classes)
-    rows, fallback = _select(
-        cfg, batch_uncertainties(preds.probs), preds.argmax, class_counts, np.arange(test.shape[0])
-    )
-    if len(rows) < 2:
-        raise InsufficientSamples("pseudo-source selection produced fewer than 2 entries")
-    return preds, fallback, covariance(test[rows]), covariance(test)
+def _check_test(test, mode: str) -> np.ndarray:
+    test = validate_embeddings(test, "test")
+    if test.shape[0] < 2:
+        raise InsufficientSamples(f"{mode} adaptation needs at least 2 test rows")
+    return test
 
 
-def _solve(cfg: AdaptConfig, sigma_t, sigma_s_hat) -> tuple[np.ndarray, SolverTrace | None]:
+def _steps(test: np.ndarray, head: SoftmaxHead, cfg: AdaptConfig, batch_size: int):
+    """Per batch of ``batch_size`` rows: predict, score, fold into the bank,
+    select, and take the moments of the pseudo-source and of every row so far.
+
+    Yields ``(lo, hi, unadapted predictions, fallback, moments)``, where
+    moments is ``(mu_s_hat, sigma_s_hat, mu_t, sigma_t)``, or None while fewer
+    than 2 rows are selected. Selection keeps min(k, rows so far) rows and
+    k >= 2, so only a first batch of one row goes without moments.
+    """
+    n, d = test.shape
+    stats = CovarianceAccumulator(d)
+    uncertainty = np.empty(n)
+    classes = np.empty(n, dtype=np.int64)
+    class_counts = np.zeros(head.n_classes, dtype=np.int64)
+    bank = np.empty(0, dtype=np.int64)
+    for lo in range(0, n, batch_size):
+        hi = min(lo + batch_size, n)
+        batch = test[lo:hi]
+        preds = predict(head, batch)
+        stats.update(batch)
+        uncertainty[lo:hi] = batch_uncertainties(preds.probs)
+        classes[lo:hi] = preds.argmax
+        class_counts += np.bincount(preds.argmax, minlength=head.n_classes)
+        bank = _fold(cfg, bank, np.arange(lo, hi), uncertainty, classes)
+        selected, fallback = _select(cfg, uncertainty, classes, class_counts, bank)
+        moments = (*covariance(test[selected]), *stats.finalize()) if len(selected) >= 2 else None
+        yield lo, hi, preds, fallback, moments
+
+
+def _solve(
+    cfg: AdaptConfig, sigma_t, sigma_s_hat, iterate_hook=None
+) -> tuple[np.ndarray, SolverTrace | None]:
     if cfg.solver == "gradient":
-        w, trace = solve_gradient(
+        return solve_gradient(
             sigma_t,
             sigma_s_hat,
             init=None,
@@ -146,9 +156,70 @@ def _solve(cfg: AdaptConfig, sigma_t, sigma_s_hat) -> tuple[np.ndarray, SolverTr
             max_iters=cfg.max_iters,
             tol=cfg.tol,
             eps=cfg.eps,
+            iterate_hook=iterate_hook,
         )
-        return w, trace
     return solve_closed_form(sigma_t, sigma_s_hat, cfg.eps), None
+
+
+def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
+    """The adaptation loop of both modes: per batch, solve against the current
+    moments and predict the batch through that transform; a batch without
+    moments is emitted unadapted. Transductive mode is one batch of all rows.
+
+    Returns the predictions, the report and the transform of the last solve.
+    """
+    cfg = (cfg or AdaptConfig()).validate()
+    test = _check_test(test, mode)
+    n, d = test.shape
+    if labels is not None:
+        labels = check_labels(labels, n)
+
+    batch_probs = []
+    emitted = CovarianceAccumulator(d)
+    correct_before = unadapted_batches = 0
+    fallback_seen = False
+    batch_size = n if mode == "transductive" else cfg.batch_size
+    for lo, hi, preds, fallback, moments in _steps(test, head, cfg, batch_size):
+        fallback_seen = fallback_seen or fallback
+        if labels is not None:
+            correct_before += int(np.count_nonzero(preds.argmax == labels[lo:hi]))
+        batch = test[lo:hi]
+        if moments is None:
+            batch_probs.append(preds.probs)
+            emitted.update(batch)
+            unadapted_batches += 1
+            continue
+        mu_s_hat, sigma_s_hat, mu_t, sigma_t = moments
+        w, trace = _solve(cfg, sigma_t, sigma_s_hat)
+        transform = AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
+        transformed = apply_transform(batch, transform)
+        batch_probs.append(predict(head, transformed).probs)
+        emitted.update(transformed)
+
+    # n >= 2, so the last batch was adapted and its moments cover every row
+    probs = np.concatenate(batch_probs)
+    preds_out = PredictionBatch(probs=probs, argmax=probs.argmax(axis=1))
+    _, sigma_emitted = emitted.finalize()
+    report = AdaptReport(
+        n=n,
+        d=d,
+        c=head.n_classes,
+        mode=mode,
+        dist_test_to_pseudo_before=correlation_distance(sigma_t, sigma_s_hat),
+        dist_test_to_pseudo_after=correlation_distance(sigma_emitted, sigma_s_hat),
+        solver_trace=trace,
+        selection_fallback=fallback_seen,
+        unadapted_batches=unadapted_batches,
+    )
+    if labels is not None:
+        report.accuracy_before = correct_before / n
+        report.accuracy_after = accuracy(preds_out, labels)
+    if source_stats is not None:
+        _, sigma_s = source_stats
+        report.dist_test_to_source_before = correlation_distance(sigma_t, sigma_s)
+        report.dist_test_to_source_after = correlation_distance(sigma_emitted, sigma_s)
+        report.dist_pseudo_to_source = correlation_distance(sigma_s_hat, sigma_s)
+    return preds_out, report, transform
 
 
 def adapt_transductive(
@@ -158,43 +229,13 @@ def adapt_transductive(
     labels=None,
     source_stats=None,
 ) -> tuple[PredictionBatch, AdaptReport, AlignmentTransform]:
-    """Full-batch adaptation: score, select, align, re-predict.
+    """Full-batch adaptation: score, select, align, re-predict, as the online
+    loop does with a single batch of all n rows.
 
     ``source_stats`` is an optional (mean, covariance) pair of the true
     source domain; when given, the report carries source-side distances.
     """
-    cfg = (cfg or AdaptConfig()).validate()
-    test = validate_embeddings(test, "test")
-    if test.shape[0] < 2:
-        raise InsufficientSamples("transductive adaptation needs at least 2 test rows")
-
-    preds_before, fallback, (mu_s_hat, sigma_s_hat), (mu_t, sigma_t) = _full_batch_core(test, head, cfg)
-    w, trace = _solve(cfg, sigma_t, sigma_s_hat)
-    transform = AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
-
-    transformed = apply_transform(test, transform)
-    preds_after = predict(head, transformed)
-    _, sigma_after = covariance(transformed)
-
-    report = AdaptReport(
-        n=test.shape[0],
-        d=test.shape[1],
-        c=head.n_classes,
-        mode="transductive",
-        dist_test_to_pseudo_before=correlation_distance(sigma_t, sigma_s_hat),
-        dist_test_to_pseudo_after=correlation_distance(sigma_after, sigma_s_hat),
-        solver_trace=trace,
-        selection_fallback=fallback,
-    )
-    if labels is not None:
-        report.accuracy_before = accuracy(preds_before, labels)
-        report.accuracy_after = accuracy(preds_after, labels)
-    if source_stats is not None:
-        _, sigma_s = source_stats
-        report.dist_test_to_source_before = correlation_distance(sigma_t, sigma_s)
-        report.dist_test_to_source_after = correlation_distance(sigma_after, sigma_s)
-        report.dist_pseudo_to_source = correlation_distance(sigma_s_hat, sigma_s)
-    return preds_after, report, transform
+    return _adapt(test, head, cfg, labels, source_stats, "transductive")
 
 
 def adapt_online(
@@ -205,80 +246,11 @@ def adapt_online(
     source_stats=None,
 ) -> tuple[PredictionBatch, AdaptReport]:
     """Streaming adaptation: per batch, update statistics then predict through
-    the current transform. Batches arriving before both the accumulator and
-    the selection hold at least 2 entries are emitted unadapted and counted
-    in the report."""
-    cfg = (cfg or AdaptConfig()).validate()
-    test = validate_embeddings(test, "test")
-    n, d = test.shape
-    if n < 2:
-        raise InsufficientSamples("online adaptation needs at least 2 test rows")
-
-    stats = CovarianceAccumulator(d)
-    uncertainty = np.empty(n)
-    classes = np.empty(n, dtype=np.int64)
-    class_counts = np.zeros(head.n_classes, dtype=np.int64)
-    bank = selected = np.empty(0, dtype=np.int64)
-    probs_out = np.empty((n, head.n_classes))
-    emitted = np.empty_like(test)
-    probs_before = np.empty((n, head.n_classes))
-    unadapted_batches = 0
-    fallback_seen = False
-
-    for lo in range(0, n, cfg.batch_size):
-        hi = min(lo + cfg.batch_size, n)
-        batch = test[lo:hi]
-        preds = predict(head, batch)
-        probs_before[lo:hi] = preds.probs
-        stats.update(batch)
-        uncertainty[lo:hi] = batch_uncertainties(preds.probs)
-        classes[lo:hi] = preds.argmax
-        class_counts += np.bincount(preds.argmax, minlength=head.n_classes)
-        bank = _fold(cfg, bank, np.arange(lo, hi), uncertainty, classes)
-        selected, fallback = _select(cfg, uncertainty, classes, class_counts, bank)
-        fallback_seen = fallback_seen or fallback
-        if len(selected) < 2 or stats.count < 2:
-            probs_out[lo:hi] = preds.probs
-            emitted[lo:hi] = batch
-            unadapted_batches += 1
-            continue
-        mu_s_hat, sigma_s_hat = covariance(test[selected])
-        mu_t, sigma_t = stats.finalize()
-        w, _ = _solve(cfg, sigma_t, sigma_s_hat)
-        transform = AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
-        transformed = apply_transform(batch, transform)
-        adapted = predict(head, transformed)
-        probs_out[lo:hi] = adapted.probs
-        emitted[lo:hi] = transformed
-
-    preds_out = PredictionBatch(probs=probs_out, argmax=probs_out.argmax(axis=1))
-    preds_unadapted = PredictionBatch(probs=probs_before, argmax=probs_before.argmax(axis=1))
-
-    mu_t, sigma_t = stats.finalize()
-    report = AdaptReport(
-        n=n,
-        d=d,
-        c=head.n_classes,
-        mode="online",
-        selection_fallback=fallback_seen,
-        unadapted_batches=unadapted_batches,
-    )
-    _, sigma_emitted = covariance(emitted)
-    if len(selected) >= 2:  # the pseudo-source selected after the last batch
-        _, sigma_s_hat = covariance(test[selected])
-        report.dist_test_to_pseudo_before = correlation_distance(sigma_t, sigma_s_hat)
-        report.dist_test_to_pseudo_after = correlation_distance(sigma_emitted, sigma_s_hat)
-        if source_stats is not None:
-            _, sigma_s = source_stats
-            report.dist_pseudo_to_source = correlation_distance(sigma_s_hat, sigma_s)
-    if source_stats is not None:
-        _, sigma_s = source_stats
-        report.dist_test_to_source_before = correlation_distance(sigma_t, sigma_s)
-        report.dist_test_to_source_after = correlation_distance(sigma_emitted, sigma_s)
-    if labels is not None:
-        report.accuracy_before = accuracy(preds_unadapted, labels)
-        report.accuracy_after = accuracy(preds_out, labels)
-    return preds_out, report
+    the current transform. Batches arriving before 2 rows can be selected
+    (only a first batch of one row) are emitted unadapted and counted in the
+    report."""
+    preds, report, _ = _adapt(test, head, cfg, labels, source_stats, "online")
+    return preds, report
 
 
 @dataclass
@@ -375,26 +347,17 @@ def validate_alignment_trace(
         raise InvalidInput("alignment traces require test labels for the accuracy column")
     if record_every < 1:
         raise InvalidConfig(f"record_every must be >= 1, got {record_every}")
-    test = validate_embeddings(test, "test")
+    test = _check_test(test, "transductive")
     _, sigma_s = source_stats
 
-    _, _, (mu_s_hat, sigma_s_hat), (mu_t, sigma_t) = _full_batch_core(test, head, cfg)
+    *_, (mu_s_hat, sigma_s_hat, mu_t, sigma_t) = next(_steps(test, head, cfg, test.shape[0]))
 
     recorded: list[tuple[int, np.ndarray]] = []
 
     def hook(iteration: int, w: np.ndarray) -> None:
         recorded.append((iteration, w))
 
-    _, trace = solve_gradient(
-        sigma_t,
-        sigma_s_hat,
-        init=None,
-        lr=cfg.lr,
-        max_iters=cfg.max_iters,
-        tol=cfg.tol,
-        eps=cfg.eps,
-        iterate_hook=hook,
-    )
+    _, trace = _solve(cfg, sigma_t, sigma_s_hat, iterate_hook=hook)
 
     result = TraceResult(solver_trace=trace)
     last = len(recorded) - 1

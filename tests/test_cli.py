@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import tcalign
 from tcalign.cli import main
 from tcalign.io import read_embeddings, read_labels, write_embeddings, write_labels
 
@@ -262,6 +264,9 @@ class TestPlot:
 
 
 def test_console_script_runs(tmp_path):
+    # the child imports the same tcalign as this process, installed or not
+    src = os.path.dirname(os.path.dirname(tcalign.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable, "-m", "tcalign.cli",
@@ -269,6 +274,7 @@ def test_console_script_runs(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "wrote linear shift" in proc.stdout

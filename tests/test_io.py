@@ -139,6 +139,19 @@ class TestCsv:
         assert np.array_equal(back.probs, probs)
         assert np.array_equal(back.argmax, preds.argmax)
 
+    def test_written_bytes_are_pinned(self, tmp_path):
+        # exact bytes of both writers: fmt17 (.17g) text, value for value
+        values = [[-0.0, 5e-324, 1e-300], [0.1, 1.0, 1.0 / 3.0]]
+        emb, pred = tmp_path / "e.csv", tmp_path / "p.csv"
+        embeddings_to_csv(emb, values)
+        write_predictions_csv(pred, PredictionBatch(probs=np.array(values), argmax=np.array([2, 1])))
+        rows = "-0,4.9406564584124654e-324,1e-300\n0.10000000000000001,1,0.33333333333333331\n"
+        assert emb.read_bytes() == ("x0,x1,x2\n" + rows).encode()
+        assert pred.read_bytes() == (
+            "argmax,p0,p1,p2\n2,-0,4.9406564584124654e-324,1e-300\n"
+            "1,0.10000000000000001,1,0.33333333333333331\n"
+        ).encode()
+
     def test_predictions_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tcalign import (
     AdaptConfig,
+    CovarianceAccumulator,
     InsufficientSamples,
     InvalidConfig,
     InvalidInput,
@@ -55,6 +57,14 @@ class TestAdaptTransductive:
         _, head = linear_demo
         with pytest.raises(InsufficientSamples):
             adapt_transductive(np.array([[1.0, 2.0]]), head, AdaptConfig())
+
+    @pytest.mark.parametrize("mode", ["transductive", "online"])
+    def test_label_count_mismatch_rejected(self, linear_demo, mode):
+        # rejected before the loop compares a batch's argmax with too few labels
+        data, head = linear_demo
+        adapt = adapt_transductive if mode == "transductive" else adapt_online
+        with pytest.raises(InvalidInput, match="label count"):
+            adapt(data.target.features, head, AdaptConfig(mode=mode), labels=data.target.labels[:3])
 
     def test_small_k_rejected(self, linear_demo):
         data, head = linear_demo
@@ -108,12 +118,14 @@ class TestAdaptTransductive:
         assert preds.probs.shape == (750, 3)
         assert not report.selection_fallback
 
-    def test_gradient_solver_records_trace(self, rng):
+    @pytest.mark.parametrize("mode", ["transductive", "online"])
+    def test_gradient_solver_records_trace(self, rng, mode):
         # O(1)-scale covariances keep the 1e-3 step stable
         z = rng.standard_normal((120, 3))
         head = SoftmaxHead(weight=rng.standard_normal((3, 3)), bias=np.zeros(3))
-        cfg = AdaptConfig(k=20, solver="gradient", max_iters=300)
-        _, report, _ = adapt_transductive(z, head, cfg)
+        cfg = AdaptConfig(k=20, solver="gradient", max_iters=300, mode=mode, batch_size=50)
+        adapt = adapt_transductive if mode == "transductive" else adapt_online
+        report = adapt(z, head, cfg)[1]  # online reports the trace of the last solve
         assert report.solver_trace is not None
         assert report.solver_trace.objective_values[-1] <= report.solver_trace.objective_values[0]
 
@@ -127,34 +139,46 @@ class TestAdaptTransductive:
 
 
 class TestAdaptOnline:
-    def test_single_batch_matches_transductive(self, linear_demo):
+    @pytest.mark.parametrize("solver", ["closed", "gradient"])
+    @pytest.mark.parametrize("selection_mode", ["global", "class_balanced"])
+    def test_single_batch_matches_transductive(self, linear_demo, selection_mode, solver):
         data, head = linear_demo
         test = data.target.features
-        cfg = AdaptConfig(mode="online", batch_size=len(test))
-        online_preds, online_report = adapt_online(test, head, cfg, labels=data.target.labels)
+        # lr keeps the fixed gradient step stable on the demo's covariances
+        cfg = AdaptConfig(selection_mode=selection_mode, solver=solver, lr=1e-7, max_iters=50)
+        source_stats = covariance(data.source.features)
         trans_preds, trans_report, _ = adapt_transductive(
-            test, head, AdaptConfig(), labels=data.target.labels
+            test, head, cfg, labels=data.target.labels, source_stats=source_stats
         )
-        assert np.max(np.abs(online_preds.probs - trans_preds.probs)) <= 1e-10
-        assert online_report.unadapted_batches == 0
-        assert online_report.accuracy_after == trans_report.accuracy_after
+        online_cfg = replace(cfg, mode="online", batch_size=len(test))
+        online_preds, online_report = adapt_online(
+            test, head, online_cfg, labels=data.target.labels, source_stats=source_stats
+        )
+        assert np.array_equal(online_preds.probs, trans_preds.probs)
+        assert np.array_equal(online_preds.argmax, trans_preds.argmax)
+        online_dict, trans_dict = online_report.to_dict(), trans_report.to_dict()
+        assert (online_dict.pop("mode"), trans_dict.pop("mode")) == ("online", "transductive")
+        assert online_dict == trans_dict
+        assert (online_report.solver_trace is not None) == (solver == "gradient")
 
     def test_final_statistics_match_across_partitions(self, linear_demo):
         data, head = linear_demo
         test = data.target.features
         _, sigma_ref = covariance(test)
+        dists = []
         for batch_size in (1, 8, 64, 750):
             cfg = AdaptConfig(mode="online", batch_size=batch_size)
             _, report = adapt_online(test, head, cfg)
-            # report distances derive from the final accumulated statistics;
+            dists.append(report.dist_test_to_pseudo_before)
+            # the report distances derive from the final accumulated statistics;
             # check those statistics directly through the accumulator
-            from tcalign import CovarianceAccumulator
-
             acc = CovarianceAccumulator(2)
             for lo in range(0, len(test), batch_size):
                 acc.update(test[lo : lo + batch_size])
             _, sigma = acc.finalize()
             assert np.linalg.norm(sigma - sigma_ref) <= 1e-10 * np.linalg.norm(sigma_ref)
+        # the final bank, and so the final pseudo-source, is partition-independent
+        assert dists == pytest.approx([dists[-1]] * 4, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("selection_mode", ["global", "class_balanced"])
     def test_final_bank_identical_across_batch_sizes(self, linear_demo, selection_mode):
@@ -177,16 +201,6 @@ class TestAdaptOnline:
         cfg = AdaptConfig(mode="online", batch_size=2)
         _, report = adapt_online(data.target.features[:40], head, cfg)
         assert report.unadapted_batches == 0
-
-    def test_class_balanced_online_single_batch_matches_transductive(self, linear_demo):
-        data, head = linear_demo
-        test = data.target.features
-        cfg = AdaptConfig(mode="online", batch_size=len(test), selection_mode="class_balanced")
-        online_preds, _ = adapt_online(test, head, cfg)
-        trans_preds, _, _ = adapt_transductive(
-            test, head, AdaptConfig(selection_mode="class_balanced")
-        )
-        assert np.max(np.abs(online_preds.probs - trans_preds.probs)) <= 1e-10
 
 
 class TestUncertaintyGroups:
@@ -279,6 +293,15 @@ class TestAlignmentTrace:
                 AdaptConfig(solver="gradient"),
                 stats,
                 None,
+            )
+        # a single row is rejected up front, as the adapt paths reject it
+        with pytest.raises(InsufficientSamples, match="needs at least 2 test rows"):
+            validate_alignment_trace(
+                data.target.features[:1],
+                head,
+                AdaptConfig(solver="gradient"),
+                stats,
+                data.target.labels[:1],
             )
 
     def test_summary_fields_populated(self, rng):
