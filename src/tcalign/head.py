@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabels, InvalidInput, ParseError
-from .io import _atomic_write_text, fmt17
+from .io import _atomic_write_text, _class_indices, fmt17
 from .linalg import validate_embeddings
 
 HEAD_FORMAT_VERSION = 1
@@ -134,11 +134,11 @@ def cross_entropy(head: SoftmaxHead, z, labels) -> float:
 
 
 def check_labels(labels, n: int) -> np.ndarray:
-    """Labels of n predictions as an int64 vector."""
+    """Labels of n predictions as an int64 vector of nonnegative integers."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != n:
         raise InvalidInput(f"label count {labels.shape} does not match prediction count {n}")
-    return labels.astype(np.int64)
+    return _class_indices(labels)
 
 
 def accuracy(preds: PredictionBatch, labels) -> float:

@@ -82,13 +82,21 @@ def read_embeddings(path) -> np.ndarray:
     return z
 
 
+def _class_indices(labels: np.ndarray) -> np.ndarray:
+    """``labels`` as int64, rejecting negative and non-integer values (NaN included)."""
+    with np.errstate(invalid="ignore"):  # NaN/inf casts are caught by the comparison
+        as_int = labels.astype(np.int64)
+    if labels.size and (np.any(labels != as_int) or as_int.min() < 0):
+        raise InvalidInput("labels must be nonnegative integers")
+    return as_int
+
+
 def write_labels(path, labels) -> None:
     """Write class indices as a .tcal file (u32 little-endian)."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size < 1:
         raise InvalidInput("labels must be a non-empty 1-D vector")
-    if labels.min() < 0 or np.any(labels != labels.astype(np.int64)):
-        raise InvalidInput("labels must be nonnegative integers")
+    labels = _class_indices(labels)
     header = LABEL_MAGIC + struct.pack("<IQ", FORMAT_VERSION, labels.size)
     _atomic_write(path, header + labels.astype("<u4").tobytes())
 

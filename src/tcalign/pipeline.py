@@ -7,10 +7,18 @@ the unadapted head until 2 rows can be selected. Online mode feeds the test
 set in batches; transductive mode is the same loop with a single batch of
 all n rows, so it scores the whole test set, solves once and re-predicts
 everything.
+
+Adapted rows are never materialised. The affine map z -> (z - mu_t) W +
+mu_s_hat is folded into the linear softmax head (weight H W^T, bias
+b + H (mu_s_hat - W^T mu_t)), and the moments of the adapted rows follow
+from the batch's own: the mean maps through the transform and the scatter
+S becomes W^T S W. ``transform.apply_transform`` remains the reference
+those identities are tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -20,7 +28,7 @@ from .head import PredictionBatch, SoftmaxHead, accuracy, check_labels, predict
 from .linalg import CovarianceAccumulator, correlation_distance, covariance, validate_embeddings
 from .metrics import linear_fit_r2, spearman
 from .pseudo_source import batch_uncertainties, class_balanced_select, most_certain
-from .transform import AlignmentTransform, SolverTrace, apply_transform, solve_closed_form, solve_gradient
+from .transform import AlignmentTransform, SolverTrace, solve_closed_form, solve_gradient
 
 SOLVERS = ("closed", "gradient")
 SELECTION_MODES = ("global", "class_balanced")
@@ -44,8 +52,8 @@ class AdaptConfig:
     def validate(self) -> "AdaptConfig":
         if self.k < 2:
             raise InvalidConfig(f"bank capacity k must be >= 2, got {self.k}")
-        if self.eps < 0:
-            raise InvalidConfig(f"eps must be >= 0, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise InvalidConfig(f"eps must be finite and >= 0, got {self.eps}")
         if self.solver not in SOLVERS:
             raise InvalidConfig(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         if self.selection_mode not in SELECTION_MODES:
@@ -56,10 +64,12 @@ class AdaptConfig:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.batch_size < 1:
             raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise InvalidConfig(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise InvalidConfig(f"lr must be finite and positive, got {self.lr}")
         if self.max_iters < 1:
             raise InvalidConfig(f"max_iters must be >= 1, got {self.max_iters}")
+        if not math.isfinite(self.tol):
+            raise InvalidConfig(f"tol must be finite, got {self.tol}")
         return self
 
 
@@ -119,10 +129,11 @@ def _steps(test: np.ndarray, head: SoftmaxHead, cfg: AdaptConfig, batch_size: in
     """Per batch of ``batch_size`` rows: predict, score, fold into the bank,
     select, and take the moments of the pseudo-source and of every row so far.
 
-    Yields ``(lo, hi, unadapted predictions, fallback, moments)``, where
-    moments is ``(mu_s_hat, sigma_s_hat, mu_t, sigma_t)``, or None while fewer
-    than 2 rows are selected. Selection keeps min(k, rows so far) rows and
-    k >= 2, so only a first batch of one row goes without moments.
+    Yields ``(lo, hi, unadapted predictions, fallback, batch_stats, moments)``,
+    where batch_stats accumulates the batch's rows alone and moments is
+    ``(mu_s_hat, sigma_s_hat, mu_t, sigma_t)``, or None while fewer than 2
+    rows are selected. Selection keeps min(k, rows so far) rows and k >= 2, so
+    only a first batch of one row goes without moments.
     """
     n, d = test.shape
     stats = CovarianceAccumulator(d)
@@ -132,16 +143,41 @@ def _steps(test: np.ndarray, head: SoftmaxHead, cfg: AdaptConfig, batch_size: in
     bank = np.empty(0, dtype=np.int64)
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
-        batch = test[lo:hi]
-        preds = predict(head, batch)
-        stats.update(batch)
+        preds = predict(head, test[lo:hi])
+        batch_stats = CovarianceAccumulator(d).update(test[lo:hi])
+        stats.merge(batch_stats)
         uncertainty[lo:hi] = batch_uncertainties(preds.probs)
         classes[lo:hi] = preds.argmax
         class_counts += np.bincount(preds.argmax, minlength=head.n_classes)
         bank = _fold(cfg, bank, np.arange(lo, hi), uncertainty, classes)
         selected, fallback = _select(cfg, uncertainty, classes, class_counts, bank)
         moments = (*covariance(test[selected]), *stats.finalize()) if len(selected) >= 2 else None
-        yield lo, hi, preds, fallback, moments
+        yield lo, hi, preds, fallback, batch_stats, moments
+
+
+def _recolor(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """W^T sigma W, symmetrized: the covariance (or scatter) of rows mapped through W."""
+    out = w.T @ sigma @ w
+    return (out + out.T) / 2.0
+
+
+def _adapted_head(head: SoftmaxHead, t: AlignmentTransform) -> SoftmaxHead:
+    """The head with the transform folded in, so that predicting z through it
+    equals predicting (z - mu_t) W + mu_s_hat through ``head``."""
+    return SoftmaxHead(
+        weight=head.weight @ t.w.T,
+        bias=head.bias + head.weight @ (t.mu_s_hat - t.w.T @ t.mu_t),
+    )
+
+
+def _mapped(batch: CovarianceAccumulator, t: AlignmentTransform) -> CovarianceAccumulator:
+    """The moments of the batch's rows after the transform: the mean maps
+    through it, the scatter becomes W^T S W."""
+    out = CovarianceAccumulator(batch.dim)
+    out.count = batch.count
+    out.mean = (batch.mean - t.mu_t) @ t.w + t.mu_s_hat
+    out.scatter = _recolor(t.w, batch.scatter)
+    return out
 
 
 def _solve(
@@ -179,22 +215,20 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
     correct_before = unadapted_batches = 0
     fallback_seen = False
     batch_size = n if mode == "transductive" else cfg.batch_size
-    for lo, hi, preds, fallback, moments in _steps(test, head, cfg, batch_size):
+    for lo, hi, preds, fallback, batch_stats, moments in _steps(test, head, cfg, batch_size):
         fallback_seen = fallback_seen or fallback
         if labels is not None:
             correct_before += int(np.count_nonzero(preds.argmax == labels[lo:hi]))
-        batch = test[lo:hi]
         if moments is None:
             batch_probs.append(preds.probs)
-            emitted.update(batch)
+            emitted.merge(batch_stats)
             unadapted_batches += 1
             continue
         mu_s_hat, sigma_s_hat, mu_t, sigma_t = moments
         w, trace = _solve(cfg, sigma_t, sigma_s_hat)
         transform = AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
-        transformed = apply_transform(batch, transform)
-        batch_probs.append(predict(head, transformed).probs)
-        emitted.update(transformed)
+        batch_probs.append(predict(_adapted_head(head, transform), test[lo:hi]).probs)
+        emitted.merge(_mapped(batch_stats, transform))
 
     # n >= 2, so the last batch was adapted and its moments cover every row
     probs = np.concatenate(batch_probs)
@@ -364,15 +398,14 @@ def validate_alignment_trace(
     for pos, (iteration, w) in enumerate(recorded):
         if pos % record_every != 0 and pos != last:
             continue
-        transform = AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
-        transformed = apply_transform(test, transform)
-        _, sigma_i = covariance(transformed)
+        sigma_i = _recolor(w, sigma_t)
+        adapted = _adapted_head(head, AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat))
         result.rows.append(
             TraceRow(
                 iteration=iteration,
                 dist_to_pseudo=correlation_distance(sigma_i, sigma_s_hat),
                 dist_to_source=correlation_distance(sigma_i, sigma_s),
-                accuracy=accuracy(predict(head, transformed), labels),
+                accuracy=accuracy(predict(adapted, test), labels),
             )
         )
     result.summarize()

@@ -36,6 +36,8 @@ class AlignmentTransform:
         self.w = np.asarray(self.w, dtype=np.float64)
         self.mu_t = np.asarray(self.mu_t, dtype=np.float64)
         self.mu_s_hat = np.asarray(self.mu_s_hat, dtype=np.float64)
+        if self.w.ndim != 2:
+            raise InvalidInput(f"transform w must be a d x d matrix, got ndim={self.w.ndim}")
         if not (
             np.all(np.isfinite(self.w))
             and np.all(np.isfinite(self.mu_t))

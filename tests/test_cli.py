@@ -99,6 +99,27 @@ class TestAdapt:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--eps", "nan"], ["--eps", "inf"], ["--solver", "gradient", "--lr", "nan"]],
+        ids=["eps-nan", "eps-inf", "lr-nan"],
+    )
+    def test_non_finite_numerics_exit_2(self, workspace, tmp_path, flags):
+        # rejected as a bad option, not as a divergence (4) or a bad transform
+        _, data_dir, head_path = workspace
+        code = main(
+            [
+                "adapt",
+                "--test", str(data_dir / "target.tcae"),
+                "--head", str(head_path),
+                *flags,
+                "--out-preds", str(tmp_path / "p.csv"),
+                "--out-report", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 2
+        assert not (tmp_path / "p.csv").exists()
+
     def test_corrupt_test_file_exits_3(self, workspace, tmp_path):
         _, _, head_path = workspace
         bad = tmp_path / "bad.tcae"

@@ -132,6 +132,18 @@ class TestAccuracy:
         perm = rng.permutation(30)
         assert accuracy(predict(head, z[perm]), y[perm]) == base
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.7, 1.0], [-1, 1], [np.nan, 1.0], [np.inf, 1.0]],
+        ids=["fraction", "negative", "nan", "inf"],
+    )
+    def test_non_class_labels_rejected(self, labels):
+        # a fractional label used to be truncated and a negative one compared as is
+        preds = predict(SoftmaxHead(weight=np.array([[5.0], [-5.0]]), bias=np.zeros(2)), [[1.0], [-1.0]])
+        with pytest.raises(InvalidInput, match="nonnegative integers"):
+            accuracy(preds, np.array(labels))
+        assert accuracy(preds, np.array([0.0, 1.0])) == 1.0  # integral floats are class indices
+
     def test_length_mismatch_rejected(self):
         probs = np.array([[0.6, 0.4]])
         from tcalign import PredictionBatch

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tcalign import ParseError, PredictionBatch
+from tcalign import InvalidInput, ParseError, PredictionBatch
 from tcalign.io import (
     embeddings_to_csv,
     fmt17,
@@ -98,6 +98,15 @@ class TestLabelFormat:
         assert int.from_bytes(blob[4:8], "little") == 1
         assert int.from_bytes(blob[8:16], "little") == 3
         assert len(blob) == 16 + 3 * 4
+
+    @pytest.mark.parametrize(
+        "labels", [[0, 0.5], [0, -1], [0, np.nan]], ids=["fraction", "negative", "nan"]
+    )
+    def test_non_class_labels_rejected(self, tmp_path, labels):
+        path = tmp_path / "c.tcal"
+        with pytest.raises(InvalidInput, match="nonnegative integers"):
+            write_labels(path, np.array(labels))
+        assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.tcal"

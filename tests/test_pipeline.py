@@ -6,6 +6,7 @@ import pytest
 
 from tcalign import (
     AdaptConfig,
+    AlignmentTransform,
     CovarianceAccumulator,
     InsufficientSamples,
     InvalidConfig,
@@ -13,9 +14,13 @@ from tcalign import (
     SoftmaxHead,
     adapt_online,
     adapt_transductive,
+    apply_transform,
+    correlation_distance,
     covariance,
     gen_linear_shift,
+    gen_nonlinear_shift,
     predict,
+    solve_gradient,
     train_head,
     validate_alignment_trace,
     validate_uncertainty_groups,
@@ -28,6 +33,112 @@ def linear_demo():
     data = gen_linear_shift(0)
     head = train_head(data.source.features, data.source.labels, lr=0.1, epochs=2000)
     return data, head
+
+
+@pytest.fixture(scope="module")
+def nonlinear_demo():
+    data = gen_nonlinear_shift(0)
+    head = train_head(data.source.features, data.source.labels, lr=0.1, epochs=2000)
+    return data, head
+
+
+OFFSET = 1e4
+
+
+@pytest.fixture(params=["linear", "nonlinear", "linear+1e4"])
+def demo_case(request, linear_demo, nonlinear_demo):
+    """(test rows, head, tolerance on probabilities) of one demo. The +1e4 copy
+    shifts every test row and compensates in the bias, so its unadapted
+    predictions match the linear demo's up to rounding of the 1e4 offset."""
+    if request.param == "nonlinear":
+        data, head = nonlinear_demo
+        return data.target.features, head, 1e-12
+    data, head = linear_demo
+    if request.param == "linear":
+        return data.target.features, head, 1e-12
+    shifted = SoftmaxHead(weight=head.weight, bias=head.bias - head.weight @ np.full(2, OFFSET))
+    return data.target.features + OFFSET, shifted, 1e-9
+
+
+class TestFoldedHead:
+    """Adapted predictions and moments come from the head with W folded in and
+    from W^T S W; the two-step reference applies the transform to every row."""
+
+    @pytest.mark.parametrize("selection_mode", ["global", "class_balanced"])
+    def test_matches_two_step_reference(self, demo_case, selection_mode):
+        test, head, prob_atol = demo_case
+        cfg = AdaptConfig(selection_mode=selection_mode)
+        preds, report, transform = adapt_transductive(test, head, cfg)
+        transformed = apply_transform(test, transform)
+        reference = predict(head, transformed)
+        assert np.max(np.abs(preds.probs - reference.probs)) <= prob_atol
+        assert np.array_equal(preds.argmax, reference.argmax)
+        rows = streamed_pseudo_source(test, head, replace(cfg, batch_size=len(test)))
+        _, sigma_s_hat = covariance(test[rows])
+        want = correlation_distance(covariance(transformed)[1], sigma_s_hat)
+        assert report.dist_test_to_pseudo_after == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_online_matches_two_step_reference(self, linear_demo, batch_size):
+        # replay the loop's per-batch moments and transforms, apply each
+        # transform to its batch's rows, and measure the emitted rows directly
+        from tcalign.pipeline import _solve, _steps
+
+        data, head = linear_demo
+        test = data.target.features
+        source_stats = covariance(data.source.features)
+        cfg = AdaptConfig(mode="online", batch_size=batch_size)
+        preds, report = adapt_online(test, head, cfg, source_stats=source_stats)
+        emitted = []
+        for lo, hi, _, _, _, moments in _steps(test, head, cfg, batch_size):
+            if moments is None:
+                emitted.append(test[lo:hi])
+                continue
+            mu_s_hat, sigma_s_hat, mu_t, sigma_t = moments
+            w, _ = _solve(cfg, sigma_t, sigma_s_hat)
+            transform = AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
+            emitted.append(apply_transform(test[lo:hi], transform))
+        emitted = np.concatenate(emitted)  # sigma_s_hat is now the last solve's, as in the report
+        reference = predict(head, emitted)
+        assert np.max(np.abs(preds.probs - reference.probs)) <= 1e-12
+        assert np.array_equal(preds.argmax, reference.argmax)
+        _, sigma_emitted = covariance(emitted)
+        assert report.dist_test_to_pseudo_after == pytest.approx(
+            correlation_distance(sigma_emitted, sigma_s_hat), rel=1e-10, abs=0.0
+        )
+        assert report.dist_test_to_source_after == pytest.approx(
+            correlation_distance(sigma_emitted, source_stats[1]), rel=1e-10, abs=0.0
+        )
+
+    def test_trace_rows_match_two_step_reference(self, rng):
+        mix = np.array([[1.0, 0.3, 0.0], [0.0, 0.8, 0.2], [0.1, 0.0, 1.2]])
+        z = rng.standard_normal((200, 3)) @ mix + 1.0  # unit scale keeps the 1e-3 step stable
+        head = SoftmaxHead(weight=rng.standard_normal((4, 3)) * 2, bias=rng.standard_normal(4))
+        labels = rng.integers(0, 4, size=200)
+        _, sigma_s = covariance(rng.standard_normal((50, 3)))
+        cfg = AdaptConfig(k=20, solver="gradient", max_iters=400)
+        result = validate_alignment_trace(z, head, cfg, (None, sigma_s), labels, record_every=20)
+
+        rows = streamed_pseudo_source(z, head, replace(cfg, batch_size=len(z)))
+        mu_s_hat, sigma_s_hat = covariance(z[rows])
+        mu_t, sigma_t = CovarianceAccumulator(3).update(z).finalize()
+        iterates = []
+        solve_gradient(
+            sigma_t, sigma_s_hat, lr=cfg.lr, max_iters=cfg.max_iters, tol=cfg.tol, eps=cfg.eps,
+            iterate_hook=lambda it, w: iterates.append((it, w)),
+        )
+        kept = [x for pos, x in enumerate(iterates) if pos % 20 == 0 or pos == len(iterates) - 1]
+        assert [r.iteration for r in result.rows] == [it for it, _ in kept]
+        for row, (_, w) in zip(result.rows, kept):
+            transformed = apply_transform(z, AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat))
+            _, sigma_i = covariance(transformed)
+            assert row.dist_to_pseudo == pytest.approx(
+                correlation_distance(sigma_i, sigma_s_hat), rel=1e-12, abs=0.0
+            )
+            assert row.dist_to_source == pytest.approx(
+                correlation_distance(sigma_i, sigma_s), rel=1e-12, abs=0.0
+            )
+            assert row.accuracy == float(np.mean(predict(head, transformed).argmax == labels))
 
 
 class TestAdaptTransductive:
@@ -65,6 +176,15 @@ class TestAdaptTransductive:
         adapt = adapt_transductive if mode == "transductive" else adapt_online
         with pytest.raises(InvalidInput, match="label count"):
             adapt(data.target.features, head, AdaptConfig(mode=mode), labels=data.target.labels[:3])
+
+    @pytest.mark.parametrize("mode", ["transductive", "online"])
+    @pytest.mark.parametrize("offset", [0.7, -1], ids=["fraction", "negative"])
+    def test_non_class_labels_rejected(self, linear_demo, mode, offset):
+        data, head = linear_demo
+        adapt = adapt_transductive if mode == "transductive" else adapt_online
+        labels = data.target.labels + offset
+        with pytest.raises(InvalidInput, match="nonnegative integers"):
+            adapt(data.target.features, head, AdaptConfig(mode=mode), labels=labels)
 
     def test_small_k_rejected(self, linear_demo):
         data, head = linear_demo
@@ -327,6 +447,12 @@ class TestConfigValidation:
             {"batch_size": 0},
             {"lr": 0.0},
             {"max_iters": 0},
+            {"eps": float("nan")},
+            {"eps": float("inf")},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):

@@ -197,3 +197,9 @@ class TestApplyTransform:
                 mu_t=np.zeros(2),
                 mu_s_hat=np.zeros(2),
             )
+
+    @pytest.mark.parametrize("w", [np.float64(1.0), np.ones(1)], ids=["0-d", "1-d"])
+    def test_non_matrix_w_rejected(self, w):
+        # a 0-d w used to raise IndexError from its missing shape[0]
+        with pytest.raises(InvalidInput):
+            AlignmentTransform(w=w, mu_t=np.zeros(1), mu_s_hat=np.zeros(1))
