@@ -45,8 +45,6 @@ from .pseudo_source import (
     batch_uncertainties,
     class_balanced_select,
     most_certain,
-    one_hot,
-    prediction_uncertainty,
 )
 from .synth import LabeledBatch, NormalStream, ShiftDataset, gen_linear_shift, gen_nonlinear_shift
 from .transform import (
@@ -102,9 +100,7 @@ __all__ = [
     "most_certain",
     "objective",
     "objective_gradient",
-    "one_hot",
     "predict",
-    "prediction_uncertainty",
     "save_head",
     "shrink",
     "solve_closed_form",

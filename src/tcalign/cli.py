@@ -39,6 +39,21 @@ EXIT_INVALID = 2
 EXIT_PARSE = 3
 EXIT_NUMERICAL = 4
 
+_DEFAULTS = AdaptConfig()
+
+
+def _add_adapt_options(p: argparse.ArgumentParser) -> None:
+    """The adaptation options that ``adapt`` and ``validate-theory`` share."""
+    p.add_argument("--k", type=int, default=_DEFAULTS.k)
+    p.add_argument("--eps", type=float, default=_DEFAULTS.eps)
+    p.add_argument("--lr", type=float, default=_DEFAULTS.lr)
+    p.add_argument("--iters", type=int, default=_DEFAULTS.max_iters)
+    p.add_argument(
+        "--select",
+        choices=("global", "class-balanced"),
+        default=_DEFAULTS.selection_mode.replace("_", "-"),
+    )
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -63,14 +78,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--head", required=True)
     p.add_argument("--labels")
-    p.add_argument("--k", type=int, default=30)
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--solver", choices=("closed", "gradient"), default="closed")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--select", choices=("global", "class-balanced"), default="global")
+    _add_adapt_options(p)
+    p.add_argument("--solver", choices=("closed", "gradient"), default=_DEFAULTS.solver)
     p.add_argument("--mode", choices=("transductive", "online"), default="transductive")
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=int, default=_DEFAULTS.batch_size)
     p.add_argument("--out-preds", required=True)
     p.add_argument("--out-report", required=True)
 
@@ -82,11 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", help="test labels (required for the trace experiment)")
     p.add_argument("--n-groups", type=int, default=10)
     p.add_argument("--record-every", type=int, default=10)
-    p.add_argument("--k", type=int, default=30)
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--select", choices=("global", "class-balanced"), default="global")
+    _add_adapt_options(p)
     p.add_argument("--out-csv", required=True)
 
     p = sub.add_parser("eval", help="score stored predictions against labels")
@@ -102,16 +109,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cfg_from_args(args) -> AdaptConfig:
+def _cfg_from_args(args, **fields) -> AdaptConfig:
+    """An AdaptConfig from the shared adaptation options, plus ``fields``."""
     return AdaptConfig(
         k=args.k,
         eps=args.eps,
-        solver=getattr(args, "solver", "gradient"),
         lr=args.lr,
         max_iters=args.iters,
         selection_mode=args.select.replace("-", "_"),
-        mode=getattr(args, "mode", "transductive"),
-        batch_size=getattr(args, "batch_size", 64),
+        **fields,
     )
 
 
@@ -144,8 +150,8 @@ def _cmd_adapt(args) -> int:
     test = tio.read_embeddings(args.test)
     head = load_head(args.head)
     labels = tio.read_labels(args.labels) if args.labels else None
-    cfg = _cfg_from_args(args)
-    if cfg.mode == "online":
+    cfg = _cfg_from_args(args, solver=args.solver, batch_size=args.batch_size)
+    if args.mode == "online":
         preds, report = adapt_online(test, head, cfg, labels=labels)
     else:
         preds, report, _ = adapt_transductive(test, head, cfg, labels=labels)
@@ -183,9 +189,7 @@ def _cmd_validate_theory(args) -> int:
     if not args.labels:
         raise InvalidInput("--labels is required for the trace experiment")
     labels = tio.read_labels(args.labels)
-    cfg = _cfg_from_args(args)
-    cfg.solver = "gradient"
-    cfg.mode = "transductive"
+    cfg = _cfg_from_args(args, solver="gradient")
     result = validate_alignment_trace(
         test, head, cfg, source_stats, labels, record_every=args.record_every
     )

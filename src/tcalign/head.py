@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabels, InvalidInput, ParseError
-from .io import _atomic_write_text, _class_indices, fmt17
+from .io import FLOAT_FORMAT, _atomic_write_text, _class_indices
 from .linalg import validate_embeddings
 
 HEAD_FORMAT_VERSION = 1
@@ -96,14 +96,9 @@ def train_head(
     full-batch steps; zero epochs returns the all-zero (uniform) head.
     """
     z = validate_embeddings(z)
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != z.shape[0]:
-        raise InvalidInput("labels must be a vector matching the embedding rows")
-    labels = labels.astype(np.int64)
+    labels = check_labels(labels, z.shape[0])
     if np.unique(labels).size < 2:
         raise DegenerateLabels("training requires at least 2 distinct labels")
-    if labels.min() < 0:
-        raise InvalidInput("labels must be nonnegative class indices")
     c = int(labels.max()) + 1 if n_classes is None else int(n_classes)
     if c < 2 or labels.max() >= c:
         raise InvalidInput(f"labels must lie in [0, {c})")
@@ -128,16 +123,16 @@ def train_head(
 def cross_entropy(head: SoftmaxHead, z, labels) -> float:
     """Mean negative log-likelihood of the true labels under the head."""
     preds = predict(head, z)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = check_labels(labels, preds.n)
     picked = preds.probs[np.arange(preds.n), labels]
     return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
 
 def check_labels(labels, n: int) -> np.ndarray:
-    """Labels of n predictions as an int64 vector of nonnegative integers."""
+    """Labels of n rows (embeddings or predictions) as an int64 vector of nonnegative integers."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != n:
-        raise InvalidInput(f"label count {labels.shape} does not match prediction count {n}")
+        raise InvalidInput(f"label count {labels.shape} does not match row count {n}")
     return _class_indices(labels)
 
 
@@ -149,10 +144,9 @@ def accuracy(preds: PredictionBatch, labels) -> float:
 def save_head(head: SoftmaxHead, path) -> None:
     """Write the head as JSON with 17-significant-digit decimals (lossless for float64)."""
     c, d = head.weight.shape
-    rows = ",\n    ".join(
-        "[" + ", ".join(fmt17(v) for v in row) + "]" for row in head.weight
-    )
-    bias = ", ".join(fmt17(v) for v in head.bias)
+    row = "[" + ", ".join([FLOAT_FORMAT] * d) + "]"
+    rows = ",\n    ".join(row % tuple(values) for values in head.weight.tolist())
+    bias = ", ".join([FLOAT_FORMAT] * c) % tuple(head.bias.tolist())
     text = (
         "{\n"
         f'  "version": {HEAD_FORMAT_VERSION},\n'

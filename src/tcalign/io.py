@@ -1,7 +1,9 @@
 """Bit-exact file formats: embeddings (.tcae), labels (.tcal), CSV, report JSON.
 
-Binary layouts are little-endian with no padding. Writers go through a
-temp-file rename so a crashed process never leaves a half-written artifact.
+Binary layouts are little-endian with no padding. Every file the package
+writes, head JSON and SVG plots included, goes through the temp-file rename
+of ``_atomic_write``, so a crashed process never leaves a half-written
+artifact; every decimal float is printed with ``FLOAT_FORMAT``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ LABEL_MAGIC = b"TCAL"
 FORMAT_VERSION = 1
 DTYPE_F32 = 0
 DTYPE_F64 = 1
+FLOAT_FORMAT = "%.17g"  # 17 significant digits: lossless for float64 round-trips
 
 
 def _atomic_write(path, data: bytes) -> None:
@@ -31,11 +34,6 @@ def _atomic_write(path, data: bytes) -> None:
 
 def _atomic_write_text(path, text: str) -> None:
     _atomic_write(path, text.encode("utf-8"))
-
-
-def fmt17(x: float) -> str:
-    """Decimal with 17 significant digits: lossless for float64 round-trips."""
-    return format(float(x), ".17g")
 
 
 def write_embeddings(path, z, dtype: str = "f64") -> None:
@@ -120,26 +118,32 @@ def read_labels(path) -> np.ndarray:
     return np.frombuffer(blob, dtype="<u4", count=n, offset=16).astype(np.int64)
 
 
+def _write_csv(path, names: list[str], row_template: str, rows) -> None:
+    """Write CSV: a header of ``names``, then ``row_template % tuple(row)`` per row, LF endings."""
+    lines = [",".join(names)]
+    lines.extend(row_template % tuple(row) for row in rows)
+    _atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 def embeddings_to_csv(path, z, header: list[str] | None = None) -> None:
-    """Write a matrix as CSV: header row, 17-significant-digit decimals, LF endings."""
+    """Write a matrix as CSV: header row, then one row of decimals per embedding."""
     z = validate_embeddings(z)
     names = header if header is not None else [f"x{j}" for j in range(z.shape[1])]
     if len(names) != z.shape[1]:
         raise InvalidInput(f"header has {len(names)} names for {z.shape[1]} columns")
-    row = ",".join(["%.17g"] * z.shape[1])  # one template per row; "%.17g" is fmt17
-    lines = [",".join(names)]
-    lines.extend(row % tuple(values) for values in map(np.ndarray.tolist, z))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, names, ",".join([FLOAT_FORMAT] * z.shape[1]), map(np.ndarray.tolist, z))
 
 
 def write_predictions_csv(path, preds) -> None:
     """Persist a PredictionBatch as CSV: argmax column then one column per class."""
     c = preds.n_classes
-    row = "%d" + ",%.17g" * c  # one template per row; "%.17g" is fmt17
-    lines = [",".join(["argmax"] + [f"p{j}" for j in range(c)])]
     rows = zip(preds.argmax.tolist(), map(np.ndarray.tolist, preds.probs))
-    lines.extend(row % (label, *probs) for label, probs in rows)
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(
+        path,
+        ["argmax"] + [f"p{j}" for j in range(c)],
+        "%d" + ("," + FLOAT_FORMAT) * c,
+        ((label, *probs) for label, probs in rows),
+    )
 
 
 def read_predictions_csv(path):
@@ -168,19 +172,8 @@ def read_predictions_csv(path):
 
 
 def table_to_csv(path, header: list[str], rows) -> None:
-    """Write a generic numeric table with the shared CSV conventions."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            elif v is None:
-                cells.append("")
-            else:
-                cells.append(fmt17(v))
-        lines.append(",".join(cells))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write a table whose rows are an integer index followed by floats."""
+    _write_csv(path, header, "%d" + ("," + FLOAT_FORMAT) * (len(header) - 1), rows)
 
 
 def _json_ready(value):

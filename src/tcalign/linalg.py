@@ -36,6 +36,14 @@ def _square(a, name: str) -> np.ndarray:
     return a
 
 
+def _square_pair(a, b, name_a: str, name_b: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two square matrices of one shape, as float64; errors name both arguments."""
+    a, b = _square(a, name_a), _square(b, name_b)
+    if a.shape != b.shape:
+        raise InvalidInput(f"shape mismatch: {name_a} {a.shape} vs {name_b} {b.shape}")
+    return a, b
+
+
 def _check_symmetric(a: np.ndarray, name: str) -> None:
     if a.size and np.max(np.abs(a - a.T)) > SYMMETRY_ATOL:
         raise InvalidInput(f"{name} is not symmetric within {SYMMETRY_ATOL}")
@@ -48,22 +56,23 @@ def covariance(z) -> tuple[np.ndarray, np.ndarray]:
     result is symmetrized to kill the last-bit asymmetry of the matmul.
     """
     z = validate_embeddings(z)
-    n = z.shape[0]
-    if n < 2:
-        raise InsufficientSamples(f"covariance needs at least 2 rows, got {n}")
+    if z.shape[0] < 2:
+        raise InsufficientSamples(f"covariance needs at least 2 rows, got {z.shape[0]}")
+    n, mean, scatter = _moments(z)
+    sigma = scatter / (n - 1)
+    return mean, (sigma + sigma.T) / 2.0
+
+
+def _moments(z: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Row count, column mean and centered scatter (Z - mean)^T (Z - mean) of a checked batch."""
     mean = z.mean(axis=0)
     centered = z - mean
-    sigma = centered.T @ centered / (n - 1)
-    sigma = (sigma + sigma.T) / 2.0
-    return mean, sigma
+    return z.shape[0], mean, centered.T @ centered
 
 
 def correlation_distance(a, b) -> float:
     """Covariance discrepancy ||a - b||_F^2 / (4 d^2) between two d x d matrices."""
-    a = _square(a, "a")
-    b = _square(b, "b")
-    if a.shape != b.shape:
-        raise InvalidInput(f"shape mismatch: {a.shape} vs {b.shape}")
+    a, b = _square_pair(a, b, "a", "b")
     d = a.shape[0]
     diff = a - b
     return float(np.sum(diff * diff) / (4.0 * d * d))
@@ -152,11 +161,7 @@ class CovarianceAccumulator:
             raise InvalidInput(
                 f"batch dimension {batch.shape[1]} does not match accumulator dimension {self.dim}"
             )
-        n = batch.shape[0]
-        bmean = batch.mean(axis=0)
-        centered = batch - bmean
-        bscatter = centered.T @ centered
-        self._merge_moments(n, bmean, bscatter)
+        self._merge_moments(*_moments(batch))
         return self
 
     def merge(self, other: "CovarianceAccumulator") -> "CovarianceAccumulator":

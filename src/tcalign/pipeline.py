@@ -28,25 +28,28 @@ from .head import PredictionBatch, SoftmaxHead, accuracy, check_labels, predict
 from .linalg import CovarianceAccumulator, correlation_distance, covariance, validate_embeddings
 from .metrics import linear_fit_r2, spearman
 from .pseudo_source import batch_uncertainties, class_balanced_select, most_certain
+from .transform import DEFAULT_EPS, DEFAULT_LR, DEFAULT_MAX_ITERS, DEFAULT_TOL
 from .transform import AlignmentTransform, SolverTrace, solve_closed_form, solve_gradient
 
 SOLVERS = ("closed", "gradient")
 SELECTION_MODES = ("global", "class_balanced")
-MODES = ("transductive", "online")
 
 
 @dataclass
 class AdaptConfig:
-    """Knobs for one adaptation run; defaults follow the module conventions."""
+    """Knobs for one adaptation run; the solver defaults are those of ``transform``.
+
+    The mode is not a knob: it is the function called, ``adapt_transductive``
+    or ``adapt_online`` (which alone reads ``batch_size``).
+    """
 
     k: int = 30
-    eps: float = 1e-3
+    eps: float = DEFAULT_EPS
     solver: str = "closed"
-    lr: float = 1e-3
-    max_iters: int = 1000
-    tol: float = 1e-9
+    lr: float = DEFAULT_LR
+    max_iters: int = DEFAULT_MAX_ITERS
+    tol: float = DEFAULT_TOL
     selection_mode: str = "global"
-    mode: str = "transductive"
     batch_size: int = 64
 
     def validate(self) -> "AdaptConfig":
@@ -60,8 +63,6 @@ class AdaptConfig:
             raise InvalidConfig(
                 f"selection_mode must be one of {SELECTION_MODES}, got {self.selection_mode!r}"
             )
-        if self.mode not in MODES:
-            raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.batch_size < 1:
             raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr > 0):

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .errors import InvalidInput
+from .io import _atomic_write_text
 from .linalg import validate_embeddings
 
 _WIDTH = 640
@@ -65,8 +64,4 @@ def scatter_svg(series: list[tuple[str, np.ndarray]]) -> str:
 
 
 def write_scatter_svg(path, series: list[tuple[str, np.ndarray]]) -> None:
-    svg = scatter_svg(series)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    os.replace(tmp, path)
+    _atomic_write_text(path, scatter_svg(series))

@@ -1,10 +1,12 @@
 """High-certainty pseudo-source construction.
 
 Prediction uncertainty is the squared distance between a probability row and
-the one-hot encoding of its argmax. The pseudo-source is a set of row indices
-into the test matrix: the k most certain rows, ties broken toward the lower
-row (a row's arrival index is its row number), optionally re-balanced to
-match predicted class proportions. Every selection is one ``lexsort`` over
+the one-hot encoding of its argmax. ``batch_uncertainties`` is the one
+scorer; it takes an n x c probability matrix, so a single row is scored as a
+1 x c matrix. The pseudo-source is a set of row indices into the test
+matrix: the k most certain rows, ties broken toward the lower row (a row's
+arrival index is its row number), optionally re-balanced to match predicted
+class proportions. Every selection is one ``lexsort`` over
 (row, uncertainty[, class]) and returns row indices in ascending order.
 """
 
@@ -17,30 +19,6 @@ import numpy as np
 from .errors import InvalidInput
 
 PROB_SUM_ATOL = 1e-6
-
-
-def one_hot(p) -> np.ndarray:
-    """Indicator vector of the argmax; ties break to the lowest index."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size < 1:
-        raise InvalidInput("probability vector must be 1-D and non-empty")
-    out = np.zeros_like(p)
-    out[int(np.argmax(p))] = 1.0
-    return out
-
-
-def prediction_uncertainty(p) -> float:
-    """Squared Euclidean distance between p and one_hot(p); lies in [0, 2)."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size < 1:
-        raise InvalidInput("probability vector must be 1-D and non-empty")
-    if not np.min(p) >= 0:  # written so that NaN fails too
-        raise InvalidInput(f"probabilities must be nonnegative, got min {np.min(p):.3e}")
-    total = float(np.sum(p))
-    if not abs(total - 1.0) <= PROB_SUM_ATOL:
-        raise InvalidInput(f"probabilities must sum to 1 within {PROB_SUM_ATOL}, got {total}")
-    diff = one_hot(p) - p
-    return float(diff @ diff)
 
 
 def batch_uncertainties(probs) -> np.ndarray:

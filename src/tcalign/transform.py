@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, InvalidInput
-from .linalg import shrink, spd_power, validate_embeddings
+from .linalg import _square_pair, shrink, spd_power, validate_embeddings
 
 DEFAULT_EPS = 1e-3
 DEFAULT_LR = 1e-3
@@ -65,21 +65,9 @@ class SolverTrace:
     converged: bool = False
 
 
-def _check_pair(sigma_t, sigma_s_hat) -> tuple[np.ndarray, np.ndarray]:
-    sigma_t = np.asarray(sigma_t, dtype=np.float64)
-    sigma_s_hat = np.asarray(sigma_s_hat, dtype=np.float64)
-    if sigma_t.ndim != 2 or sigma_t.shape[0] != sigma_t.shape[1]:
-        raise InvalidInput(f"sigma_t must be square, got {sigma_t.shape}")
-    if sigma_s_hat.shape != sigma_t.shape:
-        raise InvalidInput(
-            f"shape mismatch: sigma_t {sigma_t.shape} vs sigma_s_hat {sigma_s_hat.shape}"
-        )
-    return sigma_t, sigma_s_hat
-
-
 def objective(w, sigma_t, sigma_s_hat) -> float:
     """Alignment residual ||W^T sigma_t W - sigma_s_hat||_F^2."""
-    sigma_t, sigma_s_hat = _check_pair(sigma_t, sigma_s_hat)
+    sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
     w = np.asarray(w, dtype=np.float64)
     if w.shape != sigma_t.shape:
         raise InvalidInput(f"w shape {w.shape} does not match sigma shape {sigma_t.shape}")
@@ -89,7 +77,7 @@ def objective(w, sigma_t, sigma_s_hat) -> float:
 
 def objective_gradient(w, sigma_t, sigma_s_hat) -> np.ndarray:
     """Analytic gradient 4 sigma_t W (W^T sigma_t W - sigma_s_hat) of objective()."""
-    sigma_t, sigma_s_hat = _check_pair(sigma_t, sigma_s_hat)
+    sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
     w = np.asarray(w, dtype=np.float64)
     residual = w.T @ sigma_t @ w - sigma_s_hat
     return 4.0 * sigma_t @ w @ residual
@@ -102,7 +90,7 @@ def solve_closed_form(sigma_t, sigma_s_hat, eps: float = DEFAULT_EPS) -> np.ndar
     matrix powers; the returned W satisfies W^T S_t_reg W = S_s_reg to
     floating-point accuracy.
     """
-    sigma_t, sigma_s_hat = _check_pair(sigma_t, sigma_s_hat)
+    sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
     sigma_t_reg = shrink(sigma_t, eps)
     sigma_s_reg = shrink(sigma_s_hat, eps)
     return spd_power(sigma_t_reg, -0.5) @ spd_power(sigma_s_reg, 0.5)
@@ -127,7 +115,7 @@ def solve_gradient(
     stable when lr < 2 / (4 lambda_max^2), so large-scale covariances need a
     smaller learning rate than the 1e-3 default.
     """
-    sigma_t, sigma_s_hat = _check_pair(sigma_t, sigma_s_hat)
+    sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
     if lr <= 0:
         raise InvalidInput(f"learning rate must be positive, got {lr}")
     if max_iters < 1:

@@ -227,7 +227,7 @@ def test_criterion_08_triangle_inequality(demos):
             adapt_online(
                 data.target.features,
                 head,
-                AdaptConfig(mode="online", batch_size=64),
+                AdaptConfig(batch_size=64),
                 labels=data.target.labels,
                 source_stats=source_stats,
             )[1]
@@ -341,7 +341,7 @@ def test_criterion_11_batch_size_robustness(demos):
     stats_err = 0.0
     acc_gaps = {}
     for batch_size in (1, 8, 64, 750):
-        cfg = AdaptConfig(mode="online", batch_size=batch_size)
+        cfg = AdaptConfig(batch_size=batch_size)
         _, rep = adapt_online(test, head, cfg, labels=labels)
         acc_gaps[batch_size] = abs(rep.accuracy_after - trans_report.accuracy_after)
 

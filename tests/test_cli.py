@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import tcalign
-from tcalign.cli import main
+from tcalign import AdaptConfig
+from tcalign.cli import _build_parser, main
 from tcalign.io import read_embeddings, read_labels, write_embeddings, write_labels
 
 
@@ -282,6 +283,25 @@ class TestPlot:
         write_embeddings(path, rng.standard_normal((5, 3)))
         code = main(["plot", "--source", str(path), "--target", str(path), "--out", str(tmp_path / "o.svg")])
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["adapt", "--test", "t", "--head", "h", "--out-preds", "p", "--out-report", "r"],
+        ["validate-theory", "--experiment", "groups", "--test", "t", "--head", "h", "--source", "s",
+         "--out-csv", "o"],
+    ],
+    ids=["adapt", "validate-theory"],
+)
+def test_parser_defaults_match_adapt_config(argv):
+    args = _build_parser().parse_args(argv)
+    cfg = AdaptConfig()
+    assert (args.k, args.eps, args.lr, args.iters, args.select.replace("-", "_")) == (
+        cfg.k, cfg.eps, cfg.lr, cfg.max_iters, cfg.selection_mode
+    )
+    if argv[0] == "adapt":
+        assert (args.solver, args.batch_size, args.mode) == (cfg.solver, cfg.batch_size, "transductive")
 
 
 def test_console_script_runs(tmp_path):

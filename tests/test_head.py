@@ -107,6 +107,37 @@ class TestTrainHead:
         head = train_head(z, y, lr=0.1, epochs=5, n_classes=4)
         assert head.n_classes == 4
 
+    @pytest.mark.parametrize("offset", [0.6, -1], ids=["fraction", "negative"])
+    def test_non_class_labels_rejected(self, offset):
+        # a fractional label used to be truncated and trained on
+        z, y = two_cluster_data()
+        with pytest.raises(InvalidInput, match="nonnegative integers"):
+            train_head(z, y + offset, lr=0.1, epochs=5)
+
+    def test_label_count_mismatch_rejected(self):
+        z, y = two_cluster_data()
+        with pytest.raises(InvalidInput, match="label count"):
+            train_head(z, y[:-1], lr=0.1, epochs=5)
+
+
+class TestCrossEntropy:
+    HEAD = SoftmaxHead(weight=np.array([[5.0], [-5.0]]), bias=np.zeros(2))
+
+    def test_mean_negative_log_likelihood(self):
+        probs = predict(self.HEAD, [[1.0], [-1.0]]).probs
+        expected = -np.mean(np.log([probs[0, 1], probs[1, 1]]))
+        assert cross_entropy(self.HEAD, [[1.0], [-1.0]], [1, 1]) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("labels", [[0.7, 1.9], [-2, -1]], ids=["fraction", "negative"])
+    def test_non_class_labels_rejected(self, labels):
+        # fractions used to be truncated and negative labels to index from the end
+        with pytest.raises(InvalidInput, match="nonnegative integers"):
+            cross_entropy(self.HEAD, [[1.0], [-1.0]], np.array(labels))
+
+    def test_label_count_mismatch_rejected(self):
+        with pytest.raises(InvalidInput, match="label count"):
+            cross_entropy(self.HEAD, [[1.0], [-1.0]], [0, 1, 1])
+
 
 class TestAccuracy:
     def test_all_correct(self):

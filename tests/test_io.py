@@ -3,11 +3,12 @@ import pytest
 
 from tcalign import InvalidInput, ParseError, PredictionBatch
 from tcalign.io import (
+    FLOAT_FORMAT,
     embeddings_to_csv,
-    fmt17,
     read_embeddings,
     read_labels,
     read_predictions_csv,
+    table_to_csv,
     write_embeddings,
     write_labels,
     write_predictions_csv,
@@ -137,7 +138,7 @@ class TestCsv:
     def test_seventeen_digit_round_trip(self, rng):
         for _ in range(100):
             v = float(rng.standard_normal() * 10.0 ** rng.integers(-8, 8))
-            assert float(fmt17(v)) == v
+            assert float(FLOAT_FORMAT % v) == v
 
     def test_predictions_round_trip(self, rng, tmp_path):
         probs = rng.dirichlet(np.ones(3), size=12)
@@ -149,7 +150,7 @@ class TestCsv:
         assert np.array_equal(back.argmax, preds.argmax)
 
     def test_written_bytes_are_pinned(self, tmp_path):
-        # exact bytes of both writers: fmt17 (.17g) text, value for value
+        # exact bytes of both writers: FLOAT_FORMAT (.17g) text, value for value
         values = [[-0.0, 5e-324, 1e-300], [0.1, 1.0, 1.0 / 3.0]]
         emb, pred = tmp_path / "e.csv", tmp_path / "p.csv"
         embeddings_to_csv(emb, values)
@@ -160,6 +161,14 @@ class TestCsv:
             "argmax,p0,p1,p2\n2,-0,4.9406564584124654e-324,1e-300\n"
             "1,0.10000000000000001,1,0.33333333333333331\n"
         ).encode()
+
+    def test_table_bytes_are_pinned(self, tmp_path):
+        # an int index column, then floats in the shared 17-significant-digit text
+        path = tmp_path / "t.csv"
+        table_to_csv(path, ["i", "a", "b"], [(0, -0.0, 5e-324), (12, 1.0 / 3.0, 1e-300)])
+        assert path.read_bytes() == (
+            b"i,a,b\n0,-0,4.9406564584124654e-324\n12,0.33333333333333331,1e-300\n"
+        )
 
     def test_predictions_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

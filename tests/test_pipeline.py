@@ -87,7 +87,7 @@ class TestFoldedHead:
         data, head = linear_demo
         test = data.target.features
         source_stats = covariance(data.source.features)
-        cfg = AdaptConfig(mode="online", batch_size=batch_size)
+        cfg = AdaptConfig(batch_size=batch_size)
         preds, report = adapt_online(test, head, cfg, source_stats=source_stats)
         emitted = []
         for lo, hi, _, _, _, moments in _steps(test, head, cfg, batch_size):
@@ -175,7 +175,7 @@ class TestAdaptTransductive:
         data, head = linear_demo
         adapt = adapt_transductive if mode == "transductive" else adapt_online
         with pytest.raises(InvalidInput, match="label count"):
-            adapt(data.target.features, head, AdaptConfig(mode=mode), labels=data.target.labels[:3])
+            adapt(data.target.features, head, AdaptConfig(), labels=data.target.labels[:3])
 
     @pytest.mark.parametrize("mode", ["transductive", "online"])
     @pytest.mark.parametrize("offset", [0.7, -1], ids=["fraction", "negative"])
@@ -184,7 +184,7 @@ class TestAdaptTransductive:
         adapt = adapt_transductive if mode == "transductive" else adapt_online
         labels = data.target.labels + offset
         with pytest.raises(InvalidInput, match="nonnegative integers"):
-            adapt(data.target.features, head, AdaptConfig(mode=mode), labels=labels)
+            adapt(data.target.features, head, AdaptConfig(), labels=labels)
 
     def test_small_k_rejected(self, linear_demo):
         data, head = linear_demo
@@ -243,7 +243,7 @@ class TestAdaptTransductive:
         # O(1)-scale covariances keep the 1e-3 step stable
         z = rng.standard_normal((120, 3))
         head = SoftmaxHead(weight=rng.standard_normal((3, 3)), bias=np.zeros(3))
-        cfg = AdaptConfig(k=20, solver="gradient", max_iters=300, mode=mode, batch_size=50)
+        cfg = AdaptConfig(k=20, solver="gradient", max_iters=300, batch_size=50)
         adapt = adapt_transductive if mode == "transductive" else adapt_online
         report = adapt(z, head, cfg)[1]  # online reports the trace of the last solve
         assert report.solver_trace is not None
@@ -270,7 +270,7 @@ class TestAdaptOnline:
         trans_preds, trans_report, _ = adapt_transductive(
             test, head, cfg, labels=data.target.labels, source_stats=source_stats
         )
-        online_cfg = replace(cfg, mode="online", batch_size=len(test))
+        online_cfg = replace(cfg, batch_size=len(test))
         online_preds, online_report = adapt_online(
             test, head, online_cfg, labels=data.target.labels, source_stats=source_stats
         )
@@ -287,7 +287,7 @@ class TestAdaptOnline:
         _, sigma_ref = covariance(test)
         dists = []
         for batch_size in (1, 8, 64, 750):
-            cfg = AdaptConfig(mode="online", batch_size=batch_size)
+            cfg = AdaptConfig(batch_size=batch_size)
             _, report = adapt_online(test, head, cfg)
             dists.append(report.dist_test_to_pseudo_before)
             # the report distances derive from the final accumulated statistics;
@@ -306,19 +306,19 @@ class TestAdaptOnline:
         test = data.target.features
         banks = []
         for batch_size in (1, 8, 64, 750):
-            cfg = AdaptConfig(mode="online", batch_size=batch_size, selection_mode=selection_mode)
+            cfg = AdaptConfig(batch_size=batch_size, selection_mode=selection_mode)
             banks.append(streamed_pseudo_source(test, head, cfg))
         assert banks[0] == banks[1] == banks[2] == banks[3]
 
     def test_cold_start_flagged_for_unit_batches(self, linear_demo):
         data, head = linear_demo
-        cfg = AdaptConfig(mode="online", batch_size=1)
+        cfg = AdaptConfig(batch_size=1)
         _, report = adapt_online(data.target.features[:50], head, cfg, labels=data.target.labels[:50])
         assert report.unadapted_batches == 1  # only the very first instance
 
     def test_no_cold_start_for_batches_of_two_plus(self, linear_demo):
         data, head = linear_demo
-        cfg = AdaptConfig(mode="online", batch_size=2)
+        cfg = AdaptConfig(batch_size=2)
         _, report = adapt_online(data.target.features[:40], head, cfg)
         assert report.unadapted_batches == 0
 
@@ -443,7 +443,6 @@ class TestConfigValidation:
             {"eps": -1.0},
             {"solver": "magic"},
             {"selection_mode": "best"},
-            {"mode": "sideways"},
             {"batch_size": 0},
             {"lr": 0.0},
             {"max_iters": 0},

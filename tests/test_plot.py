@@ -34,3 +34,10 @@ def test_write_scatter_svg(tmp_path, rng):
     write_scatter_svg(path, [("a", rng.standard_normal((3, 2)))])
     text = path.read_text()
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+
+
+def test_written_svg_is_the_rendered_document(tmp_path, rng):
+    series = [("a", rng.standard_normal((4, 2))), ("b", rng.standard_normal((3, 2)))]
+    path = tmp_path / "out.svg"
+    write_scatter_svg(path, series)
+    assert path.read_bytes() == scatter_svg(series).encode("utf-8")

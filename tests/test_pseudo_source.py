@@ -10,34 +10,38 @@ from tcalign import (
     class_balanced_select,
     covariance,
     most_certain,
-    one_hot,
-    prediction_uncertainty,
 )
 from tcalign.pseudo_source import _largest_remainder
 
 
+def uncertainty(p) -> float:
+    """Score one probability row through the batch scorer."""
+    (w,) = batch_uncertainties([p])
+    return float(w)
+
+
 class TestUncertainty:
     def test_one_hot_input_is_certain(self):
-        assert prediction_uncertainty([0.0, 1.0, 0.0]) == 0.0
+        assert uncertainty([0.0, 1.0, 0.0]) == 0.0
 
     def test_uniform_ten_classes(self):
         # closed form 1 - 1/c
-        assert prediction_uncertainty(np.full(10, 0.1)) == pytest.approx(0.9, rel=1e-12)
+        assert uncertainty(np.full(10, 0.1)) == pytest.approx(0.9, rel=1e-12)
 
     def test_direct_formula(self):
-        assert prediction_uncertainty([0.7, 0.2, 0.1]) == pytest.approx(0.14, rel=1e-12)
+        assert uncertainty([0.7, 0.2, 0.1]) == pytest.approx(0.14, rel=1e-12)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(InvalidInput):
-            prediction_uncertainty([0.5, 0.6])
+            uncertainty([0.5, 0.6])
 
     def test_rejects_negative(self):
         with pytest.raises(InvalidInput):
-            prediction_uncertainty([-0.1, 1.1])
+            uncertainty([-0.1, 1.1])
 
     def test_rejects_nan(self):
         with pytest.raises(InvalidInput):
-            prediction_uncertainty([np.nan, 1.0])
+            uncertainty([np.nan, 1.0])
         with pytest.raises(InvalidInput):
             batch_uncertainties([[0.5, 0.5], [np.nan, np.nan]])
 
@@ -45,7 +49,7 @@ class TestUncertainty:
         for _ in range(200):
             c = int(rng.integers(2, 12))
             p = rng.dirichlet(np.ones(c))
-            w = prediction_uncertainty(p)
+            w = uncertainty(p)
             assert 0.0 <= w < 2.0
 
     def test_decreasing_in_top_probability(self):
@@ -54,31 +58,33 @@ class TestUncertainty:
         prev = None
         for top in (0.4, 0.55, 0.7, 0.85, 0.99):
             p = np.concatenate([[top], rest / rest.sum() * (1 - top)])
-            w = prediction_uncertainty(p)
+            w = uncertainty(p)
             if prev is not None:
                 assert w < prev
             prev = w
 
     def test_batch_matches_scalar(self, rng):
+        # reference: squared distance from each row to the one-hot of its argmax
         probs = rng.dirichlet(np.ones(5), size=50)
         batch = batch_uncertainties(probs)
-        for i in range(50):
-            assert batch[i] == pytest.approx(prediction_uncertainty(probs[i]), abs=1e-14)
+        for i, p in enumerate(probs):
+            diff = np.eye(5)[np.argmax(p)] - p
+            assert batch[i] == pytest.approx(diff @ diff, abs=1e-14)
 
 
 class TestOneHot:
-    def test_unique_max(self):
-        assert np.array_equal(one_hot([0.1, 0.8, 0.1]), [0.0, 1.0, 0.0])
+    """The one-hot target of the uncertainty score, seen through the batch scorer."""
 
-    def test_tie_breaks_low_index(self):
-        assert np.array_equal(one_hot([0.5, 0.5]), [1.0, 0.0])
+    def test_unique_max(self):
+        # distance to the one-hot of the argmax: 0.1^2 + 0.2^2 + 0.1^2
+        assert uncertainty([0.1, 0.8, 0.1]) == pytest.approx(0.06, rel=1e-12)
 
     def test_single_class(self):
-        assert np.array_equal(one_hot([1.0]), [1.0])
+        assert uncertainty([1.0]) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
-            one_hot([])
+            batch_uncertainties(np.empty((1, 0)))
 
 
 def fold(omegas, k, order, batch_size=1, classes=None):
