@@ -32,8 +32,9 @@ class SingularMatrix(NumericalFailure):
 class DivergenceError(NumericalFailure):
     """Gradient descent produced a non-finite objective.
 
-    Carries the last finite iterate and the objective trace recorded up to
-    the failure, so callers can inspect how the blow-up unfolded.
+    Carries, as ``last_iterate``, the lowest-objective iterate seen before
+    the failure (not the last finite one), and the objective trace recorded
+    up to it, so callers can inspect how the blow-up unfolded.
     """
 
     def __init__(self, message, last_iterate=None, objective_values=None):

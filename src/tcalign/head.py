@@ -57,10 +57,6 @@ class PredictionBatch:
     argmax: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.probs.shape[0]
-
-    @property
     def n_classes(self) -> int:
         return self.probs.shape[1]
 
@@ -118,14 +114,6 @@ def train_head(
         weight -= lr * (grad.T @ z) / n
         bias -= lr * grad.mean(axis=0)
     return SoftmaxHead(weight=weight, bias=bias)
-
-
-def cross_entropy(head: SoftmaxHead, z, labels) -> float:
-    """Mean negative log-likelihood of the true labels under the head."""
-    preds = predict(head, z)
-    labels = check_labels(labels, preds.n)
-    picked = preds.probs[np.arange(preds.n), labels]
-    return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
 
 def check_labels(labels, n: int) -> np.ndarray:

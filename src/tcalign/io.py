@@ -125,15 +125,6 @@ def _write_csv(path, names: list[str], row_template: str, rows) -> None:
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def embeddings_to_csv(path, z, header: list[str] | None = None) -> None:
-    """Write a matrix as CSV: header row, then one row of decimals per embedding."""
-    z = validate_embeddings(z)
-    names = header if header is not None else [f"x{j}" for j in range(z.shape[1])]
-    if len(names) != z.shape[1]:
-        raise InvalidInput(f"header has {len(names)} names for {z.shape[1]} columns")
-    _write_csv(path, names, ",".join([FLOAT_FORMAT] * z.shape[1]), map(np.ndarray.tolist, z))
-
-
 def write_predictions_csv(path, preds) -> None:
     """Persist a PredictionBatch as CSV: argmax column then one column per class."""
     c = preds.n_classes

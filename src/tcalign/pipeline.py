@@ -28,11 +28,17 @@ from .head import PredictionBatch, SoftmaxHead, accuracy, check_labels, predict
 from .linalg import CovarianceAccumulator, correlation_distance, covariance, validate_embeddings
 from .metrics import linear_fit_r2, spearman
 from .pseudo_source import batch_uncertainties, class_balanced_select, most_certain
-from .transform import DEFAULT_EPS, DEFAULT_LR, DEFAULT_MAX_ITERS, DEFAULT_TOL
+from .transform import DEFAULT_EPS, DEFAULT_LR, DEFAULT_MAX_ITERS
 from .transform import AlignmentTransform, SolverTrace, solve_closed_form, solve_gradient
 
 SOLVERS = ("closed", "gradient")
 SELECTION_MODES = ("global", "class_balanced")
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Reject a count that is not an integer (numpy integers pass) or is below ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value}")
 
 
 @dataclass
@@ -48,13 +54,11 @@ class AdaptConfig:
     solver: str = "closed"
     lr: float = DEFAULT_LR
     max_iters: int = DEFAULT_MAX_ITERS
-    tol: float = DEFAULT_TOL
     selection_mode: str = "global"
     batch_size: int = 64
 
     def validate(self) -> "AdaptConfig":
-        if self.k < 2:
-            raise InvalidConfig(f"bank capacity k must be >= 2, got {self.k}")
+        _check_count("bank capacity k", self.k, 2)
         if not (math.isfinite(self.eps) and self.eps >= 0):
             raise InvalidConfig(f"eps must be finite and >= 0, got {self.eps}")
         if self.solver not in SOLVERS:
@@ -63,14 +67,10 @@ class AdaptConfig:
             raise InvalidConfig(
                 f"selection_mode must be one of {SELECTION_MODES}, got {self.selection_mode!r}"
             )
-        if self.batch_size < 1:
-            raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
+        _check_count("batch_size", self.batch_size, 1)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise InvalidConfig(f"lr must be finite and positive, got {self.lr}")
-        if self.max_iters < 1:
-            raise InvalidConfig(f"max_iters must be >= 1, got {self.max_iters}")
-        if not math.isfinite(self.tol):
-            raise InvalidConfig(f"tol must be finite, got {self.tol}")
+        _check_count("max_iters", self.max_iters, 1)
         return self
 
 
@@ -102,11 +102,14 @@ class AdaptReport:
 
 
 def _select(cfg: AdaptConfig, uncertainty, classes, class_counts, rows) -> tuple[np.ndarray, bool]:
-    """Pseudo-source rows (ascending) chosen among candidate ``rows``, and the fallback flag."""
+    """Pseudo-source rows (ascending) chosen among the bank ``rows``, and the fallback flag.
+
+    A global bank already holds the k most certain rows, so it is the selection.
+    """
     if cfg.selection_mode == "class_balanced":
         selection = class_balanced_select(uncertainty[rows], classes[rows], cfg.k, class_counts, rows)
         return selection.entries, selection.fallback
-    return most_certain(uncertainty[rows], cfg.k, rows), False
+    return rows, False
 
 
 def _fold(cfg: AdaptConfig, bank, rows, uncertainty, classes) -> np.ndarray:
@@ -188,10 +191,8 @@ def _solve(
         return solve_gradient(
             sigma_t,
             sigma_s_hat,
-            init=None,
             lr=cfg.lr,
             max_iters=cfg.max_iters,
-            tol=cfg.tol,
             eps=cfg.eps,
             iterate_hook=iterate_hook,
         )
@@ -305,8 +306,7 @@ def validate_uncertainty_groups(
     group's covariance distance to the true source covariance."""
     test = validate_embeddings(test, "test")
     n = test.shape[0]
-    if n_groups < 1:
-        raise InvalidConfig(f"n_groups must be >= 1, got {n_groups}")
+    _check_count("n_groups", n_groups, 1)
     if n // n_groups < 2:
         raise InvalidConfig(
             f"each group needs >= 2 instances: n={n} is too small for {n_groups} groups"
@@ -372,33 +372,24 @@ def validate_alignment_trace(
     """Record gradient-solver iterates applied to the test set.
 
     Every ``record_every``-th iterate (plus the final one) is turned into a
-    row of covariance distances and accuracy; the summary correlations mirror
-    the relationship plots of the alignment-theory experiments.
+    row of covariance distances and accuracy as the solver hands it over, so
+    only the latest iterate is held; the summary correlations mirror the
+    relationship plots of the alignment-theory experiments.
     """
     cfg = cfg.validate()
     if cfg.solver != "gradient":
         raise InvalidConfig("alignment traces require the gradient solver")
     if labels is None:
         raise InvalidInput("alignment traces require test labels for the accuracy column")
-    if record_every < 1:
-        raise InvalidConfig(f"record_every must be >= 1, got {record_every}")
+    _check_count("record_every", record_every, 1)
     test = _check_test(test, "transductive")
     _, sigma_s = source_stats
 
     *_, (mu_s_hat, sigma_s_hat, mu_t, sigma_t) = next(_steps(test, head, cfg, test.shape[0]))
 
-    recorded: list[tuple[int, np.ndarray]] = []
+    result = TraceResult()
 
-    def hook(iteration: int, w: np.ndarray) -> None:
-        recorded.append((iteration, w))
-
-    _, trace = _solve(cfg, sigma_t, sigma_s_hat, iterate_hook=hook)
-
-    result = TraceResult(solver_trace=trace)
-    last = len(recorded) - 1
-    for pos, (iteration, w) in enumerate(recorded):
-        if pos % record_every != 0 and pos != last:
-            continue
+    def record(iteration: int, w: np.ndarray) -> None:
         sigma_i = _recolor(w, sigma_t)
         adapted = _adapted_head(head, AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat))
         result.rows.append(
@@ -409,5 +400,17 @@ def validate_alignment_trace(
                 accuracy=accuracy(predict(adapted, test), labels),
             )
         )
+
+    last = None  # the latest iterate, recorded after the solve if it was skipped
+
+    def hook(iteration: int, w: np.ndarray) -> None:
+        nonlocal last
+        last = (iteration, w)
+        if iteration % record_every == 0:
+            record(iteration, w)
+
+    _, result.solver_trace = _solve(cfg, sigma_t, sigma_s_hat, iterate_hook=hook)
+    if last[0] % record_every != 0:
+        record(*last)
     result.summarize()
     return result

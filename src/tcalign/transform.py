@@ -51,10 +51,6 @@ class AlignmentTransform:
                 f"mu_s_hat {self.mu_s_hat.shape}"
             )
 
-    @classmethod
-    def identity(cls, d: int) -> "AlignmentTransform":
-        return cls(w=np.eye(d), mu_t=np.zeros(d), mu_s_hat=np.zeros(d))
-
 
 @dataclass
 class SolverTrace:
@@ -111,15 +107,16 @@ def solve_gradient(
     Returns the best iterate seen together with the per-iteration objective
     trace. Stops early once the relative improvement stays below ``tol`` for
     ten consecutive iterations. A non-finite objective aborts with
-    DivergenceError carrying the last finite iterate; fixed steps are only
-    stable when lr < 2 / (4 lambda_max^2), so large-scale covariances need a
-    smaller learning rate than the 1e-3 default.
+    DivergenceError carrying the best iterate seen before the blow-up (its
+    ``last_iterate``); fixed steps are only stable when
+    lr < 2 / (4 lambda_max^2), so large-scale covariances need a smaller
+    learning rate than the 1e-3 default.
     """
     sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
     if lr <= 0:
         raise InvalidInput(f"learning rate must be positive, got {lr}")
-    if max_iters < 1:
-        raise InvalidInput(f"max_iters must be >= 1, got {max_iters}")
+    if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
+        raise InvalidInput(f"max_iters must be an integer >= 1, got {max_iters}")
     sigma_t_reg = shrink(sigma_t, eps)
     sigma_s_reg = shrink(sigma_s_hat, eps)
 

@@ -14,7 +14,6 @@ from tcalign import (
     save_head,
     train_head,
 )
-from tcalign.head import cross_entropy
 from tcalign.synth import NormalStream
 
 
@@ -98,8 +97,8 @@ class TestTrainHead:
         z = (z - z.mean(axis=0)) / z.std(axis=0)
         losses = []
         for epochs in range(0, 60, 5):
-            head = train_head(z, y, lr=0.1, epochs=epochs)
-            losses.append(cross_entropy(head, z, y))
+            probs = predict(train_head(z, y, lr=0.1, epochs=epochs), z).probs
+            losses.append(-np.mean(np.log(probs[np.arange(len(y)), y])))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_explicit_class_count(self):
@@ -118,25 +117,6 @@ class TestTrainHead:
         z, y = two_cluster_data()
         with pytest.raises(InvalidInput, match="label count"):
             train_head(z, y[:-1], lr=0.1, epochs=5)
-
-
-class TestCrossEntropy:
-    HEAD = SoftmaxHead(weight=np.array([[5.0], [-5.0]]), bias=np.zeros(2))
-
-    def test_mean_negative_log_likelihood(self):
-        probs = predict(self.HEAD, [[1.0], [-1.0]]).probs
-        expected = -np.mean(np.log([probs[0, 1], probs[1, 1]]))
-        assert cross_entropy(self.HEAD, [[1.0], [-1.0]], [1, 1]) == pytest.approx(expected, rel=1e-12)
-
-    @pytest.mark.parametrize("labels", [[0.7, 1.9], [-2, -1]], ids=["fraction", "negative"])
-    def test_non_class_labels_rejected(self, labels):
-        # fractions used to be truncated and negative labels to index from the end
-        with pytest.raises(InvalidInput, match="nonnegative integers"):
-            cross_entropy(self.HEAD, [[1.0], [-1.0]], np.array(labels))
-
-    def test_label_count_mismatch_rejected(self):
-        with pytest.raises(InvalidInput, match="label count"):
-            cross_entropy(self.HEAD, [[1.0], [-1.0]], [0, 1, 1])
 
 
 class TestAccuracy:

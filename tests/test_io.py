@@ -4,7 +4,6 @@ import pytest
 from tcalign import InvalidInput, ParseError, PredictionBatch
 from tcalign.io import (
     FLOAT_FORMAT,
-    embeddings_to_csv,
     read_embeddings,
     read_labels,
     read_predictions_csv,
@@ -125,16 +124,6 @@ class TestLabelFormat:
 
 
 class TestCsv:
-    def test_embedding_export_format(self, tmp_path):
-        path = tmp_path / "e.csv"
-        embeddings_to_csv(path, [[1.0, 0.5], [1.0 / 3.0, 2.0]])
-        text = path.read_text()
-        lines = text.split("\n")
-        assert lines[0] == "x0,x1"
-        assert len([l for l in lines[1:] if l]) == 2
-        assert "0.33333333333333331" in lines[2]
-        assert "\r" not in text
-
     def test_seventeen_digit_round_trip(self, rng):
         for _ in range(100):
             v = float(rng.standard_normal() * 10.0 ** rng.integers(-8, 8))
@@ -150,13 +139,10 @@ class TestCsv:
         assert np.array_equal(back.argmax, preds.argmax)
 
     def test_written_bytes_are_pinned(self, tmp_path):
-        # exact bytes of both writers: FLOAT_FORMAT (.17g) text, value for value
+        # exact bytes of the predictions writer: FLOAT_FORMAT (.17g) text, value for value
         values = [[-0.0, 5e-324, 1e-300], [0.1, 1.0, 1.0 / 3.0]]
-        emb, pred = tmp_path / "e.csv", tmp_path / "p.csv"
-        embeddings_to_csv(emb, values)
+        pred = tmp_path / "p.csv"
         write_predictions_csv(pred, PredictionBatch(probs=np.array(values), argmax=np.array([2, 1])))
-        rows = "-0,4.9406564584124654e-324,1e-300\n0.10000000000000001,1,0.33333333333333331\n"
-        assert emb.read_bytes() == ("x0,x1,x2\n" + rows).encode()
         assert pred.read_bytes() == (
             "argmax,p0,p1,p2\n2,-0,4.9406564584124654e-324,1e-300\n"
             "1,0.10000000000000001,1,0.33333333333333331\n"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -124,7 +125,7 @@ class TestFoldedHead:
         mu_t, sigma_t = CovarianceAccumulator(3).update(z).finalize()
         iterates = []
         solve_gradient(
-            sigma_t, sigma_s_hat, lr=cfg.lr, max_iters=cfg.max_iters, tol=cfg.tol, eps=cfg.eps,
+            sigma_t, sigma_s_hat, lr=cfg.lr, max_iters=cfg.max_iters, eps=cfg.eps,
             iterate_hook=lambda it, w: iterates.append((it, w)),
         )
         kept = [x for pos, x in enumerate(iterates) if pos % 20 == 0 or pos == len(iterates) - 1]
@@ -391,6 +392,24 @@ class TestAlignmentTrace:
         iterations = [r.iteration for r in result.rows]
         assert iterations == sorted(iterations)
 
+    def test_memory_bounded_by_recorded_rows(self, rng):
+        # keeping every iterate would hold max_iters + 1 copies of the d x d W
+        d = 32
+        z = rng.standard_normal((200, d))
+        head = SoftmaxHead(weight=rng.standard_normal((4, d)), bias=np.zeros(4))
+        labels = rng.integers(0, 4, size=200)
+        stats = covariance(rng.standard_normal((100, d)))
+        cfg = AdaptConfig(k=100, solver="gradient", max_iters=1000)
+        tracemalloc.start()
+        try:
+            result = validate_alignment_trace(z, head, cfg, stats, labels, record_every=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.solver_trace.iterations == 1000
+        assert [r.iteration for r in result.rows] == list(range(0, 1001, 100))
+        assert peak < 100 * d * d * 8
+
     def test_requires_gradient_solver(self, linear_demo):
         data, head = linear_demo
         stats = covariance(data.source.features)
@@ -450,10 +469,46 @@ class TestConfigValidation:
             {"eps": float("inf")},
             {"lr": float("nan")},
             {"lr": float("inf")},
-            {"tol": float("nan")},
-            {"tol": float("inf")},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(InvalidConfig):
             AdaptConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize(
+        "mode, kwargs",
+        [
+            ("transductive", {"k": 30.0}),
+            ("online", {"batch_size": 8.0}),
+            ("transductive", {"solver": "gradient", "max_iters": 5.0}),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, linear_demo, mode, kwargs):
+        # these used to reach numpy slicing and range() as a TypeError
+        data, head = linear_demo
+        adapt = adapt_transductive if mode == "transductive" else adapt_online
+        with pytest.raises(InvalidConfig, match="must be an integer"):
+            adapt(data.target.features, head, AdaptConfig(**kwargs))
+
+    def test_numpy_integer_counts_accepted(self, linear_demo):
+        data, head = linear_demo
+        numpy_cfg = AdaptConfig(k=np.int64(30), batch_size=np.int32(8), max_iters=np.int64(5))
+        got, _ = adapt_online(data.target.features, head, numpy_cfg)
+        want, _ = adapt_online(data.target.features, head, AdaptConfig(k=30, batch_size=8, max_iters=5))
+        assert np.array_equal(got.probs, want.probs)
+
+    def test_non_integer_experiment_counts_rejected(self, linear_demo):
+        # record_every=2.5 used to record iterations 0, 5, 10, ... without complaint
+        data, head = linear_demo
+        stats = covariance(data.source.features)
+        with pytest.raises(InvalidConfig, match="n_groups must be an integer"):
+            validate_uncertainty_groups(data.target.features, head, stats, n_groups=3.0)
+        with pytest.raises(InvalidConfig, match="record_every must be an integer"):
+            validate_alignment_trace(
+                data.target.features,
+                head,
+                AdaptConfig(solver="gradient", lr=1e-7, max_iters=20),
+                stats,
+                data.target.labels,
+                record_every=2.5,
+            )

@@ -1,6 +1,8 @@
 """Source rules: the package has one atomic writer and one decimal float
-format, both in ``io.py``, so no module grows a second copy of either."""
+format, both in ``io.py``, so no module grows a second copy of either, and
+it keeps no public definition that nothing reads."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -15,3 +17,33 @@ def test_only_io_renames_files_and_formats_floats(needle):
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert needle in sources.pop("io.py")
     assert [name for name, text in sorted(sources.items()) if needle in text] == []
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Names a module reads: bare names, attribute names and ``from ... import`` names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_unexported_definition_is_used():
+    # a public function or class outside tcalign.__all__ is kept only while
+    # some code in the package reads it
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    referenced = set().union(*map(_referenced_names, trees.values()))
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in tcalign.__all__
+        and node.name not in referenced
+    ]
+    assert unused == []

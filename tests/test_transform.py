@@ -131,6 +131,22 @@ class TestGradientSolver:
         assert np.all(np.isfinite(info.value.last_iterate))
         assert len(info.value.objective_values) >= 1
 
+    def test_divergence_carries_best_iterate(self):
+        # the carried iterate is the lowest-objective one (here the starting
+        # identity), not the last finite one, whose objective is ~1e258
+        st = 100.0 * np.eye(2)
+        ss = np.eye(2)
+        with pytest.raises(DivergenceError) as info:
+            solve_gradient(st, ss, lr=1e-3, max_iters=100, eps=0.0)
+        err = info.value
+        assert objective(err.last_iterate, shrink(st, 0.0), shrink(ss, 0.0)) == min(err.objective_values)
+        assert err.objective_values[-1] > min(err.objective_values)
+
+    def test_non_integer_max_iters_rejected(self, rng):
+        s = make_spd(rng, 2)
+        with pytest.raises(InvalidInput, match="max_iters must be an integer"):
+            solve_gradient(s, s, max_iters=5.0)
+
     def test_early_stop_flags_convergence(self, rng):
         # geometric decay yields a constant relative improvement per step, so
         # the stall rule fires once that rate drops below tol
