@@ -40,12 +40,7 @@ from .pipeline import (
     validate_alignment_trace,
     validate_uncertainty_groups,
 )
-from .pseudo_source import (
-    BalancedSelection,
-    batch_uncertainties,
-    class_balanced_select,
-    most_certain,
-)
+from .pseudo_source import batch_uncertainties, class_quotas, most_certain
 from .synth import LabeledBatch, NormalStream, ShiftDataset, gen_linear_shift, gen_nonlinear_shift
 from .transform import (
     AlignmentTransform,
@@ -63,7 +58,6 @@ __all__ = [
     "AdaptConfig",
     "AdaptReport",
     "AlignmentTransform",
-    "BalancedSelection",
     "CovarianceAccumulator",
     "DegenerateLabels",
     "DivergenceError",
@@ -90,7 +84,7 @@ __all__ = [
     "adapt_transductive",
     "apply_transform",
     "batch_uncertainties",
-    "class_balanced_select",
+    "class_quotas",
     "correlation_distance",
     "covariance",
     "gen_linear_shift",

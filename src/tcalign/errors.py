@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all tcalign modules."""
+"""Exception hierarchy shared by all tcalign modules, and the one integer-count rule."""
+
+import numbers
 
 
 class TcaError(Exception):
@@ -52,3 +54,10 @@ class ParseError(TcaError):
     def __init__(self, message, context=None):
         super().__init__(message if context is None else f"{message} ({context})")
         self.context = context
+
+
+def _check_count(name: str, value, minimum: int, error: type[TcaError] = InvalidInput) -> None:
+    """Raise ``error`` for a count that is not an integer (numpy integers pass)
+    or is below ``minimum``."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value}")

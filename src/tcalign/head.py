@@ -8,11 +8,12 @@ deterministic without threading an RNG through the API.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels, InvalidInput, ParseError
+from .errors import DegenerateLabels, InvalidInput, ParseError, _check_count
 from .io import FLOAT_FORMAT, _atomic_write_text, _class_indices
 from .linalg import validate_embeddings
 
@@ -98,10 +99,9 @@ def train_head(
     c = int(labels.max()) + 1 if n_classes is None else int(n_classes)
     if c < 2 or labels.max() >= c:
         raise InvalidInput(f"labels must lie in [0, {c})")
-    if lr <= 0:
-        raise InvalidInput(f"learning rate must be positive, got {lr}")
-    if epochs < 0:
-        raise InvalidInput(f"epochs must be >= 0, got {epochs}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise InvalidInput(f"learning rate must be finite and positive, got {lr}")
+    _check_count("epochs", epochs, 0)
 
     n, d = z.shape
     weight = np.zeros((c, d))

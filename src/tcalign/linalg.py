@@ -7,6 +7,7 @@ bottleneck of the whole alignment pipeline, so inputs are upcast on entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +87,8 @@ def shrink(sigma, eps: float) -> np.ndarray:
     """
     sigma = _square(sigma, "sigma")
     _check_symmetric(sigma, "sigma")
-    if eps < 0:
-        raise InvalidInput(f"eps must be >= 0, got {eps}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise InvalidInput(f"eps must be finite and >= 0, got {eps}")
     d = sigma.shape[0]
     lam = eps * float(np.trace(sigma)) / d + SHRINK_FLOOR
     return sigma + lam * np.eye(d)
@@ -124,6 +125,8 @@ def sym_eig(sigma) -> EigPair:
 
 def spd_power(sigma, p: float) -> np.ndarray:
     """Matrix power U diag(lambda^p) U^T of a symmetric positive definite matrix."""
+    if not math.isfinite(p):
+        raise InvalidInput(f"power must be finite, got {p}")
     eig = sym_eig(sigma)
     min_val = float(eig.values.min()) if eig.values.size else 0.0
     if p < 0 and min_val <= 0:

@@ -23,22 +23,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientSamples, InvalidConfig, InvalidInput
+from .errors import InsufficientSamples, InvalidConfig, InvalidInput, _check_count
 from .head import PredictionBatch, SoftmaxHead, accuracy, check_labels, predict
 from .linalg import CovarianceAccumulator, correlation_distance, covariance, validate_embeddings
 from .metrics import linear_fit_r2, spearman
-from .pseudo_source import batch_uncertainties, class_balanced_select, most_certain
+from .pseudo_source import batch_uncertainties, class_quotas, most_certain
 from .transform import DEFAULT_EPS, DEFAULT_LR, DEFAULT_MAX_ITERS
 from .transform import AlignmentTransform, SolverTrace, solve_closed_form, solve_gradient
 
 SOLVERS = ("closed", "gradient")
 SELECTION_MODES = ("global", "class_balanced")
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    """Reject a count that is not an integer (numpy integers pass) or is below ``minimum``."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
-        raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value}")
 
 
 @dataclass
@@ -58,7 +52,7 @@ class AdaptConfig:
     batch_size: int = 64
 
     def validate(self) -> "AdaptConfig":
-        _check_count("bank capacity k", self.k, 2)
+        _check_count("bank capacity k", self.k, 2, InvalidConfig)
         if not (math.isfinite(self.eps) and self.eps >= 0):
             raise InvalidConfig(f"eps must be finite and >= 0, got {self.eps}")
         if self.solver not in SOLVERS:
@@ -67,10 +61,10 @@ class AdaptConfig:
             raise InvalidConfig(
                 f"selection_mode must be one of {SELECTION_MODES}, got {self.selection_mode!r}"
             )
-        _check_count("batch_size", self.batch_size, 1)
+        _check_count("batch_size", self.batch_size, 1, InvalidConfig)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise InvalidConfig(f"lr must be finite and positive, got {self.lr}")
-        _check_count("max_iters", self.max_iters, 1)
+        _check_count("max_iters", self.max_iters, 1, InvalidConfig)
         return self
 
 
@@ -90,7 +84,6 @@ class AdaptReport:
     dist_test_to_source_after: float | None = None
     dist_pseudo_to_source: float | None = None
     solver_trace: SolverTrace | None = None
-    selection_fallback: bool = False
     unadapted_batches: int = 0
 
     def to_dict(self) -> dict:
@@ -101,22 +94,27 @@ class AdaptReport:
         return out
 
 
-def _select(cfg: AdaptConfig, uncertainty, classes, class_counts, rows) -> tuple[np.ndarray, bool]:
-    """Pseudo-source rows (ascending) chosen among the bank ``rows``, and the fallback flag.
+def _select(cfg: AdaptConfig, uncertainty, classes, class_counts, bank) -> np.ndarray:
+    """Pseudo-source rows (ascending) chosen among the ``bank`` rows.
 
-    A global bank already holds the k most certain rows, so it is the selection.
+    A global bank already holds the k most certain rows, so it is the
+    selection. Class-balanced selection splits min(k, bank size) slots over
+    the classes in proportion to ``class_counts`` (``class_quotas``) and keeps
+    the most certain bank rows of each class up to its quota. Every quota
+    fits in the bank (see ``_fold``), so no slot goes unfilled.
     """
     if cfg.selection_mode == "class_balanced":
-        selection = class_balanced_select(uncertainty[rows], classes[rows], cfg.k, class_counts, rows)
-        return selection.entries, selection.fallback
-    return rows, False
+        quotas = class_quotas(class_counts, min(cfg.k, bank.size))
+        return most_certain(uncertainty[bank], quotas, bank, classes[bank])
+    return bank
 
 
 def _fold(cfg: AdaptConfig, bank, rows, uncertainty, classes) -> np.ndarray:
     """Merge ``rows`` into the online bank of rows still eligible for selection:
     the k most certain so far, or the k most certain of each class in
-    class-balanced mode (no per-class quota exceeds k, so selecting from the
-    bank picks what selecting from every row would)."""
+    class-balanced mode. The quota of class j is at most min(k, n_j), n_j its
+    rows so far, and the bank holds min(k, n_j) rows of class j, so selecting
+    from the bank picks what selecting from every row would."""
     bank = np.concatenate([bank, rows])
     per_class = classes[bank] if cfg.selection_mode == "class_balanced" else None
     return most_certain(uncertainty[bank], cfg.k, bank, per_class)
@@ -133,7 +131,7 @@ def _steps(test: np.ndarray, head: SoftmaxHead, cfg: AdaptConfig, batch_size: in
     """Per batch of ``batch_size`` rows: predict, score, fold into the bank,
     select, and take the moments of the pseudo-source and of every row so far.
 
-    Yields ``(lo, hi, unadapted predictions, fallback, batch_stats, moments)``,
+    Yields ``(lo, hi, unadapted predictions, batch_stats, moments)``,
     where batch_stats accumulates the batch's rows alone and moments is
     ``(mu_s_hat, sigma_s_hat, mu_t, sigma_t)``, or None while fewer than 2
     rows are selected. Selection keeps min(k, rows so far) rows and k >= 2, so
@@ -154,9 +152,9 @@ def _steps(test: np.ndarray, head: SoftmaxHead, cfg: AdaptConfig, batch_size: in
         classes[lo:hi] = preds.argmax
         class_counts += np.bincount(preds.argmax, minlength=head.n_classes)
         bank = _fold(cfg, bank, np.arange(lo, hi), uncertainty, classes)
-        selected, fallback = _select(cfg, uncertainty, classes, class_counts, bank)
+        selected = _select(cfg, uncertainty, classes, class_counts, bank)
         moments = (*covariance(test[selected]), *stats.finalize()) if len(selected) >= 2 else None
-        yield lo, hi, preds, fallback, batch_stats, moments
+        yield lo, hi, preds, batch_stats, moments
 
 
 def _recolor(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -215,10 +213,8 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
     batch_probs = []
     emitted = CovarianceAccumulator(d)
     correct_before = unadapted_batches = 0
-    fallback_seen = False
     batch_size = n if mode == "transductive" else cfg.batch_size
-    for lo, hi, preds, fallback, batch_stats, moments in _steps(test, head, cfg, batch_size):
-        fallback_seen = fallback_seen or fallback
+    for lo, hi, preds, batch_stats, moments in _steps(test, head, cfg, batch_size):
         if labels is not None:
             correct_before += int(np.count_nonzero(preds.argmax == labels[lo:hi]))
         if moments is None:
@@ -244,7 +240,6 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
         dist_test_to_pseudo_before=correlation_distance(sigma_t, sigma_s_hat),
         dist_test_to_pseudo_after=correlation_distance(sigma_emitted, sigma_s_hat),
         solver_trace=trace,
-        selection_fallback=fallback_seen,
         unadapted_batches=unadapted_batches,
     )
     if labels is not None:
@@ -306,7 +301,7 @@ def validate_uncertainty_groups(
     group's covariance distance to the true source covariance."""
     test = validate_embeddings(test, "test")
     n = test.shape[0]
-    _check_count("n_groups", n_groups, 1)
+    _check_count("n_groups", n_groups, 1, InvalidConfig)
     if n // n_groups < 2:
         raise InvalidConfig(
             f"each group needs >= 2 instances: n={n} is too small for {n_groups} groups"
@@ -381,7 +376,7 @@ def validate_alignment_trace(
         raise InvalidConfig("alignment traces require the gradient solver")
     if labels is None:
         raise InvalidInput("alignment traces require test labels for the accuracy column")
-    _check_count("record_every", record_every, 1)
+    _check_count("record_every", record_every, 1, InvalidConfig)
     test = _check_test(test, "transductive")
     _, sigma_s = source_stats
 

@@ -5,18 +5,18 @@ the one-hot encoding of its argmax. ``batch_uncertainties`` is the one
 scorer; it takes an n x c probability matrix, so a single row is scored as a
 1 x c matrix. The pseudo-source is a set of row indices into the test
 matrix: the k most certain rows, ties broken toward the lower row (a row's
-arrival index is its row number), optionally re-balanced to match predicted
-class proportions. Every selection is one ``lexsort`` over
-(row, uncertainty[, class]) and returns row indices in ascending order.
+arrival index is its row number), or, class-balanced, the most certain rows
+of each predicted class up to that class's quota. ``most_certain`` is the
+one selection kernel: one ``lexsort`` over (row, uncertainty[, class]),
+returning row indices in ascending order. ``class_quotas`` apportions a
+selection size over classes in proportion to their predicted counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _check_count
 
 PROB_SUM_ATOL = 1e-6
 
@@ -56,105 +56,65 @@ def _candidates(uncertainty, rows, classes) -> tuple[np.ndarray, np.ndarray, np.
     return uncertainty, rows, classes
 
 
+def _count_vector(name: str, values) -> np.ndarray:
+    """A 1-D vector of nonnegative integers (entry j belongs to class j), as int64."""
+    values = np.asarray(values)
+    if values.ndim != 1 or values.dtype.kind not in "iu" or np.min(values, initial=0) < 0:
+        raise InvalidInput(f"{name} must be a 1-D vector of nonnegative integers")
+    return values.astype(np.int64)
+
+
 def _class_rank(sorted_classes: np.ndarray) -> np.ndarray:
     """Position of each element within its run of a class-sorted vector."""
     return np.arange(sorted_classes.size) - np.searchsorted(sorted_classes, sorted_classes)
 
 
-def most_certain(uncertainty, k: int, rows=None, classes=None) -> np.ndarray:
+def most_certain(uncertainty, k, rows=None, classes=None) -> np.ndarray:
     """Rows of the min(k, n) lowest-uncertainty candidates, in ascending row order.
 
     ``rows`` names each candidate's row (default 0..n-1); ties go to the lower
     row. With ``classes``, keep the k most certain candidates of each class
-    instead. Folding a stream in batches through this function retains the
-    same rows as one call over the whole stream.
+    instead, where ``k`` is one integer for every class or a vector whose
+    entry j caps class j. A cap larger than a class's candidates keeps all of
+    that class; no slot moves to another class. Folding a stream in batches
+    through this function with one integer k retains the same rows as one
+    call over the whole stream.
     """
-    if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
     uncertainty, rows, classes = _candidates(uncertainty, rows, classes)
+    if classes is None or np.ndim(k) == 0:
+        _check_count("k", k, 1)
     if classes is None:
-        kept = np.lexsort((rows, uncertainty))[:k]
-    else:
-        order = np.lexsort((rows, uncertainty, classes))
-        kept = order[_class_rank(classes[order]) < k]
-    return np.sort(rows[kept])
+        return np.sort(rows[np.lexsort((rows, uncertainty))[:k]])
+    order = np.lexsort((rows, uncertainty, classes))
+    sorted_classes = classes[order]
+    if np.ndim(k):
+        k = _count_vector("per-class caps k", k)
+        if sorted_classes.size and sorted_classes[-1] >= k.size:
+            raise InvalidInput(f"{k.size} per-class caps for class index {sorted_classes[-1]}")
+        k = k[sorted_classes]
+    return np.sort(rows[order[_class_rank(sorted_classes) < k]])
 
 
-@dataclass
-class BalancedSelection:
-    """Result of class-proportional selection; ``fallback`` marks a global top-k rescue.
+def class_quotas(class_counts, slots: int) -> np.ndarray:
+    """Split ``slots`` over classes in proportion to ``class_counts`` (entry j
+    counts class j) by the largest-remainder rule.
 
-    ``entries`` holds the selected rows in ascending order.
+    Floor quotas first, then hand leftover slots to the largest remainders,
+    as float64 computes them; remainder ties prefer the larger count, then
+    the lower class index. A zero-count class gets no slot. For candidates
+    whose classes are counted, ``most_certain(u, class_quotas(counts,
+    min(k, n)), rows, classes)`` keeps the most certain candidates of each
+    class up to its quota.
     """
-
-    entries: np.ndarray
-    quotas: dict[int, int] = field(default_factory=dict)
-    fallback: bool = False
-
-
-def _largest_remainder(weights: np.ndarray, slots: int, class_ids: np.ndarray) -> np.ndarray:
-    """Apportion ``slots`` among classes proportionally to ``weights``.
-
-    Floor quotas first, then hand leftover slots to the largest remainders;
-    remainder ties prefer the larger weight, then the lower class index.
-    """
-    total = float(weights.sum())
+    counts = _count_vector("class_counts", class_counts)
+    _check_count("slots", slots, 0)
+    total = int(counts.sum())
+    if total == 0:
+        raise InvalidInput("class_counts must count at least one row")
+    weights = counts.astype(np.float64)
     exact = weights * (slots / total)
     quotas = np.floor(exact).astype(np.int64)
     leftover = slots - int(quotas.sum())
-    order = np.lexsort((class_ids, -weights, quotas - exact))
+    order = np.lexsort((np.arange(counts.size), -weights, quotas - exact))
     quotas[order[:leftover]] += 1
     return quotas
-
-
-def class_balanced_select(uncertainty, classes, k: int, class_counts, rows=None) -> BalancedSelection:
-    """Pick min(k, n) candidates matching predicted-class proportions.
-
-    Per-class quotas follow the largest-remainder rule over ``class_counts``;
-    within a class the lowest-uncertainty candidates win (ties to the lower
-    row). Classes short of their quota surrender the shortfall, which is
-    re-apportioned over classes that still have candidates left. Candidates
-    of zero-count classes only fill slots that counted classes cannot.
-    """
-    if k < 1:
-        raise InvalidInput(f"k must be >= 1, got {k}")
-    uncertainty, rows, classes = _candidates(uncertainty, rows, classes)
-    class_counts = np.asarray(class_counts, dtype=np.int64)
-    if class_counts.ndim != 1 or np.min(class_counts, initial=0) < 0:
-        raise InvalidInput("class_counts must be a 1-D vector of nonnegative counts")
-    budget = min(k, rows.size)
-    ids = np.flatnonzero(class_counts)
-    if budget == 0 or ids.size == 0:
-        # no proportions to honor: degenerate global top-k
-        picked = np.lexsort((rows, uncertainty))[:budget]
-        return BalancedSelection(entries=np.sort(rows[picked]), fallback=budget > 0)
-
-    weights = class_counts[ids].astype(np.float64)
-    quotas = _largest_remainder(weights, budget, ids)
-    per_class = np.bincount(classes, minlength=class_counts.size)
-    available = per_class[ids]
-    taken = np.zeros_like(quotas)
-    demand = quotas
-    while True:
-        take = np.minimum(demand, available - taken)
-        taken += take
-        shortfall = int(demand.sum() - take.sum())
-        open_classes = taken < available
-        if shortfall == 0 or not open_classes.any():
-            break
-        demand = np.zeros_like(quotas)
-        demand[open_classes] = _largest_remainder(weights[open_classes], shortfall, ids[open_classes])
-
-    order = np.lexsort((rows, uncertainty, classes))
-    limit = np.zeros_like(per_class)
-    limit[ids] = taken
-    sorted_classes = classes[order]
-    picked = order[_class_rank(sorted_classes) < limit[sorted_classes]]
-    if picked.size < budget:
-        # not enough candidates in counted classes; top up globally
-        chosen = np.zeros(rows.size, dtype=bool)
-        chosen[picked] = True
-        rest = np.lexsort((rows, uncertainty))
-        picked = np.concatenate([picked, rest[~chosen[rest]][: budget - picked.size]])
-    quota_map = dict(zip(ids.tolist(), quotas.tolist()))
-    return BalancedSelection(entries=np.sort(rows[picked]), quotas=quota_map)

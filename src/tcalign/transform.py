@@ -9,12 +9,13 @@ rank-deficient pseudo-source statistics stay invertible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInput
+from .errors import DivergenceError, InvalidInput, _check_count
 from .linalg import _square_pair, shrink, spd_power, validate_embeddings
 
 DEFAULT_EPS = 1e-3
@@ -113,10 +114,11 @@ def solve_gradient(
     learning rate than the 1e-3 default.
     """
     sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
-    if lr <= 0:
-        raise InvalidInput(f"learning rate must be positive, got {lr}")
-    if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
-        raise InvalidInput(f"max_iters must be an integer >= 1, got {max_iters}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise InvalidInput(f"learning rate must be finite and positive, got {lr}")
+    _check_count("max_iters", max_iters, 1)
+    if not math.isfinite(tol):
+        raise InvalidInput(f"tol must be finite, got {tol}")
     sigma_t_reg = shrink(sigma_t, eps)
     sigma_s_reg = shrink(sigma_s_hat, eps)
 

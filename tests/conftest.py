@@ -40,4 +40,4 @@ def streamed_pseudo_source(test, head, cfg):
         omegas[lo:hi], classes[lo:hi] = batch_uncertainties(probs), probs.argmax(axis=1)
         counts += np.bincount(classes[lo:hi], minlength=head.n_classes)
         bank = _fold(cfg, bank, np.arange(lo, hi), omegas, classes)
-    return _select(cfg, omegas, classes, counts, bank)[0].tolist()
+    return _select(cfg, omegas, classes, counts, bank).tolist()

@@ -69,6 +69,45 @@ class TestAdapt:
         assert 0.0 <= report["accuracy_after"] <= 1.0
         assert preds_path.read_text().startswith("argmax,p0,p1,p2")
 
+    @pytest.mark.parametrize("mode", ["transductive", "online"])
+    @pytest.mark.parametrize("solver", ["closed", "gradient"])
+    def test_report_keys(self, workspace, tmp_path, mode, solver):
+        # the key list is the report file's schema: change it here, deliberately
+        _, data_dir, head_path = workspace
+        code = main(
+            [
+                "adapt",
+                "--test", str(data_dir / "target.tcae"),
+                "--head", str(head_path),
+                "--labels", str(data_dir / "target.tcal"),
+                "--mode", mode,
+                "--solver", solver,
+                "--lr", "1e-7",
+                "--iters", "20",
+                "--out-preds", str(tmp_path / "p.csv"),
+                "--out-report", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        keys = [
+            "n",
+            "d",
+            "c",
+            "mode",
+            "accuracy_before",
+            "accuracy_after",
+            "dist_test_to_pseudo_before",
+            "dist_test_to_pseudo_after",
+            "dist_test_to_source_before",
+            "dist_test_to_source_after",
+            "dist_pseudo_to_source",
+            "unadapted_batches",
+        ]
+        assert list(report) == keys + (["solver_trace"] if solver == "gradient" else [])
+        if solver == "gradient":
+            assert list(report["solver_trace"]) == ["objective_values", "iterations", "converged"]
+
     def test_online_run(self, workspace, tmp_path):
         _, data_dir, head_path = workspace
         code = main(

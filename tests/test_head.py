@@ -118,6 +118,27 @@ class TestTrainHead:
         with pytest.raises(InvalidInput, match="label count"):
             train_head(z, y[:-1], lr=0.1, epochs=5)
 
+    @pytest.mark.parametrize("epochs", [2.5, 3.0, -1, None])
+    def test_bad_epochs_rejected(self, epochs):
+        # a fractional count used to raise a bare TypeError from range()
+        z, y = two_cluster_data()
+        with pytest.raises(InvalidInput, match="epochs must be an integer >= 0"):
+            train_head(z, y, lr=0.1, epochs=epochs)
+
+    def test_numpy_integer_epochs_accepted(self):
+        z, y = two_cluster_data()
+        got = train_head(z, y, lr=0.1, epochs=np.int64(5))
+        want = train_head(z, y, lr=0.1, epochs=5)
+        assert np.array_equal(got.weight, want.weight)
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -0.1])
+    def test_bad_lr_rejected(self, lr):
+        # an inf lr used to raise a numpy RuntimeWarning, a NaN lr to train
+        # every epoch and fail on the non-finite head
+        z, y = two_cluster_data()
+        with pytest.raises(InvalidInput, match="learning rate must be finite and positive"):
+            train_head(z, y, lr=lr, epochs=5)
+
 
 class TestAccuracy:
     def test_all_correct(self):

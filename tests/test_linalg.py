@@ -107,6 +107,12 @@ class TestShrink:
         out = shrink(sigma, 1e-3)
         assert np.linalg.eigvalsh(out).min() > 0
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -0.1])
+    def test_bad_eps_rejected(self, eps):
+        # a NaN eps used to slip past "eps < 0" and return a NaN matrix
+        with pytest.raises(InvalidInput, match="eps must be finite and >= 0"):
+            shrink(np.eye(2), eps)
+
 
 class TestSymEig:
     def test_identity(self):
@@ -177,6 +183,12 @@ class TestSpdPower:
     def test_fractional_power_of_indefinite_rejected(self):
         with pytest.raises(SingularMatrix):
             spd_power(np.diag([1.0, -1.0]), 0.5)
+
+    @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf])
+    def test_non_finite_power_rejected(self, p):
+        # a NaN power used to raise a bare ValueError from int(p)
+        with pytest.raises(InvalidInput, match="power must be finite"):
+            spd_power(np.eye(2), p)
 
 
 class TestCovarianceAccumulator:

@@ -61,6 +61,22 @@ def demo_case(request, linear_demo, nonlinear_demo):
     return data.target.features + OFFSET, shifted, 1e-9
 
 
+REPORT_KEYS = [
+    "n",
+    "d",
+    "c",
+    "mode",
+    "accuracy_before",
+    "accuracy_after",
+    "dist_test_to_pseudo_before",
+    "dist_test_to_pseudo_after",
+    "dist_test_to_source_before",
+    "dist_test_to_source_after",
+    "dist_pseudo_to_source",
+    "unadapted_batches",
+]
+
+
 class TestFoldedHead:
     """Adapted predictions and moments come from the head with W folded in and
     from W^T S W; the two-step reference applies the transform to every row."""
@@ -91,7 +107,7 @@ class TestFoldedHead:
         cfg = AdaptConfig(batch_size=batch_size)
         preds, report = adapt_online(test, head, cfg, source_stats=source_stats)
         emitted = []
-        for lo, hi, _, _, _, moments in _steps(test, head, cfg, batch_size):
+        for lo, hi, _, _, moments in _steps(test, head, cfg, batch_size):
             if moments is None:
                 emitted.append(test[lo:hi])
                 continue
@@ -230,14 +246,13 @@ class TestAdaptTransductive:
 
     def test_class_balanced_mode_runs(self, linear_demo):
         data, head = linear_demo
-        preds, report, _ = adapt_transductive(
+        preds, _, _ = adapt_transductive(
             data.target.features,
             head,
             AdaptConfig(selection_mode="class_balanced"),
             labels=data.target.labels,
         )
         assert preds.probs.shape == (750, 3)
-        assert not report.selection_fallback
 
     @pytest.mark.parametrize("mode", ["transductive", "online"])
     def test_gradient_solver_records_trace(self, rng, mode):
@@ -257,6 +272,32 @@ class TestAdaptTransductive:
         _, report, _ = adapt_transductive(data.target.features, head, AdaptConfig())
         text = json.dumps(report.to_dict())
         assert "dist_test_to_pseudo_before" in text
+
+    @pytest.mark.parametrize("mode", ["transductive", "online"])
+    @pytest.mark.parametrize("labelled", [False, True], ids=["unlabelled", "labelled"])
+    @pytest.mark.parametrize("with_source", [False, True], ids=["no-source", "source"])
+    @pytest.mark.parametrize("solver", ["closed", "gradient"])
+    def test_report_schema(self, linear_demo, mode, labelled, with_source, solver):
+        # the key list is the report's schema: change it here, deliberately
+        data, head = linear_demo
+        cfg = AdaptConfig(solver=solver, lr=1e-7, max_iters=20, batch_size=100)
+        adapt = adapt_transductive if mode == "transductive" else adapt_online
+        report = adapt(
+            data.target.features,
+            head,
+            cfg,
+            labels=data.target.labels if labelled else None,
+            source_stats=covariance(data.source.features) if with_source else None,
+        )[1]
+        out = report.to_dict()
+        keys = REPORT_KEYS + (["solver_trace"] if solver == "gradient" else [])
+        assert list(out) == keys
+        assert out["mode"] == mode
+        assert (out["accuracy_before"] is None, out["accuracy_after"] is None) == (not labelled,) * 2
+        source_keys = ["dist_test_to_source_before", "dist_test_to_source_after", "dist_pseudo_to_source"]
+        assert [out[key] is None for key in source_keys] == [not with_source] * 3
+        if solver == "gradient":
+            assert list(out["solver_trace"]) == ["objective_values", "iterations", "converged"]
 
 
 class TestAdaptOnline:
@@ -322,6 +363,48 @@ class TestAdaptOnline:
         cfg = AdaptConfig(batch_size=2)
         _, report = adapt_online(data.target.features[:40], head, cfg)
         assert report.unadapted_batches == 0
+
+
+def all_rows_selection(omegas, classes, k, c):
+    """Row-by-row class-balanced pseudo-source over every row given: largest-
+    remainder quotas over the class counts, each filled from its class's
+    (uncertainty, row) queue."""
+    n = len(omegas)
+    counts = [sum(1 for cls in classes if cls == j) for j in range(c)]
+    slots = min(k, n)
+    exact = [count * (slots / n) for count in counts]
+    quotas = [math.floor(e) for e in exact]
+    by_remainder = sorted(range(c), key=lambda j: (quotas[j] - exact[j], -counts[j], j))
+    for j in by_remainder[: slots - sum(quotas)]:
+        quotas[j] += 1
+    queues = [sorted((i for i in range(n) if classes[i] == j), key=lambda i: (omegas[i], i)) for j in range(c)]
+    assert all(q <= len(queue) for q, queue in zip(quotas, queues))
+    return sorted(i for queue, q in zip(queues, quotas) for i in queue[:q])
+
+
+class TestClassBalancedSelection:
+    def test_bank_selection_matches_all_rows_reference(self, rng):
+        # the class-balanced bank keeps min(k, n_j) rows of class j and no
+        # quota exceeds that, so selecting from the bank after every batch
+        # picks what selecting from every row so far would
+        from tcalign.pipeline import _fold, _select
+
+        for trial in range(300):
+            n, c = int(rng.integers(2, 40)), int(rng.integers(2, 9))
+            k = int(rng.integers(2, n + 5))
+            batch_size = int(rng.integers(1, n + 1))
+            omegas = np.round(rng.uniform(0, 1.9, size=n), 1)  # coarse grid forces ties
+            classes = rng.integers(0, int(rng.integers(1, c + 1)), size=n)  # some classes never predicted
+            cfg = AdaptConfig(k=k, selection_mode="class_balanced", batch_size=batch_size)
+            counts = np.zeros(c, dtype=np.int64)
+            bank = np.empty(0, dtype=np.int64)
+            for lo in range(0, n, batch_size):
+                hi = min(lo + batch_size, n)
+                counts += np.bincount(classes[lo:hi], minlength=c)
+                bank = _fold(cfg, bank, np.arange(lo, hi), omegas, classes)
+                got = _select(cfg, omegas, classes, counts, bank).tolist()
+                want = all_rows_selection(omegas[:hi], classes[:hi], k, c)
+                assert got == want, f"trial {trial}, rows 0..{hi}"
 
 
 class TestUncertaintyGroups:

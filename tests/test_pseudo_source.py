@@ -7,11 +7,10 @@ from tcalign import (
     InsufficientSamples,
     InvalidInput,
     batch_uncertainties,
-    class_balanced_select,
+    class_quotas,
     covariance,
     most_certain,
 )
-from tcalign.pseudo_source import _largest_remainder
 
 
 def uncertainty(p) -> float:
@@ -138,6 +137,39 @@ class TestBank:
         with pytest.raises(InvalidInput):
             most_certain([0.1], 0)
 
+    @pytest.mark.parametrize("k", [2.0, 2.5, "2", None])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(InvalidInput, match="k must be an integer"):
+            most_certain(np.array([0.1, 0.2, 0.3]), k)
+        with pytest.raises(InvalidInput, match="k must be an integer"):
+            most_certain(np.array([0.1, 0.2, 0.3]), k, classes=[0, 1, 0])
+
+    def test_numpy_integer_k_accepted(self):
+        assert most_certain([0.3, 0.1, 0.2], np.int64(2)).tolist() == [1, 2]
+        assert most_certain([0.3, 0.1, 0.2], np.int32(1), classes=[0, 0, 1]).tolist() == [1, 2]
+
+
+class TestPerClassCaps:
+    def test_cap_beyond_candidates_keeps_class_without_redistribution(self):
+        u, classes = [0.1, 0.2, 0.3, 0.4], [0, 0, 1, 1]
+        assert most_certain(u, [5, 1], classes=classes).tolist() == [0, 1, 2]
+        # class 0's unused cap does not move to class 1
+        assert most_certain(u, [0, 1], classes=classes).tolist() == [2]
+
+    def test_caps_index_classes_and_honor_rows(self):
+        # entry j caps class j; ties go to the lower row name
+        got = most_certain([0.2, 0.2, 0.1, 0.5], [1, 0, 2], rows=[9, 4, 7, 1], classes=[0, 0, 2, 2])
+        assert got.tolist() == [1, 4, 7]
+
+    @pytest.mark.parametrize(
+        "caps",
+        [[1, -1], [1.0, 1.0], [[1, 1]], [1], np.array([1.5, 2.0])],
+        ids=["negative", "float", "2-d", "too-short", "fraction"],
+    )
+    def test_bad_caps_rejected(self, caps):
+        with pytest.raises(InvalidInput):
+            most_certain([0.1, 0.2, 0.3], caps, classes=[0, 1, 1])
+
 
 class TestPseudoStats:
     def test_mirrors_covariance_example(self):
@@ -201,124 +233,118 @@ def arrays(omegas_by_class):
 
 class TestLargestRemainder:
     def test_quotas_sum_to_slots(self, rng):
-        cases = [(np.ones(c), 1) for c in (1, 2, 7, 100)]
-        cases.append((rng.uniform(0.01, 5, size=100), 1024))
-        cases.append((rng.integers(1, 1000, size=100).astype(float), 1024))
+        cases = [(np.ones(c, dtype=int), 1) for c in (1, 2, 7, 100)]
+        cases.append((rng.integers(1, 1000, size=100), 1024))
         for trial in range(500):
             c = int(rng.integers(1, 120))
-            if trial % 2:
-                weights = rng.uniform(0.01, 5, size=c)
-            else:
-                weights = rng.integers(1, 50, size=c).astype(float)  # integer counts tie often
-            cases.append((weights, int(rng.integers(1, 2048))))
-        for weights, slots in cases:
-            quotas = _largest_remainder(weights, slots, np.arange(len(weights)))
+            high = 50 if trial % 2 else 5  # small counts tie often
+            counts = rng.integers(0, high, size=c)
+            counts[rng.integers(c)] += 1  # at least one counted row
+            cases.append((counts, int(rng.integers(0, 2048))))
+        for counts, slots in cases:
+            quotas = class_quotas(counts, slots)
             assert int(quotas.sum()) == slots
             assert quotas.min() >= 0
+            assert np.all(quotas[counts == 0] == 0)
+            # no quota exceeds its proportional share rounded up
+            assert np.all(quotas <= np.ceil(slots * counts / counts.sum()))
+
+    @pytest.mark.parametrize(
+        "counts, slots",
+        [
+            ([3, -1], 2),
+            ([0, 0], 2),
+            ([], 2),
+            ([2.0, 1.0], 2),
+            ([[2, 1]], 2),
+            ([2, 1], 2.0),
+            ([2, 1], -1),
+            ([2, 1], None),
+        ],
+        ids=["negative-count", "all-zero", "empty", "float-counts", "2-d", "float-slots",
+             "negative-slots", "none-slots"],
+    )
+    def test_bad_arguments_rejected(self, counts, slots):
+        with pytest.raises(InvalidInput):
+            class_quotas(counts, slots)
+
+    def test_zero_count_class_matches_filtered_vector(self):
+        # a zero-count class takes no slot, so it leaves the other quotas as they were
+        assert class_quotas([5, 0, 3, 0, 2], 5).tolist() == [3, 0, 1, 0, 1]
+        assert class_quotas([5, 3, 2], 5).tolist() == [3, 1, 1]
 
 
-def loop_balanced_select(omegas, classes, k, counts):
-    """Row-by-row reference for class_balanced_select: per-class queues in
-    (uncertainty, row) order, shortfall rounds, then a global top-up."""
+def balanced_select(omegas, classes, k, counts):
+    """Class-proportional selection through the public kernel: quotas over
+    min(k, n) slots, then the most certain candidates of each class."""
+    return most_certain(omegas, class_quotas(counts, min(k, len(omegas))), classes=classes)
+
+
+def loop_capped_select(omegas, classes, caps):
+    """Row-by-row reference for per-class caps: per-class queues in
+    (uncertainty, row) order, each cut at its class's cap."""
     key = lambda i: (omegas[i], i)
-    n, budget = len(omegas), min(k, len(omegas))
-    counted = [j for j in range(len(counts)) if counts[j] > 0]
-    if not counted:
-        return sorted(sorted(range(n), key=key)[:budget])
-    queues = {j: sorted((i for i in range(n) if classes[i] == j), key=key) for j in counted}
-    weights = np.asarray(counts, dtype=float)
-    picked, open_classes, slots = [], counted, budget
-    while slots and open_classes:
-        quotas = _largest_remainder(weights[open_classes], slots, np.asarray(open_classes))
-        for j, q in zip(open_classes, quotas):
-            picked += queues[j][:q]
-            queues[j] = queues[j][q:]
-        slots = budget - len(picked)
-        open_classes = [j for j in counted if queues[j]]
-    rest = [i for i in sorted(range(n), key=key) if i not in picked]
-    return sorted(picked + rest[: budget - len(picked)])
+    queues = [sorted((i for i in range(len(omegas)) if classes[i] == j), key=key) for j in range(len(caps))]
+    return sorted(i for queue, cap in zip(queues, caps) for i in queue[:cap])
 
 
 class TestClassBalancedSelect:
     def test_matches_loop_reference(self, rng):
         for trial in range(400):
-            n, k, c = int(rng.integers(1, 80)), int(rng.integers(1, 30)), int(rng.integers(1, 6))
+            n, c = int(rng.integers(1, 80)), int(rng.integers(1, 6))
             omegas = np.round(rng.uniform(0, 1.9, size=n), 1)  # coarse grid forces ties
-            classes = rng.integers(0, c + 1, size=n)  # class c is never counted
-            counts = rng.integers(0, 6, size=c) * (trial % 10 != 0)
-            sel = class_balanced_select(omegas, classes, k, counts)
-            assert sel.entries.tolist() == loop_balanced_select(omegas, classes, k, counts), trial
+            classes = rng.integers(0, c, size=n)
+            caps = rng.integers(0, 30, size=c + int(rng.integers(0, 3)))  # extra caps name absent classes
+            got = most_certain(omegas, caps, classes=classes)
+            assert got.tolist() == loop_capped_select(omegas, classes, caps), trial
+            counts = np.bincount(classes, minlength=c)
+            k = int(rng.integers(1, 30))
+            got = balanced_select(omegas, classes, k, counts)
+            assert got.tolist() == loop_capped_select(omegas, classes, class_quotas(counts, min(k, n))), trial
 
     def test_single_class_equals_global_topk(self):
         omegas, classes = arrays({0: [0.5, 0.1, 0.3, 0.2]})
-        sel = class_balanced_select(omegas, classes, 2, [4])
-        assert sorted(omegas[sel.entries]) == [0.1, 0.2]
-        assert not sel.fallback
+        rows = balanced_select(omegas, classes, 2, [4])
+        assert sorted(omegas[rows]) == [0.1, 0.2]
+        assert rows.tolist() == most_certain(omegas, 2).tolist()
 
     def test_equal_counts_split_evenly(self):
         omegas, classes = arrays({0: [0.4, 0.1, 0.3], 1: [0.2, 0.5, 0.05]})
-        sel = class_balanced_select(omegas, classes, 4, [3, 3])
-        assert sorted(omegas[sel.entries[classes[sel.entries] == 0]]) == [0.1, 0.3]
-        assert sorted(omegas[sel.entries[classes[sel.entries] == 1]]) == [0.05, 0.2]
+        rows = balanced_select(omegas, classes, 4, [3, 3])
+        assert sorted(omegas[rows[classes[rows] == 0]]) == [0.1, 0.3]
+        assert sorted(omegas[rows[classes[rows] == 1]]) == [0.05, 0.2]
 
     def test_largest_remainder_matches_enumeration_oracle(self):
         counts, k = (5, 3, 2), 5
-        sel = class_balanced_select(*arrays({0: [0.1] * 5, 1: [0.2] * 3, 2: [0.3] * 2}), k, counts)
-        quotas = tuple(sel.quotas.get(j, 0) for j in range(3))
+        quotas = tuple(class_quotas(counts, k).tolist())
         assert quotas in set(map(tuple, quota_oracle(counts, k)))
         # deterministic tie-break: higher class count wins the leftover slot
         assert quotas == (3, 1, 1)
+        omegas, classes = arrays({0: [0.1] * 5, 1: [0.2] * 3, 2: [0.3] * 2})
+        rows = balanced_select(omegas, classes, k, counts)
+        assert np.bincount(classes[rows], minlength=3).tolist() == [3, 1, 1]
 
     def test_quota_oracle_on_random_instances(self, rng):
         for _ in range(25):
             c = int(rng.integers(2, 5))
             counts = rng.integers(1, 9, size=c)
             k = int(rng.integers(1, counts.sum() + 1))
-            omegas = {j: list(rng.uniform(0, 1, size=counts[j])) for j in range(c)}
-            sel = class_balanced_select(*arrays(omegas), k, counts)
-            quotas = tuple(sel.quotas.get(j, 0) for j in range(c))
+            quotas = tuple(class_quotas(counts, k).tolist())
             assert sum(quotas) == min(k, int(counts.sum()))
             assert quotas in set(map(tuple, quota_oracle(counts, k)))
-
-    def test_shortfall_redistributed(self):
-        # class 0 has only 1 entry but earns quota 2; the spare slot moves to class 1
-        omegas, classes = arrays({0: [0.1], 1: [0.3, 0.2, 0.4, 0.5]})
-        sel = class_balanced_select(omegas, classes, 4, [4, 4])
-        assert len(sel.entries) == 4
-        assert sorted(classes[sel.entries]) == [0, 1, 1, 1]
-        # quotas (2, 3, 1); class 0 has no candidates, and its 2 spare slots go
-        # by proportion to class 1, not to class 2's more certain leftovers
-        omegas, classes = arrays({1: [0.1, 0.2, 0.3, 0.5, 0.6, 0.7], 2: [0.05, 0.01, 0.02]})
-        sel = class_balanced_select(omegas, classes, 6, [4, 6, 2])
-        assert sel.quotas == {0: 2, 1: 3, 2: 1}
-        assert omegas[sel.entries].tolist() == [0.1, 0.2, 0.3, 0.5, 0.6, 0.01]
-
-    def test_uncounted_classes_fill_remaining_slots(self):
-        # only class 0 is counted and it has 1 candidate; the other 2 slots go
-        # to the most certain rows of the uncounted class, ties to the lower row
-        omegas, classes = arrays({0: [0.4], 1: [0.3, 0.1, 0.2, 0.1]})
-        sel = class_balanced_select(omegas, classes, 3, [5, 0])
-        assert not sel.fallback
-        assert sel.entries.tolist() == [0, 2, 4]
+            omegas = {j: list(rng.uniform(0, 1, size=counts[j])) for j in range(c)}
+            u, classes = arrays(omegas)
+            rows = balanced_select(u, classes, k, counts)
+            assert tuple(np.bincount(classes[rows], minlength=c).tolist()) == quotas
 
     def test_selection_size_capped_by_entries(self):
-        sel = class_balanced_select(*arrays({0: [0.1, 0.2]}), 10, [2])
-        assert len(sel.entries) == 2
-
-    def test_zero_counts_fall_back_to_global(self):
-        omegas, classes = arrays({0: [0.3, 0.1]})
-        sel = class_balanced_select(omegas, classes, 1, [0, 0])
-        assert sel.fallback
-        assert omegas[sel.entries].tolist() == [0.1]
-        # the fallback returns rows in arrival order, like every other path
-        sel = class_balanced_select([0.3, 0.1], [0, 0], 2, [0, 0], rows=[5, 9])
-        assert sel.fallback
-        assert sel.entries.tolist() == [5, 9]
+        rows = balanced_select(*arrays({0: [0.1, 0.2]}), 10, [2])
+        assert len(rows) == 2
 
     def test_within_class_lowest_uncertainty_wins(self, rng):
         omegas = {0: list(rng.uniform(0, 1, size=8)), 1: list(rng.uniform(0, 1, size=8))}
         u, classes = arrays(omegas)
-        sel = class_balanced_select(u, classes, 4, [8, 8])
+        rows = balanced_select(u, classes, 4, [8, 8])
         for cls in (0, 1):
-            chosen = sorted(u[sel.entries[classes[sel.entries] == cls]])
+            chosen = sorted(u[rows[classes[rows] == cls]])
             assert chosen == sorted(omegas[cls])[:2]

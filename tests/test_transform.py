@@ -76,6 +76,12 @@ class TestClosedForm:
             solve_closed_form(st, ss, eps=1e-3), solve_closed_form(st, ss, eps=1e-3)
         )
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0])
+    def test_bad_eps_rejected(self, eps):
+        # a NaN eps used to surface as NumericalFailure from the eigensolver
+        with pytest.raises(InvalidInput, match="eps must be finite"):
+            solve_closed_form(np.eye(2), np.eye(2), eps)
+
 
 class TestGradientSolver:
     def test_fixed_point_when_already_aligned(self, rng):
@@ -146,6 +152,22 @@ class TestGradientSolver:
         s = make_spd(rng, 2)
         with pytest.raises(InvalidInput, match="max_iters must be an integer"):
             solve_gradient(s, s, max_iters=5.0)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1e-3])
+    def test_bad_lr_rejected(self, lr):
+        # a NaN lr used to run and raise DivergenceError ("retry with a smaller learning rate")
+        with pytest.raises(InvalidInput, match="learning rate must be finite and positive"):
+            solve_gradient(np.eye(2), np.eye(2), lr=lr)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        # a NaN tol used to switch the stall test off silently
+        with pytest.raises(InvalidInput, match="tol must be finite"):
+            solve_gradient(np.eye(2), np.eye(2), tol=tol)
+
+    def test_nan_eps_rejected(self):
+        with pytest.raises(InvalidInput, match="eps must be finite"):
+            solve_gradient(np.eye(2), np.eye(2), eps=np.nan)
 
     def test_early_stop_flags_convergence(self, rng):
         # geometric decay yields a constant relative improvement per step, so
