@@ -1,7 +1,7 @@
 """Command-line surface: synth, train-head, adapt, validate-theory, eval, plot.
 
-Exit codes: 0 success, 2 invalid input or configuration, 3 parse error in a
-persisted artifact, 4 numerical failure.
+Exit codes: 0 success, 2 invalid input or configuration (an OS error
+included), 3 parse error in a persisted artifact, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,14 +14,7 @@ import sys
 import numpy as np
 
 from . import io as tio
-from .errors import (
-    DegenerateLabels,
-    InsufficientSamples,
-    InvalidConfig,
-    InvalidInput,
-    NumericalFailure,
-    ParseError,
-)
+from .errors import InvalidInput, NumericalFailure, ParseError, TcaError
 from .head import accuracy, load_head, predict, save_head, train_head
 from .linalg import covariance
 from .pipeline import (
@@ -247,18 +240,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
+    except (TcaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (InvalidInput, InvalidConfig, InsufficientSamples, DegenerateLabels) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except NumericalFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        if isinstance(exc, ParseError):
+            return EXIT_PARSE
+        return EXIT_NUMERICAL if isinstance(exc, NumericalFailure) else EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabels, InvalidInput, ParseError, _check_count
-from .io import FLOAT_FORMAT, _atomic_write_text, _class_indices
+from .io import FLOAT_FORMAT, _atomic_write, _class_indices
 from .linalg import validate_embeddings
 
 HEAD_FORMAT_VERSION = 1
@@ -96,8 +96,9 @@ def train_head(
     labels = check_labels(labels, z.shape[0])
     if np.unique(labels).size < 2:
         raise DegenerateLabels("training requires at least 2 distinct labels")
-    c = int(labels.max()) + 1 if n_classes is None else int(n_classes)
-    if c < 2 or labels.max() >= c:
+    c = int(labels.max()) + 1 if n_classes is None else n_classes
+    _check_count("n_classes", c, 2)
+    if labels.max() >= c:
         raise InvalidInput(f"labels must lie in [0, {c})")
     if not (math.isfinite(lr) and lr > 0):
         raise InvalidInput(f"learning rate must be finite and positive, got {lr}")
@@ -144,7 +145,7 @@ def save_head(head: SoftmaxHead, path) -> None:
         f'  "bias": [{bias}]\n'
         "}\n"
     )
-    _atomic_write_text(path, text)
+    _atomic_write(path, text)
 
 
 def load_head(path) -> SoftmaxHead:

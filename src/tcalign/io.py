@@ -8,6 +8,7 @@ artifact; every decimal float is printed with ``FLOAT_FORMAT``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -25,15 +26,18 @@ DTYPE_F64 = 1
 FLOAT_FORMAT = "%.17g"  # 17 significant digits: lossless for float64 round-trips
 
 
-def _atomic_write(path, data: bytes) -> None:
+def _atomic_write(path, data: bytes | str) -> None:
+    """Write ``data`` (a str as UTF-8) to a temp file renamed over ``path``;
+    the temp file is removed if the write or the rename fails."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
-def _atomic_write_text(path, text: str) -> None:
-    _atomic_write(path, text.encode("utf-8"))
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_embeddings(path, z, dtype: str = "f64") -> None:
@@ -95,6 +99,8 @@ def write_labels(path, labels) -> None:
     if labels.ndim != 1 or labels.size < 1:
         raise InvalidInput("labels must be a non-empty 1-D vector")
     labels = _class_indices(labels)
+    if labels.max() > 0xFFFFFFFF:
+        raise InvalidInput(f"labels must fit in u32, got {labels.max()}")
     header = LABEL_MAGIC + struct.pack("<IQ", FORMAT_VERSION, labels.size)
     _atomic_write(path, header + labels.astype("<u4").tobytes())
 
@@ -122,7 +128,7 @@ def _write_csv(path, names: list[str], row_template: str, rows) -> None:
     """Write CSV: a header of ``names``, then ``row_template % tuple(row)`` per row, LF endings."""
     lines = [",".join(names)]
     lines.extend(row_template % tuple(row) for row in rows)
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_predictions_csv(path, preds) -> None:
@@ -138,7 +144,7 @@ def write_predictions_csv(path, preds) -> None:
 
 
 def read_predictions_csv(path):
-    """Read a predictions CSV back into (argmax, probs) arrays."""
+    """Read a predictions CSV back into a ``PredictionBatch``."""
     from .head import PredictionBatch
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -183,4 +189,4 @@ def _json_ready(value):
 
 
 def write_report_json(path, report_dict: dict) -> None:
-    _atomic_write_text(path, json.dumps(_json_ready(report_dict), indent=2) + "\n")
+    _atomic_write(path, json.dumps(_json_ready(report_dict), indent=2) + "\n")

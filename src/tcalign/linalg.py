@@ -31,9 +31,12 @@ def validate_embeddings(z, name: str = "embeddings") -> np.ndarray:
 
 
 def _square(a, name: str) -> np.ndarray:
+    """A non-empty square matrix of finite entries, as float64."""
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInput(f"{name} must be square, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise InvalidInput(f"{name} must be a non-empty square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInput(f"{name} contains non-finite entries")
     return a
 
 
@@ -46,7 +49,7 @@ def _square_pair(a, b, name_a: str, name_b: str) -> tuple[np.ndarray, np.ndarray
 
 
 def _check_symmetric(a: np.ndarray, name: str) -> None:
-    if a.size and np.max(np.abs(a - a.T)) > SYMMETRY_ATOL:
+    if np.max(np.abs(a - a.T)) > SYMMETRY_ATOL:
         raise InvalidInput(f"{name} is not symmetric within {SYMMETRY_ATOL}")
 
 
@@ -116,10 +119,10 @@ def sym_eig(sigma) -> EigPair:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
-    # eigh returns ascending order already; fix the sign of each column
+    # eigh returns ascending order already; fix the sign of each column (a
+    # unit vector's largest entry is at least 1/sqrt(d), so no sign is 0)
     pivot = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[pivot, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
     return EigPair(vectors=vectors * signs, values=values)
 
 
@@ -128,7 +131,7 @@ def spd_power(sigma, p: float) -> np.ndarray:
     if not math.isfinite(p):
         raise InvalidInput(f"power must be finite, got {p}")
     eig = sym_eig(sigma)
-    min_val = float(eig.values.min()) if eig.values.size else 0.0
+    min_val = float(eig.values.min())
     if p < 0 and min_val <= 0:
         raise SingularMatrix(
             f"power {p} undefined: smallest eigenvalue {min_val:.3e} is not positive"

@@ -15,28 +15,22 @@ import numpy as np
 
 def _ranks(values: np.ndarray) -> np.ndarray:
     """Average ranks (1-based); tied values share the mean of their positions."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True, equal_nan=False)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2)[inverse]
 
 
 def spearman(x, y) -> float | None:
     """Spearman rank correlation: Pearson correlation of average ranks.
 
-    Returns None when undefined (length mismatch, fewer than 2 points, or a
-    constant sequence).
+    Returns None when undefined (length mismatch, fewer than 2 points, a NaN,
+    which has no rank, or a constant sequence).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1 or len(x) != len(y) or len(x) < 2:
+        return None
+    if np.isnan(x).any() or np.isnan(y).any():
         return None
     rx = _ranks(x)
     ry = _ranks(y)

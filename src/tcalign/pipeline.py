@@ -35,12 +35,14 @@ SOLVERS = ("closed", "gradient")
 SELECTION_MODES = ("global", "class_balanced")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptConfig:
     """Knobs for one adaptation run; the solver defaults are those of ``transform``.
 
     The mode is not a knob: it is the function called, ``adapt_transductive``
-    or ``adapt_online`` (which alone reads ``batch_size``).
+    or ``adapt_online`` (which alone reads ``batch_size``). A config is checked
+    when it is built and cannot be changed afterwards; ``dataclasses.replace``
+    builds (and checks) a modified copy.
     """
 
     k: int = 30
@@ -51,7 +53,7 @@ class AdaptConfig:
     selection_mode: str = "global"
     batch_size: int = 64
 
-    def validate(self) -> "AdaptConfig":
+    def __post_init__(self):
         _check_count("bank capacity k", self.k, 2, InvalidConfig)
         if not (math.isfinite(self.eps) and self.eps >= 0):
             raise InvalidConfig(f"eps must be finite and >= 0, got {self.eps}")
@@ -65,7 +67,6 @@ class AdaptConfig:
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise InvalidConfig(f"lr must be finite and positive, got {self.lr}")
         _check_count("max_iters", self.max_iters, 1, InvalidConfig)
-        return self
 
 
 @dataclass
@@ -94,30 +95,23 @@ class AdaptReport:
         return out
 
 
-def _select(cfg: AdaptConfig, uncertainty, classes, class_counts, bank) -> np.ndarray:
-    """Pseudo-source rows (ascending) chosen among the ``bank`` rows.
+def _fold(cfg: AdaptConfig, bank, rows, uncertainty, classes, class_counts):
+    """Merge ``rows`` into the online bank; return ``(bank, pseudo_source)``.
 
-    A global bank already holds the k most certain rows, so it is the
-    selection. Class-balanced selection splits min(k, bank size) slots over
-    the classes in proportion to ``class_counts`` (``class_quotas``) and keeps
-    the most certain bank rows of each class up to its quota. Every quota
-    fits in the bank (see ``_fold``), so no slot goes unfilled.
+    A global bank keeps the k most certain rows so far and is itself the
+    pseudo-source. A class-balanced bank keeps the k most certain rows of
+    each class, and the pseudo-source keeps the most certain bank rows of
+    each class up to its ``class_quotas`` share of min(k, bank size) slots;
+    that share is at most min(k, n_j), n_j the class's rows so far, so
+    selecting from the bank picks what selecting from every row would.
     """
-    if cfg.selection_mode == "class_balanced":
-        quotas = class_quotas(class_counts, min(cfg.k, bank.size))
-        return most_certain(uncertainty[bank], quotas, bank, classes[bank])
-    return bank
-
-
-def _fold(cfg: AdaptConfig, bank, rows, uncertainty, classes) -> np.ndarray:
-    """Merge ``rows`` into the online bank of rows still eligible for selection:
-    the k most certain so far, or the k most certain of each class in
-    class-balanced mode. The quota of class j is at most min(k, n_j), n_j its
-    rows so far, and the bank holds min(k, n_j) rows of class j, so selecting
-    from the bank picks what selecting from every row would."""
     bank = np.concatenate([bank, rows])
-    per_class = classes[bank] if cfg.selection_mode == "class_balanced" else None
-    return most_certain(uncertainty[bank], cfg.k, bank, per_class)
+    if cfg.selection_mode == "global":
+        bank = most_certain(uncertainty[bank], cfg.k, bank)
+        return bank, bank
+    bank = most_certain(uncertainty[bank], cfg.k, bank, classes[bank])
+    quotas = class_quotas(class_counts, min(cfg.k, bank.size))
+    return bank, most_certain(uncertainty[bank], quotas, bank, classes[bank])
 
 
 def _check_test(test, mode: str) -> np.ndarray:
@@ -151,8 +145,7 @@ def _steps(test: np.ndarray, head: SoftmaxHead, cfg: AdaptConfig, batch_size: in
         uncertainty[lo:hi] = batch_uncertainties(preds.probs)
         classes[lo:hi] = preds.argmax
         class_counts += np.bincount(preds.argmax, minlength=head.n_classes)
-        bank = _fold(cfg, bank, np.arange(lo, hi), uncertainty, classes)
-        selected = _select(cfg, uncertainty, classes, class_counts, bank)
+        bank, selected = _fold(cfg, bank, np.arange(lo, hi), uncertainty, classes, class_counts)
         moments = (*covariance(test[selected]), *stats.finalize()) if len(selected) >= 2 else None
         yield lo, hi, preds, batch_stats, moments
 
@@ -204,7 +197,7 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
 
     Returns the predictions, the report and the transform of the last solve.
     """
-    cfg = (cfg or AdaptConfig()).validate()
+    cfg = cfg or AdaptConfig()
     test = _check_test(test, mode)
     n, d = test.shape
     if labels is not None:
@@ -371,7 +364,6 @@ def validate_alignment_trace(
     only the latest iterate is held; the summary correlations mirror the
     relationship plots of the alignment-theory experiments.
     """
-    cfg = cfg.validate()
     if cfg.solver != "gradient":
         raise InvalidConfig("alignment traces require the gradient solver")
     if labels is None:

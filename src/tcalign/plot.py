@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput
-from .io import _atomic_write_text
+from .io import _atomic_write
 from .linalg import validate_embeddings
 
 _WIDTH = 640
@@ -64,4 +64,4 @@ def scatter_svg(series: list[tuple[str, np.ndarray]]) -> str:
 
 
 def write_scatter_svg(path, series: list[tuple[str, np.ndarray]]) -> None:
-    _atomic_write_text(path, scatter_svg(series))
+    _atomic_write(path, scatter_svg(series))

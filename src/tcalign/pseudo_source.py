@@ -100,21 +100,19 @@ def class_quotas(class_counts, slots: int) -> np.ndarray:
     counts class j) by the largest-remainder rule.
 
     Floor quotas first, then hand leftover slots to the largest remainders,
-    as float64 computes them; remainder ties prefer the larger count, then
-    the lower class index. A zero-count class gets no slot. For candidates
-    whose classes are counted, ``most_certain(u, class_quotas(counts,
-    min(k, n)), rows, classes)`` keeps the most certain candidates of each
-    class up to its quota.
+    computed exactly in integers; remainder ties prefer the larger count,
+    then the lower class index. A zero-count class gets no slot. For
+    candidates whose classes are counted, ``most_certain(u,
+    class_quotas(counts, min(k, n)), rows, classes)`` keeps the most certain
+    candidates of each class up to its quota.
     """
     counts = _count_vector("class_counts", class_counts)
     _check_count("slots", slots, 0)
     total = int(counts.sum())
     if total == 0:
         raise InvalidInput("class_counts must count at least one row")
-    weights = counts.astype(np.float64)
-    exact = weights * (slots / total)
-    quotas = np.floor(exact).astype(np.int64)
+    quotas, remainders = np.divmod(counts * int(slots), total)
     leftover = slots - int(quotas.sum())
-    order = np.lexsort((np.arange(counts.size), -weights, quotas - exact))
+    order = np.lexsort((np.arange(counts.size), -counts, -remainders))
     quotas[order[:leftover]] += 1
     return quotas

@@ -28,7 +28,7 @@ def streamed_pseudo_source(test, head, cfg):
     """Fold ``test`` batch by batch into a bounded index bank, as online mode
     does, and return the pseudo-source rows selected after the last batch."""
     from tcalign import batch_uncertainties, predict
-    from tcalign.pipeline import _fold, _select
+    from tcalign.pipeline import _fold
 
     n = len(test)
     omegas, classes = np.empty(n), np.empty(n, dtype=np.int64)
@@ -39,5 +39,5 @@ def streamed_pseudo_source(test, head, cfg):
         probs = predict(head, test[lo:hi]).probs
         omegas[lo:hi], classes[lo:hi] = batch_uncertainties(probs), probs.argmax(axis=1)
         counts += np.bincount(classes[lo:hi], minlength=head.n_classes)
-        bank = _fold(cfg, bank, np.arange(lo, hi), omegas, classes)
-    return _select(cfg, omegas, classes, counts, bank).tolist()
+        bank, selected = _fold(cfg, bank, np.arange(lo, hi), omegas, classes, counts)
+    return selected.tolist()

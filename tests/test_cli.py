@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tcalign
-from tcalign import AdaptConfig
+from tcalign import AdaptConfig, cli
 from tcalign.cli import _build_parser, main
 from tcalign.io import read_embeddings, read_labels, write_embeddings, write_labels
 
@@ -175,6 +175,41 @@ class TestAdapt:
         )
         assert code == 3
 
+    def test_nan_test_file_exits_3(self, workspace, tmp_path):
+        _, data_dir, head_path = workspace
+        bad = tmp_path / "nan.tcae"
+        blob = bytearray((data_dir / "target.tcae").read_bytes())
+        blob[25:33] = np.array([np.nan], dtype="<f8").tobytes()
+        bad.write_bytes(bytes(blob))
+        code = main(
+            [
+                "adapt",
+                "--test", str(bad),
+                "--head", str(head_path),
+                "--out-preds", str(tmp_path / "p.csv"),
+                "--out-report", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 3
+
+    def test_report_onto_directory_leaves_no_temp_file(self, workspace, tmp_path):
+        # the rename onto a directory fails; its temp file must not outlive it
+        _, data_dir, head_path = workspace
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        code = main(
+            [
+                "adapt",
+                "--test", str(data_dir / "target.tcae"),
+                "--head", str(head_path),
+                "--out-preds", str(tmp_path / "p.csv"),
+                "--out-report", str(taken),
+            ]
+        )
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "taken"]
+        assert list(taken.iterdir()) == []
+
     def test_missing_file_exits_2(self, workspace, tmp_path):
         _, _, head_path = workspace
         code = main(
@@ -341,6 +376,33 @@ def test_parser_defaults_match_adapt_config(argv):
     )
     if argv[0] == "adapt":
         assert (args.solver, args.batch_size, args.mode) == (cfg.solver, cfg.batch_size, "transductive")
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (tcalign.InvalidInput("bad"), 2),
+        (tcalign.InvalidConfig("bad"), 2),
+        (tcalign.InsufficientSamples("bad"), 2),
+        (tcalign.DegenerateLabels("bad"), 2),
+        (tcalign.TcaError("bad"), 2),
+        (FileNotFoundError("bad"), 2),
+        (tcalign.ParseError("bad"), 3),
+        (tcalign.NumericalFailure("bad"), 4),
+        (tcalign.SingularMatrix("bad"), 4),
+        (tcalign.DivergenceError("bad"), 4),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_exit_codes(monkeypatch, capsys, error, code):
+    # the exit codes the README documents, with the error printed once
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "eval", fail)
+    assert main(["eval", "--preds", "p", "--labels", "l"]) == code
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: bad\n")
 
 
 def test_console_script_runs(tmp_path):

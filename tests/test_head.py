@@ -106,6 +106,13 @@ class TestTrainHead:
         head = train_head(z, y, lr=0.1, epochs=5, n_classes=4)
         assert head.n_classes == 4
 
+    @pytest.mark.parametrize("n_classes", [2.7, 1, -3], ids=["fraction", "one", "negative"])
+    def test_bad_class_count_rejected(self, n_classes):
+        # int(2.7) would silently train a 2-class head
+        z, y = two_cluster_data()
+        with pytest.raises(InvalidInput, match="n_classes must be an integer >= 2"):
+            train_head(z, y, lr=0.1, epochs=5, n_classes=n_classes)
+
     @pytest.mark.parametrize("offset", [0.6, -1], ids=["fraction", "negative"])
     def test_non_class_labels_rejected(self, offset):
         # a fractional label used to be truncated and trained on
@@ -241,4 +248,11 @@ class TestPersistence:
         path = tmp_path / "v2.json"
         path.write_text('{"version": 2, "c": 2, "d": 1, "weight": [[1], [2]], "bias": [0, 0]}')
         with pytest.raises(ParseError):
+            load_head(path)
+
+    def test_nan_weight_rejected(self, tmp_path):
+        # Python's json accepts the NaN literal, so the head check must catch it
+        path = tmp_path / "nan.json"
+        path.write_text('{"version": 1, "c": 2, "d": 1, "weight": [[NaN], [1]], "bias": [0, 0]}')
+        with pytest.raises(ParseError, match="head values are invalid.*non-finite"):
             load_head(path)

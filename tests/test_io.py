@@ -4,6 +4,7 @@ import pytest
 from tcalign import InvalidInput, ParseError, PredictionBatch
 from tcalign.io import (
     FLOAT_FORMAT,
+    _atomic_write,
     read_embeddings,
     read_labels,
     read_predictions_csv,
@@ -73,6 +74,15 @@ class TestEmbeddingFormat:
             read_embeddings(path)
         assert "byte offset 8" in str(info.value)
 
+    def test_nan_payload_rejected(self, rng, tmp_path):
+        path = tmp_path / "nan.tcae"
+        write_embeddings(path, rng.standard_normal((3, 2)))
+        blob = bytearray(path.read_bytes())
+        blob[25 + 8 : 25 + 16] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="non-finite values"):
+            read_embeddings(path)
+
     def test_wrong_version(self, rng, tmp_path):
         path = tmp_path / "v.tcae"
         write_embeddings(path, rng.standard_normal((2, 2)))
@@ -107,6 +117,15 @@ class TestLabelFormat:
         with pytest.raises(InvalidInput, match="nonnegative integers"):
             write_labels(path, np.array(labels))
         assert not path.exists()
+
+    def test_label_above_u32_rejected(self, tmp_path):
+        # the file stores u32, so 2**32 + 3 would read back as 3
+        path = tmp_path / "big.tcal"
+        with pytest.raises(InvalidInput, match="u32"):
+            write_labels(path, np.array([0, 2**32 + 3]))
+        assert not path.exists()
+        write_labels(path, np.array([0, 2**32 - 1]))
+        assert read_labels(path).tolist() == [0, 2**32 - 1]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.tcal"
@@ -168,6 +187,28 @@ class TestCsv:
         with pytest.raises(ParseError) as info:
             read_predictions_csv(path)
         assert "line 3" in str(info.value)
+
+    def test_predictions_short_row_names_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("argmax,p0,p1\n0,0.5,0.5\n1,0.5\n")
+        with pytest.raises(ParseError, match="wrong field count.*line 3"):
+            read_predictions_csv(path)
+
+    def test_predictions_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("argmax,p0,p1\n")
+        with pytest.raises(ParseError, match="no prediction rows"):
+            read_predictions_csv(path)
+
+
+class TestAtomicWrite:
+    def test_failed_rename_removes_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            _atomic_write(target, b"data")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list(target.iterdir()) == []
 
 
 class TestReportJson:

@@ -191,6 +191,32 @@ class TestSpdPower:
             spd_power(np.eye(2), p)
 
 
+BAD_MATRICES = {
+    "nan": np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    "inf": np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    "0x0": np.zeros((0, 0)),
+}
+
+
+class TestSquareMatrixRule:
+    # NaN > atol is false, so the symmetry check alone lets a NaN matrix
+    # through; a 0 x 0 one has no trace to scale the ridge by
+    @pytest.mark.parametrize("bad", BAD_MATRICES.values(), ids=BAD_MATRICES.keys())
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: correlation_distance(m, m),
+            lambda m: shrink(m, 0.1),
+            sym_eig,
+            lambda m: spd_power(m, 0.5),
+        ],
+        ids=["correlation_distance", "shrink", "sym_eig", "spd_power"],
+    )
+    def test_empty_or_non_finite_rejected(self, call, bad):
+        with pytest.raises(InvalidInput, match="non-empty square matrix|non-finite entries"):
+            call(bad)
+
+
 class TestCovarianceAccumulator:
     def test_single_batch_equals_covariance(self, rng):
         z = rng.standard_normal((25, 4))

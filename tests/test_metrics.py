@@ -56,6 +56,12 @@ class TestSpearman:
     def test_too_short_is_undefined(self):
         assert spearman([1.0], [2.0]) is None
 
+    def test_nan_is_undefined(self):
+        # NaN equals nothing, so it has no rank; infinities rank as ordinary values
+        assert spearman([1.0, float("nan"), 3.0], [1.0, 2.0, 3.0]) is None
+        assert spearman([1.0, 2.0, 3.0], [float("nan")] * 3) is None
+        assert spearman([-np.inf, 0.0, np.inf], [1.0, 2.0, 3.0]) == 1.0
+
 
 class TestLinearFit:
     def test_exact_line(self):

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -372,9 +372,9 @@ def all_rows_selection(omegas, classes, k, c):
     n = len(omegas)
     counts = [sum(1 for cls in classes if cls == j) for j in range(c)]
     slots = min(k, n)
-    exact = [count * (slots / n) for count in counts]
-    quotas = [math.floor(e) for e in exact]
-    by_remainder = sorted(range(c), key=lambda j: (quotas[j] - exact[j], -counts[j], j))
+    quotas, remainders = zip(*(divmod(count * slots, n) for count in counts))
+    quotas = list(quotas)
+    by_remainder = sorted(range(c), key=lambda j: (-remainders[j], -counts[j], j))
     for j in by_remainder[: slots - sum(quotas)]:
         quotas[j] += 1
     queues = [sorted((i for i in range(n) if classes[i] == j), key=lambda i: (omegas[i], i)) for j in range(c)]
@@ -387,7 +387,7 @@ class TestClassBalancedSelection:
         # the class-balanced bank keeps min(k, n_j) rows of class j and no
         # quota exceeds that, so selecting from the bank after every batch
         # picks what selecting from every row so far would
-        from tcalign.pipeline import _fold, _select
+        from tcalign.pipeline import _fold
 
         for trial in range(300):
             n, c = int(rng.integers(2, 40)), int(rng.integers(2, 9))
@@ -401,8 +401,8 @@ class TestClassBalancedSelection:
             for lo in range(0, n, batch_size):
                 hi = min(lo + batch_size, n)
                 counts += np.bincount(classes[lo:hi], minlength=c)
-                bank = _fold(cfg, bank, np.arange(lo, hi), omegas, classes)
-                got = _select(cfg, omegas, classes, counts, bank).tolist()
+                bank, selected = _fold(cfg, bank, np.arange(lo, hi), omegas, classes, counts)
+                got = selected.tolist()
                 want = all_rows_selection(omegas[:hi], classes[:hi], k, c)
                 assert got == want, f"trial {trial}, rows 0..{hi}"
 
@@ -493,6 +493,19 @@ class TestAlignmentTrace:
         assert [r.iteration for r in result.rows] == list(range(0, 1001, 100))
         assert peak < 100 * d * d * 8
 
+    def test_final_iterate_recorded_between_records(self, linear_demo):
+        # the solver stops on an iteration that is not a multiple of
+        # record_every, so the last iterate gets a row of its own
+        data, head = linear_demo
+        stats = covariance(data.source.features)
+        cfg = AdaptConfig(solver="gradient", lr=1e-7, max_iters=200)
+        result = validate_alignment_trace(
+            data.target.features, head, cfg, stats, data.target.labels, record_every=7
+        )
+        last = result.solver_trace.iterations
+        assert last % 7 != 0
+        assert [r.iteration for r in result.rows] == [*range(0, last, 7), last]
+
     def test_requires_gradient_solver(self, linear_demo):
         data, head = linear_demo
         stats = covariance(data.source.features)
@@ -556,7 +569,16 @@ class TestConfigValidation:
     )
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(InvalidConfig):
-            AdaptConfig(**kwargs).validate()
+            AdaptConfig(**kwargs)
+
+    def test_checked_when_built_and_frozen(self):
+        cfg = AdaptConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.k = 0
+        assert replace(cfg, k=5).k == 5
+        with pytest.raises(InvalidConfig, match="bank capacity k"):
+            replace(cfg, k=1)
+        assert len(fields(AdaptConfig)) == 7
 
     @pytest.mark.parametrize(
         "mode, kwargs",

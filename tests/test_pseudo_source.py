@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -267,6 +269,21 @@ class TestLargestRemainder:
     def test_bad_arguments_rejected(self, counts, slots):
         with pytest.raises(InvalidInput):
             class_quotas(counts, slots)
+
+    def test_matches_exact_fraction_reference(self):
+        # remainders are compared exactly, so equal remainders tie and the
+        # rule (larger count, then lower class) decides: 1/3 each for [1, 1, 4]
+        assert class_quotas([1, 1, 4], 2).tolist() == [0, 0, 2]
+        for counts in itertools.product(range(9), repeat=3):
+            if sum(counts) == 0:
+                continue
+            for slots in range(1, 12):
+                exact = [Fraction(count * slots, sum(counts)) for count in counts]
+                want = [math.floor(e) for e in exact]
+                by_remainder = sorted(range(3), key=lambda j: (want[j] - exact[j], -counts[j], j))
+                for j in by_remainder[: slots - sum(want)]:
+                    want[j] += 1
+                assert class_quotas(counts, slots).tolist() == want, (counts, slots)
 
     def test_zero_count_class_matches_filtered_vector(self):
         # a zero-count class takes no slot, so it leaves the other quotas as they were

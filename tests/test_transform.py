@@ -40,6 +40,28 @@ class TestObjective:
             objective(np.eye(2), np.eye(2), np.eye(3))
 
 
+class TestSquareMatrixRule:
+    # the solvers take their matrices through the same rule as linalg
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([[1.0, np.nan], [np.nan, 1.0]]), np.zeros((0, 0))],
+        ids=["nan", "0x0"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: objective(np.eye(len(s)), s, s),
+            lambda s: objective_gradient(np.eye(len(s)), s, s),
+            lambda s: solve_closed_form(s, s),
+            lambda s: solve_gradient(s, s),
+        ],
+        ids=["objective", "objective_gradient", "solve_closed_form", "solve_gradient"],
+    )
+    def test_empty_or_non_finite_rejected(self, call, bad):
+        with pytest.raises(InvalidInput, match="non-empty square matrix|non-finite entries"):
+            call(bad)
+
+
 class TestClosedForm:
     def test_identical_statistics_give_identity(self, rng):
         s = make_spd(rng, 5)
