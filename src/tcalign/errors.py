@@ -1,5 +1,7 @@
-"""Exception hierarchy shared by all tcalign modules, and the one integer-count rule."""
+"""Exception hierarchy shared by all tcalign modules, and the one integer-count
+and finite-real rules."""
 
+import math
 import numbers
 
 
@@ -61,3 +63,8 @@ def _check_count(name: str, value, minimum: int, error: type[TcaError] = Invalid
     or is below ``minimum``."""
     if not isinstance(value, numbers.Integral) or value < minimum:
         raise error(f"{name} must be an integer >= {minimum}, got {value}")
+
+
+def _finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number (numpy floats and integers pass)."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)

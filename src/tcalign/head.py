@@ -8,13 +8,12 @@ deterministic without threading an RNG through the API.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels, InvalidInput, ParseError, _check_count
-from .io import FLOAT_FORMAT, _atomic_write, _class_indices
+from .errors import DegenerateLabels, InvalidInput, ParseError, _check_count, _finite_real
+from .io import FLOAT_FORMAT, _atomic_write, _class_indices, _read_text
 from .linalg import validate_embeddings
 
 HEAD_FORMAT_VERSION = 1
@@ -100,7 +99,7 @@ def train_head(
     _check_count("n_classes", c, 2)
     if labels.max() >= c:
         raise InvalidInput(f"labels must lie in [0, {c})")
-    if not (math.isfinite(lr) and lr > 0):
+    if not (_finite_real(lr) and lr > 0):
         raise InvalidInput(f"learning rate must be finite and positive, got {lr}")
     _check_count("epochs", epochs, 0)
 
@@ -151,8 +150,7 @@ def save_head(head: SoftmaxHead, path) -> None:
 def load_head(path) -> SoftmaxHead:
     """Read a head JSON file, validating schema and shapes."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in head file {path}", f"line {exc.lineno}") from exc
     if not isinstance(doc, dict):
@@ -165,20 +163,13 @@ def load_head(path) -> SoftmaxHead:
     c, d = doc["c"], doc["d"]
     if not (isinstance(c, int) and isinstance(d, int) and c >= 2 and d >= 1):
         raise ParseError("c and d must be integers with c >= 2, d >= 1", "fields 'c'/'d'")
-    weight = doc["weight"]
-    if not isinstance(weight, list) or len(weight) != c:
-        raise ParseError(f"weight must have {c} rows", "field 'weight'")
-    for i, row in enumerate(weight):
-        if not isinstance(row, list) or len(row) != d:
-            raise ParseError(f"weight row {i} must have {d} entries", f"field 'weight[{i}]'")
-    bias = doc["bias"]
-    if not isinstance(bias, list) or len(bias) != c:
-        raise ParseError(f"bias must have {c} entries", "field 'bias'")
     try:
-        head = SoftmaxHead(
-            weight=np.array(weight, dtype=np.float64),
-            bias=np.array(bias, dtype=np.float64),
-        )
-    except (InvalidInput, ValueError) as exc:
+        weight = np.array(doc["weight"], dtype=np.float64)
+        bias = np.array(doc["bias"], dtype=np.float64)
+        if weight.shape != (c, d):
+            raise ParseError(f"weight must have {c} rows of {d} entries", "field 'weight'")
+        if bias.shape != (c,):
+            raise ParseError(f"bias must have {c} entries", "field 'bias'")
+        return SoftmaxHead(weight=weight, bias=bias)
+    except (InvalidInput, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"head values are invalid: {exc}", "fields 'weight'/'bias'") from exc
-    return head

@@ -7,12 +7,12 @@ bottleneck of the whole alignment pipeline, so inputs are upcast on entry.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientSamples, InvalidInput, NumericalFailure, SingularMatrix
+from .errors import _check_count, _finite_real
 
 SHRINK_FLOOR = 1e-12
 SYMMETRY_ATOL = 1e-9
@@ -90,7 +90,7 @@ def shrink(sigma, eps: float) -> np.ndarray:
     """
     sigma = _square(sigma, "sigma")
     _check_symmetric(sigma, "sigma")
-    if not (math.isfinite(eps) and eps >= 0):
+    if not (_finite_real(eps) and eps >= 0):
         raise InvalidInput(f"eps must be finite and >= 0, got {eps}")
     d = sigma.shape[0]
     lam = eps * float(np.trace(sigma)) / d + SHRINK_FLOOR
@@ -128,7 +128,7 @@ def sym_eig(sigma) -> EigPair:
 
 def spd_power(sigma, p: float) -> np.ndarray:
     """Matrix power U diag(lambda^p) U^T of a symmetric positive definite matrix."""
-    if not math.isfinite(p):
+    if not _finite_real(p):
         raise InvalidInput(f"power must be finite, got {p}")
     eig = sym_eig(sigma)
     min_val = float(eig.values.min())
@@ -153,8 +153,7 @@ class CovarianceAccumulator:
     """
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise InvalidInput(f"dimension must be >= 1, got {dim}")
+        _check_count("dimension", dim, 1)
         self.dim = int(dim)
         self.count = 0
         self.mean = np.zeros(self.dim)

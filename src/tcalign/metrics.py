@@ -52,12 +52,14 @@ class LinearFit:
 def linear_fit_r2(x, y) -> LinearFit | None:
     """Ordinary least squares y = slope*x + intercept with R^2.
 
-    None for constant x (no fit exists); r2 is None when y is constant
-    (zero total variance makes the ratio meaningless).
+    None for constant x or a non-finite input (no fit exists); r2 is None
+    when y is constant (zero total variance makes the ratio meaningless).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1 or len(x) != len(y) or len(x) < 2:
+        return None
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         return None
     xc = x - x.mean()
     sxx = float(xc @ xc)

@@ -18,12 +18,11 @@ those identities are tested against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientSamples, InvalidConfig, InvalidInput, _check_count
+from .errors import InsufficientSamples, InvalidConfig, InvalidInput, _check_count, _finite_real
 from .head import PredictionBatch, SoftmaxHead, accuracy, check_labels, predict
 from .linalg import CovarianceAccumulator, correlation_distance, covariance, validate_embeddings
 from .metrics import linear_fit_r2, spearman
@@ -55,7 +54,7 @@ class AdaptConfig:
 
     def __post_init__(self):
         _check_count("bank capacity k", self.k, 2, InvalidConfig)
-        if not (math.isfinite(self.eps) and self.eps >= 0):
+        if not (_finite_real(self.eps) and self.eps >= 0):
             raise InvalidConfig(f"eps must be finite and >= 0, got {self.eps}")
         if self.solver not in SOLVERS:
             raise InvalidConfig(f"solver must be one of {SOLVERS}, got {self.solver!r}")
@@ -64,7 +63,7 @@ class AdaptConfig:
                 f"selection_mode must be one of {SELECTION_MODES}, got {self.selection_mode!r}"
             )
         _check_count("batch_size", self.batch_size, 1, InvalidConfig)
-        if not (math.isfinite(self.lr) and self.lr > 0):
+        if not (_finite_real(self.lr) and self.lr > 0):
             raise InvalidConfig(f"lr must be finite and positive, got {self.lr}")
         _check_count("max_iters", self.max_iters, 1, InvalidConfig)
 

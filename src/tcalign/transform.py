@@ -9,13 +9,12 @@ rank-deficient pseudo-source statistics stay invertible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInput, _check_count
+from .errors import DivergenceError, InvalidInput, _check_count, _finite_real
 from .linalg import _square_pair, shrink, spd_power, validate_embeddings
 
 DEFAULT_EPS = 1e-3
@@ -114,10 +113,10 @@ def solve_gradient(
     learning rate than the 1e-3 default.
     """
     sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
-    if not (math.isfinite(lr) and lr > 0):
+    if not (_finite_real(lr) and lr > 0):
         raise InvalidInput(f"learning rate must be finite and positive, got {lr}")
     _check_count("max_iters", max_iters, 1)
-    if not math.isfinite(tol):
+    if not _finite_real(tol):
         raise InvalidInput(f"tol must be finite, got {tol}")
     sigma_t_reg = shrink(sigma_t, eps)
     sigma_s_reg = shrink(sigma_s_hat, eps)

@@ -107,6 +107,8 @@ class TestAdapt:
         assert list(report) == keys + (["solver_trace"] if solver == "gradient" else [])
         if solver == "gradient":
             assert list(report["solver_trace"]) == ["objective_values", "iterations", "converged"]
+            # a JSON boolean, no longer 0/1
+            assert isinstance(report["solver_trace"]["converged"], bool)
 
     def test_online_run(self, workspace, tmp_path):
         _, data_dir, head_path = workspace
@@ -192,6 +194,25 @@ class TestAdapt:
         )
         assert code == 3
 
+    def test_non_utf8_head_exits_3(self, workspace, tmp_path, capsys):
+        # undecodable bytes used to escape as a UnicodeDecodeError traceback (exit 1)
+        _, data_dir, head_path = workspace
+        bad = tmp_path / "head.json"
+        bad.write_bytes(head_path.read_bytes().replace(b'"version"', b'"v\xe9rsion"'))
+        code = main(
+            [
+                "adapt",
+                "--test", str(data_dir / "target.tcae"),
+                "--head", str(bad),
+                "--out-preds", str(tmp_path / "p.csv"),
+                "--out-report", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "is not UTF-8 text (byte offset 6)" in err
+
     def test_report_onto_directory_leaves_no_temp_file(self, workspace, tmp_path):
         # the rename onto a directory fails; its temp file must not outlive it
         _, data_dir, head_path = workspace
@@ -260,6 +281,17 @@ class TestEval:
         got = json.loads(capsys.readouterr().out.strip())
         report = json.loads(report_path.read_text())
         assert got["accuracy"] == pytest.approx(report["accuracy_after"], abs=1e-12)
+
+
+    def test_non_utf8_predictions_exit_3(self, workspace, tmp_path, capsys):
+        _, data_dir, _ = workspace
+        bad = tmp_path / "preds.csv"
+        bad.write_bytes(b"argmax,p0,p1,p2\n0,0.5,0.5,\xff\n")
+        code = main(["eval", "--preds", str(bad), "--labels", str(data_dir / "target.tcal")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "is not UTF-8 text (byte offset 26)" in err
 
 
 class TestValidateTheory:

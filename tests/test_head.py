@@ -138,7 +138,7 @@ class TestTrainHead:
         want = train_head(z, y, lr=0.1, epochs=5)
         assert np.array_equal(got.weight, want.weight)
 
-    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -0.1])
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -0.1, None, "0.1"])
     def test_bad_lr_rejected(self, lr):
         # an inf lr used to raise a numpy RuntimeWarning, a NaN lr to train
         # every epoch and fail on the non-finite head
@@ -219,6 +219,18 @@ class TestPersistence:
             '{"version": 1, "c": 2, "d": 3, "weight": [[1, 2], [3, 4]], "bias": [0, 0]}'
         )
         with pytest.raises(ParseError):
+            load_head(path)
+
+    @pytest.mark.parametrize(
+        "weight",
+        ["[[{}], [1]]", "[[1], [1, 2]]", '"w"', "[[" + "9" * 400 + "], [1]]"],
+        ids=["object", "ragged", "string", "huge-int"],
+    )
+    def test_unconvertible_weight_rejected(self, tmp_path, weight):
+        # an object entry used to escape as a bare TypeError
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"version": 1, "c": 2, "d": 1, "weight": {weight}, "bias": [0, 0]}}')
+        with pytest.raises(ParseError, match="field"):
             load_head(path)
 
     def test_minimal_hand_written_head(self, tmp_path):

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from tcalign import InvalidInput, ParseError, PredictionBatch
+from tcalign import InvalidInput, ParseError, PredictionBatch, SoftmaxHead, load_head, save_head
 from tcalign.io import (
     FLOAT_FORMAT,
     _atomic_write,
@@ -213,9 +215,74 @@ class TestAtomicWrite:
 
 class TestReportJson:
     def test_writes_valid_json(self, tmp_path):
-        import json
-
         path = tmp_path / "r.json"
         write_report_json(path, {"a": 1, "b": 0.5, "c": None, "d": np.float64(np.nan)})
         doc = json.loads(path.read_text())
         assert doc == {"a": 1, "b": 0.5, "c": None, "d": None}
+
+    def test_booleans_stay_booleans(self, tmp_path):
+        # a bool used to be written as 0/1
+        path = tmp_path / "r.json"
+        write_report_json(path, {"converged": True, "trace": [False, {"x": True}]})
+        assert path.read_text() == (
+            '{\n  "converged": true,\n  "trace": [\n    false,\n    {\n      "x": true\n    }\n  ]\n}\n'
+        )
+
+
+def _valid_files(tmp_path) -> dict:
+    """One small valid file of each persisted format, keyed by format."""
+    probs = np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]])
+    write_embeddings(tmp_path / "e32.tcae", [[1.0, -2.0], [0.5, 3.0]], dtype="f32")
+    write_embeddings(tmp_path / "e64.tcae", [[1.0, -2.0, 0.5]], dtype="f64")
+    write_labels(tmp_path / "l.tcal", [0, 1, 2])
+    save_head(SoftmaxHead(weight=[[1.0, -1.0], [0.5, 2.0]], bias=[0.0, 1e-3]), tmp_path / "h.json")
+    write_predictions_csv(tmp_path / "p.csv", PredictionBatch(probs, probs.argmax(axis=1)))
+    return {
+        "tcae-f32": (read_embeddings, tmp_path / "e32.tcae"),
+        "tcae-f64": (read_embeddings, tmp_path / "e64.tcae"),
+        "tcal": (read_labels, tmp_path / "l.tcal"),
+        "head-json": (load_head, tmp_path / "h.json"),
+        "predictions-csv": (read_predictions_csv, tmp_path / "p.csv"),
+    }
+
+
+def _mutate(blob: bytes, rng) -> bytes:
+    """``blob`` after 1 to 3 random overwrites, inserts, deletes or truncations."""
+    out = bytearray(blob)
+    for _ in range(rng.integers(1, 4)):
+        at = int(rng.integers(len(out) + 1))
+        op = rng.integers(4)
+        if op == 0 and at < len(out):
+            out[at] = rng.integers(256)
+        elif op == 1:
+            out.insert(at, rng.integers(256))
+        elif op == 2:
+            del out[at : at + 1]
+        elif op == 3:
+            del out[at:]
+    return bytes(out)
+
+
+class TestReaderContract:
+    @pytest.mark.parametrize(
+        "fmt", ["tcae-f32", "tcae-f64", "tcal", "head-json", "predictions-csv"]
+    )
+    def test_mutated_file_reads_or_raises_parse_error(self, tmp_path, fmt):
+        # every reader returns or raises ParseError, whatever the bytes; undecodable
+        # text used to escape as UnicodeDecodeError
+        reader, source = _valid_files(tmp_path)[fmt]
+        reader(source)
+        blob = source.read_bytes()
+        rng = np.random.default_rng(sum(fmt.encode()))
+        path = tmp_path / f"mutant-{source.name}"
+        escapes = []
+        for i in range(300):
+            mutant = _mutate(blob, rng)
+            path.write_bytes(mutant)
+            try:
+                reader(path)
+            except ParseError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the contract is about any other type
+                escapes.append(f"mutant {i} {mutant!r}: {type(exc).__name__}: {exc}")
+        assert escapes == []

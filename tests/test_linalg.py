@@ -107,7 +107,7 @@ class TestShrink:
         out = shrink(sigma, 1e-3)
         assert np.linalg.eigvalsh(out).min() > 0
 
-    @pytest.mark.parametrize("eps", [np.nan, np.inf, -0.1])
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -0.1, None, "0.1"])
     def test_bad_eps_rejected(self, eps):
         # a NaN eps used to slip past "eps < 0" and return a NaN matrix
         with pytest.raises(InvalidInput, match="eps must be finite and >= 0"):
@@ -184,7 +184,7 @@ class TestSpdPower:
         with pytest.raises(SingularMatrix):
             spd_power(np.diag([1.0, -1.0]), 0.5)
 
-    @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, "x", None])
     def test_non_finite_power_rejected(self, p):
         # a NaN power used to raise a bare ValueError from int(p)
         with pytest.raises(InvalidInput, match="power must be finite"):
@@ -236,6 +236,12 @@ class TestCovarianceAccumulator:
         mean_ref, sigma_ref = covariance(z)
         assert np.linalg.norm(mean - mean_ref) <= 1e-10 * max(1.0, np.linalg.norm(mean_ref))
         assert np.linalg.norm(sigma - sigma_ref) <= 1e-10 * np.linalg.norm(sigma_ref)
+
+    @pytest.mark.parametrize("dim", [0, 2.5, "3", None])
+    def test_bad_dimension_rejected(self, dim):
+        # 2.5 used to become a 2-dimensional accumulator, "3" a bare TypeError
+        with pytest.raises(InvalidInput, match="dimension must be an integer >= 1"):
+            CovarianceAccumulator(dim)
 
     def test_empty_finalize_rejected(self):
         with pytest.raises(InsufficientSamples):

@@ -79,6 +79,12 @@ class TestLinearFit:
     def test_constant_x_is_undefined(self):
         assert linear_fit_r2([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]) is None
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_is_undefined(self, bad):
+        # a NaN used to come back as a fit of NaNs
+        assert linear_fit_r2([1.0, bad, 3.0], [1.0, 2.0, 3.0]) is None
+        assert linear_fit_r2([1.0, 2.0, 3.0], [1.0, 2.0, bad]) is None
+
     def test_matches_normal_equation_oracle(self, rng):
         x = rng.standard_normal(40)
         y = 3.0 * x - 2.0 + rng.standard_normal(40)

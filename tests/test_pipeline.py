@@ -565,6 +565,10 @@ class TestConfigValidation:
             {"eps": float("inf")},
             {"lr": float("nan")},
             {"lr": float("inf")},
+            {"eps": "0.1"},
+            {"lr": None},
+            {"lr": "0.1"},
+            {"eps": None},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):

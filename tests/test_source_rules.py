@@ -1,6 +1,7 @@
-"""Source rules: the package has one atomic writer and one decimal float
-format, both in ``io.py``, so no module grows a second copy of either, and
-it keeps no public definition that nothing reads."""
+"""Source rules: the package has one atomic writer, one decimal float format,
+one place that opens files and one that packs byte layouts, all in ``io.py``,
+so no module grows a second copy of any, and it keeps no public definition
+that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -12,7 +13,7 @@ import tcalign
 PACKAGE = Path(tcalign.__file__).parent
 
 
-@pytest.mark.parametrize("needle", ["os.replace", ".17g"])
+@pytest.mark.parametrize("needle", ["os.replace", ".17g", "open(", "import struct"])
 def test_only_io_renames_files_and_formats_floats(needle):
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert needle in sources.pop("io.py")

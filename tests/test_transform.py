@@ -98,7 +98,7 @@ class TestClosedForm:
             solve_closed_form(st, ss, eps=1e-3), solve_closed_form(st, ss, eps=1e-3)
         )
 
-    @pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0, "x"])
     def test_bad_eps_rejected(self, eps):
         # a NaN eps used to surface as NumericalFailure from the eigensolver
         with pytest.raises(InvalidInput, match="eps must be finite"):
@@ -175,13 +175,13 @@ class TestGradientSolver:
         with pytest.raises(InvalidInput, match="max_iters must be an integer"):
             solve_gradient(s, s, max_iters=5.0)
 
-    @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1e-3])
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1e-3, "x", None])
     def test_bad_lr_rejected(self, lr):
         # a NaN lr used to run and raise DivergenceError ("retry with a smaller learning rate")
         with pytest.raises(InvalidInput, match="learning rate must be finite and positive"):
             solve_gradient(np.eye(2), np.eye(2), lr=lr)
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, "x", None])
     def test_non_finite_tol_rejected(self, tol):
         # a NaN tol used to switch the stall test off silently
         with pytest.raises(InvalidInput, match="tol must be finite"):
