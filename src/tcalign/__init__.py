@@ -19,15 +19,7 @@ from .errors import (
     TcaError,
 )
 from .head import PredictionBatch, SoftmaxHead, accuracy, load_head, predict, save_head, train_head
-from .linalg import (
-    CovarianceAccumulator,
-    EigPair,
-    correlation_distance,
-    covariance,
-    shrink,
-    spd_power,
-    sym_eig,
-)
+from .linalg import CovarianceAccumulator, correlation_distance, covariance, shrink, spd_power
 from .metrics import LinearFit, linear_fit_r2, spearman
 from .pipeline import (
     AdaptConfig,
@@ -61,7 +53,6 @@ __all__ = [
     "CovarianceAccumulator",
     "DegenerateLabels",
     "DivergenceError",
-    "EigPair",
     "GroupRow",
     "InsufficientSamples",
     "InvalidConfig",
@@ -101,7 +92,6 @@ __all__ = [
     "solve_gradient",
     "spd_power",
     "spearman",
-    "sym_eig",
     "train_head",
     "validate_alignment_trace",
     "validate_uncertainty_groups",

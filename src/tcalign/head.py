@@ -153,6 +153,8 @@ def load_head(path) -> SoftmaxHead:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in head file {path}", f"line {exc.lineno}") from exc
+    except (ValueError, RecursionError) as exc:  # integer digit limit, nesting depth
+        raise ParseError(f"invalid JSON in head file {path}: {exc}", "top level") from exc
     if not isinstance(doc, dict):
         raise ParseError("head file must contain a JSON object", "top level")
     for key in ("version", "c", "d", "weight", "bias"):

@@ -161,9 +161,9 @@ def read_predictions_csv(path):
         if len(parts) != n_cols:
             raise ParseError(f"wrong field count in {path}", f"line {i}")
         try:
-            argmax.append(int(parts[0]))
+            argmax.append(np.int64(int(parts[0])))
             probs.append([float(v) for v in parts[1:]])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ParseError(f"unparseable number in {path}: {exc}", f"line {i}") from exc
     if not probs:
         raise ParseError(f"no prediction rows in {path}", "line 2")

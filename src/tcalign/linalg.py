@@ -3,11 +3,11 @@
 Everything here operates on float64 regardless of what precision the caller
 hands in: eigensolves on near-singular covariances are the accuracy
 bottleneck of the whole alignment pipeline, so inputs are upcast on entry.
+The package's one eigendecomposition is ``_power``; public entries check
+their matrices once and hand them to it unchecked.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +48,12 @@ def _square_pair(a, b, name_a: str, name_b: str) -> tuple[np.ndarray, np.ndarray
     return a, b
 
 
-def _check_symmetric(a: np.ndarray, name: str) -> None:
+def _symmetric(a, name: str) -> np.ndarray:
+    """A square matrix (see ``_square``) equal to its transpose within SYMMETRY_ATOL."""
+    a = _square(a, name)
     if np.max(np.abs(a - a.T)) > SYMMETRY_ATOL:
         raise InvalidInput(f"{name} is not symmetric within {SYMMETRY_ATOL}")
+    return a
 
 
 def covariance(z) -> tuple[np.ndarray, np.ndarray]:
@@ -88,8 +91,7 @@ def shrink(sigma, eps: float) -> np.ndarray:
     Keeps inverse square roots finite when sigma is rank-deficient, e.g. a
     pseudo-source covariance built from fewer samples than dimensions.
     """
-    sigma = _square(sigma, "sigma")
-    _check_symmetric(sigma, "sigma")
+    sigma = _symmetric(sigma, "sigma")
     if not (_finite_real(eps) and eps >= 0):
         raise InvalidInput(f"eps must be finite and >= 0, got {eps}")
     d = sigma.shape[0]
@@ -97,41 +99,23 @@ def shrink(sigma, eps: float) -> np.ndarray:
     return sigma + lam * np.eye(d)
 
 
-@dataclass
-class EigPair:
-    """Orthogonal eigenvectors (columns) and ascending eigenvalues of a symmetric matrix."""
-
-    vectors: np.ndarray
-    values: np.ndarray
-
-
-def sym_eig(sigma) -> EigPair:
-    """Deterministic symmetric eigendecomposition, eigenvalues ascending.
-
-    Sign convention: the largest-magnitude component of each eigenvector is
-    made nonnegative (first such index on ties), so repeated calls on the
-    same input yield identical output.
-    """
-    sigma = _square(sigma, "sigma")
-    _check_symmetric(sigma, "sigma")
-    sym = (sigma + sigma.T) / 2.0
-    try:
-        values, vectors = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
-    # eigh returns ascending order already; fix the sign of each column (a
-    # unit vector's largest entry is at least 1/sqrt(d), so no sign is 0)
-    pivot = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[pivot, np.arange(vectors.shape[1])])
-    return EigPair(vectors=vectors * signs, values=values)
-
-
 def spd_power(sigma, p: float) -> np.ndarray:
     """Matrix power U diag(lambda^p) U^T of a symmetric positive definite matrix."""
     if not _finite_real(p):
         raise InvalidInput(f"power must be finite, got {p}")
-    eig = sym_eig(sigma)
-    min_val = float(eig.values.min())
+    return _power(_symmetric(sigma, "sigma"), p)
+
+
+def _power(sigma: np.ndarray, p: float) -> np.ndarray:
+    """``spd_power`` of a finite symmetric matrix, or of ``shrink``'s output of one."""
+    # shrink's ridge can overflow, and always shows on the diagonal when it does
+    if not np.all(np.isfinite(sigma.diagonal())):
+        raise InvalidInput("sigma contains non-finite entries")
+    try:
+        values, vectors = np.linalg.eigh((sigma + sigma.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
+    min_val = float(values.min())
     if p < 0 and min_val <= 0:
         raise SingularMatrix(
             f"power {p} undefined: smallest eigenvalue {min_val:.3e} is not positive"
@@ -140,7 +124,7 @@ def spd_power(sigma, p: float) -> np.ndarray:
         raise SingularMatrix(
             f"fractional power {p} undefined for negative eigenvalue {min_val:.3e}"
         )
-    powered = (eig.vectors * eig.values**p) @ eig.vectors.T
+    powered = (vectors * values**p) @ vectors.T
     return (powered + powered.T) / 2.0
 
 

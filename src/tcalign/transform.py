@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, InvalidInput, _check_count, _finite_real
-from .linalg import _square_pair, shrink, spd_power, validate_embeddings
+from .linalg import _power, _square_pair, shrink, validate_embeddings
 
 DEFAULT_EPS = 1e-3
 DEFAULT_LR = 1e-3
@@ -61,21 +61,24 @@ class SolverTrace:
     converged: bool = False
 
 
-def objective(w, sigma_t, sigma_s_hat) -> float:
-    """Alignment residual ||W^T sigma_t W - sigma_s_hat||_F^2."""
+def _residual(w, sigma_t, sigma_s_hat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked (w, sigma_t, W^T sigma_t W - sigma_s_hat), as float64."""
     sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
     w = np.asarray(w, dtype=np.float64)
     if w.shape != sigma_t.shape:
         raise InvalidInput(f"w shape {w.shape} does not match sigma shape {sigma_t.shape}")
-    residual = w.T @ sigma_t @ w - sigma_s_hat
+    return w, sigma_t, w.T @ sigma_t @ w - sigma_s_hat
+
+
+def objective(w, sigma_t, sigma_s_hat) -> float:
+    """Alignment residual ||W^T sigma_t W - sigma_s_hat||_F^2."""
+    *_, residual = _residual(w, sigma_t, sigma_s_hat)
     return float(np.sum(residual * residual))
 
 
 def objective_gradient(w, sigma_t, sigma_s_hat) -> np.ndarray:
     """Analytic gradient 4 sigma_t W (W^T sigma_t W - sigma_s_hat) of objective()."""
-    sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
-    w = np.asarray(w, dtype=np.float64)
-    residual = w.T @ sigma_t @ w - sigma_s_hat
+    w, sigma_t, residual = _residual(w, sigma_t, sigma_s_hat)
     return 4.0 * sigma_t @ w @ residual
 
 
@@ -89,7 +92,7 @@ def solve_closed_form(sigma_t, sigma_s_hat, eps: float = DEFAULT_EPS) -> np.ndar
     sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
     sigma_t_reg = shrink(sigma_t, eps)
     sigma_s_reg = shrink(sigma_s_hat, eps)
-    return spd_power(sigma_t_reg, -0.5) @ spd_power(sigma_s_reg, 0.5)
+    return _power(sigma_t_reg, -0.5) @ _power(sigma_s_reg, 0.5)
 
 
 def solve_gradient(

@@ -213,6 +213,24 @@ class TestAdapt:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "is not UTF-8 text (byte offset 6)" in err
 
+    def test_too_deeply_nested_head_exits_3(self, workspace, tmp_path, capsys):
+        # json's nesting limit used to escape as a RecursionError traceback (exit 1)
+        _, data_dir, _ = workspace
+        bad = tmp_path / "head.json"
+        bad.write_text("[" * 100000)
+        code = main(
+            [
+                "adapt",
+                "--test", str(data_dir / "target.tcae"),
+                "--head", str(bad),
+                "--out-preds", str(tmp_path / "p.csv"),
+                "--out-report", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON in head file") and err.endswith("(top level)\n")
+
     def test_report_onto_directory_leaves_no_temp_file(self, workspace, tmp_path):
         # the rename onto a directory fails; its temp file must not outlive it
         _, data_dir, head_path = workspace
@@ -292,6 +310,16 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "is not UTF-8 text (byte offset 26)" in err
+
+    def test_argmax_outside_int64_exits_3(self, workspace, tmp_path, capsys):
+        # the int64 cast used to escape as an OverflowError traceback (exit 1)
+        _, data_dir, _ = workspace
+        bad = tmp_path / "preds.csv"
+        bad.write_text("argmax,p0,p1,p2\n0,0.5,0.5,0\n99999999999999999999999,0.5,0.5,0\n")
+        code = main(["eval", "--preds", str(bad), "--labels", str(data_dir / "target.tcal")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: unparseable number") and err.endswith("(line 3)\n")
 
 
 class TestValidateTheory:

@@ -286,3 +286,21 @@ class TestReaderContract:
             except Exception as exc:  # noqa: BLE001 - the contract is about any other type
                 escapes.append(f"mutant {i} {mutant!r}: {type(exc).__name__}: {exc}")
         assert escapes == []
+
+    @pytest.mark.parametrize(
+        "reader, text, context",
+        [
+            (load_head, '{"version": 1, "c": ' + "9" * 5000 + "}", "(top level)"),
+            (load_head, "[" * 100000, "(top level)"),
+            (read_predictions_csv, "argmax,p0,p1\n0,0.5,0.5\n99999999999999999999999,0.5,0.5\n", "(line 3)"),
+        ],
+        ids=["head-huge-int", "head-deep-nesting", "predictions-int64-overflow"],
+    )
+    def test_parser_limits_raise_parse_error(self, tmp_path, reader, text, context):
+        # json's integer digit limit and nesting depth used to escape as ValueError and
+        # RecursionError, and an argmax outside int64 as OverflowError
+        path = tmp_path / "limit"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            reader(path)
+        assert str(info.value).endswith(context)

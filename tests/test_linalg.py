@@ -10,7 +10,6 @@ from tcalign import (
     covariance,
     shrink,
     spd_power,
-    sym_eig,
 )
 from conftest import make_spd, make_symmetric
 
@@ -97,10 +96,12 @@ class TestShrink:
         out = shrink(np.zeros((4, 4)), 0.1)
         assert np.allclose(out, 1e-12 * np.eye(4), rtol=0, atol=1e-20)
 
-    def test_asymmetric_rejected(self):
-        bad = np.array([[1.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(InvalidInput):
-            shrink(bad, 0.1)
+    @pytest.mark.parametrize(
+        "call", [lambda m: shrink(m, 0.1), lambda m: spd_power(m, 0.5)], ids=["shrink", "spd_power"]
+    )
+    def test_asymmetric_rejected(self, call):
+        with pytest.raises(InvalidInput, match="sigma is not symmetric within 1e-09"):
+            call(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_makes_psd_matrix_definite(self, rng):
         _, sigma = covariance(rng.standard_normal((3, 8)))  # rank-deficient
@@ -114,48 +115,6 @@ class TestShrink:
             shrink(np.eye(2), eps)
 
 
-class TestSymEig:
-    def test_identity(self):
-        eig = sym_eig(np.eye(3))
-        assert np.allclose(eig.values, [1.0, 1.0, 1.0])
-
-    def test_diagonal_ascending_signed_permutation(self):
-        eig = sym_eig(np.diag([3.0, 2.0]))
-        assert np.allclose(eig.values, [2.0, 3.0])
-        assert np.allclose(np.abs(eig.vectors), [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_reconstruction_oracle(self, rng):
-        a = make_symmetric(rng, 5, scale=3.0)
-        eig = sym_eig(a)
-        rebuilt = eig.vectors @ np.diag(eig.values) @ eig.vectors.T
-        assert np.linalg.norm(rebuilt - a) <= 1e-8 * np.linalg.norm(a)
-
-    def test_orthogonality(self, rng):
-        eig = sym_eig(make_symmetric(rng, 6))
-        assert np.linalg.norm(eig.vectors @ eig.vectors.T - np.eye(6)) <= 1e-8
-
-    def test_deterministic_repeat(self, rng):
-        a = make_symmetric(rng, 4)
-        e1 = sym_eig(a)
-        e2 = sym_eig(a.copy())
-        assert np.array_equal(e1.values, e2.values)
-        assert np.array_equal(e1.vectors, e2.vectors)
-
-    def test_sign_convention(self, rng):
-        eig = sym_eig(make_symmetric(rng, 5))
-        for col in eig.vectors.T:
-            assert col[np.argmax(np.abs(col))] >= 0
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(InvalidInput):
-            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_one_by_one(self):
-        eig = sym_eig(np.array([[4.0]]))
-        assert eig.values[0] == 4.0
-        assert eig.vectors[0, 0] == 1.0
-
-
 class TestSpdPower:
     def test_identity_sqrt(self):
         assert np.allclose(spd_power(np.eye(3), 0.5), np.eye(3))
@@ -164,6 +123,18 @@ class TestSpdPower:
         s = np.diag([4.0, 9.0])
         assert np.allclose(spd_power(s, 0.5), np.diag([2.0, 3.0]))
         assert np.allclose(spd_power(s, -0.5), np.diag([0.5, 1.0 / 3.0]))
+
+    def test_first_power_reconstructs(self, rng):
+        # p = 1 is an integer power, defined for an indefinite matrix too
+        a = make_symmetric(rng, 5, scale=3.0)
+        assert np.linalg.norm(spd_power(a, 1.0) - a) <= 1e-8 * np.linalg.norm(a)
+
+    def test_deterministic_repeat(self, rng):
+        s = make_spd(rng, 4)
+        assert np.array_equal(spd_power(s, -0.5), spd_power(s.copy(), -0.5))
+
+    def test_one_by_one(self):
+        assert spd_power(np.array([[4.0]]), 0.5)[0, 0] == 2.0
 
     def test_sqrt_squares_back(self, rng):
         s = make_spd(rng, 4, cond=50.0)
@@ -207,10 +178,9 @@ class TestSquareMatrixRule:
         [
             lambda m: correlation_distance(m, m),
             lambda m: shrink(m, 0.1),
-            sym_eig,
             lambda m: spd_power(m, 0.5),
         ],
-        ids=["correlation_distance", "shrink", "sym_eig", "spd_power"],
+        ids=["correlation_distance", "shrink", "spd_power"],
     )
     def test_empty_or_non_finite_rejected(self, call, bad):
         with pytest.raises(InvalidInput, match="non-empty square matrix|non-finite entries"):

@@ -1,7 +1,7 @@
 """Source rules: the package has one atomic writer, one decimal float format,
 one place that opens files and one that packs byte layouts, all in ``io.py``,
-so no module grows a second copy of any, and it keeps no public definition
-that nothing reads."""
+and one eigendecomposition, in ``linalg.py``, so no module grows a second
+copy of any, and it keeps no public definition that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -18,6 +18,13 @@ def test_only_io_renames_files_and_formats_floats(needle):
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert needle in sources.pop("io.py")
     assert [name for name, text in sorted(sources.items()) if needle in text] == []
+
+
+def test_only_linalg_calls_numpy_linalg():
+    # one eigendecomposition (linalg._power), so no module grows a second solver
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert sources.pop("linalg.py").count("np.linalg.eigh(") == 1
+    assert [name for name, text in sorted(sources.items()) if "np.linalg." in text] == []
 
 
 def _referenced_names(tree: ast.AST) -> set[str]:

@@ -12,6 +12,7 @@ from tcalign import (
     shrink,
     solve_closed_form,
     solve_gradient,
+    spd_power,
 )
 from conftest import make_spd
 
@@ -38,6 +39,13 @@ class TestObjective:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
             objective(np.eye(2), np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("w", [np.eye(3), np.ones(2)], ids=["3x3", "1-d"])
+    @pytest.mark.parametrize("fn", [objective, objective_gradient])
+    def test_w_shape_mismatch_rejected(self, fn, w):
+        # the gradient used to raise matmul's ValueError, or return a vector for a 1-d w
+        with pytest.raises(InvalidInput, match=r"w shape .* does not match sigma shape \(2, 2\)"):
+            fn(w, np.eye(2), np.eye(2))
 
 
 class TestSquareMatrixRule:
@@ -97,6 +105,26 @@ class TestClosedForm:
         assert np.array_equal(
             solve_closed_form(st, ss, eps=1e-3), solve_closed_form(st, ss, eps=1e-3)
         )
+
+    @pytest.mark.parametrize("rank", [None, 1, 3], ids=["full", "rank1", "rank3"])
+    def test_equals_public_steps(self, rng, rank):
+        # the solve skips the public checks, not any arithmetic
+        for d in (1, 4, 9):
+            if rank is None:
+                st, ss = make_spd(rng, d, cond=1e4), make_spd(rng, d, cond=1e4)
+            else:
+                st = make_spd(rng, d)
+                ss = covariance(rng.standard_normal((rank + 1, d)))[1]
+            for eps in (0.0, 1e-3) if rank is None else (1e-3, 0.5):
+                expected = spd_power(shrink(st, eps), -0.5) @ spd_power(shrink(ss, eps), 0.5)
+                assert np.array_equal(solve_closed_form(st, ss, eps), expected)
+
+    def test_overflowing_ridge_rejected(self):
+        # the trace overflows, so the shrunk matrix the eigensolve would see is not finite
+        huge = np.diag([1.7e308, 1.7e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInput, match="sigma contains non-finite entries"):
+                solve_closed_form(huge, np.eye(2))
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0, "x"])
     def test_bad_eps_rejected(self, eps):
