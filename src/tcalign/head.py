@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateLabels, InvalidInput, ParseError, _check_count, _finite_real
 from .io import FLOAT_FORMAT, _atomic_write, _class_indices, _read_text
-from .linalg import validate_embeddings
+from .linalg import _check_width, validate_embeddings
 
 HEAD_FORMAT_VERSION = 1
 
@@ -61,8 +61,9 @@ class PredictionBatch:
         return self.probs.shape[1]
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety."""
+def softmax_rows(z: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of the logits z W^T + b of checked rows, max-subtracted against overflow."""
+    logits = z @ weight.T + bias
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -70,12 +71,8 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def predict(head: SoftmaxHead, z) -> PredictionBatch:
     """Class probabilities softmax(W z + b) for each embedding row."""
-    z = validate_embeddings(z)
-    if z.shape[1] != head.dim:
-        raise InvalidInput(
-            f"embedding dimension {z.shape[1]} does not match head dimension {head.dim}"
-        )
-    probs = softmax_rows(z @ head.weight.T + head.bias)
+    z = _check_width(validate_embeddings(z), head.dim, "head")
+    probs = softmax_rows(z, head.weight, head.bias)
     return PredictionBatch(probs=probs, argmax=probs.argmax(axis=1))
 
 
@@ -109,7 +106,7 @@ def train_head(
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
     for _ in range(epochs):
-        probs = softmax_rows(z @ weight.T + bias)
+        probs = softmax_rows(z, weight, bias)
         grad = probs - onehot
         weight -= lr * (grad.T @ z) / n
         bias -= lr * grad.mean(axis=0)
@@ -160,10 +157,11 @@ def load_head(path) -> SoftmaxHead:
     for key in ("version", "c", "d", "weight", "bias"):
         if key not in doc:
             raise ParseError("missing required field", f"field '{key}'")
-    if doc["version"] != HEAD_FORMAT_VERSION:
+    # exact types: JSON's true and 1.0 compare equal to 1, and bool is an int
+    if type(doc["version"]) is not int or doc["version"] != HEAD_FORMAT_VERSION:
         raise ParseError(f"unsupported head version {doc['version']}", "field 'version'")
     c, d = doc["c"], doc["d"]
-    if not (isinstance(c, int) and isinstance(d, int) and c >= 2 and d >= 1):
+    if not (type(c) is int and type(d) is int and c >= 2 and d >= 1):
         raise ParseError("c and d must be integers with c >= 2, d >= 1", "fields 'c'/'d'")
     try:
         weight = np.array(doc["weight"], dtype=np.float64)

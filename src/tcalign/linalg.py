@@ -30,6 +30,13 @@ def validate_embeddings(z, name: str = "embeddings") -> np.ndarray:
     return z
 
 
+def _check_width(z: np.ndarray, dim: int, owner: str, name: str = "embedding") -> np.ndarray:
+    """``z`` itself, once its row width is the ``owner``'s dimension ``dim``."""
+    if z.shape[1] != dim:
+        raise InvalidInput(f"{name} dimension {z.shape[1]} does not match {owner} dimension {dim}")
+    return z
+
+
 def _square(a, name: str) -> np.ndarray:
     """A non-empty square matrix of finite entries, as float64."""
     a = np.asarray(a, dtype=np.float64)
@@ -95,8 +102,13 @@ def shrink(sigma, eps: float) -> np.ndarray:
     if not (_finite_real(eps) and eps >= 0):
         raise InvalidInput(f"eps must be finite and >= 0, got {eps}")
     d = sigma.shape[0]
-    lam = eps * float(np.trace(sigma)) / d + SHRINK_FLOOR
-    return sigma + lam * np.eye(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = eps * float(np.trace(sigma)) / d + SHRINK_FLOOR
+        shrunk = sigma + lam * np.eye(d)
+    # an overflowing ridge always shows on the diagonal
+    if not np.all(np.isfinite(shrunk.diagonal())):
+        raise InvalidInput("sigma contains non-finite entries")
+    return shrunk
 
 
 def spd_power(sigma, p: float) -> np.ndarray:
@@ -107,12 +119,11 @@ def spd_power(sigma, p: float) -> np.ndarray:
 
 
 def _power(sigma: np.ndarray, p: float) -> np.ndarray:
-    """``spd_power`` of a finite symmetric matrix, or of ``shrink``'s output of one."""
-    # shrink's ridge can overflow, and always shows on the diagonal when it does
-    if not np.all(np.isfinite(sigma.diagonal())):
-        raise InvalidInput("sigma contains non-finite entries")
+    """``spd_power`` of a finite symmetric matrix, such as ``shrink``'s output."""
+    # both symmetrizations halve before they add, so that no finite entry overflows
+    half = sigma / 2.0
     try:
-        values, vectors = np.linalg.eigh((sigma + sigma.T) / 2.0)
+        values, vectors = np.linalg.eigh(half + half.T)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
     min_val = float(values.min())
@@ -124,8 +135,12 @@ def _power(sigma: np.ndarray, p: float) -> np.ndarray:
         raise SingularMatrix(
             f"fractional power {p} undefined for negative eigenvalue {min_val:.3e}"
         )
-    powered = (vectors * values**p) @ vectors.T
-    return (powered + powered.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = (vectors * values**p) @ vectors.T / 2.0
+        powered = half + half.T
+    if not np.all(np.isfinite(powered)):
+        raise NumericalFailure(f"power {p} of sigma is not finite")
+    return powered
 
 
 class CovarianceAccumulator:
@@ -145,11 +160,7 @@ class CovarianceAccumulator:
 
     def update(self, batch) -> "CovarianceAccumulator":
         """Fold an n x d batch into the running moments."""
-        batch = validate_embeddings(batch, "batch")
-        if batch.shape[1] != self.dim:
-            raise InvalidInput(
-                f"batch dimension {batch.shape[1]} does not match accumulator dimension {self.dim}"
-            )
+        batch = _check_width(validate_embeddings(batch, "batch"), self.dim, "accumulator", "batch")
         self._merge_moments(*_moments(batch))
         return self
 

@@ -1,6 +1,7 @@
 """End-to-end adaptation pipelines and theory-validation experiments.
 
-Both modes run one loop. Per batch it folds the rows into streaming
+Both modes check the test matrix once, in ``_check_test``, and then run one
+loop of kernels on its rows. Per batch it folds the rows into streaming
 statistics and a bounded index bank, selects the pseudo-source, solves for
 the alignment transform and predicts the batch through it, falling back to
 the unadapted head until 2 rows can be selected. Online mode feeds the test
@@ -23,8 +24,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InsufficientSamples, InvalidConfig, InvalidInput, _check_count, _finite_real
-from .head import PredictionBatch, SoftmaxHead, accuracy, check_labels, predict
-from .linalg import CovarianceAccumulator, correlation_distance, covariance, validate_embeddings
+from .head import PredictionBatch, SoftmaxHead, accuracy, check_labels, predict, softmax_rows
+from .linalg import CovarianceAccumulator, _check_width, _moments, correlation_distance, covariance
+from .linalg import validate_embeddings
 from .metrics import linear_fit_r2, spearman
 from .pseudo_source import batch_uncertainties, class_quotas, most_certain
 from .transform import DEFAULT_EPS, DEFAULT_LR, DEFAULT_MAX_ITERS
@@ -113,19 +115,19 @@ def _fold(cfg: AdaptConfig, bank, rows, uncertainty, classes, class_counts):
     return bank, most_certain(uncertainty[bank], quotas, bank, classes[bank])
 
 
-def _check_test(test, mode: str) -> np.ndarray:
+def _check_test(test, head: SoftmaxHead, mode: str) -> np.ndarray:
     test = validate_embeddings(test, "test")
     if test.shape[0] < 2:
         raise InsufficientSamples(f"{mode} adaptation needs at least 2 test rows")
-    return test
+    return _check_width(test, head.dim, "head")
 
 
 def _steps(test: np.ndarray, head: SoftmaxHead, cfg: AdaptConfig, batch_size: int):
     """Per batch of ``batch_size`` rows: predict, score, fold into the bank,
     select, and take the moments of the pseudo-source and of every row so far.
 
-    Yields ``(lo, hi, unadapted predictions, batch_stats, moments)``,
-    where batch_stats accumulates the batch's rows alone and moments is
+    Yields ``(lo, hi, unadapted predictions, batch, moments)``, where batch
+    is the ``(count, mean, scatter)`` of the batch's rows alone and moments is
     ``(mu_s_hat, sigma_s_hat, mu_t, sigma_t)``, or None while fewer than 2
     rows are selected. Selection keeps min(k, rows so far) rows and k >= 2, so
     only a first batch of one row goes without moments.
@@ -138,15 +140,15 @@ def _steps(test: np.ndarray, head: SoftmaxHead, cfg: AdaptConfig, batch_size: in
     bank = np.empty(0, dtype=np.int64)
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
-        preds = predict(head, test[lo:hi])
-        batch_stats = CovarianceAccumulator(d).update(test[lo:hi])
-        stats.merge(batch_stats)
-        uncertainty[lo:hi] = batch_uncertainties(preds.probs)
-        classes[lo:hi] = preds.argmax
-        class_counts += np.bincount(preds.argmax, minlength=head.n_classes)
+        probs = softmax_rows(test[lo:hi], head.weight, head.bias)
+        uncertainty[lo:hi] = batch_uncertainties(probs)
+        classes[lo:hi] = probs.argmax(axis=1)
+        class_counts += np.bincount(classes[lo:hi], minlength=head.n_classes)
+        batch = _moments(test[lo:hi])
+        stats._merge_moments(*batch)
         bank, selected = _fold(cfg, bank, np.arange(lo, hi), uncertainty, classes, class_counts)
         moments = (*covariance(test[selected]), *stats.finalize()) if len(selected) >= 2 else None
-        yield lo, hi, preds, batch_stats, moments
+        yield lo, hi, PredictionBatch(probs=probs, argmax=classes[lo:hi]), batch, moments
 
 
 def _recolor(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -164,14 +166,11 @@ def _adapted_head(head: SoftmaxHead, t: AlignmentTransform) -> SoftmaxHead:
     )
 
 
-def _mapped(batch: CovarianceAccumulator, t: AlignmentTransform) -> CovarianceAccumulator:
-    """The moments of the batch's rows after the transform: the mean maps
-    through it, the scatter becomes W^T S W."""
-    out = CovarianceAccumulator(batch.dim)
-    out.count = batch.count
-    out.mean = (batch.mean - t.mu_t) @ t.w + t.mu_s_hat
-    out.scatter = _recolor(t.w, batch.scatter)
-    return out
+def _mapped(batch: tuple, t: AlignmentTransform) -> tuple[int, np.ndarray, np.ndarray]:
+    """The (count, mean, scatter) of the batch's rows after the transform: the
+    mean maps through it, the scatter becomes W^T S W."""
+    n, mean, scatter = batch
+    return n, (mean - t.mu_t) @ t.w + t.mu_s_hat, _recolor(t.w, scatter)
 
 
 def _solve(
@@ -197,7 +196,7 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
     Returns the predictions, the report and the transform of the last solve.
     """
     cfg = cfg or AdaptConfig()
-    test = _check_test(test, mode)
+    test = _check_test(test, head, mode)
     n, d = test.shape
     if labels is not None:
         labels = check_labels(labels, n)
@@ -206,19 +205,20 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
     emitted = CovarianceAccumulator(d)
     correct_before = unadapted_batches = 0
     batch_size = n if mode == "transductive" else cfg.batch_size
-    for lo, hi, preds, batch_stats, moments in _steps(test, head, cfg, batch_size):
+    for lo, hi, preds, batch, moments in _steps(test, head, cfg, batch_size):
         if labels is not None:
             correct_before += int(np.count_nonzero(preds.argmax == labels[lo:hi]))
         if moments is None:
             batch_probs.append(preds.probs)
-            emitted.merge(batch_stats)
+            emitted._merge_moments(*batch)
             unadapted_batches += 1
             continue
         mu_s_hat, sigma_s_hat, mu_t, sigma_t = moments
         w, trace = _solve(cfg, sigma_t, sigma_s_hat)
         transform = AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
-        batch_probs.append(predict(_adapted_head(head, transform), test[lo:hi]).probs)
-        emitted.merge(_mapped(batch_stats, transform))
+        adapted = _adapted_head(head, transform)
+        batch_probs.append(softmax_rows(test[lo:hi], adapted.weight, adapted.bias))
+        emitted._merge_moments(*_mapped(batch, transform))
 
     # n >= 2, so the last batch was adapted and its moments cover every row
     probs = np.concatenate(batch_probs)
@@ -368,7 +368,8 @@ def validate_alignment_trace(
     if labels is None:
         raise InvalidInput("alignment traces require test labels for the accuracy column")
     _check_count("record_every", record_every, 1, InvalidConfig)
-    test = _check_test(test, "transductive")
+    test = _check_test(test, head, "transductive")
+    labels = check_labels(labels, test.shape[0])
     _, sigma_s = source_stats
 
     *_, (mu_s_hat, sigma_s_hat, mu_t, sigma_t) = next(_steps(test, head, cfg, test.shape[0]))
@@ -378,12 +379,13 @@ def validate_alignment_trace(
     def record(iteration: int, w: np.ndarray) -> None:
         sigma_i = _recolor(w, sigma_t)
         adapted = _adapted_head(head, AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat))
+        argmax = softmax_rows(test, adapted.weight, adapted.bias).argmax(axis=1)
         result.rows.append(
             TraceRow(
                 iteration=iteration,
                 dist_to_pseudo=correlation_distance(sigma_i, sigma_s_hat),
                 dist_to_source=correlation_distance(sigma_i, sigma_s),
-                accuracy=accuracy(predict(adapted, test), labels),
+                accuracy=float(np.mean(argmax == labels)),
             )
         )
 

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, InvalidInput, _check_count, _finite_real
-from .linalg import _power, _square_pair, shrink, validate_embeddings
+from .linalg import _check_width, _power, _square_pair, shrink, validate_embeddings
 
 DEFAULT_EPS = 1e-3
 DEFAULT_LR = 1e-3
@@ -168,9 +168,5 @@ def solve_gradient(
 
 def apply_transform(z, t: AlignmentTransform) -> np.ndarray:
     """Map each row z_i to (z_i - mu_t) W + mu_s_hat."""
-    z = validate_embeddings(z)
-    if z.shape[1] != t.w.shape[0]:
-        raise InvalidInput(
-            f"embedding dimension {z.shape[1]} does not match transform dimension {t.w.shape[0]}"
-        )
+    z = _check_width(validate_embeddings(z), t.w.shape[0], "transform")
     return (z - t.mu_t) @ t.w + t.mu_s_hat

@@ -213,6 +213,44 @@ class TestAdapt:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "is not UTF-8 text (byte offset 6)" in err
 
+    def test_boolean_head_dimension_exits_3(self, workspace, tmp_path, capsys):
+        # a bool is an int in Python, so "d": true would pass an isinstance check as d = 1
+        _, data_dir, _ = workspace
+        bad = tmp_path / "head.json"
+        bad.write_text('{"version": 1, "c": 2, "d": true, "weight": [[1], [2]], "bias": [0, 0]}')
+        code = main(
+            [
+                "adapt",
+                "--test", str(data_dir / "target.tcae"),
+                "--head", str(bad),
+                "--out-preds", str(tmp_path / "p.csv"),
+                "--out-report", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: c and d must be integers with c >= 2, d >= 1 (fields 'c'/'d')\n"
+
+    @pytest.mark.parametrize("mode", ["transductive", "online"])
+    def test_head_of_wrong_dimension_exits_2(self, workspace, tmp_path, capsys, mode):
+        _, data_dir, _ = workspace
+        wide = tmp_path / "head.json"
+        tcalign.save_head(tcalign.SoftmaxHead(weight=np.zeros((3, 5)), bias=np.zeros(3)), wide)
+        code = main(
+            [
+                "adapt",
+                "--test", str(data_dir / "target.tcae"),
+                "--head", str(wide),
+                "--mode", mode,
+                "--out-preds", str(tmp_path / "p.csv"),
+                "--out-report", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: embedding dimension 2 does not match head dimension 5\n"
+        assert not (tmp_path / "p.csv").exists()
+
     def test_too_deeply_nested_head_exits_3(self, workspace, tmp_path, capsys):
         # json's nesting limit used to escape as a RecursionError traceback (exit 1)
         _, data_dir, _ = workspace

@@ -63,7 +63,7 @@ class TestPredict:
 
     def test_dimension_mismatch_rejected(self):
         head = SoftmaxHead(weight=np.zeros((2, 3)), bias=np.zeros(2))
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="^embedding dimension 2 does not match head dimension 3$"):
             predict(head, [[1.0, 2.0]])
 
 
@@ -256,10 +256,24 @@ class TestPersistence:
             load_head(path)
         assert "bias" in str(info.value)
 
-    def test_wrong_version_rejected(self, tmp_path):
-        path = tmp_path / "v2.json"
-        path.write_text('{"version": 2, "c": 2, "d": 1, "weight": [[1], [2]], "bias": [0, 0]}')
-        with pytest.raises(ParseError):
+    @pytest.mark.parametrize("version", ["2", "true", "1.0"])
+    def test_wrong_version_rejected(self, tmp_path, version):
+        # true and 1.0 compare equal to 1 in Python, so the type is checked as well
+        path = tmp_path / "v.json"
+        path.write_text(
+            f'{{"version": {version}, "c": 2, "d": 1, "weight": [[1], [2]], "bias": [0, 0]}}'
+        )
+        with pytest.raises(ParseError, match=f"^unsupported head version {version.title()} "):
+            load_head(path)
+
+    @pytest.mark.parametrize(
+        "c, d", [("1", "1"), ("2", "0"), ("2.0", "1"), ("2", "1.0"), ("2", "true")]
+    )
+    def test_bad_class_count_or_dimension_rejected(self, tmp_path, c, d):
+        # a bool is an int in Python, so "d": true would pass an isinstance check as d = 1
+        path = tmp_path / "cd.json"
+        path.write_text(f'{{"version": 1, "c": {c}, "d": {d}, "weight": [[1], [2]], "bias": [0, 0]}}')
+        with pytest.raises(ParseError, match=r"^c and d must be integers .* \(fields 'c'/'d'\)$"):
             load_head(path)
 
     def test_nan_weight_rejected(self, tmp_path):

@@ -5,6 +5,7 @@ from tcalign import (
     CovarianceAccumulator,
     InsufficientSamples,
     InvalidInput,
+    NumericalFailure,
     SingularMatrix,
     correlation_distance,
     covariance,
@@ -114,6 +115,11 @@ class TestShrink:
         with pytest.raises(InvalidInput, match="eps must be finite and >= 0"):
             shrink(np.eye(2), eps)
 
+    def test_overflowing_ridge_rejected(self):
+        # the trace overflows; the error comes without a RuntimeWarning
+        with pytest.raises(InvalidInput, match="^sigma contains non-finite entries$"):
+            shrink(np.diag([1.7e308, 1.7e308]), 1e-3)
+
 
 class TestSpdPower:
     def test_identity_sqrt(self):
@@ -146,6 +152,15 @@ class TestSpdPower:
             s = make_spd(rng, 5, cond=cond)
             prod = spd_power(s, 0.5) @ spd_power(s, -0.5)
             assert np.linalg.norm(prod - np.eye(5)) <= 1e-8
+
+    def test_symmetrization_does_not_overflow(self):
+        # (sigma + sigma.T) / 2 would overflow to inf on an entry near the float64 maximum
+        assert spd_power(np.array([[1.79e308]]), 0.5)[0, 0] == 1.3379088160259651e154
+
+    def test_non_finite_result_raises_numerical_failure(self):
+        # the largest eigenvalue overflows to inf, so no finite power exists to return
+        with pytest.raises(NumericalFailure, match="not finite"):
+            spd_power([[1e308, 1.5e308], [1.5e308, 1.7e308]], 1.0)
 
     def test_negative_power_of_singular_rejected(self):
         with pytest.raises(SingularMatrix):
@@ -223,7 +238,7 @@ class TestCovarianceAccumulator:
             acc.finalize()
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="^batch dimension 2 does not match accumulator dimension 3$"):
             CovarianceAccumulator(3).update([[1.0, 2.0]])
 
     def test_random_partitions_match_batch(self, rng):

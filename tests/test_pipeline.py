@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -185,6 +186,15 @@ class TestAdaptTransductive:
         _, head = linear_demo
         with pytest.raises(InsufficientSamples):
             adapt_transductive(np.array([[1.0, 2.0]]), head, AdaptConfig())
+
+    @pytest.mark.parametrize("mode", ["transductive", "online"])
+    def test_head_of_wrong_dimension_rejected(self, linear_demo, mode):
+        # rejected at the entry, with predict's message, before any batch runs
+        data, _ = linear_demo
+        head = SoftmaxHead(weight=np.zeros((3, 5)), bias=np.zeros(3))
+        adapt = adapt_transductive if mode == "transductive" else adapt_online
+        with pytest.raises(InvalidInput, match="^embedding dimension 2 does not match head dimension 5$"):
+            adapt(data.target.features, head, AdaptConfig())
 
     @pytest.mark.parametrize("mode", ["transductive", "online"])
     def test_label_count_mismatch_rejected(self, linear_demo, mode):
@@ -539,6 +549,18 @@ class TestAlignmentTrace:
                 data.target.labels[:1],
             )
 
+    def test_head_of_wrong_dimension_rejected(self, linear_demo):
+        data, _ = linear_demo
+        head = SoftmaxHead(weight=np.zeros((3, 5)), bias=np.zeros(3))
+        with pytest.raises(InvalidInput, match="^embedding dimension 2 does not match head dimension 5$"):
+            validate_alignment_trace(
+                data.target.features,
+                head,
+                AdaptConfig(solver="gradient"),
+                covariance(data.source.features),
+                data.target.labels,
+            )
+
     def test_summary_fields_populated(self, rng):
         z = rng.standard_normal((100, 2))
         head = SoftmaxHead(weight=rng.standard_normal((2, 2)), bias=np.zeros(2))
@@ -548,6 +570,57 @@ class TestAlignmentTrace:
         result = validate_alignment_trace(z, head, cfg, stats, labels, record_every=10)
         assert result.spearman_pseudo_vs_source is None or -1.0 <= result.spearman_pseudo_vs_source <= 1.0
         assert result.solver_trace is not None
+
+
+class TestValidationBoundary:
+    """The adapt path checks the test matrix once, at its entry: the batch loop
+    runs kernels on it, so neither the checks nor the accumulator's own
+    per-batch update may creep back into the loop."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from tcalign import linalg
+
+        calls = {"validate_embeddings": 0, "update": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        check = counted("validate_embeddings", linalg.validate_embeddings)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "tcalign" and "validate_embeddings" in vars(module):
+                monkeypatch.setattr(module, "validate_embeddings", check)
+        monkeypatch.setattr(
+            CovarianceAccumulator, "update", counted("update", CovarianceAccumulator.update)
+        )
+        return calls
+
+    @pytest.mark.parametrize("n, batch_size", [(750, 1), (750, 7), (750, 64), (300, 300)])
+    def test_online_checks_once_plus_once_per_batch(self, linear_demo, calls, n, batch_size):
+        data, head = linear_demo
+        cfg = AdaptConfig(batch_size=batch_size)
+        adapt_online(data.target.features[:n], head, cfg, labels=data.target.labels[:n])
+        assert calls["validate_embeddings"] <= 1 + math.ceil(n / batch_size)
+        assert calls["update"] == 0
+
+    @pytest.mark.parametrize("selection_mode", ["global", "class_balanced"])
+    def test_transductive_checks_at_most_twice(self, linear_demo, calls, selection_mode):
+        data, head = linear_demo
+        cfg = AdaptConfig(selection_mode=selection_mode)
+        adapt_transductive(data.target.features, head, cfg, labels=data.target.labels)
+        assert calls["validate_embeddings"] <= 2
+        assert calls["update"] == 0
+
+    def test_counters_see_every_check(self, calls):
+        # the patched references are the ones the package calls
+        predict(SoftmaxHead(weight=np.zeros((2, 2)), bias=np.zeros(2)), np.zeros((3, 2)))
+        covariance(np.zeros((3, 2)))
+        CovarianceAccumulator(2).update(np.zeros((3, 2)))
+        assert calls == {"validate_embeddings": 3, "update": 1}
 
 
 class TestConfigValidation:

@@ -120,11 +120,10 @@ class TestClosedForm:
                 assert np.array_equal(solve_closed_form(st, ss, eps), expected)
 
     def test_overflowing_ridge_rejected(self):
-        # the trace overflows, so the shrunk matrix the eigensolve would see is not finite
+        # the trace overflows, so shrink rejects its own ridge, without a RuntimeWarning
         huge = np.diag([1.7e308, 1.7e308])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(InvalidInput, match="sigma contains non-finite entries"):
-                solve_closed_form(huge, np.eye(2))
+        with pytest.raises(InvalidInput, match="sigma contains non-finite entries"):
+            solve_closed_form(huge, np.eye(2))
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0, "x"])
     def test_bad_eps_rejected(self, eps):
@@ -275,7 +274,9 @@ class TestApplyTransform:
 
     def test_dimension_mismatch_rejected(self, rng):
         t = AlignmentTransform(w=np.eye(2), mu_t=np.zeros(2), mu_s_hat=np.zeros(2))
-        with pytest.raises(InvalidInput):
+        with pytest.raises(
+            InvalidInput, match="^embedding dimension 3 does not match transform dimension 2$"
+        ):
             apply_transform(rng.standard_normal((5, 3)), t)
 
     def test_non_finite_transform_rejected(self):
