@@ -59,9 +59,9 @@ class ParseError(TcaError):
 
 
 def _check_count(name: str, value, minimum: int, error: type[TcaError] = InvalidInput) -> None:
-    """Raise ``error`` for a count that is not an integer (numpy integers pass)
-    or is below ``minimum``."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
+    """Raise ``error`` for a count that is not an integer (numpy integers pass,
+    booleans do not) or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise error(f"{name} must be an integer >= {minimum}, got {value}")
 
 

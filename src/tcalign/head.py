@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels, InvalidInput, ParseError, _check_count, _finite_real
+from .errors import DegenerateLabels, InvalidInput, NumericalFailure, ParseError
+from .errors import _check_count, _finite_real
 from .io import FLOAT_FORMAT, _atomic_write, _class_indices, _read_text
 from .linalg import _check_width, validate_embeddings
 
@@ -61,12 +62,25 @@ class PredictionBatch:
         return self.probs.shape[1]
 
 
-def softmax_rows(z: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of the logits z W^T + b of checked rows, max-subtracted against overflow."""
-    logits = z @ weight.T + bias
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def softmax_rows(
+    z: np.ndarray, weight: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Row-wise softmax of the logits z W^T + b of checked rows, max-subtracted
+    against overflow, computed in one buffer (``out`` when given).
+
+    Raises NumericalFailure when a row's largest logit is not finite, i.e.
+    when finite inputs overflow the product: such a row has no softmax.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = np.matmul(z, weight.T, out=out)
+        probs += bias
+        top = probs.max(axis=1, keepdims=True)
+        if not np.all(np.isfinite(top)):
+            raise NumericalFailure("logits z W^T + b are not finite: the rows overflow the head")
+        probs -= top  # a logit far below its row's max may become -inf, whose exp is 0
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
 def predict(head: SoftmaxHead, z) -> PredictionBatch:

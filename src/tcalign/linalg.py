@@ -4,7 +4,8 @@ Everything here operates on float64 regardless of what precision the caller
 hands in: eigensolves on near-singular covariances are the accuracy
 bottleneck of the whole alignment pipeline, so inputs are upcast on entry.
 The package's one eigendecomposition is ``_power``; public entries check
-their matrices once and hand them to it unchecked.
+their matrices once and hand them to it unchecked. ``_covariance`` and
+``_shrink`` are the unchecked kernels of ``covariance`` and ``shrink``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,11 @@ def covariance(z) -> tuple[np.ndarray, np.ndarray]:
     z = validate_embeddings(z)
     if z.shape[0] < 2:
         raise InsufficientSamples(f"covariance needs at least 2 rows, got {z.shape[0]}")
+    return _covariance(z)
+
+
+def _covariance(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``covariance`` of a checked batch of at least 2 rows."""
     n, mean, scatter = _moments(z)
     sigma = scatter / (n - 1)
     return mean, (sigma + sigma.T) / 2.0
@@ -99,8 +105,17 @@ def shrink(sigma, eps: float) -> np.ndarray:
     pseudo-source covariance built from fewer samples than dimensions.
     """
     sigma = _symmetric(sigma, "sigma")
+    _check_eps(eps)
+    return _shrink(sigma, eps)
+
+
+def _check_eps(eps) -> None:
     if not (_finite_real(eps) and eps >= 0):
         raise InvalidInput(f"eps must be finite and >= 0, got {eps}")
+
+
+def _shrink(sigma: np.ndarray, eps: float) -> np.ndarray:
+    """``shrink`` of a symmetric matrix, rejecting a non-finite diagonal or ridge."""
     d = sigma.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         lam = eps * float(np.trace(sigma)) / d + SHRINK_FLOOR

@@ -1,13 +1,21 @@
 """End-to-end adaptation pipelines and theory-validation experiments.
 
 Both modes check the test matrix once, in ``_check_test``, and then run one
-loop of kernels on its rows. Per batch it folds the rows into streaming
-statistics and a bounded index bank, selects the pseudo-source, solves for
-the alignment transform and predicts the batch through it, falling back to
-the unadapted head until 2 rows can be selected. Online mode feeds the test
-set in batches; transductive mode is the same loop with a single batch of
-all n rows, so it scores the whole test set, solves once and re-predicts
+loop on its rows. Per batch it folds the rows into streaming statistics and
+a bounded index bank, selects the pseudo-source, solves for the alignment
+transform and predicts the batch through it, falling back to the unadapted
+head until 2 rows can be selected. Online mode feeds the test set in
+batches; transductive mode is the same loop with a single batch of all n
+rows, so it scores the whole test set, solves once and re-predicts
 everything.
+
+The loop calls only the kernels behind the checked public functions, on
+data the entry checked or the loop computed (the gradient solver stays the
+checked ``solve_gradient``); ``softmax_rows`` rejects overflowing logits and
+the per-batch ``AlignmentTransform`` checks W. A batch that selects the rows
+of the last solve reuses its mu_s_hat, sigma_s_hat and S_s^(1/2). The key is
+the selected rows, not the bank: class-balanced quotas move with the class
+counts while the bank stands still.
 
 Adapted rows are never materialised. The affine map z -> (z - mu_t) W +
 mu_s_hat is folded into the linear softmax head (weight H W^T, bias
@@ -25,12 +33,12 @@ import numpy as np
 
 from .errors import InsufficientSamples, InvalidConfig, InvalidInput, _check_count, _finite_real
 from .head import PredictionBatch, SoftmaxHead, accuracy, check_labels, predict, softmax_rows
-from .linalg import CovarianceAccumulator, _check_width, _moments, correlation_distance, covariance
-from .linalg import validate_embeddings
+from .linalg import CovarianceAccumulator, _check_width, _covariance, _moments
+from .linalg import correlation_distance, covariance, validate_embeddings
 from .metrics import linear_fit_r2, spearman
-from .pseudo_source import batch_uncertainties, class_quotas, most_certain
+from .pseudo_source import _class_quotas, _most_certain, _uncertainties, batch_uncertainties
 from .transform import DEFAULT_EPS, DEFAULT_LR, DEFAULT_MAX_ITERS
-from .transform import AlignmentTransform, SolverTrace, solve_closed_form, solve_gradient
+from .transform import AlignmentTransform, SolverTrace, _closed_form, solve_gradient
 
 SOLVERS = ("closed", "gradient")
 SELECTION_MODES = ("global", "class_balanced")
@@ -108,11 +116,11 @@ def _fold(cfg: AdaptConfig, bank, rows, uncertainty, classes, class_counts):
     """
     bank = np.concatenate([bank, rows])
     if cfg.selection_mode == "global":
-        bank = most_certain(uncertainty[bank], cfg.k, bank)
+        bank = _most_certain(uncertainty[bank], cfg.k, bank)
         return bank, bank
-    bank = most_certain(uncertainty[bank], cfg.k, bank, classes[bank])
-    quotas = class_quotas(class_counts, min(cfg.k, bank.size))
-    return bank, most_certain(uncertainty[bank], quotas, bank, classes[bank])
+    bank = _most_certain(uncertainty[bank], cfg.k, bank, classes[bank])
+    quotas = _class_quotas(class_counts, min(cfg.k, bank.size))
+    return bank, _most_certain(uncertainty[bank], quotas, bank, classes[bank])
 
 
 def _check_test(test, head: SoftmaxHead, mode: str) -> np.ndarray:
@@ -130,7 +138,9 @@ def _steps(test: np.ndarray, head: SoftmaxHead, cfg: AdaptConfig, batch_size: in
     is the ``(count, mean, scatter)`` of the batch's rows alone and moments is
     ``(mu_s_hat, sigma_s_hat, mu_t, sigma_t)``, or None while fewer than 2
     rows are selected. Selection keeps min(k, rows so far) rows and k >= 2, so
-    only a first batch of one row goes without moments.
+    only a first batch of one row goes without moments. A batch that selects
+    the rows the last moments came from yields those same mu_s_hat and
+    sigma_s_hat arrays.
     """
     n, d = test.shape
     stats = CovarianceAccumulator(d)
@@ -138,16 +148,21 @@ def _steps(test: np.ndarray, head: SoftmaxHead, cfg: AdaptConfig, batch_size: in
     classes = np.empty(n, dtype=np.int64)
     class_counts = np.zeros(head.n_classes, dtype=np.int64)
     bank = np.empty(0, dtype=np.int64)
+    source_rows = source = None  # the rows of the last pseudo-source moments, and those moments
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
         probs = softmax_rows(test[lo:hi], head.weight, head.bias)
-        uncertainty[lo:hi] = batch_uncertainties(probs)
         classes[lo:hi] = probs.argmax(axis=1)
+        uncertainty[lo:hi] = _uncertainties(probs, classes[lo:hi])
         class_counts += np.bincount(classes[lo:hi], minlength=head.n_classes)
         batch = _moments(test[lo:hi])
         stats._merge_moments(*batch)
         bank, selected = _fold(cfg, bank, np.arange(lo, hi), uncertainty, classes, class_counts)
-        moments = (*covariance(test[selected]), *stats.finalize()) if len(selected) >= 2 else None
+        moments = None
+        if len(selected) >= 2:
+            if not np.array_equal(selected, source_rows):
+                source_rows, source = selected, _covariance(test[selected])
+            moments = (*source, *stats.finalize())
         yield lo, hi, PredictionBatch(probs=probs, argmax=classes[lo:hi]), batch, moments
 
 
@@ -157,13 +172,11 @@ def _recolor(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def _adapted_head(head: SoftmaxHead, t: AlignmentTransform) -> SoftmaxHead:
-    """The head with the transform folded in, so that predicting z through it
-    equals predicting (z - mu_t) W + mu_s_hat through ``head``."""
-    return SoftmaxHead(
-        weight=head.weight @ t.w.T,
-        bias=head.bias + head.weight @ (t.mu_s_hat - t.w.T @ t.mu_t),
-    )
+def _adapted_head(head: SoftmaxHead, t: AlignmentTransform) -> tuple[np.ndarray, np.ndarray]:
+    """The (weight, bias) of the head with the transform folded in, so that
+    predicting z through them equals predicting (z - mu_t) W + mu_s_hat
+    through ``head``."""
+    return head.weight @ t.w.T, head.bias + head.weight @ (t.mu_s_hat - t.w.T @ t.mu_t)
 
 
 def _mapped(batch: tuple, t: AlignmentTransform) -> tuple[int, np.ndarray, np.ndarray]:
@@ -174,10 +187,12 @@ def _mapped(batch: tuple, t: AlignmentTransform) -> tuple[int, np.ndarray, np.nd
 
 
 def _solve(
-    cfg: AdaptConfig, sigma_t, sigma_s_hat, iterate_hook=None
-) -> tuple[np.ndarray, SolverTrace | None]:
+    cfg: AdaptConfig, sigma_t, sigma_s_hat, root_s=None, iterate_hook=None
+) -> tuple[np.ndarray, SolverTrace | None, np.ndarray | None]:
+    """``(W, gradient trace, S_s^(1/2))``; a later closed-form solve against
+    the same ``sigma_s_hat`` passes that S_s^(1/2) back as ``root_s``."""
     if cfg.solver == "gradient":
-        return solve_gradient(
+        w, trace = solve_gradient(
             sigma_t,
             sigma_s_hat,
             lr=cfg.lr,
@@ -185,7 +200,9 @@ def _solve(
             eps=cfg.eps,
             iterate_hook=iterate_hook,
         )
-    return solve_closed_form(sigma_t, sigma_s_hat, cfg.eps), None
+        return w, trace, None
+    w, root_s = _closed_form(sigma_t, sigma_s_hat, cfg.eps, root_s)
+    return w, None, root_s
 
 
 def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
@@ -201,27 +218,28 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
     if labels is not None:
         labels = check_labels(labels, n)
 
-    batch_probs = []
+    probs = np.empty((n, head.n_classes))
     emitted = CovarianceAccumulator(d)
     correct_before = unadapted_batches = 0
+    solved_for = root_s = None
     batch_size = n if mode == "transductive" else cfg.batch_size
     for lo, hi, preds, batch, moments in _steps(test, head, cfg, batch_size):
         if labels is not None:
             correct_before += int(np.count_nonzero(preds.argmax == labels[lo:hi]))
         if moments is None:
-            batch_probs.append(preds.probs)
+            probs[lo:hi] = preds.probs
             emitted._merge_moments(*batch)
             unadapted_batches += 1
             continue
         mu_s_hat, sigma_s_hat, mu_t, sigma_t = moments
-        w, trace = _solve(cfg, sigma_t, sigma_s_hat)
+        if sigma_s_hat is not solved_for:  # _steps repeats the array while the selection holds
+            solved_for, root_s = sigma_s_hat, None
+        w, trace, root_s = _solve(cfg, sigma_t, sigma_s_hat, root_s)
         transform = AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
-        adapted = _adapted_head(head, transform)
-        batch_probs.append(softmax_rows(test[lo:hi], adapted.weight, adapted.bias))
+        softmax_rows(test[lo:hi], *_adapted_head(head, transform), out=probs[lo:hi])
         emitted._merge_moments(*_mapped(batch, transform))
 
     # n >= 2, so the last batch was adapted and its moments cover every row
-    probs = np.concatenate(batch_probs)
     preds_out = PredictionBatch(probs=probs, argmax=probs.argmax(axis=1))
     _, sigma_emitted = emitted.finalize()
     report = AdaptReport(
@@ -379,7 +397,7 @@ def validate_alignment_trace(
     def record(iteration: int, w: np.ndarray) -> None:
         sigma_i = _recolor(w, sigma_t)
         adapted = _adapted_head(head, AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat))
-        argmax = softmax_rows(test, adapted.weight, adapted.bias).argmax(axis=1)
+        argmax = softmax_rows(test, *adapted).argmax(axis=1)
         result.rows.append(
             TraceRow(
                 iteration=iteration,
@@ -397,7 +415,7 @@ def validate_alignment_trace(
         if iteration % record_every == 0:
             record(iteration, w)
 
-    _, result.solver_trace = _solve(cfg, sigma_t, sigma_s_hat, iterate_hook=hook)
+    _, result.solver_trace, _ = _solve(cfg, sigma_t, sigma_s_hat, iterate_hook=hook)
     if last[0] % record_every != 0:
         record(*last)
     result.summarize()

@@ -7,9 +7,12 @@ scorer; it takes an n x c probability matrix, so a single row is scored as a
 matrix: the k most certain rows, ties broken toward the lower row (a row's
 arrival index is its row number), or, class-balanced, the most certain rows
 of each predicted class up to that class's quota. ``most_certain`` is the
-one selection kernel: one ``lexsort`` over (row, uncertainty[, class]),
+one selection rule: one ``lexsort`` over (row, uncertainty[, class]),
 returning row indices in ascending order. ``class_quotas`` apportions a
-selection size over classes in proportion to their predicted counts.
+selection size over classes in proportion to their predicted counts. Each
+public function checks its arguments and calls a private kernel
+(``_uncertainties``, ``_most_certain``, ``_class_quotas``), which the adapt
+loop calls directly on the arrays it built.
 """
 
 from __future__ import annotations
@@ -31,8 +34,12 @@ def batch_uncertainties(probs) -> np.ndarray:
     sums = probs.sum(axis=1)
     if not np.max(np.abs(sums - 1.0)) <= PROB_SUM_ATOL:
         raise InvalidInput(f"probability rows must sum to 1 within {PROB_SUM_ATOL}")
-    n = probs.shape[0]
-    top = probs[np.arange(n), probs.argmax(axis=1)]
+    return _uncertainties(probs, probs.argmax(axis=1))
+
+
+def _uncertainties(probs: np.ndarray, argmax: np.ndarray) -> np.ndarray:
+    """``batch_uncertainties`` of checked probability rows whose argmax is given."""
+    top = probs[np.arange(probs.shape[0]), argmax]
     # ||onehot - p||^2 = sum p^2 - p_max^2 + (1 - p_max)^2
     return np.sum(probs * probs, axis=1) - top * top + (1.0 - top) ** 2
 
@@ -83,14 +90,20 @@ def most_certain(uncertainty, k, rows=None, classes=None) -> np.ndarray:
     uncertainty, rows, classes = _candidates(uncertainty, rows, classes)
     if classes is None or np.ndim(k) == 0:
         _check_count("k", k, 1)
+    else:
+        k = _count_vector("per-class caps k", k)
+        if classes.size and classes.max() >= k.size:
+            raise InvalidInput(f"{k.size} per-class caps for class index {classes.max()}")
+    return _most_certain(uncertainty, k, rows, classes)
+
+
+def _most_certain(uncertainty, k, rows, classes=None) -> np.ndarray:
+    """``most_certain`` of checked candidates, every row named and every class capped."""
     if classes is None:
         return np.sort(rows[np.lexsort((rows, uncertainty))[:k]])
     order = np.lexsort((rows, uncertainty, classes))
     sorted_classes = classes[order]
     if np.ndim(k):
-        k = _count_vector("per-class caps k", k)
-        if sorted_classes.size and sorted_classes[-1] >= k.size:
-            raise InvalidInput(f"{k.size} per-class caps for class index {sorted_classes[-1]}")
         k = k[sorted_classes]
     return np.sort(rows[order[_class_rank(sorted_classes) < k]])
 
@@ -108,9 +121,14 @@ def class_quotas(class_counts, slots: int) -> np.ndarray:
     """
     counts = _count_vector("class_counts", class_counts)
     _check_count("slots", slots, 0)
-    total = int(counts.sum())
-    if total == 0:
+    if not counts.any():
         raise InvalidInput("class_counts must count at least one row")
+    return _class_quotas(counts, slots)
+
+
+def _class_quotas(counts: np.ndarray, slots: int) -> np.ndarray:
+    """``class_quotas`` of an int64 count vector that counts at least one row."""
+    total = int(counts.sum())
     quotas, remainders = np.divmod(counts * int(slots), total)
     leftover = slots - int(quotas.sum())
     order = np.lexsort((np.arange(counts.size), -counts, -remainders))

@@ -15,7 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, InvalidInput, _check_count, _finite_real
-from .linalg import _check_width, _power, _square_pair, shrink, validate_embeddings
+from .linalg import _check_eps, _check_width, _power, _shrink, _square_pair, _symmetric, shrink
+from .linalg import validate_embeddings
 
 DEFAULT_EPS = 1e-3
 DEFAULT_LR = 1e-3
@@ -90,9 +91,22 @@ def solve_closed_form(sigma_t, sigma_s_hat, eps: float = DEFAULT_EPS) -> np.ndar
     floating-point accuracy.
     """
     sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
-    sigma_t_reg = shrink(sigma_t, eps)
-    sigma_s_reg = shrink(sigma_s_hat, eps)
-    return _power(sigma_t_reg, -0.5) @ _power(sigma_s_reg, 0.5)
+    sigma_t = _symmetric(sigma_t, "sigma")
+    _check_eps(eps)
+    w, _ = _closed_form(sigma_t, _symmetric(sigma_s_hat, "sigma"), eps)
+    return w
+
+
+def _closed_form(sigma_t, sigma_s_hat, eps, root_s=None) -> tuple[np.ndarray, np.ndarray]:
+    """``solve_closed_form`` of finite symmetric matrices, as (W, S_s_reg^(1/2)).
+
+    A ``root_s`` returned by an earlier call with the same sigma_s_hat and
+    eps stands in for that half of the solve.
+    """
+    inv_root_t = _power(_shrink(sigma_t, eps), -0.5)
+    if root_s is None:
+        root_s = _power(_shrink(sigma_s_hat, eps), 0.5)
+    return inv_root_t @ root_s, root_s
 
 
 def solve_gradient(

@@ -24,9 +24,9 @@ def make_symmetric(rng, d, scale=1.0):
     return (a + a.T) / 2.0
 
 
-def streamed_pseudo_source(test, head, cfg):
+def streamed_selections(test, head, cfg):
     """Fold ``test`` batch by batch into a bounded index bank, as online mode
-    does, and return the pseudo-source rows selected after the last batch."""
+    does, and yield ``(lo, hi, pseudo-source rows)`` after each batch."""
     from tcalign import batch_uncertainties, predict
     from tcalign.pipeline import _fold
 
@@ -40,4 +40,10 @@ def streamed_pseudo_source(test, head, cfg):
         omegas[lo:hi], classes[lo:hi] = batch_uncertainties(probs), probs.argmax(axis=1)
         counts += np.bincount(classes[lo:hi], minlength=head.n_classes)
         bank, selected = _fold(cfg, bank, np.arange(lo, hi), omegas, classes, counts)
+        yield lo, hi, selected
+
+
+def streamed_pseudo_source(test, head, cfg):
+    """The pseudo-source rows ``streamed_selections`` selects after the last batch."""
+    *_, (_, _, selected) = streamed_selections(test, head, cfg)
     return selected.tolist()

@@ -315,6 +315,24 @@ class TestAdapt:
         )
         assert code == 4
 
+    def test_overflowing_logits_exit_4(self, workspace, tmp_path, capsys):
+        # finite rows whose logits overflow have no softmax; this used to exit 2
+        # on a misleading "probabilities must be nonnegative"
+        _, data_dir, _ = workspace
+        huge = tmp_path / "huge.json"
+        tcalign.save_head(tcalign.SoftmaxHead(weight=np.eye(3, 2) * 1e307, bias=np.zeros(3)), huge)
+        code = main(
+            [
+                "adapt",
+                "--test", str(data_dir / "target.tcae"),
+                "--head", str(huge),
+                "--out-preds", str(tmp_path / "p.csv"),
+                "--out-report", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 4
+        assert "logits z W^T + b are not finite" in capsys.readouterr().err
+
 
 class TestEval:
     def test_eval_matches_report(self, workspace, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from tcalign import (
     DegenerateLabels,
     InvalidInput,
+    NumericalFailure,
     ParseError,
     SoftmaxHead,
     accuracy,
@@ -60,6 +61,16 @@ class TestPredict:
         shifted = SoftmaxHead(weight=head.weight.copy(), bias=head.bias + 7.5)
         z = rng.standard_normal((10, 2))
         assert np.max(np.abs(predict(head, z).probs - predict(shifted, z).probs)) <= 1e-12
+
+    def test_overflowing_logits_rejected(self):
+        # finite rows and head whose product overflows used to come back as
+        # NaN probability rows with argmax 0, with only a numpy RuntimeWarning
+        head = SoftmaxHead(weight=[[1e200, 0.0], [0.0, 1e200]], bias=[0.0, 0.0])
+        with pytest.raises(NumericalFailure, match="logits .* are not finite"):
+            predict(head, [[1e200, 1.0], [2.0, 1e200], [3.0, 1.0]])
+        z, y = two_cluster_data()
+        with pytest.raises(NumericalFailure, match="logits .* are not finite"):
+            train_head(z * 1e200, y, lr=1.0, epochs=3)
 
     def test_dimension_mismatch_rejected(self):
         head = SoftmaxHead(weight=np.zeros((2, 3)), bias=np.zeros(2))
@@ -125,7 +136,7 @@ class TestTrainHead:
         with pytest.raises(InvalidInput, match="label count"):
             train_head(z, y[:-1], lr=0.1, epochs=5)
 
-    @pytest.mark.parametrize("epochs", [2.5, 3.0, -1, None])
+    @pytest.mark.parametrize("epochs", [2.5, 3.0, -1, None, True])
     def test_bad_epochs_rejected(self, epochs):
         # a fractional count used to raise a bare TypeError from range()
         z, y = two_cluster_data()

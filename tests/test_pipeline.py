@@ -22,12 +22,13 @@ from tcalign import (
     gen_linear_shift,
     gen_nonlinear_shift,
     predict,
+    solve_closed_form,
     solve_gradient,
     train_head,
     validate_alignment_trace,
     validate_uncertainty_groups,
 )
-from conftest import streamed_pseudo_source
+from conftest import streamed_pseudo_source, streamed_selections
 
 
 @pytest.fixture(scope="module")
@@ -98,24 +99,34 @@ class TestFoldedHead:
 
     @pytest.mark.parametrize("batch_size", [1, 7, 64])
     def test_online_matches_two_step_reference(self, linear_demo, batch_size):
-        # replay the loop's per-batch moments and transforms, apply each
-        # transform to its batch's rows, and measure the emitted rows directly
-        from tcalign.pipeline import _solve, _steps
-
+        # replay every batch through the public functions: the running moments,
+        # the pseudo-source's covariance and solve_closed_form give the loop's
+        # transforms, so the head with each folded in predicts the loop's bits;
+        # applying each transform to its batch's rows gives the emitted rows,
+        # which are measured directly
         data, head = linear_demo
         test = data.target.features
         source_stats = covariance(data.source.features)
         cfg = AdaptConfig(batch_size=batch_size)
         preds, report = adapt_online(test, head, cfg, source_stats=source_stats)
-        emitted = []
-        for lo, hi, _, _, moments in _steps(test, head, cfg, batch_size):
-            if moments is None:
-                emitted.append(test[lo:hi])
+        stats = CovarianceAccumulator(test.shape[1])
+        folded, emitted = [], []
+        for lo, hi, selected in streamed_selections(test, head, cfg):
+            rows = test[lo:hi]
+            stats.update(rows)
+            if len(selected) < 2:
+                folded.append(predict(head, rows).probs)
+                emitted.append(rows)
                 continue
-            mu_s_hat, sigma_s_hat, mu_t, sigma_t = moments
-            w, _ = _solve(cfg, sigma_t, sigma_s_hat)
+            mu_s_hat, sigma_s_hat = covariance(test[selected])
+            mu_t, sigma_t = stats.finalize()
+            w = solve_closed_form(sigma_t, sigma_s_hat, cfg.eps)
+            bias = head.bias + head.weight @ (mu_s_hat - w.T @ mu_t)
+            folded.append(predict(SoftmaxHead(weight=head.weight @ w.T, bias=bias), rows).probs)
             transform = AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
-            emitted.append(apply_transform(test[lo:hi], transform))
+            emitted.append(apply_transform(rows, transform))
+        assert np.array_equal(preds.probs, np.concatenate(folded))
+        assert report.dist_test_to_pseudo_before == correlation_distance(sigma_t, sigma_s_hat)
         emitted = np.concatenate(emitted)  # sigma_s_hat is now the last solve's, as in the report
         reference = predict(head, emitted)
         assert np.max(np.abs(preds.probs - reference.probs)) <= 1e-12
@@ -572,6 +583,23 @@ class TestAlignmentTrace:
         assert result.solver_trace is not None
 
 
+def count_calls(monkeypatch, calls, name):
+    """Count, in ``calls[name]``, the calls of ``linalg.<name>`` made through
+    any tcalign module that holds it."""
+    from tcalign import linalg
+
+    original = getattr(linalg, name)
+    calls[name] = 0
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "tcalign" and vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, wrapper)
+
+
 class TestValidationBoundary:
     """The adapt path checks the test matrix once, at its entry: the batch loop
     runs kernels on it, so neither the checks nor the accumulator's own
@@ -579,48 +607,83 @@ class TestValidationBoundary:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        from tcalign import linalg
+        calls = {"update": 0}
+        count_calls(monkeypatch, calls, "validate_embeddings")
+        update = CovarianceAccumulator.update
 
-        calls = {"validate_embeddings": 0, "update": 0}
+        def counted_update(*args, **kwargs):
+            calls["update"] += 1
+            return update(*args, **kwargs)
 
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
+        monkeypatch.setattr(CovarianceAccumulator, "update", counted_update)
+        return calls
 
-            return wrapper
-
-        check = counted("validate_embeddings", linalg.validate_embeddings)
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "tcalign" and "validate_embeddings" in vars(module):
-                monkeypatch.setattr(module, "validate_embeddings", check)
-        monkeypatch.setattr(
-            CovarianceAccumulator, "update", counted("update", CovarianceAccumulator.update)
-        )
+    @pytest.fixture
+    def matrix_calls(self, monkeypatch):
+        calls = {}
+        for name in ("_power", "_square", "_symmetric", "correlation_distance"):
+            count_calls(monkeypatch, calls, name)
         return calls
 
     @pytest.mark.parametrize("n, batch_size", [(750, 1), (750, 7), (750, 64), (300, 300)])
-    def test_online_checks_once_plus_once_per_batch(self, linear_demo, calls, n, batch_size):
+    def test_online_checks_once(self, linear_demo, calls, n, batch_size):
         data, head = linear_demo
         cfg = AdaptConfig(batch_size=batch_size)
         adapt_online(data.target.features[:n], head, cfg, labels=data.target.labels[:n])
-        assert calls["validate_embeddings"] <= 1 + math.ceil(n / batch_size)
-        assert calls["update"] == 0
+        assert calls == {"validate_embeddings": 1, "update": 0}
 
     @pytest.mark.parametrize("selection_mode", ["global", "class_balanced"])
-    def test_transductive_checks_at_most_twice(self, linear_demo, calls, selection_mode):
+    def test_transductive_checks_once(self, linear_demo, calls, selection_mode):
         data, head = linear_demo
         cfg = AdaptConfig(selection_mode=selection_mode)
         adapt_transductive(data.target.features, head, cfg, labels=data.target.labels)
-        assert calls["validate_embeddings"] <= 2
-        assert calls["update"] == 0
+        assert calls == {"validate_embeddings": 1, "update": 0}
 
-    def test_counters_see_every_check(self, calls):
+    def test_counters_see_every_check(self, calls, matrix_calls):
         # the patched references are the ones the package calls
         predict(SoftmaxHead(weight=np.zeros((2, 2)), bias=np.zeros(2)), np.zeros((3, 2)))
         covariance(np.zeros((3, 2)))
         CovarianceAccumulator(2).update(np.zeros((3, 2)))
         assert calls == {"validate_embeddings": 3, "update": 1}
+        solve_closed_form(np.eye(2), np.eye(2))
+        want = {"_power": 2, "_square": 4, "_symmetric": 2, "correlation_distance": 0}
+        assert matrix_calls == want
+
+    @pytest.mark.parametrize("selection_mode", ["global", "class_balanced"])
+    @pytest.mark.parametrize("batch_size", [7, 750])
+    def test_only_the_report_rescans_matrices(
+        self, linear_demo, matrix_calls, batch_size, selection_mode
+    ):
+        # no square-matrix check runs in the closed-form loop: the report's
+        # distances are the only callers of _square, two per distance
+        data, head = linear_demo
+        cfg = AdaptConfig(batch_size=batch_size, selection_mode=selection_mode)
+        source_stats = covariance(data.source.features)
+        adapt_online(data.target.features, head, cfg, source_stats=source_stats)
+        assert matrix_calls["correlation_distance"] == 5
+        assert matrix_calls["_square"] == 2 * 5
+        assert matrix_calls["_symmetric"] == 0
+
+    @pytest.mark.parametrize("selection_mode", ["global", "class_balanced"])
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_closed_solve_reuses_unchanged_selection(
+        self, linear_demo, matrix_calls, batch_size, selection_mode
+    ):
+        # one _power per solve for S_t^(-1/2), and one per new selection for
+        # S_s^(1/2): a batch that selects the rows of the last solve reuses it
+        data, head = linear_demo
+        test = data.target.features
+        cfg = AdaptConfig(batch_size=batch_size, selection_mode=selection_mode)
+        _, report = adapt_online(test, head, cfg)
+        solves = selections = 0
+        last = None
+        for _, _, selected in streamed_selections(test, head, cfg):
+            if len(selected) >= 2:
+                solves += 1
+                selections += not np.array_equal(selected, last)
+                last = selected
+        assert solves == math.ceil(len(test) / batch_size) - report.unadapted_batches
+        assert matrix_calls["_power"] == solves + selections
 
 
 class TestConfigValidation:
@@ -642,6 +705,8 @@ class TestConfigValidation:
             {"lr": None},
             {"lr": "0.1"},
             {"eps": None},
+            {"batch_size": True},
+            {"max_iters": True},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
@@ -683,14 +748,17 @@ class TestConfigValidation:
         # record_every=2.5 used to record iterations 0, 5, 10, ... without complaint
         data, head = linear_demo
         stats = covariance(data.source.features)
-        with pytest.raises(InvalidConfig, match="n_groups must be an integer"):
-            validate_uncertainty_groups(data.target.features, head, stats, n_groups=3.0)
-        with pytest.raises(InvalidConfig, match="record_every must be an integer"):
-            validate_alignment_trace(
-                data.target.features,
-                head,
-                AdaptConfig(solver="gradient", lr=1e-7, max_iters=20),
-                stats,
-                data.target.labels,
-                record_every=2.5,
-            )
+        # True is an Integral equal to 1, and used to be accepted as that count
+        for bad in (3.0, True):
+            with pytest.raises(InvalidConfig, match="n_groups must be an integer"):
+                validate_uncertainty_groups(data.target.features, head, stats, n_groups=bad)
+        for bad in (2.5, True):
+            with pytest.raises(InvalidConfig, match="record_every must be an integer"):
+                validate_alignment_trace(
+                    data.target.features,
+                    head,
+                    AdaptConfig(solver="gradient", lr=1e-7, max_iters=20),
+                    stats,
+                    data.target.labels,
+                    record_every=bad,
+                )

@@ -1,7 +1,8 @@
 """Source rules: the package has one atomic writer, one decimal float format,
 one place that opens files and one that packs byte layouts, all in ``io.py``,
 and one eigendecomposition, in ``linalg.py``, so no module grows a second
-copy of any, and it keeps no public definition that nothing reads."""
+copy of any; it keeps no public definition that nothing reads; and the adapt
+loop calls kernels, never the checked public functions around them."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,35 @@ def test_every_unexported_definition_is_used():
         and node.name not in referenced
     ]
     assert unused == []
+
+
+# The batch loop of the adapt path and the checked public functions whose
+# kernels it calls instead; the test matrix is checked once, in _check_test.
+ADAPT_LOOP = ("_steps", "_fold", "_solve", "_adapted_head", "_mapped", "_adapt")
+CHECKED_ENTRIES = {
+    "validate_embeddings",
+    "covariance",
+    "batch_uncertainties",
+    "most_certain",
+    "class_quotas",
+    "solve_closed_form",
+    "shrink",
+    "spd_power",
+    "predict",
+    "SoftmaxHead",
+}
+
+
+def test_adapt_loop_calls_no_checked_entry_point():
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
+    bodies = {
+        node.name: node.body
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ADAPT_LOOP
+    }
+    assert sorted(bodies) == sorted(ADAPT_LOOP)
+    found = {
+        name: sorted(CHECKED_ENTRIES & set().union(*map(_referenced_names, body)))
+        for name, body in bodies.items()
+    }
+    assert found == {name: [] for name in ADAPT_LOOP}
