@@ -91,11 +91,12 @@ def _moments(z: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def correlation_distance(a, b) -> float:
-    """Covariance discrepancy ||a - b||_F^2 / (4 d^2) between two d x d matrices."""
+    """Covariance discrepancy ||a - b||_F^2 / (4 d^2) of two d x d matrices, inf on overflow."""
     a, b = _square_pair(a, b, "a", "b")
     d = a.shape[0]
-    diff = a - b
-    return float(np.sum(diff * diff) / (4.0 * d * d))
+    with np.errstate(over="ignore"):
+        diff = a - b
+        return float(np.sum(diff * diff) / (4.0 * d * d))
 
 
 def shrink(sigma, eps: float) -> np.ndarray:

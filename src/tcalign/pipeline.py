@@ -1,21 +1,14 @@
 """End-to-end adaptation pipelines and theory-validation experiments.
 
-Both modes check the test matrix once, in ``_check_test``, and then run one
-loop on its rows. Per batch it folds the rows into streaming statistics and
-a bounded index bank, selects the pseudo-source, solves for the alignment
-transform and predicts the batch through it, falling back to the unadapted
-head until 2 rows can be selected. Online mode feeds the test set in
-batches; transductive mode is the same loop with a single batch of all n
-rows, so it scores the whole test set, solves once and re-predicts
-everything.
-
-The loop calls only the kernels behind the checked public functions, on
-data the entry checked or the loop computed (the gradient solver stays the
-checked ``solve_gradient``); ``softmax_rows`` rejects overflowing logits and
-the per-batch ``AlignmentTransform`` checks W. A batch that selects the rows
-of the last solve reuses its mu_s_hat, sigma_s_hat and S_s^(1/2). The key is
-the selected rows, not the bank: class-balanced quotas move with the class
-counts while the bank stands still.
+``_adapt`` is the one adaptation loop. It checks the test matrix once, in
+``_check_test``; then, per batch, it predicts and scores the rows, folds them
+into streaming statistics and a bounded index bank, selects the
+pseudo-source, solves for the alignment transform and predicts the batch
+through it. Transductive mode is one batch of all n rows. The pseudo-source
+half of the solve (mu_s_hat, sigma_s_hat, S_s^(1/2)) is redone only when the
+selected rows change. Below the entry the loop calls only kernels, never the
+checked public functions; ``validate_alignment_trace`` records the iterates
+of its one gradient solve.
 
 Adapted rows are never materialised. The affine map z -> (z - mu_t) W +
 mu_s_hat is folded into the linear softmax head (weight H W^T, bias
@@ -28,15 +21,16 @@ those identities are tested against.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import InsufficientSamples, InvalidConfig, InvalidInput, _check_count, _finite_real
-from .head import PredictionBatch, SoftmaxHead, accuracy, check_labels, predict, softmax_rows
+from .head import PredictionBatch, SoftmaxHead, accuracy, check_labels, softmax_rows
 from .linalg import CovarianceAccumulator, _check_width, _covariance, _moments
-from .linalg import correlation_distance, covariance, validate_embeddings
+from .linalg import correlation_distance, validate_embeddings
 from .metrics import linear_fit_r2, spearman
-from .pseudo_source import _class_quotas, _most_certain, _uncertainties, batch_uncertainties
+from .pseudo_source import _class_quotas, _most_certain, _uncertainties
 from .transform import DEFAULT_EPS, DEFAULT_LR, DEFAULT_MAX_ITERS
 from .transform import AlignmentTransform, SolverTrace, _closed_form, solve_gradient
 
@@ -130,42 +124,6 @@ def _check_test(test, head: SoftmaxHead, mode: str) -> np.ndarray:
     return _check_width(test, head.dim, "head")
 
 
-def _steps(test: np.ndarray, head: SoftmaxHead, cfg: AdaptConfig, batch_size: int):
-    """Per batch of ``batch_size`` rows: predict, score, fold into the bank,
-    select, and take the moments of the pseudo-source and of every row so far.
-
-    Yields ``(lo, hi, unadapted predictions, batch, moments)``, where batch
-    is the ``(count, mean, scatter)`` of the batch's rows alone and moments is
-    ``(mu_s_hat, sigma_s_hat, mu_t, sigma_t)``, or None while fewer than 2
-    rows are selected. Selection keeps min(k, rows so far) rows and k >= 2, so
-    only a first batch of one row goes without moments. A batch that selects
-    the rows the last moments came from yields those same mu_s_hat and
-    sigma_s_hat arrays.
-    """
-    n, d = test.shape
-    stats = CovarianceAccumulator(d)
-    uncertainty = np.empty(n)
-    classes = np.empty(n, dtype=np.int64)
-    class_counts = np.zeros(head.n_classes, dtype=np.int64)
-    bank = np.empty(0, dtype=np.int64)
-    source_rows = source = None  # the rows of the last pseudo-source moments, and those moments
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
-        probs = softmax_rows(test[lo:hi], head.weight, head.bias)
-        classes[lo:hi] = probs.argmax(axis=1)
-        uncertainty[lo:hi] = _uncertainties(probs, classes[lo:hi])
-        class_counts += np.bincount(classes[lo:hi], minlength=head.n_classes)
-        batch = _moments(test[lo:hi])
-        stats._merge_moments(*batch)
-        bank, selected = _fold(cfg, bank, np.arange(lo, hi), uncertainty, classes, class_counts)
-        moments = None
-        if len(selected) >= 2:
-            if not np.array_equal(selected, source_rows):
-                source_rows, source = selected, _covariance(test[selected])
-            moments = (*source, *stats.finalize())
-        yield lo, hi, PredictionBatch(probs=probs, argmax=classes[lo:hi]), batch, moments
-
-
 def _recolor(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """W^T sigma W, symmetrized: the covariance (or scatter) of rows mapped through W."""
     out = w.T @ sigma @ w
@@ -186,31 +144,12 @@ def _mapped(batch: tuple, t: AlignmentTransform) -> tuple[int, np.ndarray, np.nd
     return n, (mean - t.mu_t) @ t.w + t.mu_s_hat, _recolor(t.w, scatter)
 
 
-def _solve(
-    cfg: AdaptConfig, sigma_t, sigma_s_hat, root_s=None, iterate_hook=None
-) -> tuple[np.ndarray, SolverTrace | None, np.ndarray | None]:
-    """``(W, gradient trace, S_s^(1/2))``; a later closed-form solve against
-    the same ``sigma_s_hat`` passes that S_s^(1/2) back as ``root_s``."""
-    if cfg.solver == "gradient":
-        w, trace = solve_gradient(
-            sigma_t,
-            sigma_s_hat,
-            lr=cfg.lr,
-            max_iters=cfg.max_iters,
-            eps=cfg.eps,
-            iterate_hook=iterate_hook,
-        )
-        return w, trace, None
-    w, root_s = _closed_form(sigma_t, sigma_s_hat, cfg.eps, root_s)
-    return w, None, root_s
-
-
-def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
-    """The adaptation loop of both modes: per batch, solve against the current
-    moments and predict the batch through that transform; a batch without
-    moments is emitted unadapted. Transductive mode is one batch of all rows.
-
-    Returns the predictions, the report and the transform of the last solve.
+def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str, iterate_hook=None):
+    """The adaptation loop of both modes; returns the predictions, the report
+    and the transform of the last solve. A batch that selects fewer than 2
+    rows is emitted unadapted; k >= 2, so only a first batch of one row does.
+    A gradient solve hands each iterate to ``iterate_hook``, after that
+    solve's (mu_t, sigma_t, mu_s_hat, sigma_s_hat).
     """
     cfg = cfg or AdaptConfig()
     test = _check_test(test, head, mode)
@@ -218,25 +157,50 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
     if labels is not None:
         labels = check_labels(labels, n)
 
-    probs = np.empty((n, head.n_classes))
-    emitted = CovarianceAccumulator(d)
-    correct_before = unadapted_batches = 0
-    solved_for = root_s = None
+    c = head.n_classes
+    probs = np.empty((n, c))
+    uncertainty, classes = np.empty(n), np.empty(n, dtype=np.int64)  # per row, unadapted
+    class_counts = np.zeros(c, dtype=np.int64)
+    bank = np.empty(0, dtype=np.int64)
+    stats, emitted = CovarianceAccumulator(d), CovarianceAccumulator(d)
+    source_rows = root_s = trace = None  # the rows of the last pseudo-source moments
+    unadapted_batches = 0
     batch_size = n if mode == "transductive" else cfg.batch_size
-    for lo, hi, preds, batch, moments in _steps(test, head, cfg, batch_size):
-        if labels is not None:
-            correct_before += int(np.count_nonzero(preds.argmax == labels[lo:hi]))
-        if moments is None:
-            probs[lo:hi] = preds.probs
+    for lo in range(0, n, batch_size):
+        hi = min(lo + batch_size, n)
+        out = softmax_rows(test[lo:hi], head.weight, head.bias, out=probs[lo:hi])
+        classes[lo:hi] = out.argmax(axis=1)
+        uncertainty[lo:hi] = _uncertainties(out, classes[lo:hi])
+        class_counts += np.bincount(classes[lo:hi], minlength=c)
+        batch = _moments(test[lo:hi])
+        stats._merge_moments(*batch)
+        bank, selected = _fold(cfg, bank, np.arange(lo, hi), uncertainty, classes, class_counts)
+        if len(selected) < 2:
             emitted._merge_moments(*batch)
             unadapted_batches += 1
             continue
-        mu_s_hat, sigma_s_hat, mu_t, sigma_t = moments
-        if sigma_s_hat is not solved_for:  # _steps repeats the array while the selection holds
-            solved_for, root_s = sigma_s_hat, None
-        w, trace, root_s = _solve(cfg, sigma_t, sigma_s_hat, root_s)
+        # the key is the selected rows, not the bank: class-balanced quotas
+        # move with the class counts while the bank stands still
+        if not np.array_equal(selected, source_rows):
+            source_rows, root_s = selected, None
+            mu_s_hat, sigma_s_hat = _covariance(test[selected])
+        mu_t, sigma_t = stats.finalize()
+        if cfg.solver == "gradient":
+            hook = None
+            if iterate_hook is not None:
+                hook = partial(iterate_hook, mu_t, sigma_t, mu_s_hat, sigma_s_hat)
+            w, trace = solve_gradient(
+                sigma_t,
+                sigma_s_hat,
+                lr=cfg.lr,
+                max_iters=cfg.max_iters,
+                eps=cfg.eps,
+                iterate_hook=hook,
+            )
+        else:
+            w, root_s = _closed_form(sigma_t, sigma_s_hat, cfg.eps, root_s)
         transform = AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
-        softmax_rows(test[lo:hi], *_adapted_head(head, transform), out=probs[lo:hi])
+        softmax_rows(test[lo:hi], *_adapted_head(head, transform), out=out)
         emitted._merge_moments(*_mapped(batch, transform))
 
     # n >= 2, so the last batch was adapted and its moments cover every row
@@ -245,7 +209,7 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
     report = AdaptReport(
         n=n,
         d=d,
-        c=head.n_classes,
+        c=c,
         mode=mode,
         dist_test_to_pseudo_before=correlation_distance(sigma_t, sigma_s_hat),
         dist_test_to_pseudo_after=correlation_distance(sigma_emitted, sigma_s_hat),
@@ -253,7 +217,7 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
         unadapted_batches=unadapted_batches,
     )
     if labels is not None:
-        report.accuracy_before = correct_before / n
+        report.accuracy_before = float(np.mean(classes == labels))
         report.accuracy_after = accuracy(preds_out, labels)
     if source_stats is not None:
         _, sigma_s = source_stats
@@ -317,8 +281,8 @@ def validate_uncertainty_groups(
             f"each group needs >= 2 instances: n={n} is too small for {n_groups} groups"
         )
     _, sigma_s = source_stats
-    preds = predict(head, test)
-    uncertainties = batch_uncertainties(preds.probs)
+    probs = softmax_rows(_check_width(test, head.dim, "head"), head.weight, head.bias)
+    uncertainties = _uncertainties(probs, probs.argmax(axis=1))
     order = np.lexsort((np.arange(n), uncertainties))
     size = n // n_groups
     rows = []
@@ -326,7 +290,7 @@ def validate_uncertainty_groups(
         lo = g * size
         hi = (g + 1) * size if g < n_groups - 1 else n  # remainder joins the last group
         idx = order[lo:hi]
-        _, sigma_g = covariance(test[idx])
+        _, sigma_g = _covariance(test[idx])
         rows.append(
             GroupRow(
                 group_index=g,
@@ -376,9 +340,10 @@ def validate_alignment_trace(
 ) -> TraceResult:
     """Record gradient-solver iterates applied to the test set.
 
-    Every ``record_every``-th iterate (plus the final one) is turned into a
-    row of covariance distances and accuracy as the solver hands it over, so
-    only the latest iterate is held; the summary correlations mirror the
+    The iterates are those of the one solve of ``adapt_transductive``. Every
+    ``record_every``-th iterate (plus the final one) is turned into a row of
+    covariance distances and accuracy as the solver hands it over, so only
+    the latest iterate is held; the summary correlations mirror the
     relationship plots of the alignment-theory experiments.
     """
     if cfg.solver != "gradient":
@@ -386,15 +351,13 @@ def validate_alignment_trace(
     if labels is None:
         raise InvalidInput("alignment traces require test labels for the accuracy column")
     _check_count("record_every", record_every, 1, InvalidConfig)
-    test = _check_test(test, head, "transductive")
-    labels = check_labels(labels, test.shape[0])
+    # both are checked by _adapt before the solver hands over the first iterate
+    test, labels = np.asarray(test, dtype=np.float64), np.asarray(labels)
     _, sigma_s = source_stats
-
-    *_, (mu_s_hat, sigma_s_hat, mu_t, sigma_t) = next(_steps(test, head, cfg, test.shape[0]))
 
     result = TraceResult()
 
-    def record(iteration: int, w: np.ndarray) -> None:
+    def record(mu_t, sigma_t, mu_s_hat, sigma_s_hat, iteration: int, w: np.ndarray) -> None:
         sigma_i = _recolor(w, sigma_t)
         adapted = _adapted_head(head, AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat))
         argmax = softmax_rows(test, *adapted).argmax(axis=1)
@@ -407,16 +370,18 @@ def validate_alignment_trace(
             )
         )
 
-    last = None  # the latest iterate, recorded after the solve if it was skipped
+    unrecorded = None  # the latest iterate, while it is skipped
 
-    def hook(iteration: int, w: np.ndarray) -> None:
-        nonlocal last
-        last = (iteration, w)
+    def hook(mu_t, sigma_t, mu_s_hat, sigma_s_hat, iteration: int, w: np.ndarray) -> None:
+        nonlocal unrecorded
+        unrecorded = (mu_t, sigma_t, mu_s_hat, sigma_s_hat, iteration, w)
         if iteration % record_every == 0:
-            record(iteration, w)
+            record(*unrecorded)
+            unrecorded = None
 
-    _, result.solver_trace, _ = _solve(cfg, sigma_t, sigma_s_hat, iterate_hook=hook)
-    if last[0] % record_every != 0:
-        record(*last)
+    _, report, _ = _adapt(test, head, cfg, labels, None, "transductive", iterate_hook=hook)
+    result.solver_trace = report.solver_trace
+    if unrecorded is not None:  # the final iterate
+        record(*unrecorded)
     result.summarize()
     return result

@@ -62,25 +62,30 @@ class SolverTrace:
     converged: bool = False
 
 
-def _residual(w, sigma_t, sigma_s_hat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Checked (w, sigma_t, W^T sigma_t W - sigma_s_hat), as float64."""
+def _checked(w, sigma_t, sigma_s_hat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, sigma_t, sigma_s_hat) as float64, once they are square matrices of one shape."""
     sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
     w = np.asarray(w, dtype=np.float64)
     if w.shape != sigma_t.shape:
         raise InvalidInput(f"w shape {w.shape} does not match sigma shape {sigma_t.shape}")
-    return w, sigma_t, w.T @ sigma_t @ w - sigma_s_hat
+    return w, sigma_t, sigma_s_hat
+
+
+def _residual(w, sigma_t, sigma_s_hat) -> np.ndarray:
+    """W^T sigma_t W - sigma_s_hat of checked matrices."""
+    return w.T @ sigma_t @ w - sigma_s_hat
 
 
 def objective(w, sigma_t, sigma_s_hat) -> float:
     """Alignment residual ||W^T sigma_t W - sigma_s_hat||_F^2."""
-    *_, residual = _residual(w, sigma_t, sigma_s_hat)
+    residual = _residual(*_checked(w, sigma_t, sigma_s_hat))
     return float(np.sum(residual * residual))
 
 
 def objective_gradient(w, sigma_t, sigma_s_hat) -> np.ndarray:
     """Analytic gradient 4 sigma_t W (W^T sigma_t W - sigma_s_hat) of objective()."""
-    w, sigma_t, residual = _residual(w, sigma_t, sigma_s_hat)
-    return 4.0 * sigma_t @ w @ residual
+    w, sigma_t, sigma_s_hat = _checked(w, sigma_t, sigma_s_hat)
+    return 4.0 * sigma_t @ w @ _residual(w, sigma_t, sigma_s_hat)
 
 
 def solve_closed_form(sigma_t, sigma_s_hat, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -143,7 +148,9 @@ def solve_gradient(
         raise InvalidInput(f"init shape {w.shape} does not match sigma shape {sigma_t.shape}")
 
     trace = SolverTrace()
-    current = objective(w, sigma_t_reg, sigma_s_reg)
+    # the loop carries the residual: objective sum(r * r), step 4 sigma_t W r
+    residual = _residual(w, sigma_t_reg, sigma_s_reg)
+    current = float(np.sum(residual * residual))
     if not np.isfinite(current):
         raise DivergenceError("objective is non-finite at the initial iterate", w, [])
     trace.objective_values.append(current)
@@ -155,8 +162,9 @@ def solve_gradient(
     stall = 0
     for it in range(1, max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            w = w - lr * objective_gradient(w, sigma_t_reg, sigma_s_reg)
-            value = objective(w, sigma_t_reg, sigma_s_reg) if np.all(np.isfinite(w)) else np.inf
+            w = w - lr * (4.0 * sigma_t_reg @ w @ residual)
+            residual = _residual(w, sigma_t_reg, sigma_s_reg)
+            value = float(np.sum(residual * residual)) if np.all(np.isfinite(w)) else np.inf
         if not np.isfinite(value):
             raise DivergenceError(
                 f"objective became non-finite at iteration {it} (lr={lr:g}); "

@@ -286,6 +286,18 @@ class TestAdaptTransductive:
         assert report.solver_trace is not None
         assert report.solver_trace.objective_values[-1] <= report.solver_trace.objective_values[0]
 
+    @pytest.mark.parametrize("mode", ["transductive", "online"])
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    def test_overflowing_distances_are_inf(self, linear_demo, mode, scale):
+        # the squared covariance differences overflow while the moments do
+        # not; the distance comes back inf without a RuntimeWarning
+        data, head = linear_demo
+        adapt = adapt_transductive if mode == "transductive" else adapt_online
+        preds, report = adapt(data.target.features * scale, head, AdaptConfig())[:2]
+        assert np.all(np.isfinite(preds.probs))
+        assert report.dist_test_to_pseudo_before == math.inf
+        assert report.dist_test_to_pseudo_after == math.inf
+
     def test_report_dict_is_json_ready(self, linear_demo):
         import json
 
@@ -638,6 +650,27 @@ class TestValidationBoundary:
         cfg = AdaptConfig(selection_mode=selection_mode)
         adapt_transductive(data.target.features, head, cfg, labels=data.target.labels)
         assert calls == {"validate_embeddings": 1, "update": 0}
+
+    def test_experiments_check_once(self, linear_demo, calls):
+        data, head = linear_demo
+        stats = covariance(data.source.features)
+        calls["validate_embeddings"] = 0
+        validate_uncertainty_groups(data.target.features, head, stats)
+        assert calls == {"validate_embeddings": 1, "update": 0}
+        cfg = AdaptConfig(solver="gradient", lr=1e-7, max_iters=20)
+        validate_alignment_trace(data.target.features, head, cfg, stats, data.target.labels)
+        assert calls == {"validate_embeddings": 2, "update": 0}
+
+    def test_gradient_loop_checks_no_matrix(self, matrix_calls):
+        # the solver checks its matrices on entry, so the check count does
+        # not grow with the iterations
+        counts = []
+        for max_iters in (5, 50):
+            matrix_calls["_square"] = 0
+            _, trace = solve_gradient(2.0 * np.eye(3), np.eye(3), max_iters=max_iters)
+            assert trace.iterations == max_iters
+            counts.append(matrix_calls["_square"])
+        assert counts[0] == counts[1]
 
     def test_counters_see_every_check(self, calls, matrix_calls):
         # the patched references are the ones the package calls

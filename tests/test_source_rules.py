@@ -2,7 +2,8 @@
 one place that opens files and one that packs byte layouts, all in ``io.py``,
 and one eigendecomposition, in ``linalg.py``, so no module grows a second
 copy of any; it keeps no public definition that nothing reads; and the adapt
-loop calls kernels, never the checked public functions around them."""
+loop and the gradient solver's loop call kernels, never the checked public
+functions around them."""
 
 import ast
 from pathlib import Path
@@ -60,7 +61,7 @@ def test_every_unexported_definition_is_used():
 
 # The batch loop of the adapt path and the checked public functions whose
 # kernels it calls instead; the test matrix is checked once, in _check_test.
-ADAPT_LOOP = ("_steps", "_fold", "_solve", "_adapted_head", "_mapped", "_adapt")
+ADAPT_LOOP = ("_fold", "_adapted_head", "_mapped", "_adapt")
 CHECKED_ENTRIES = {
     "validate_embeddings",
     "covariance",
@@ -88,3 +89,13 @@ def test_adapt_loop_calls_no_checked_entry_point():
         for name, body in bodies.items()
     }
     assert found == {name: [] for name in ADAPT_LOOP}
+
+
+def test_gradient_loop_calls_no_checked_objective():
+    # the loop carries its residual through the unchecked kernel
+    tree = ast.parse((PACKAGE / "transform.py").read_text(encoding="utf-8"))
+    (solver,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "solve_gradient"
+    ]
+    (loop,) = [node for node in ast.walk(solver) if isinstance(node, ast.For)]
+    assert {"objective", "objective_gradient"} & _referenced_names(loop) == set()
