@@ -26,6 +26,7 @@ from .pipeline import (
 )
 from .plot import write_scatter_svg
 from .synth import gen_linear_shift, gen_nonlinear_shift
+from .transform import DEFAULT_LR, DEFAULT_MAX_ITERS
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -39,8 +40,6 @@ def _add_adapt_options(p: argparse.ArgumentParser) -> None:
     """The adaptation options that ``adapt`` and ``validate-theory`` share."""
     p.add_argument("--k", type=int, default=_DEFAULTS.k)
     p.add_argument("--eps", type=float, default=_DEFAULTS.eps)
-    p.add_argument("--lr", type=float, default=_DEFAULTS.lr)
-    p.add_argument("--iters", type=int, default=_DEFAULTS.max_iters)
     p.add_argument(
         "--select",
         choices=("global", "class-balanced"),
@@ -72,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head", required=True)
     p.add_argument("--labels")
     _add_adapt_options(p)
-    p.add_argument("--solver", choices=("closed", "gradient"), default=_DEFAULTS.solver)
+    p.add_argument("--solver", choices=("closed",), default="closed", help="the only solver")
     p.add_argument("--mode", choices=("transductive", "online"), default="transductive")
     p.add_argument("--batch-size", type=int, default=_DEFAULTS.batch_size)
     p.add_argument("--out-preds", required=True)
@@ -87,6 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-groups", type=int, default=10)
     p.add_argument("--record-every", type=int, default=10)
     _add_adapt_options(p)
+    p.add_argument("--lr", type=float, default=DEFAULT_LR, help="gradient step of the trace")
+    p.add_argument("--iters", type=int, default=DEFAULT_MAX_ITERS, help="trace iterations")
     p.add_argument("--out-csv", required=True)
 
     p = sub.add_parser("eval", help="score stored predictions against labels")
@@ -107,8 +108,6 @@ def _cfg_from_args(args, **fields) -> AdaptConfig:
     return AdaptConfig(
         k=args.k,
         eps=args.eps,
-        lr=args.lr,
-        max_iters=args.iters,
         selection_mode=args.select.replace("-", "_"),
         **fields,
     )
@@ -143,7 +142,7 @@ def _cmd_adapt(args) -> int:
     test = tio.read_embeddings(args.test)
     head = load_head(args.head)
     labels = tio.read_labels(args.labels) if args.labels else None
-    cfg = _cfg_from_args(args, solver=args.solver, batch_size=args.batch_size)
+    cfg = _cfg_from_args(args, batch_size=args.batch_size)
     if args.mode == "online":
         preds, report = adapt_online(test, head, cfg, labels=labels)
     else:
@@ -182,9 +181,15 @@ def _cmd_validate_theory(args) -> int:
     if not args.labels:
         raise InvalidInput("--labels is required for the trace experiment")
     labels = tio.read_labels(args.labels)
-    cfg = _cfg_from_args(args, solver="gradient")
     result = validate_alignment_trace(
-        test, head, cfg, source_stats, labels, record_every=args.record_every
+        test,
+        head,
+        _cfg_from_args(args),
+        source_stats,
+        labels,
+        record_every=args.record_every,
+        lr=args.lr,
+        max_iters=args.iters,
     )
     tio.table_to_csv(
         args.out_csv,

@@ -3,12 +3,14 @@
 ``_adapt`` is the one adaptation loop. It checks the test matrix once, in
 ``_check_test``; then, per batch, it predicts and scores the rows, folds them
 into streaming statistics and a bounded index bank, selects the
-pseudo-source, solves for the alignment transform and predicts the batch
-through it. Transductive mode is one batch of all n rows. The pseudo-source
-half of the solve (mu_s_hat, sigma_s_hat, S_s^(1/2)) is redone only when the
-selected rows change. Below the entry the loop calls only kernels, never the
-checked public functions; ``validate_alignment_trace`` records the iterates
-of its one gradient solve.
+pseudo-source, solves for the alignment transform in closed form and
+predicts the batch through it. Transductive mode is one batch of all n rows.
+The pseudo-source half of the solve (mu_s_hat, sigma_s_hat, S_s^(1/2)) is
+redone only when the selected rows change. Below the entry the loop calls
+only kernels, never the checked public functions. ``validate_alignment_trace``
+builds the transductive pseudo-source from the same kernels and records the
+iterates of one gradient solve towards it; the gradient solver runs nowhere
+else.
 
 Adapted rows are never materialised. The affine map z -> (z - mu_t) W +
 mu_s_hat is folded into the linear softmax head (weight H W^T, bias
@@ -21,7 +23,6 @@ those identities are tested against.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -34,13 +35,12 @@ from .pseudo_source import _class_quotas, _most_certain, _uncertainties
 from .transform import DEFAULT_EPS, DEFAULT_LR, DEFAULT_MAX_ITERS
 from .transform import AlignmentTransform, SolverTrace, _closed_form, solve_gradient
 
-SOLVERS = ("closed", "gradient")
 SELECTION_MODES = ("global", "class_balanced")
 
 
 @dataclass(frozen=True)
 class AdaptConfig:
-    """Knobs for one adaptation run; the solver defaults are those of ``transform``.
+    """Knobs for one adaptation run; ``eps`` defaults to ``transform.DEFAULT_EPS``.
 
     The mode is not a knob: it is the function called, ``adapt_transductive``
     or ``adapt_online`` (which alone reads ``batch_size``). A config is checked
@@ -50,9 +50,6 @@ class AdaptConfig:
 
     k: int = 30
     eps: float = DEFAULT_EPS
-    solver: str = "closed"
-    lr: float = DEFAULT_LR
-    max_iters: int = DEFAULT_MAX_ITERS
     selection_mode: str = "global"
     batch_size: int = 64
 
@@ -60,16 +57,11 @@ class AdaptConfig:
         _check_count("bank capacity k", self.k, 2, InvalidConfig)
         if not (_finite_real(self.eps) and self.eps >= 0):
             raise InvalidConfig(f"eps must be finite and >= 0, got {self.eps}")
-        if self.solver not in SOLVERS:
-            raise InvalidConfig(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         if self.selection_mode not in SELECTION_MODES:
             raise InvalidConfig(
                 f"selection_mode must be one of {SELECTION_MODES}, got {self.selection_mode!r}"
             )
         _check_count("batch_size", self.batch_size, 1, InvalidConfig)
-        if not (_finite_real(self.lr) and self.lr > 0):
-            raise InvalidConfig(f"lr must be finite and positive, got {self.lr}")
-        _check_count("max_iters", self.max_iters, 1, InvalidConfig)
 
 
 @dataclass
@@ -87,15 +79,10 @@ class AdaptReport:
     dist_test_to_source_before: float | None = None
     dist_test_to_source_after: float | None = None
     dist_pseudo_to_source: float | None = None
-    solver_trace: SolverTrace | None = None
     unadapted_batches: int = 0
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        trace = out.pop("solver_trace")  # last, and only when present
-        if trace is not None:
-            out["solver_trace"] = trace
-        return out
+        return asdict(self)
 
 
 def _fold(cfg: AdaptConfig, bank, rows, uncertainty, classes, class_counts):
@@ -144,12 +131,10 @@ def _mapped(batch: tuple, t: AlignmentTransform) -> tuple[int, np.ndarray, np.nd
     return n, (mean - t.mu_t) @ t.w + t.mu_s_hat, _recolor(t.w, scatter)
 
 
-def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str, iterate_hook=None):
+def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
     """The adaptation loop of both modes; returns the predictions, the report
     and the transform of the last solve. A batch that selects fewer than 2
     rows is emitted unadapted; k >= 2, so only a first batch of one row does.
-    A gradient solve hands each iterate to ``iterate_hook``, after that
-    solve's (mu_t, sigma_t, mu_s_hat, sigma_s_hat).
     """
     cfg = cfg or AdaptConfig()
     test = _check_test(test, head, mode)
@@ -163,7 +148,7 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str, iterat
     class_counts = np.zeros(c, dtype=np.int64)
     bank = np.empty(0, dtype=np.int64)
     stats, emitted = CovarianceAccumulator(d), CovarianceAccumulator(d)
-    source_rows = root_s = trace = None  # the rows of the last pseudo-source moments
+    source_rows = root_s = None  # the rows of the last pseudo-source moments
     unadapted_batches = 0
     batch_size = n if mode == "transductive" else cfg.batch_size
     for lo in range(0, n, batch_size):
@@ -185,20 +170,7 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str, iterat
             source_rows, root_s = selected, None
             mu_s_hat, sigma_s_hat = _covariance(test[selected])
         mu_t, sigma_t = stats.finalize()
-        if cfg.solver == "gradient":
-            hook = None
-            if iterate_hook is not None:
-                hook = partial(iterate_hook, mu_t, sigma_t, mu_s_hat, sigma_s_hat)
-            w, trace = solve_gradient(
-                sigma_t,
-                sigma_s_hat,
-                lr=cfg.lr,
-                max_iters=cfg.max_iters,
-                eps=cfg.eps,
-                iterate_hook=hook,
-            )
-        else:
-            w, root_s = _closed_form(sigma_t, sigma_s_hat, cfg.eps, root_s)
+        w, root_s = _closed_form(sigma_t, sigma_s_hat, cfg.eps, root_s)
         transform = AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
         softmax_rows(test[lo:hi], *_adapted_head(head, transform), out=out)
         emitted._merge_moments(*_mapped(batch, transform))
@@ -213,7 +185,6 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str, iterat
         mode=mode,
         dist_test_to_pseudo_before=correlation_distance(sigma_t, sigma_s_hat),
         dist_test_to_pseudo_after=correlation_distance(sigma_emitted, sigma_s_hat),
-        solver_trace=trace,
         unadapted_batches=unadapted_batches,
     )
     if labels is not None:
@@ -337,27 +308,42 @@ def validate_alignment_trace(
     source_stats,
     labels,
     record_every: int = 10,
+    lr: float = DEFAULT_LR,
+    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> TraceResult:
     """Record gradient-solver iterates applied to the test set.
 
-    The iterates are those of the one solve of ``adapt_transductive``. Every
-    ``record_every``-th iterate (plus the final one) is turned into a row of
-    covariance distances and accuracy as the solver hands it over, so only
-    the latest iterate is held; the summary correlations mirror the
+    The pseudo-source is the one ``adapt_transductive`` selects under ``cfg``,
+    built from the same kernels; one ``solve_gradient`` with step ``lr`` and
+    at most ``max_iters`` iterations then aligns the test covariance to it.
+    Every ``record_every``-th iterate (plus the final one) is turned into a
+    row of covariance distances and accuracy as the solver hands it over, so
+    only the latest iterate is held; the summary correlations mirror the
     relationship plots of the alignment-theory experiments.
     """
-    if cfg.solver != "gradient":
-        raise InvalidConfig("alignment traces require the gradient solver")
+    if not (_finite_real(lr) and lr > 0):
+        raise InvalidConfig(f"lr must be finite and positive, got {lr}")
+    _check_count("max_iters", max_iters, 1, InvalidConfig)
     if labels is None:
         raise InvalidInput("alignment traces require test labels for the accuracy column")
     _check_count("record_every", record_every, 1, InvalidConfig)
-    # both are checked by _adapt before the solver hands over the first iterate
-    test, labels = np.asarray(test, dtype=np.float64), np.asarray(labels)
+    test = _check_test(test, head, "transductive")
+    n = test.shape[0]
+    labels = check_labels(labels, n)
     _, sigma_s = source_stats
+
+    probs = softmax_rows(test, head.weight, head.bias)
+    classes = probs.argmax(axis=1)
+    uncertainty = _uncertainties(probs, classes)
+    class_counts = np.bincount(classes, minlength=head.n_classes)
+    empty = np.empty(0, dtype=np.int64)
+    _, selected = _fold(cfg, empty, np.arange(n), uncertainty, classes, class_counts)
+    mu_t, sigma_t = _covariance(test)
+    mu_s_hat, sigma_s_hat = _covariance(test[selected])
 
     result = TraceResult()
 
-    def record(mu_t, sigma_t, mu_s_hat, sigma_s_hat, iteration: int, w: np.ndarray) -> None:
+    def record(iteration: int, w: np.ndarray) -> None:
         sigma_i = _recolor(w, sigma_t)
         adapted = _adapted_head(head, AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat))
         argmax = softmax_rows(test, *adapted).argmax(axis=1)
@@ -370,18 +356,18 @@ def validate_alignment_trace(
             )
         )
 
-    unrecorded = None  # the latest iterate, while it is skipped
+    latest = None
 
-    def hook(mu_t, sigma_t, mu_s_hat, sigma_s_hat, iteration: int, w: np.ndarray) -> None:
-        nonlocal unrecorded
-        unrecorded = (mu_t, sigma_t, mu_s_hat, sigma_s_hat, iteration, w)
+    def hook(iteration: int, w: np.ndarray) -> None:
+        nonlocal latest
+        latest = (iteration, w)
         if iteration % record_every == 0:
-            record(*unrecorded)
-            unrecorded = None
+            record(iteration, w)
 
-    _, report, _ = _adapt(test, head, cfg, labels, None, "transductive", iterate_hook=hook)
-    result.solver_trace = report.solver_trace
-    if unrecorded is not None:  # the final iterate
-        record(*unrecorded)
+    _, result.solver_trace = solve_gradient(
+        sigma_t, sigma_s_hat, lr=lr, max_iters=max_iters, eps=cfg.eps, iterate_hook=hook
+    )
+    if latest[0] % record_every != 0:  # the final iterate, not yet recorded
+        record(*latest)
     result.summarize()
     return result

@@ -1,10 +1,12 @@
 """Linear alignment of second-order statistics.
 
 Solves min_W ||W^T S_t W - S_s||_F^2 for the transform matching the test
-covariance to the pseudo-source covariance, either in closed form through
-whitening followed by recoloring, or by fixed-step gradient descent. Both
-solvers regularize the two covariances with the same trace-scaled ridge so
-rank-deficient pseudo-source statistics stay invertible.
+covariance to the pseudo-source covariance. The adapt loop solves it in
+closed form, through whitening followed by recoloring; fixed-step gradient
+descent on the same objective is kept for the alignment-trace experiment,
+which records its iterates. Both solvers regularize the two covariances
+with the same trace-scaled ridge so rank-deficient pseudo-source statistics
+stay invertible.
 """
 
 from __future__ import annotations

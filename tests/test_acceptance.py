@@ -163,7 +163,7 @@ def test_criterion_06_alignment_trace(demos):
     source_stats = covariance(data.source.features)
     labels = data.target.labels
     test = data.target.features
-    cfg = AdaptConfig(solver="gradient")
+    cfg = AdaptConfig()
     diverged = False
     try:
         result = validate_alignment_trace(test, head, cfg, source_stats, labels)
@@ -173,8 +173,7 @@ def test_criterion_06_alignment_trace(demos):
         diverged = True
         _, sigma_t = covariance(test)
         scale = float(np.linalg.eigvalsh(shrink(sigma_t, cfg.eps)).max())
-        cfg = AdaptConfig(solver="gradient", lr=1e-3 / scale**2)
-        result = validate_alignment_trace(test, head, cfg, source_stats, labels)
+        result = validate_alignment_trace(test, head, cfg, source_stats, labels, lr=1e-3 / scale**2)
     rho_src = result.spearman_pseudo_vs_source
     rho_acc = result.spearman_pseudo_vs_accuracy
     ok = (

@@ -10,6 +10,7 @@ import tcalign
 from tcalign import AdaptConfig, cli
 from tcalign.cli import _build_parser, main
 from tcalign.io import read_embeddings, read_labels, write_embeddings, write_labels
+from tcalign.transform import DEFAULT_LR, DEFAULT_MAX_ITERS
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +32,33 @@ def workspace(tmp_path_factory):
     )
     assert code == 0
     return root, data_dir, head_path
+
+
+def adapt_argv(workspace, tmp_path) -> list[str]:
+    """``tcalign adapt`` of the demo target with its labels, writing into ``tmp_path``."""
+    _, data_dir, head_path = workspace
+    return [
+        "adapt",
+        "--test", str(data_dir / "target.tcae"),
+        "--head", str(head_path),
+        "--labels", str(data_dir / "target.tcal"),
+        "--out-preds", str(tmp_path / "p.csv"),
+        "--out-report", str(tmp_path / "r.json"),
+    ]
+
+
+def trace_argv(workspace, tmp_path) -> list[str]:
+    """``tcalign validate-theory --experiment trace`` of the demo, writing into ``tmp_path``."""
+    _, data_dir, head_path = workspace
+    return [
+        "validate-theory",
+        "--experiment", "trace",
+        "--test", str(data_dir / "target.tcae"),
+        "--head", str(head_path),
+        "--source", str(data_dir / "source.tcae"),
+        "--labels", str(data_dir / "target.tcal"),
+        "--out-csv", str(tmp_path / "t.csv"),
+    ]
 
 
 class TestSynth:
@@ -70,24 +98,10 @@ class TestAdapt:
         assert preds_path.read_text().startswith("argmax,p0,p1,p2")
 
     @pytest.mark.parametrize("mode", ["transductive", "online"])
-    @pytest.mark.parametrize("solver", ["closed", "gradient"])
-    def test_report_keys(self, workspace, tmp_path, mode, solver):
+    @pytest.mark.parametrize("flags", [["--solver", "closed"], []], ids=["closed", "default"])
+    def test_report_keys(self, workspace, tmp_path, mode, flags):
         # the key list is the report file's schema: change it here, deliberately
-        _, data_dir, head_path = workspace
-        code = main(
-            [
-                "adapt",
-                "--test", str(data_dir / "target.tcae"),
-                "--head", str(head_path),
-                "--labels", str(data_dir / "target.tcal"),
-                "--mode", mode,
-                "--solver", solver,
-                "--lr", "1e-7",
-                "--iters", "20",
-                "--out-preds", str(tmp_path / "p.csv"),
-                "--out-report", str(tmp_path / "r.json"),
-            ]
-        )
+        code = main([*adapt_argv(workspace, tmp_path), "--mode", mode, *flags])
         assert code == 0
         report = json.loads((tmp_path / "r.json").read_text())
         keys = [
@@ -104,11 +118,28 @@ class TestAdapt:
             "dist_pseudo_to_source",
             "unadapted_batches",
         ]
-        assert list(report) == keys + (["solver_trace"] if solver == "gradient" else [])
-        if solver == "gradient":
-            assert list(report["solver_trace"]) == ["objective_values", "iterations", "converged"]
-            # a JSON boolean, no longer 0/1
-            assert isinstance(report["solver_trace"]["converged"], bool)
+        assert list(report) == keys
+
+    def test_solver_closed_is_the_default(self, workspace, tmp_path, capsys):
+        # --solver closed, as older command lines pass it, changes no output byte
+        outputs = []
+        for flags in (["--solver", "closed"], []):
+            assert main([*adapt_argv(workspace, tmp_path), "--mode", "online", *flags]) == 0
+            files = [(tmp_path / name).read_bytes() for name in ("p.csv", "r.json")]
+            outputs.append((*files, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--solver", "gradient"], ["--lr", "1e-7"], ["--iters", "20"]],
+        ids=["solver-gradient", "lr", "iters"],
+    )
+    def test_gradient_options_rejected(self, workspace, tmp_path, flags):
+        # the adapt loop has one solver; the gradient options belong to the trace
+        with pytest.raises(SystemExit) as exc:
+            main([*adapt_argv(workspace, tmp_path), *flags])
+        assert exc.value.code == 2
+        assert not (tmp_path / "p.csv").exists()
 
     def test_online_run(self, workspace, tmp_path):
         _, data_dir, head_path = workspace
@@ -142,25 +173,19 @@ class TestAdapt:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--eps", "nan"], ["--eps", "inf"], ["--solver", "gradient", "--lr", "nan"]],
+        "argv, flags",
+        [
+            (adapt_argv, ["--eps", "nan"]),
+            (adapt_argv, ["--eps", "inf"]),
+            (trace_argv, ["--lr", "nan"]),
+        ],
         ids=["eps-nan", "eps-inf", "lr-nan"],
     )
-    def test_non_finite_numerics_exit_2(self, workspace, tmp_path, flags):
+    def test_non_finite_numerics_exit_2(self, workspace, tmp_path, argv, flags):
         # rejected as a bad option, not as a divergence (4) or a bad transform
-        _, data_dir, head_path = workspace
-        code = main(
-            [
-                "adapt",
-                "--test", str(data_dir / "target.tcae"),
-                "--head", str(head_path),
-                *flags,
-                "--out-preds", str(tmp_path / "p.csv"),
-                "--out-report", str(tmp_path / "r.json"),
-            ]
-        )
+        code = main([*argv(workspace, tmp_path), *flags])
         assert code == 2
-        assert not (tmp_path / "p.csv").exists()
+        assert [path.name for path in tmp_path.iterdir()] == []
 
     def test_corrupt_test_file_exits_3(self, workspace, tmp_path):
         _, _, head_path = workspace
@@ -301,18 +326,9 @@ class TestAdapt:
         assert code == 2
 
     def test_gradient_divergence_exits_4(self, workspace, tmp_path):
-        # demo covariances have eigenvalues near 90; the 1e-3 step blows up
-        _, data_dir, head_path = workspace
-        code = main(
-            [
-                "adapt",
-                "--test", str(data_dir / "target.tcae"),
-                "--head", str(head_path),
-                "--solver", "gradient",
-                "--out-preds", str(tmp_path / "p.csv"),
-                "--out-report", str(tmp_path / "r.json"),
-            ]
-        )
+        # only the trace runs the gradient solver; the demo covariances have
+        # eigenvalues near 90, so an explicit 1e-3 step blows up
+        code = main([*trace_argv(workspace, tmp_path), "--lr", "1e-3"])
         assert code == 4
 
     def test_overflowing_logits_exit_4(self, workspace, tmp_path, capsys):
@@ -487,11 +503,13 @@ class TestPlot:
 def test_parser_defaults_match_adapt_config(argv):
     args = _build_parser().parse_args(argv)
     cfg = AdaptConfig()
-    assert (args.k, args.eps, args.lr, args.iters, args.select.replace("-", "_")) == (
-        cfg.k, cfg.eps, cfg.lr, cfg.max_iters, cfg.selection_mode
-    )
+    assert (args.k, args.eps, args.select.replace("-", "_")) == (cfg.k, cfg.eps, cfg.selection_mode)
     if argv[0] == "adapt":
-        assert (args.solver, args.batch_size, args.mode) == (cfg.solver, cfg.batch_size, "transductive")
+        want = ("closed", cfg.batch_size, "transductive")
+        assert (args.solver, args.batch_size, args.mode) == want
+        assert not {"lr", "iters"} & set(vars(args))
+    else:
+        assert (args.lr, args.iters) == (DEFAULT_LR, DEFAULT_MAX_ITERS)
 
 
 @pytest.mark.parametrize(

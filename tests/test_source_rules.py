@@ -1,9 +1,10 @@
 """Source rules: the package has one atomic writer, one decimal float format,
 one place that opens files and one that packs byte layouts, all in ``io.py``,
 and one eigendecomposition, in ``linalg.py``, so no module grows a second
-copy of any; it keeps no public definition that nothing reads; and the adapt
+copy of any; it keeps no public definition that nothing reads; the adapt
 loop and the gradient solver's loop call kernels, never the checked public
-functions around them."""
+functions around them; and the adapt loop has one solver, the closed form,
+while only the alignment trace runs the gradient solver."""
 
 import ast
 from pathlib import Path
@@ -99,3 +100,24 @@ def test_gradient_loop_calls_no_checked_objective():
     ]
     (loop,) = [node for node in ast.walk(solver) if isinstance(node, ast.For)]
     assert {"objective", "objective_gradient"} & _referenced_names(loop) == set()
+
+
+SOLVES = {"_closed_form", "solve_closed_form", "solve_gradient"}
+
+
+def test_adapt_loop_has_one_solver():
+    # one closed-form solve per batch; the alignment trace runs the gradient
+    # solver on statistics it builds from the kernels, not through _adapt
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    adapt, trace = functions["_adapt"], functions["validate_alignment_trace"]
+    calls = [
+        node.func.id
+        for node in ast.walk(adapt)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert [name for name in calls if name in SOLVES] == ["_closed_form"]
+    parameters = {node.arg for node in ast.walk(adapt) if isinstance(node, ast.arg)}
+    names = _referenced_names(adapt) | parameters
+    assert {"solve_gradient", "iterate_hook", "partial"} & names == set()
+    assert {"_adapt", "_closed_form"} & _referenced_names(trace) == set()
