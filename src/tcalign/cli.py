@@ -1,4 +1,4 @@
-"""Command-line surface: synth, train-head, adapt, validate-theory, eval, plot.
+"""Command-line surface: synth, train-head, adapt, validate-theory groups|trace, eval, plot.
 
 Exit codes: 0 success, 2 invalid input or configuration (an OS error
 included), 3 parse error in a persisted artifact, 4 numerical failure.
@@ -14,9 +14,10 @@ import sys
 import numpy as np
 
 from . import io as tio
-from .errors import InvalidInput, NumericalFailure, ParseError, TcaError
+from .errors import NumericalFailure, ParseError, TcaError
 from .head import accuracy, load_head, predict, save_head, train_head
 from .linalg import covariance
+from .metrics import spearman
 from .pipeline import (
     AdaptConfig,
     adapt_online,
@@ -37,7 +38,7 @@ _DEFAULTS = AdaptConfig()
 
 
 def _add_adapt_options(p: argparse.ArgumentParser) -> None:
-    """The adaptation options that ``adapt`` and ``validate-theory`` share."""
+    """The adaptation options that ``adapt`` and ``validate-theory trace`` share."""
     p.add_argument("--k", type=int, default=_DEFAULTS.k)
     p.add_argument("--eps", type=float, default=_DEFAULTS.eps)
     p.add_argument(
@@ -78,17 +79,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-report", required=True)
 
     p = sub.add_parser("validate-theory", help="run a theory-validation experiment")
-    p.add_argument("--experiment", choices=("groups", "trace"), required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--head", required=True)
-    p.add_argument("--source", required=True, help="source embeddings for the reference statistics")
-    p.add_argument("--labels", help="test labels (required for the trace experiment)")
-    p.add_argument("--n-groups", type=int, default=10)
-    p.add_argument("--record-every", type=int, default=10)
-    _add_adapt_options(p)
-    p.add_argument("--lr", type=float, default=DEFAULT_LR, help="gradient step of the trace")
-    p.add_argument("--iters", type=int, default=DEFAULT_MAX_ITERS, help="trace iterations")
-    p.add_argument("--out-csv", required=True)
+    experiments = p.add_subparsers(dest="experiment", required=True)
+    groups = experiments.add_parser("groups", help="distance to source per uncertainty group")
+    trace = experiments.add_parser("trace", help="distances and accuracy along a gradient solve")
+    for p in (groups, trace):
+        p.add_argument("--test", required=True)
+        p.add_argument("--head", required=True)
+        p.add_argument("--source", required=True, help="source embeddings for the reference statistics")
+        p.add_argument("--out-csv", required=True)
+    groups.add_argument("--n-groups", type=int, default=10)
+    trace.add_argument("--labels", required=True, help="test labels for the accuracy column")
+    trace.add_argument("--record-every", type=int, default=10)
+    _add_adapt_options(trace)
+    trace.add_argument("--lr", type=float, default=DEFAULT_LR, help="gradient step of the trace")
+    trace.add_argument("--iters", type=int, default=DEFAULT_MAX_ITERS, help="trace iterations")
 
     p = sub.add_parser("eval", help="score stored predictions against labels")
     p.add_argument("--preds", required=True)
@@ -172,14 +176,10 @@ def _cmd_validate_theory(args) -> int:
             ["group_index", "mean_uncertainty", "dist_to_source"],
             [(r.group_index, r.mean_uncertainty, r.dist_to_source) for r in rows],
         )
-        from .metrics import spearman
-
         rho = spearman([r.group_index for r in rows], [r.dist_to_source for r in rows])
         print(json.dumps({"experiment": "groups", "n_groups": len(rows), "spearman": rho}))
         return EXIT_OK
 
-    if not args.labels:
-        raise InvalidInput("--labels is required for the trace experiment")
     labels = tio.read_labels(args.labels)
     result = validate_alignment_trace(
         test,

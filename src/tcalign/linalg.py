@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InsufficientSamples, InvalidInput, NumericalFailure, SingularMatrix
+from .errors import InsufficientSamples, InvalidInput, NumericalFailure, SingularMatrix, TcaError
 from .errors import _check_count, _finite_real
 
 SHRINK_FLOOR = 1e-12
@@ -110,9 +110,10 @@ def shrink(sigma, eps: float) -> np.ndarray:
     return _shrink(sigma, eps)
 
 
-def _check_eps(eps) -> None:
+def _check_eps(eps, error: type[TcaError] = InvalidInput) -> None:
+    """Raise ``error`` for a ridge ``eps`` that is not a finite real >= 0."""
     if not (_finite_real(eps) and eps >= 0):
-        raise InvalidInput(f"eps must be finite and >= 0, got {eps}")
+        raise error(f"eps must be finite and >= 0, got {eps}")
 
 
 def _shrink(sigma: np.ndarray, eps: float) -> np.ndarray:
@@ -148,9 +149,13 @@ def _power(sigma: np.ndarray, p: float) -> np.ndarray:
             f"power {p} undefined: smallest eigenvalue {min_val:.3e} is not positive"
         )
     if p != int(p) and min_val < 0:
-        raise SingularMatrix(
-            f"fractional power {p} undefined for negative eigenvalue {min_val:.3e}"
-        )
+        # the zero eigenvalue of a semidefinite matrix rounds to as low as
+        # -4 eps max|lambda| (measured at d = 2-64); below d times that it is negative
+        if min_val < -4 * values.size * np.finfo(float).eps * float(np.abs(values).max()):
+            raise SingularMatrix(
+                f"fractional power {p} undefined for negative eigenvalue {min_val:.3e}"
+            )
+        values = np.maximum(values, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         half = (vectors * values**p) @ vectors.T / 2.0
         powered = half + half.T

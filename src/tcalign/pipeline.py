@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InsufficientSamples, InvalidConfig, InvalidInput, _check_count, _finite_real
 from .head import PredictionBatch, SoftmaxHead, accuracy, check_labels, softmax_rows
-from .linalg import CovarianceAccumulator, _check_width, _covariance, _moments
+from .linalg import CovarianceAccumulator, _check_eps, _check_width, _covariance, _moments
 from .linalg import correlation_distance, validate_embeddings
 from .metrics import linear_fit_r2, spearman
 from .pseudo_source import _class_quotas, _most_certain, _uncertainties
@@ -55,8 +55,7 @@ class AdaptConfig:
 
     def __post_init__(self):
         _check_count("bank capacity k", self.k, 2, InvalidConfig)
-        if not (_finite_real(self.eps) and self.eps >= 0):
-            raise InvalidConfig(f"eps must be finite and >= 0, got {self.eps}")
+        _check_eps(self.eps, InvalidConfig)
         if self.selection_mode not in SELECTION_MODES:
             raise InvalidConfig(
                 f"selection_mode must be one of {SELECTION_MODES}, got {self.selection_mode!r}"

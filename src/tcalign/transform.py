@@ -119,36 +119,30 @@ def _closed_form(sigma_t, sigma_s_hat, eps, root_s=None) -> tuple[np.ndarray, np
 def solve_gradient(
     sigma_t,
     sigma_s_hat,
-    init=None,
     lr: float = DEFAULT_LR,
     max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
     eps: float = DEFAULT_EPS,
     iterate_hook: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, SolverTrace]:
-    """Fixed-step gradient descent on the regularized alignment objective.
+    """Fixed-step gradient descent on the regularized alignment objective,
+    starting from the identity.
 
     Returns the best iterate seen together with the per-iteration objective
-    trace. Stops early once the relative improvement stays below ``tol`` for
-    ten consecutive iterations. A non-finite objective aborts with
-    DivergenceError carrying the best iterate seen before the blow-up (its
-    ``last_iterate``); fixed steps are only stable when
-    lr < 2 / (4 lambda_max^2), so large-scale covariances need a smaller
-    learning rate than the 1e-3 default.
+    trace. Stops early once the relative improvement stays below
+    ``DEFAULT_TOL`` for ``STALL_ITERS`` consecutive iterations. A non-finite
+    objective aborts with DivergenceError carrying the best iterate seen
+    before the blow-up (its ``last_iterate``); fixed steps are only stable
+    when lr < 2 / (4 lambda_max^2), so large-scale covariances need a
+    smaller learning rate than the 1e-3 default.
     """
     sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
     if not (_finite_real(lr) and lr > 0):
         raise InvalidInput(f"learning rate must be finite and positive, got {lr}")
     _check_count("max_iters", max_iters, 1)
-    if not _finite_real(tol):
-        raise InvalidInput(f"tol must be finite, got {tol}")
     sigma_t_reg = shrink(sigma_t, eps)
     sigma_s_reg = shrink(sigma_s_hat, eps)
 
-    w = np.eye(sigma_t.shape[0]) if init is None else np.asarray(init, dtype=np.float64).copy()
-    if w.shape != sigma_t.shape:
-        raise InvalidInput(f"init shape {w.shape} does not match sigma shape {sigma_t.shape}")
-
+    w = np.eye(sigma_t.shape[0])
     trace = SolverTrace()
     # the loop carries the residual: objective sum(r * r), step 4 sigma_t W r
     residual = _residual(w, sigma_t_reg, sigma_s_reg)
@@ -183,7 +177,7 @@ def solve_gradient(
             best_w = w.copy()
         previous = trace.objective_values[-2]
         improvement = (previous - value) / max(abs(previous), 1e-300)
-        stall = stall + 1 if improvement < tol else 0
+        stall = stall + 1 if improvement < DEFAULT_TOL else 0
         if stall >= STALL_ITERS:
             trace.converged = True
             break

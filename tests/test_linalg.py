@@ -167,8 +167,30 @@ class TestSpdPower:
             spd_power(np.diag([1.0, 0.0]), -0.5)
 
     def test_fractional_power_of_indefinite_rejected(self):
+        for sigma in (np.diag([1.0, -1.0]), np.diag([1.0, -1e-3])):
+            with pytest.raises(SingularMatrix):
+                spd_power(sigma, 0.5)
+
+    def test_rounding_below_zero_is_zero_for_fractional_powers(self):
+        # -1e-17 is within 4 d eps max|lambda| of 0: a root treats it as 0,
+        # a negative power still refuses it
+        assert np.array_equal(spd_power(np.diag([1.0, -1e-17]), 0.5), np.diag([1.0, 0.0]))
         with pytest.raises(SingularMatrix):
-            spd_power(np.diag([1.0, -1.0]), 0.5)
+            spd_power(np.diag([1.0, -1e-17]), -0.5)
+
+    def test_sqrt_of_rank_deficient_covariance(self):
+        # the zero eigenvalue of a rank-2 covariance in 3-d rounds negative on
+        # 11 of the random mixes and 12 of the fixed one (seed 17 to 1.1 d eps
+        # max|lambda|); each root is finite and squares back
+        fixed = np.array([[1.0, 0.4, -0.7], [0.2, 1.1, 0.5]])
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            rows = rng.standard_normal((200, 2))
+            for mix in (rng.standard_normal((2, 3)), fixed):
+                _, cov = covariance(rows @ mix * 1e4)
+                root = spd_power(cov, 0.5)
+                assert np.all(np.isfinite(root))
+                assert np.linalg.norm(root @ root - cov) <= 1e-12 * np.linalg.norm(cov)
 
     @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, "x", None])
     def test_non_finite_power_rejected(self, p):

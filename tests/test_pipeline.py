@@ -200,6 +200,16 @@ class TestAdaptTransductive:
         with pytest.raises(InsufficientSamples):
             adapt_transductive(np.array([[1.0, 2.0]]), head, AdaptConfig())
 
+    def test_rank_deficient_pseudo_source_at_eps_0(self):
+        # k = 2 selects a rank-1 pseudo-source whose zero eigenvalues can round
+        # negative; its square root used to raise SingularMatrix on 18 of these seeds
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            z = rng.standard_normal((200, 3)) * 1e4
+            head = SoftmaxHead(weight=rng.standard_normal((4, 3)), bias=rng.standard_normal(4))
+            preds, _, _ = adapt_transductive(z, head, AdaptConfig(k=2, eps=0.0))
+            assert np.all(np.isfinite(preds.probs))
+
     @pytest.mark.parametrize("mode", ["transductive", "online"])
     def test_head_of_wrong_dimension_rejected(self, linear_demo, mode):
         # rejected at the entry, with predict's message, before any batch runs
@@ -575,9 +585,8 @@ class TestAlignmentTrace:
 
     def test_rank_deficient_input_traces_at_eps_0(self, rng):
         # rank-2 rows in 3-d at scale 1e4, eps = 0: a closed-form solve of these
-        # covariances takes powers of singular matrices (adapt_transductive
-        # raises SingularMatrix at k = 2); the gradient solver takes none, so
-        # the trace returns its rows
+        # covariances takes powers of singular matrices; the gradient solver
+        # takes none, so the trace returns its rows
         z = rng.standard_normal((200, 2)) @ np.array([[1.0, 0.4, -0.7], [0.2, 1.1, 0.5]]) * 1e4
         head = SoftmaxHead(weight=rng.standard_normal((4, 3)), bias=rng.standard_normal(4))
         labels = rng.integers(0, 4, size=200)

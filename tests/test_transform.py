@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -133,20 +135,17 @@ class TestClosedForm:
 
 
 class TestGradientSolver:
+    def test_parameters(self):
+        # the start is always the identity and the stall tolerance DEFAULT_TOL
+        names = ["sigma_t", "sigma_s_hat", "lr", "max_iters", "eps", "iterate_hook"]
+        assert list(inspect.signature(solve_gradient).parameters) == names
+
     def test_fixed_point_when_already_aligned(self, rng):
         s = make_spd(rng, 3)
-        w, trace = solve_gradient(s, s, init=np.eye(3), max_iters=50, eps=1e-3)
+        w, trace = solve_gradient(s, s, max_iters=50, eps=1e-3)
         assert np.array_equal(w, np.eye(3))  # gradient is exactly zero at I
         assert all(v == trace.objective_values[0] for v in trace.objective_values)
         assert trace.converged
-
-    def test_closed_form_init_stays_put(self, rng):
-        st = make_spd(rng, 4)
-        ss = make_spd(rng, 4)
-        w0 = solve_closed_form(st, ss, eps=1e-3)
-        w, trace = solve_gradient(st, ss, init=w0, max_iters=100, eps=1e-3)
-        assert max(trace.objective_values) <= 1e-12
-        assert np.linalg.norm(w - w0) <= 1e-6
 
     def test_decreases_objective_on_random_pair(self, rng):
         st = make_spd(rng, 4, cond=30.0)
@@ -208,22 +207,17 @@ class TestGradientSolver:
         with pytest.raises(InvalidInput, match="learning rate must be finite and positive"):
             solve_gradient(np.eye(2), np.eye(2), lr=lr)
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, "x", None])
-    def test_non_finite_tol_rejected(self, tol):
-        # a NaN tol used to switch the stall test off silently
-        with pytest.raises(InvalidInput, match="tol must be finite"):
-            solve_gradient(np.eye(2), np.eye(2), tol=tol)
-
     def test_nan_eps_rejected(self):
         with pytest.raises(InvalidInput, match="eps must be finite"):
             solve_gradient(np.eye(2), np.eye(2), eps=np.nan)
 
     def test_early_stop_flags_convergence(self, rng):
-        # geometric decay yields a constant relative improvement per step, so
-        # the stall rule fires once that rate drops below tol
+        # at this step the objective decays geometrically to rounding (231
+        # iterations), where it stops improving and the stall rule fires; at
+        # lr = 1e-2 it still improves by 3 % a step at iteration 1000
         st = make_spd(rng, 2, cond=3.0)
         ss = make_spd(rng, 2, cond=3.0)
-        _, trace = solve_gradient(st, ss, lr=1e-2, max_iters=1000, tol=0.05, eps=1e-3)
+        _, trace = solve_gradient(st, ss, lr=1e-1, max_iters=1000, eps=1e-3)
         assert trace.converged
         assert trace.iterations < 1000
 
