@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateLabels, InvalidInput, NumericalFailure, ParseError
 from .errors import _check_count, _finite_real
-from .io import FLOAT_FORMAT, _atomic_write, _class_indices, _read_text
+from .io import _atomic_write, _class_indices, _float_texts, _read_text
 from .linalg import _check_width, validate_embeddings
 
 HEAD_FORMAT_VERSION = 1
@@ -143,9 +143,9 @@ def accuracy(preds: PredictionBatch, labels) -> float:
 def save_head(head: SoftmaxHead, path) -> None:
     """Write the head as JSON with 17-significant-digit decimals (lossless for float64)."""
     c, d = head.weight.shape
-    row = "[" + ", ".join([FLOAT_FORMAT] * d) + "]"
-    rows = ",\n    ".join(row % tuple(values) for values in head.weight.tolist())
-    bias = ", ".join([FLOAT_FORMAT] * c) % tuple(head.bias.tolist())
+    weight = _float_texts(head.weight)
+    rows = ",\n    ".join("[" + ", ".join(weight[i * d : (i + 1) * d]) + "]" for i in range(c))
+    bias = ", ".join(_float_texts(head.bias))
     text = (
         "{\n"
         f'  "version": {HEAD_FORMAT_VERSION},\n'

@@ -6,7 +6,15 @@ Binary files are a 4-byte magic, a little-endian header struct with no padding
 malformed file, non-UTF-8 text included, raises ParseError. Every file the
 package writes, head JSON and SVG plots included, goes through the temp-file
 rename of ``_atomic_write``, so a crashed process never leaves a half-written
-artifact; every decimal float is printed with ``FLOAT_FORMAT``.
+artifact; a CSV streams to it chunk by chunk, never joined in memory.
+
+Every decimal float is printed as ``FLOAT_FORMAT % x`` byte for byte, but in
+bulk: ``_csv_chunks`` (both CSV writers) and ``_float_texts`` (head JSON) format
+whole arrays in numpy, about 4e4 values per chunk, from exact 17-digit
+significands and lookup tables. A value whose rounding the bulk path cannot
+certify (within 2^-30 of a tie, or of a decade boundary) and a non-finite one
+fall back to ``FLOAT_FORMAT % x`` one at a time; no value of the benchmark
+workloads' outputs does.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -33,18 +42,239 @@ PAYLOAD_DTYPES = {DTYPE_F32: "<f4", DTYPE_F64: "<f8"}
 FLOAT_FORMAT = "%.17g"  # 17 significant digits: lossless for float64 round-trips
 
 
-def _atomic_write(path, data: bytes | str) -> None:
-    """Write ``data`` (a str as UTF-8) to a temp file renamed over ``path``;
-    the temp file is removed if the write or the rename fails."""
+def _atomic_write(path, data: bytes | str | Iterable[bytes]) -> None:
+    """Write ``data`` (a str as UTF-8, or an iterable of byte chunks streamed in
+    order) to a temp file renamed over ``path``; the temp file is removed if
+    the write, a chunk or the rename fails."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            for chunk in (data,) if isinstance(data, bytes) else data:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+# Bulk FLOAT_FORMAT. A finite nonzero |x| = m 2^e (np.frexp) is printed from
+# its 17-digit significand D = round(|x| 10^(16-E)), E = floor(log10 |x|), so
+# that |x| ~ D 10^(E-16) with 10^16 <= D < 10^17. 10^(16-E) is tabled as a
+# double-double (hi + lo) 2^b from exact integers; m hi is an exact Dekker
+# two-product (head + its error), so |x| 10^(16-E) = head + tail where head
+# holds the leading 53 bits (an integer, as head >= 2^53) and |tail| < 24
+# (half an ulp of head < 2^57, plus m lo). The table is good to 2^-104
+# relative (2^-47 absolute) and m lo and the tail sum each round once (2^-50,
+# 2^-49), so tail is off by less than 2^-45 in absolute terms. Rounding D is
+# therefore certain unless tail's fraction lies within _MARGIN = 2^-30 of 1/2
+# or head + tail within _MARGIN of 10^16 (whose decade E is in doubt); those
+# values, and non-finite ones, are printed by FLOAT_FORMAT one at a time. Where
+# lo == 0 (10^(16-E) is a double, E in [-6, 16]) head + tail is exact and an
+# exact half rounds to even, as the % operator does.
+#
+# Text is laid out in fixed slots of 8-byte words that lookup tables fill; a
+# keep mask, also looked up, drops the unused bytes. A float's slot is
+# ",-0.000" d0 | . d1 . d2 . d3 . d4 | ... | . d13 . d14 . d15 . d16 | e+ddd:
+# delimiter, sign, the zeros of 0.000ddd, the digits with a point slot after
+# each, and the exponent.
+_E_MIN, _E_MAX = -325, 309  # decades of every finite double, +-1 for the log10 fix
+_MARGIN = 2.0**-30
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
+_WORDS = 6  # words per float slot
+_CHUNK_VALUES = 40960  # floats per chunk of rows: 4096 rows at c = 10, 2 x 2 MB of slots
+
+
+def _pow10_table() -> tuple[np.ndarray, ...]:
+    """hi, its Dekker halves, lo and b of 10^(16-E) = (hi + lo) 2^b, indexed by E - _E_MIN."""
+    hi, lo, exp = [], [], []
+    for k in range(16 - _E_MIN, 15 - _E_MAX, -1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        shift = 120 - num.bit_length() + den.bit_length()  # scaled gets 120 or 121 bits
+        scaled = (num << shift) // den if shift >= 0 else (num >> -shift) // den
+        top = float(scaled)
+        hi.append(math.ldexp(top, -120))
+        lo.append(math.ldexp(float(scaled - int(top)), -120))
+        exp.append(120 - shift)
+    hi = np.array(hi)
+    split = hi * _SPLIT
+    hi_head = split - (split - hi)
+    return hi, hi_head, hi - hi_head, np.array(lo), np.array(exp)
+
+
+def _word_tables() -> tuple[np.ndarray, ...]:
+    """Lookup tables: the 4 digits of g < 10^4 (u32) and the same interleaved
+    with point slots (u64), the significant digits of g, the lead word by d0,
+    the exponent word and the layout class by E, the keep mask of a float slot
+    by (class, significant digits, sign) and that of an integer's 24 bytes by
+    (digits, sign)."""
+    g = np.arange(10000)
+    quads = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1) + ord("0")
+    quads = quads.astype(np.uint8)
+    groups = np.full((10000, 8), ord("."), np.uint8)
+    groups[:, 1::2] = quads
+    significant = np.where(g == 0, 0, 4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0))
+    leads = np.frombuffer(b",-0.000", np.uint8) + np.zeros((10, 1), np.uint8)
+    leads = np.hstack([leads, quads[:10, 3:]])
+    exponent = np.arange(_E_MIN, _E_MAX + 1)
+    exps = np.zeros((exponent.size, 8), np.uint8)
+    exps[:, 0] = ord("e")
+    exps[:, 1] = np.where(exponent < 0, ord("-"), ord("+"))
+    exps[:, 2:5] = quads[np.abs(exponent), 1:]
+    # E's layout class: 0 and 1 scientific with a 2- or 3-digit exponent, E + 6
+    # positional (E in [-4, 16]); the keep masks of every (class, significant
+    # digits, sign), in index order, from one E of each class
+    sci = (exponent < -4) | (exponent > 16)
+    classes = np.where(sci, np.abs(exponent) >= 100, exponent + 6)
+    exponent, n_sig, neg = (
+        a.ravel()
+        for a in np.meshgrid([-5, -100, *range(-4, 17)], np.arange(1, 18), [False, True], indexing="ij")
+    )
+    sci = (exponent < -4) | (exponent > 16)
+    n_digits = np.where(sci | (exponent < 0), n_sig, np.maximum(n_sig, exponent + 1))
+    point = np.where(sci, 0, np.where(exponent >= 0, exponent, 16))
+    point = np.where(n_sig > point + 1, point, 16)  # a point only before a digit
+    keep = np.zeros((exponent.size, 8 * _WORDS), bool)
+    keep[:, 0] = True
+    keep[:, 1] = neg
+    keep[:, 2:7] = np.arange(5) < np.where(sci | (exponent >= 0), 0, 1 - exponent)[:, None]
+    keep[:, 7:40:2] = np.arange(17) < n_digits[:, None]
+    keep[:, 8:39:2] = np.arange(16) == point[:, None]
+    keep[:, 40:45] = sci[:, None]
+    keep[:, 42] &= np.abs(exponent) >= 100
+
+    # an integer's 24 bytes: 3 pad, sign, 20 right-aligned digits; by digit count and sign
+    n_int, neg_int = (a.ravel() for a in np.meshgrid(np.arange(21), [False, True], indexing="ij"))
+    int_keep = np.zeros((n_int.size, 24), bool)
+    int_keep[:, 3] = neg_int
+    int_keep[:, 4:] = np.arange(20) >= 20 - n_int[:, None]
+    return (
+        quads.view(np.uint32).ravel(),
+        groups.view(np.uint64).ravel(),
+        significant,
+        leads.view(np.uint64).ravel(),
+        exps.view(np.uint64).ravel(),
+        classes,
+        keep.view(np.uint64),
+        int_keep.view(np.uint64),
+    )
+
+
+_HI, _HI_HEAD, _HI_TAIL, _LO, _EXP = _pow10_table()
+_QUADS, _GROUPS, _SIGNIFICANT, _LEADS, _EXPS, _CLASSES, _KEEP, _INT_KEEP = _word_tables()
+_POW10_U64 = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _scaled(m: np.ndarray, e: np.ndarray, exponent: np.ndarray):
+    """``(head, tail, exact)``: m 2^e 10^(16 - exponent) = head + tail (see above)."""
+    i = exponent - _E_MIN
+    hi, hi_head, hi_tail, lo = _HI[i], _HI_HEAD[i], _HI_TAIL[i], _LO[i]
+    head = m * hi
+    split = m * _SPLIT
+    m_head = split - (split - m)
+    m_tail = m - m_head
+    err = ((m_head * hi_head - head) + m_head * hi_tail + m_tail * hi_head) + m_tail * hi_tail
+    scale = e + _EXP[i]
+    return np.ldexp(head, scale), np.ldexp(err + m * lo, scale), lo == 0
+
+
+def _significands(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(D, E, certain)`` of positive finite ``a``: the 17-digit integer D and
+    decade E with a ~ D 10^(E-16), and whether that rounding is certain."""
+    shape, a = a.shape, a.ravel()
+    m, e = np.frexp(a)
+    exponent = np.floor(np.log10(a)).astype(np.int64)
+    head, tail, exact = _scaled(m, e, exponent)
+    # head + tail - 10^16 and - 10^17; head - 10^j is exact wherever it is small
+    below, above = (head - 1e16) + tail, (head - 1e17) + tail
+    redo = np.flatnonzero((below < 0) | (above >= 0))
+    if redo.size:  # log10 can land one decade off next to a power of ten
+        exponent[redo] += np.where(above[redo] >= 0, 1, -1)
+        head[redo], tail[redo], exact[redo] = _scaled(m[redo], e[redo], exponent[redo])
+        below, above = (head - 1e16) + tail, (head - 1e17) + tail
+    whole = np.floor(tail)
+    frac = tail - whole
+    digits = head.astype(np.int64) + whole.astype(np.int64)
+    digits += (frac > 0.5) | ((frac == 0.5) & (digits % 2 == 1))
+    certain = exact | ((np.abs(frac - 0.5) >= _MARGIN) & (np.abs(below) >= _MARGIN))
+    certain &= (below >= 0) & (above < 0)
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    exponent += carry
+    digits[~certain] = 10**16  # a placeholder the fallback overwrites
+    return digits.reshape(shape), exponent.reshape(shape), certain.reshape(shape)
+
+
+def _fill_floats(x: np.ndarray, words: np.ndarray, keep: np.ndarray) -> None:
+    """Write ``"," + FLOAT_FORMAT % v`` for every v of ``x`` (any shape) into the
+    ``x.shape + (_WORDS,)`` u64 views ``words`` and ``keep``."""
+    a = np.abs(x)
+    regular = np.isfinite(a) & (a > 0)
+    digits, exponent, certain = _significands(np.where(regular, a, 1.0))
+    digits[~regular] = 0  # prints as "0"; non-finite values go to the fallback
+    exponent[~regular] = 0
+    lead, rest = np.divmod(digits, 10**16)
+    groups = [rest // 10**12, rest // 10**8 % 10**4, rest // 10**4 % 10**4, rest % 10**4]
+    n_sig = np.ones_like(digits)
+    for j, group in enumerate(groups):
+        n_sig = np.where(group != 0, 1 + 4 * j + _SIGNIFICANT[group], n_sig)
+    e = exponent - _E_MIN
+    words[..., 0] = _LEADS[lead]
+    for j, group in enumerate(groups):
+        words[..., 1 + j] = _GROUPS[group]
+    words[..., 5] = _EXPS[e]
+    keep[...] = _KEEP[(_CLASSES[e] * 17 + n_sig - 1) * 2 + np.signbit(x)]
+    for at in zip(*np.nonzero(~(certain & np.isfinite(a)))):
+        text = np.frombuffer((FLOAT_FORMAT % x[at]).encode(), np.uint8)
+        slot, mask = words[at].view(np.uint8), keep[at].view(np.uint8)
+        slot[1 : 1 + text.size] = text
+        mask[1:] = 0
+        mask[1 : 1 + text.size] = 1
+
+
+def _fill_ints(v: np.ndarray, words: np.ndarray, keep: np.ndarray) -> None:
+    """Write ``"%d" % i`` for every i of the int64 vector ``v`` into the n x 3
+    u64 views ``words`` and ``keep`` (3 pad bytes, sign, 20 right-aligned digits)."""
+    u = np.abs(v).view(np.uint64)  # |int64 min| = 2^63 as uint64
+    quads = words.view(np.uint32)
+    quads[:, 0] = np.frombuffer(b"\0\0\0-", np.uint32)
+    for j in range(5):
+        quads[:, 1 + j] = _QUADS[u // 10 ** (16 - 4 * j) % 10000]
+    n_digits = 1 + np.searchsorted(_POW10_U64, u, side="right")
+    keep[...] = _INT_KEEP[n_digits * 2 + (v < 0)]
+
+
+def _csv_chunks(header: list[str], index, values) -> Iterator[bytes | np.ndarray]:
+    """The CSV text of ``header`` and rows ``"%d" % index[i]`` then ``FLOAT_FORMAT``
+    of each of ``values[i]`` (comma-separated, LF endings), in chunks of rows."""
+    index = np.asarray(index, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64).reshape(index.size, len(header) - 1)
+    n, c = values.shape
+    yield (",".join(header) + "\n").encode("utf-8")
+    rows = max(1, _CHUNK_VALUES // max(c, 1))
+    words = np.empty((min(rows, n), 4 + c * _WORDS), np.uint64)  # index, floats, newline
+    keep = np.empty_like(words)
+    words[:, -1] = np.frombuffer(b"\n".ljust(8, b"\0"), np.uint64)
+    keep[:, -1] = np.frombuffer(b"\1".ljust(8, b"\0"), np.uint64)
+    for start in range(0, n, rows):
+        w, k = words[: min(rows, n - start)], keep[: min(rows, n - start)]
+        _fill_ints(index[start : start + len(w)], w[:, :3], k[:, :3])
+        slots = (len(w), c, _WORDS)  # views: each row's float slots are contiguous
+        w_floats, k_floats = w[:, 3:-1].reshape(slots), k[:, 3:-1].reshape(slots)
+        _fill_floats(values[start : start + len(w)], w_floats, k_floats)
+        yield np.compress(k.view(bool).ravel(), w.view(np.uint8).ravel())
+
+
+def _float_texts(values) -> list[str]:
+    """``FLOAT_FORMAT % v`` for each v of ``values``, flattened in C order."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    words = np.empty((x.size, _WORDS), np.uint64)
+    keep = np.empty_like(words)
+    _fill_floats(x, words, keep)
+    text = np.compress(keep.view(bool).ravel(), words.view(np.uint8).ravel()).tobytes()
+    return text.decode("ascii").split(",")[1:]
 
 
 def _read_binary(path, magic: bytes, layout: str, kind: str) -> tuple[bytes, list, int]:
@@ -134,17 +364,14 @@ def read_labels(path) -> np.ndarray:
 
 def table_to_csv(path, header: list[str], rows) -> None:
     """Write CSV: ``header``, then per row an integer index followed by floats, LF endings."""
-    row_template = "%d" + ("," + FLOAT_FORMAT) * (len(header) - 1)
-    lines = [",".join(header)]
-    lines.extend(row_template % tuple(row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = list(rows)
+    _atomic_write(path, _csv_chunks(header, [row[0] for row in rows], [row[1:] for row in rows]))
 
 
 def write_predictions_csv(path, preds) -> None:
     """Persist a PredictionBatch as CSV: argmax column then one column per class."""
     header = ["argmax"] + [f"p{j}" for j in range(preds.n_classes)]
-    rows = zip(preds.argmax.tolist(), map(np.ndarray.tolist, preds.probs))
-    table_to_csv(path, header, ((label, *probs) for label, probs in rows))
+    _atomic_write(path, _csv_chunks(header, preds.argmax, preds.probs))
 
 
 def read_predictions_csv(path):

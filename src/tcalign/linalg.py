@@ -84,10 +84,25 @@ def _covariance(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _moments(z: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """Row count, column mean and centered scatter (Z - mean)^T (Z - mean) of a checked batch."""
-    mean = z.mean(axis=0)
-    centered = z - mean
-    return z.shape[0], mean, centered.T @ centered
+    """Row count, column mean and centered scatter (Z - mean)^T (Z - mean) of a checked batch.
+
+    Raises InvalidInput, naming the largest magnitude, when the scatter
+    overflows float64; a large mean with a small spread passes.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = z.mean(axis=0)
+        centered = z - mean
+        scatter = centered.T @ centered
+    if not np.all(np.isfinite(scatter)):
+        raise _overflow("|entry|", np.abs(z).max())
+    return z.shape[0], mean, scatter
+
+
+def _overflow(what: str, magnitude) -> InvalidInput:
+    return InvalidInput(
+        f"the embeddings' scatter overflows float64 (largest {what} {magnitude:.3g}); "
+        "rescale the embeddings"
+    )
 
 
 def correlation_distance(a, b) -> float:
@@ -203,11 +218,15 @@ class CovarianceAccumulator:
             self.scatter = scatter.copy()
             return
         total = self.count + n
-        delta = mean - self.mean
-        self.scatter = (
-            self.scatter + scatter + np.outer(delta, delta) * (self.count * n / total)
-        )
-        self.scatter = (self.scatter + self.scatter.T) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = mean - self.mean
+            merged = self.scatter + scatter + np.outer(delta, delta) * (self.count * n / total)
+            merged = (merged + merged.T) / 2.0
+        if not np.all(np.isfinite(merged)):
+            sides = ((n, mean, scatter), (self.count, self.mean, self.scatter))
+            scale = max(np.max(np.abs(m) + np.sqrt(np.diag(s) / c)) for c, m, s in sides)
+            raise _overflow("column |mean| + rms deviation", scale)
+        self.scatter = merged
         self.mean = self.mean + delta * (n / total)
         self.count = total
 

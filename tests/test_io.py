@@ -1,12 +1,16 @@
 import json
+import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from tcalign import InvalidInput, ParseError, PredictionBatch, SoftmaxHead, load_head, save_head
+from tcalign import io
 from tcalign.io import (
     FLOAT_FORMAT,
     _atomic_write,
+    _float_texts,
     read_embeddings,
     read_labels,
     read_predictions_csv,
@@ -211,6 +215,142 @@ class TestAtomicWrite:
             _atomic_write(target, b"data")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert list(target.iterdir()) == []
+
+    def test_chunks_are_streamed_in_order(self, tmp_path):
+        target = tmp_path / "out"
+        _atomic_write(target, (part for part in [b"ab", np.frombuffer(b"cd", np.uint8), b"", b"e"]))
+        assert target.read_bytes() == b"abcde"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_failing_stream_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield b"first chunk\n"
+            raise RuntimeError("producer failed")
+
+        target = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError, match="producer failed"):
+            _atomic_write(target, chunks())
+        assert list(tmp_path.iterdir()) == []
+
+
+def _ties(exponents) -> list[float]:
+    """Doubles whose exact decimal has 18 significant digits ending in 5, so
+    that FLOAT_FORMAT rounds an exact half: x = (2D + 1) 10^(E-16) / 2 with
+    10^16 <= D < 10^17 is q 2^(E-17) for q = (2D + 1) / 5^(16-E), a double
+    when q is an odd integer below 2^53."""
+    out = []
+    for exponent in exponents:
+        five = 5 ** (16 - exponent)
+        lo, hi = -(-(2 * 10**16 + 1) // five), min((2 * 10**17 + 1) // five, 2**53)
+        q_values = {lo, lo + 1, (lo + hi) // 2, (lo + hi) // 2 + 1, hi - 1, hi - 2}
+        for q in sorted(v for v in q_values if lo <= v < hi and v % 2):
+            x = math.ldexp(q, exponent - 17)
+            digits = Decimal(x).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+            out.append(x)
+    return out
+
+
+class TestFloatFormatter:
+    """The bulk formatter prints exactly ``FLOAT_FORMAT % x`` for every double."""
+
+    @staticmethod
+    def assert_matches(values):
+        values = np.asarray(values, dtype=np.float64).ravel()
+        expected = [FLOAT_FORMAT % v for v in values.tolist()]
+        got = _float_texts(values)
+        mismatches = [(v, g, e) for v, g, e in zip(values.tolist(), got, expected) if g != e]
+        assert len(got) == len(expected)
+        assert mismatches == []
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        steps = [powers]
+        for _ in range(2):
+            steps = [np.nextafter(steps[0], 0.0), *steps, np.nextafter(steps[-1], np.inf)]
+        values = np.concatenate(steps)
+        self.assert_matches(np.concatenate([values, -values]))
+
+    def test_extremes_and_specials(self):
+        tiny = 2.2250738585072014e-308
+        subnormals = [5e-324, 1e-323, 2.5e-322, 1.5e-315, tiny - 5e-324, tiny / 3]
+        values = [*subnormals, tiny, 1.7976931348623157e308, 0.0, -0.0, np.inf, -np.inf, np.nan]
+        self.assert_matches(values + [-v for v in values])
+
+    def test_around_ten_to_sixteen_and_seventeen(self):
+        centres = [1e16, 1e17, 99999999999999999.0, 9999999999999998.0, 1e16 - 1, 1e16 + 2]
+        values = [v for c in centres for v in np.nextafter(c, [0.0, np.inf]).tolist() + [c]]
+        self.assert_matches(values + [-v for v in values] + [v / 1e20 for v in values])
+
+    def test_half_fractions(self, rng):
+        # m + 0.5 below 2^52, from 10 up: printed exactly (17 digits at most)
+        whole = np.floor(10.0 ** rng.uniform(1, 15.6, size=5000))
+        self.assert_matches(np.concatenate([whole + 0.5, -(whole + 0.5)]))
+
+    def test_exact_ties_round_half_even_with_fallback_where_inexact(self):
+        # E in [-6, 15]: the scaled product is exact and an exact half rounds to
+        # even in bulk; E in {-8, -7}: 10^(16-E) is not a double, so the half is
+        # uncertain and FLOAT_FORMAT prints it (the fallback runs)
+        exact, inexact = _ties(range(-6, 16)), _ties([-8, -7])
+        assert len(exact) > 50 and len(inexact) >= 2
+        certain = io._significands(np.array(exact + inexact))[2]
+        assert certain.tolist() == [True] * len(exact) + [False] * len(inexact)
+        self.assert_matches(exact + inexact + [-v for v in exact + inexact])
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(17).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        self.assert_matches(bits.view(np.float64))
+
+    def test_saturated_softmax_rows(self, rng):
+        scales = np.repeat([1.0, 30.0, 800.0, 3000.0], 500)[:, None]
+        logits = rng.standard_normal((2000, 10)) * scales
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        assert np.any(probs == 0.0) and np.any(probs == 1.0)
+        self.assert_matches(probs)
+
+    def test_lo_is_zero_exactly_where_ten_power_is_a_double(self):
+        # exactness (and with it round-half-even without the fallback) is read off lo == 0
+        exponents = np.arange(io._E_MIN, io._E_MAX + 1)
+        assert exponents[io._LO == 0].tolist() == list(range(-6, 17))
+
+
+def _reference_csv(header, index, values) -> bytes:
+    """The per-row writer the bulk one replaced, as the format's definition."""
+    template = "%d" + ",%.17g" * values.shape[1]
+    lines = [",".join(header)] + [template % (i, *row) for i, row in zip(index, values.tolist())]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestCsvWriterBytes:
+    @pytest.mark.parametrize("c", [2, 100])
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["one-row", "chunk-1", "chunk", "chunk+1"])
+    def test_writers_match_per_row_reference(self, tmp_path, rng, c, offset):
+        chunk = max(1, io._CHUNK_VALUES // c)
+        n = 1 if offset is None else chunk + offset
+        logits = rng.standard_normal((n, c)) * rng.choice([1.0, 40.0, 900.0], size=(n, 1))
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        preds = PredictionBatch(probs=probs, argmax=probs.argmax(axis=1))
+        header = ["argmax"] + [f"p{j}" for j in range(c)]
+        write_predictions_csv(tmp_path / "p.csv", preds)
+        assert (tmp_path / "p.csv").read_bytes() == _reference_csv(header, preds.argmax.tolist(), probs)
+        back = read_predictions_csv(tmp_path / "p.csv")
+        assert np.array_equal(back.probs, probs) and np.array_equal(back.argmax, preds.argmax)
+
+        # a general table: signed and extreme integer indices, signed floats of any size
+        index = rng.integers(-(2**63), 2**63 - 1, size=n, endpoint=True)
+        index[: min(n, 4)] = [0, -1, 2**63 - 1, -(2**63)][: min(n, 4)]
+        sign = rng.choice([-1.0, 1.0], size=probs.shape)
+        values = probs * sign * 10.0 ** rng.integers(-320, 300, size=probs.shape)
+        rows = [(i, *row) for i, row in zip(index.tolist(), values.tolist())]
+        header = ["i"] + header[1:]
+        table_to_csv(tmp_path / "t.csv", header, rows)
+        assert (tmp_path / "t.csv").read_bytes() == _reference_csv(header, index.tolist(), values)
+
+    def test_empty_table_is_its_header(self, tmp_path):
+        table_to_csv(tmp_path / "t.csv", ["i", "a"], [])
+        assert (tmp_path / "t.csv").read_bytes() == b"i,a\n"
 
 
 class TestReportJson:

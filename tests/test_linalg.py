@@ -275,6 +275,15 @@ class TestCovarianceAccumulator:
             _, sigma = acc.finalize()
             assert np.linalg.norm(sigma - sigma_ref) <= 1e-10 * np.linalg.norm(sigma_ref)
 
+    def test_overflowing_merge_rejected_and_state_kept(self):
+        # each batch's scatter is finite; their sum is not
+        acc = CovarianceAccumulator(1).update([[8e153], [0.0]]).update([[8e153], [0.0]])
+        count, mean, scatter = acc.count, acc.mean.copy(), acc.scatter.copy()
+        with pytest.raises(InvalidInput, match=r"overflows float64 \(largest .* 8e\+153\); rescale"):
+            acc.update([[8e153], [0.0]])
+        assert acc.count == count
+        assert np.array_equal(acc.mean, mean) and np.array_equal(acc.scatter, scatter)
+
     def test_merge_matches_sequential(self, rng):
         z = rng.standard_normal((60, 3))
         left = CovarianceAccumulator(3).update(z[:20])

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -298,6 +299,31 @@ class TestAdaptTransductive:
         assert np.all(np.isfinite(preds.probs))
         assert report.dist_test_to_pseudo_before == math.inf
         assert report.dist_test_to_pseudo_after == math.inf
+
+    @pytest.mark.parametrize("mode", ["transductive", "online"])
+    @pytest.mark.parametrize("scale", [1e153, 1e160])
+    def test_overflowing_scatter_names_the_magnitude(self, linear_demo, mode, scale):
+        # the scatter used to overflow with a RuntimeWarning and then fail as
+        # "sigma contains non-finite entries"; online, 1e153 overflows the merge
+        data, head = linear_demo
+        adapt = adapt_transductive if mode == "transductive" else adapt_online
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                InvalidInput,
+                match=r"^the embeddings' scatter overflows float64 \(largest .* \d\.?\d*e\+1[56]\d\); "
+                "rescale the embeddings$",
+            ):
+                adapt(data.target.features * scale, head, AdaptConfig())
+
+    @pytest.mark.parametrize("mode", ["transductive", "online"])
+    def test_large_mean_with_small_spread_adapts(self, linear_demo, mode):
+        # the overflow check reads the computed scatter, not the magnitudes
+        data, head = linear_demo
+        adapt = adapt_transductive if mode == "transductive" else adapt_online
+        preds, report = adapt(1e160 + data.target.features * 1e140, head, AdaptConfig())[:2]
+        assert np.all(np.isfinite(preds.probs))
+        assert report.n == 750
 
     def test_report_dict_is_json_ready(self, linear_demo):
         import json

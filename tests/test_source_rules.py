@@ -1,5 +1,6 @@
-"""Source rules: the package has one atomic writer, one decimal float format,
-one place that opens files and one that packs byte layouts, all in ``io.py``,
+"""Source rules: the package has one atomic writer, one decimal float format
+(applied in bulk, with ``%`` only per element in its fallback), one place that
+opens files and one that packs byte layouts, all in ``io.py``,
 and one eigendecomposition, in ``linalg.py``, so no module grows a second
 copy of any; it keeps no public definition that nothing reads; the adapt
 loop and the gradient solver's loop call kernels, never the checked public
@@ -21,6 +22,34 @@ def test_only_io_renames_files_and_formats_floats(needle):
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert needle in sources.pop("io.py")
     assert [name for name, text in sorted(sources.items()) if needle in text] == []
+
+
+def test_floats_are_formatted_in_bulk():
+    # FLOAT_FORMAT % x is left only in io's per-element fallback, and no module
+    # formats a row with a template % tuple, so the per-row writer cannot return
+    readers, row_formats = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for function in functions:
+            for node in ast.walk(function):
+                if isinstance(node, ast.Name) and node.id == "FLOAT_FORMAT":
+                    readers.append(f"{path.name}:{function.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+                right = node.right
+                if isinstance(right, ast.Tuple) or (
+                    isinstance(right, ast.Call) and getattr(right.func, "id", None) == "tuple"
+                ):
+                    row_formats.append(f"{path.name}:{node.lineno}")
+    assert readers == ["io.py:_fill_floats"]
+    assert row_formats == []
+    (fallback,) = [
+        node
+        for node in ast.walk(ast.parse((PACKAGE / "io.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.BinOp) and getattr(node.left, "id", None) == "FLOAT_FORMAT"
+    ]
+    assert isinstance(fallback.op, ast.Mod) and isinstance(fallback.right, ast.Subscript)
 
 
 def test_only_linalg_calls_numpy_linalg():
