@@ -8,13 +8,16 @@ package writes, head JSON and SVG plots included, goes through the temp-file
 rename of ``_atomic_write``, so a crashed process never leaves a half-written
 artifact; a CSV streams to it chunk by chunk, never joined in memory.
 
-Every decimal float is printed as ``FLOAT_FORMAT % x`` byte for byte, but in
-bulk: ``_csv_chunks`` (both CSV writers) and ``_float_texts`` (head JSON) format
-whole arrays in numpy, about 4e4 values per chunk, from exact 17-digit
-significands and lookup tables. A value whose rounding the bulk path cannot
-certify (within 2^-30 of a tie, or of a decade boundary) and a non-finite one
-fall back to ``FLOAT_FORMAT % x`` one at a time; no value of the benchmark
-workloads' outputs does.
+Every decimal number is printed by one formatter, ``_fill_floats``, as
+``FLOAT_FORMAT % x`` byte for byte, but in bulk: ``_csv_chunks`` (both CSV
+writers) and ``_float_texts`` (head JSON) format whole arrays in numpy, about
+4e4 values per chunk, from exact 17-digit significands and lookup tables. A
+value whose rounding the bulk path cannot certify (within 2^-30 of a tie, or of
+a decade boundary) and a non-finite one fall back to ``FLOAT_FORMAT % x`` one at
+a time; no value of the benchmark workloads' outputs does. A CSV row's integer
+index is one more float slot: a double holds every integer within +-2^53
+exactly, and ``FLOAT_FORMAT`` prints it as ``%d`` does; an index beyond that
+has ``"%d" % i`` spliced over its slot.
 """
 
 from __future__ import annotations
@@ -101,15 +104,15 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
     hi = np.array(hi)
     split = hi * _SPLIT
     hi_head = split - (split - hi)
-    return hi, hi_head, hi - hi_head, np.array(lo), np.array(exp)
+    # b as int32, like frexp's exponents: np.ldexp is 10x slower with int64 ones
+    return hi, hi_head, hi - hi_head, np.array(lo), np.array(exp, np.int32)
 
 
 def _word_tables() -> tuple[np.ndarray, ...]:
-    """Lookup tables: the 4 digits of g < 10^4 (u32) and the same interleaved
-    with point slots (u64), the significant digits of g, the lead word by d0,
-    the exponent word and the layout class by E, the keep mask of a float slot
-    by (class, significant digits, sign) and that of an integer's 24 bytes by
-    (digits, sign)."""
+    """Lookup tables: the 4 digits of g < 10^4 interleaved with point slots
+    (u64), the significant digits of g, the lead word by d0, the exponent word
+    and the layout class by E, and the keep mask of a float slot by (class,
+    significant digits, sign)."""
     g = np.arange(10000)
     quads = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1) + ord("0")
     quads = quads.astype(np.uint8)
@@ -144,27 +147,18 @@ def _word_tables() -> tuple[np.ndarray, ...]:
     keep[:, 8:39:2] = np.arange(16) == point[:, None]
     keep[:, 40:45] = sci[:, None]
     keep[:, 42] &= np.abs(exponent) >= 100
-
-    # an integer's 24 bytes: 3 pad, sign, 20 right-aligned digits; by digit count and sign
-    n_int, neg_int = (a.ravel() for a in np.meshgrid(np.arange(21), [False, True], indexing="ij"))
-    int_keep = np.zeros((n_int.size, 24), bool)
-    int_keep[:, 3] = neg_int
-    int_keep[:, 4:] = np.arange(20) >= 20 - n_int[:, None]
     return (
-        quads.view(np.uint32).ravel(),
         groups.view(np.uint64).ravel(),
         significant,
         leads.view(np.uint64).ravel(),
         exps.view(np.uint64).ravel(),
         classes,
         keep.view(np.uint64),
-        int_keep.view(np.uint64),
     )
 
 
 _HI, _HI_HEAD, _HI_TAIL, _LO, _EXP = _pow10_table()
-_QUADS, _GROUPS, _SIGNIFICANT, _LEADS, _EXPS, _CLASSES, _KEEP, _INT_KEEP = _word_tables()
-_POW10_U64 = 10 ** np.arange(1, 20, dtype=np.uint64)
+_GROUPS, _SIGNIFICANT, _LEADS, _EXPS, _CLASSES, _KEEP = _word_tables()
 
 
 def _scaled(m: np.ndarray, e: np.ndarray, exponent: np.ndarray):
@@ -225,25 +219,18 @@ def _fill_floats(x: np.ndarray, words: np.ndarray, keep: np.ndarray) -> None:
     for j, group in enumerate(groups):
         words[..., 1 + j] = _GROUPS[group]
     words[..., 5] = _EXPS[e]
-    keep[...] = _KEEP[(_CLASSES[e] * 17 + n_sig - 1) * 2 + np.signbit(x)]
+    np.take(_KEEP, (_CLASSES[e] * 17 + n_sig - 1) * 2 + np.signbit(x), axis=0, out=keep)
     for at in zip(*np.nonzero(~(certain & np.isfinite(a)))):
-        text = np.frombuffer((FLOAT_FORMAT % x[at]).encode(), np.uint8)
-        slot, mask = words[at].view(np.uint8), keep[at].view(np.uint8)
-        slot[1 : 1 + text.size] = text
-        mask[1:] = 0
-        mask[1 : 1 + text.size] = 1
+        _splice(words[at], keep[at], FLOAT_FORMAT % x[at])
 
 
-def _fill_ints(v: np.ndarray, words: np.ndarray, keep: np.ndarray) -> None:
-    """Write ``"%d" % i`` for every i of the int64 vector ``v`` into the n x 3
-    u64 views ``words`` and ``keep`` (3 pad bytes, sign, 20 right-aligned digits)."""
-    u = np.abs(v).view(np.uint64)  # |int64 min| = 2^63 as uint64
-    quads = words.view(np.uint32)
-    quads[:, 0] = np.frombuffer(b"\0\0\0-", np.uint32)
-    for j in range(5):
-        quads[:, 1 + j] = _QUADS[u // 10 ** (16 - 4 * j) % 10000]
-    n_digits = 1 + np.searchsorted(_POW10_U64, u, side="right")
-    keep[...] = _INT_KEEP[n_digits * 2 + (v < 0)]
+def _splice(words: np.ndarray, keep: np.ndarray, text: str) -> None:
+    """Write ``"," + text`` over one slot's u64 views ``words`` and ``keep``."""
+    text = np.frombuffer(text.encode(), np.uint8)
+    slot, mask = words.view(np.uint8), keep.view(np.uint8)
+    slot[1 : 1 + text.size] = text
+    mask[1:] = 0
+    mask[1 : 1 + text.size] = 1
 
 
 def _csv_chunks(header: list[str], index, values) -> Iterator[bytes | np.ndarray]:
@@ -254,16 +241,19 @@ def _csv_chunks(header: list[str], index, values) -> Iterator[bytes | np.ndarray
     n, c = values.shape
     yield (",".join(header) + "\n").encode("utf-8")
     rows = max(1, _CHUNK_VALUES // max(c, 1))
-    words = np.empty((min(rows, n), 4 + c * _WORDS), np.uint64)  # index, floats, newline
+    words = np.empty((min(rows, n), (c + 1) * _WORDS + 1), np.uint64)  # index, floats, newline
     keep = np.empty_like(words)
     words[:, -1] = np.frombuffer(b"\n".ljust(8, b"\0"), np.uint64)
     keep[:, -1] = np.frombuffer(b"\1".ljust(8, b"\0"), np.uint64)
     for start in range(0, n, rows):
         w, k = words[: min(rows, n - start)], keep[: min(rows, n - start)]
-        _fill_ints(index[start : start + len(w)], w[:, :3], k[:, :3])
-        slots = (len(w), c, _WORDS)  # views: each row's float slots are contiguous
-        w_floats, k_floats = w[:, 3:-1].reshape(slots), k[:, 3:-1].reshape(slots)
-        _fill_floats(values[start : start + len(w)], w_floats, k_floats)
+        idx = index[start : start + len(w)]
+        slots = (len(w), c + 1, _WORDS)  # views: each row's slots are contiguous
+        w_slots, k_slots = w[:, :-1].reshape(slots), k[:, :-1].reshape(slots)
+        _fill_floats(np.column_stack([idx, values[start : start + len(w)]]), w_slots, k_slots)
+        k.view(np.uint8)[:, 0] = 0  # the index slot's comma
+        for r in np.flatnonzero((idx > 2**53) | (idx < -(2**53))):  # beyond a double's integers
+            _splice(w_slots[r, 0], k_slots[r, 0], "%d" % idx[r])
         yield np.compress(k.view(bool).ravel(), w.view(np.uint8).ravel())
 
 

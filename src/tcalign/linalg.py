@@ -79,8 +79,14 @@ def covariance(z) -> tuple[np.ndarray, np.ndarray]:
 def _covariance(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``covariance`` of a checked batch of at least 2 rows."""
     n, mean, scatter = _moments(z)
-    sigma = scatter / (n - 1)
-    return mean, (sigma + sigma.T) / 2.0
+    return mean, _symmetrized(scatter / (n - 1))
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """(a + a^T) / 2, halved before the add so that no finite entry overflows;
+    halving is exact for normal-range values, so the bits are those of the sum."""
+    half = a / 2.0
+    return half + half.T
 
 
 def _moments(z: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -152,10 +158,8 @@ def spd_power(sigma, p: float) -> np.ndarray:
 
 def _power(sigma: np.ndarray, p: float) -> np.ndarray:
     """``spd_power`` of a finite symmetric matrix, such as ``shrink``'s output."""
-    # both symmetrizations halve before they add, so that no finite entry overflows
-    half = sigma / 2.0
     try:
-        values, vectors = np.linalg.eigh(half + half.T)
+        values, vectors = np.linalg.eigh(_symmetrized(sigma))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
     min_val = float(values.min())
@@ -172,8 +176,7 @@ def _power(sigma: np.ndarray, p: float) -> np.ndarray:
             )
         values = np.maximum(values, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        half = (vectors * values**p) @ vectors.T / 2.0
-        powered = half + half.T
+        powered = _symmetrized((vectors * values**p) @ vectors.T)
     if not np.all(np.isfinite(powered)):
         raise NumericalFailure(f"power {p} of sigma is not finite")
     return powered
@@ -221,7 +224,7 @@ class CovarianceAccumulator:
         with np.errstate(over="ignore", invalid="ignore"):
             delta = mean - self.mean
             merged = self.scatter + scatter + np.outer(delta, delta) * (self.count * n / total)
-            merged = (merged + merged.T) / 2.0
+            merged = _symmetrized(merged)
         if not np.all(np.isfinite(merged)):
             sides = ((n, mean, scatter), (self.count, self.mean, self.scatter))
             scale = max(np.max(np.abs(m) + np.sqrt(np.diag(s) / c)) for c, m, s in sides)

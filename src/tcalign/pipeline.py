@@ -29,6 +29,7 @@ import numpy as np
 from .errors import InsufficientSamples, InvalidConfig, InvalidInput, _check_count, _finite_real
 from .head import PredictionBatch, SoftmaxHead, accuracy, check_labels, softmax_rows
 from .linalg import CovarianceAccumulator, _check_eps, _check_width, _covariance, _moments
+from .linalg import _power, _shrink, _symmetrized
 from .linalg import correlation_distance, validate_embeddings
 from .metrics import linear_fit_r2, spearman
 from .pseudo_source import _class_quotas, _most_certain, _uncertainties
@@ -112,8 +113,7 @@ def _check_test(test, head: SoftmaxHead, mode: str) -> np.ndarray:
 
 def _recolor(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """W^T sigma W, symmetrized: the covariance (or scatter) of rows mapped through W."""
-    out = w.T @ sigma @ w
-    return (out + out.T) / 2.0
+    return _symmetrized(w.T @ sigma @ w)
 
 
 def _adapted_head(head: SoftmaxHead, t: AlignmentTransform) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +147,7 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
     class_counts = np.zeros(c, dtype=np.int64)
     bank = np.empty(0, dtype=np.int64)
     stats, emitted = CovarianceAccumulator(d), CovarianceAccumulator(d)
-    source_rows = root_s = None  # the rows of the last pseudo-source moments
+    source_rows = None  # the rows of the last pseudo-source moments
     unadapted_batches = 0
     batch_size = n if mode == "transductive" else cfg.batch_size
     for lo in range(0, n, batch_size):
@@ -166,10 +166,11 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
         # the key is the selected rows, not the bank: class-balanced quotas
         # move with the class counts while the bank stands still
         if not np.array_equal(selected, source_rows):
-            source_rows, root_s = selected, None
+            source_rows = selected
             mu_s_hat, sigma_s_hat = _covariance(test[selected])
+            root_s = _power(_shrink(sigma_s_hat, cfg.eps), 0.5)
         mu_t, sigma_t = stats.finalize()
-        w, root_s = _closed_form(sigma_t, sigma_s_hat, cfg.eps, root_s)
+        w = _closed_form(sigma_t, root_s, cfg.eps)
         transform = AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
         softmax_rows(test[lo:hi], *_adapted_head(head, transform), out=out)
         emitted._merge_moments(*_mapped(batch, transform))

@@ -100,20 +100,13 @@ def solve_closed_form(sigma_t, sigma_s_hat, eps: float = DEFAULT_EPS) -> np.ndar
     sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
     sigma_t = _symmetric(sigma_t, "sigma")
     _check_eps(eps)
-    w, _ = _closed_form(sigma_t, _symmetric(sigma_s_hat, "sigma"), eps)
-    return w
+    root_s = _power(_shrink(_symmetric(sigma_s_hat, "sigma"), eps), 0.5)
+    return _closed_form(sigma_t, root_s, eps)
 
 
-def _closed_form(sigma_t, sigma_s_hat, eps, root_s=None) -> tuple[np.ndarray, np.ndarray]:
-    """``solve_closed_form`` of finite symmetric matrices, as (W, S_s_reg^(1/2)).
-
-    A ``root_s`` returned by an earlier call with the same sigma_s_hat and
-    eps stands in for that half of the solve.
-    """
-    inv_root_t = _power(_shrink(sigma_t, eps), -0.5)
-    if root_s is None:
-        root_s = _power(_shrink(sigma_s_hat, eps), 0.5)
-    return inv_root_t @ root_s, root_s
+def _closed_form(sigma_t: np.ndarray, root_s: np.ndarray, eps: float) -> np.ndarray:
+    """``solve_closed_form`` of a finite symmetric sigma_t, given root_s = S_s_reg^(1/2)."""
+    return _power(_shrink(sigma_t, eps), -0.5) @ root_s
 
 
 def solve_gradient(
@@ -145,8 +138,9 @@ def solve_gradient(
     w = np.eye(sigma_t.shape[0])
     trace = SolverTrace()
     # the loop carries the residual: objective sum(r * r), step 4 sigma_t W r
-    residual = _residual(w, sigma_t_reg, sigma_s_reg)
-    current = float(np.sum(residual * residual))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = _residual(w, sigma_t_reg, sigma_s_reg)
+        current = float(np.sum(residual * residual))
     if not np.isfinite(current):
         raise DivergenceError("objective is non-finite at the initial iterate", w, [])
     trace.objective_values.append(current)

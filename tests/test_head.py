@@ -293,3 +293,44 @@ class TestPersistence:
         path.write_text('{"version": 1, "c": 2, "d": 1, "weight": [[NaN], [1]], "bias": [0, 0]}')
         with pytest.raises(ParseError, match="head values are invalid.*non-finite"):
             load_head(path)
+
+
+def _load_head_text(path, text: str) -> SoftmaxHead:
+    path.write_text(text)
+    return load_head(path)
+
+
+@pytest.mark.parametrize(
+    "call, error, pattern",
+    [
+        (
+            lambda tmp: SoftmaxHead(weight=[1.0, 2.0], bias=[0.0]),
+            InvalidInput,
+            r"^head weight must be a c x d matrix$",
+        ),
+        (
+            lambda tmp: SoftmaxHead(weight=np.zeros((2, 2)), bias=np.zeros(3)),
+            InvalidInput,
+            r"^bias shape \(3,\) does not match weight rows 2$",
+        ),
+        (
+            lambda tmp: SoftmaxHead(weight=[[1.0, 2.0]], bias=[0.0]),
+            InvalidInput,
+            r"^head needs at least 2 classes$",
+        ),
+        (
+            lambda tmp: train_head(np.eye(3), [0, 1, 2], lr=0.1, epochs=1, n_classes=2),
+            InvalidInput,
+            r"^labels must lie in \[0, 2\)$",
+        ),
+        (
+            lambda tmp: _load_head_text(tmp / "h.json", "[1, 2]"),
+            ParseError,
+            r"^head file must contain a JSON object \(top level\)$",
+        ),
+    ],
+    ids=["weight-not-2d", "bias-shape", "one-class", "label-beyond-n-classes", "json-not-object"],
+)
+def test_rejections(tmp_path, call, error, pattern):
+    with pytest.raises(error, match=pattern):
+        call(tmp_path)

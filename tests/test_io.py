@@ -348,6 +348,18 @@ class TestCsvWriterBytes:
         table_to_csv(tmp_path / "t.csv", header, rows)
         assert (tmp_path / "t.csv").read_bytes() == _reference_csv(header, index.tolist(), values)
 
+    def test_indices_around_the_exact_double_range(self, tmp_path):
+        # +-2^53 print from their float slot; one beyond has "%d" spliced in
+        index = [2**53, -(2**53), 2**53 + 1, -(2**53 + 1), 2**63 - 1, -(2**63), 0, -1]
+        values = np.linspace(-1.0, 1.0, len(index))[:, None]
+        table_to_csv(tmp_path / "t.csv", ["i", "v"], [(i, v) for i, (v,) in zip(index, values.tolist())])
+        assert (tmp_path / "t.csv").read_bytes() == _reference_csv(["i", "v"], index, values)
+
+    def test_index_only_table(self, tmp_path):
+        table_to_csv(tmp_path / "t.csv", ["i"], [(3,), (-(2**63),)])
+        expected = _reference_csv(["i"], [3, -(2**63)], np.empty((2, 0)))
+        assert (tmp_path / "t.csv").read_bytes() == expected == b"i\n3\n-9223372036854775808\n"
+
     def test_empty_table_is_its_header(self, tmp_path):
         table_to_csv(tmp_path / "t.csv", ["i", "a"], [])
         assert (tmp_path / "t.csv").read_bytes() == b"i,a\n"
@@ -444,3 +456,21 @@ class TestReaderContract:
         with pytest.raises(ParseError) as info:
             reader(path)
         assert str(info.value).endswith(context)
+
+
+@pytest.mark.parametrize(
+    "call, pattern",
+    [
+        (
+            lambda path: write_embeddings(path, [[1.0]], dtype="f16"),
+            r"^dtype must be 'f32' or 'f64', got 'f16'$",
+        ),
+        (lambda path: write_labels(path, []), r"^labels must be a non-empty 1-D vector$"),
+        (lambda path: write_labels(path, [[0, 1]]), r"^labels must be a non-empty 1-D vector$"),
+    ],
+    ids=["embedding-dtype", "labels-empty", "labels-2d"],
+)
+def test_writers_reject(tmp_path, call, pattern):
+    with pytest.raises(InvalidInput, match=pattern):
+        call(tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []

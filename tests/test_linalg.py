@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,15 @@ class TestCovariance:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInput):
             covariance([[1.0, np.nan], [0.0, 1.0]])
+
+    def test_scatter_near_the_float64_maximum_stays_finite(self):
+        # the scatter 1.125e308 is finite, but (sigma + sigma.T) / 2 overflowed
+        # to inf with a RuntimeWarning; halving first keeps it, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, sigma = covariance([[0.0], [1.5e154]])
+        assert np.array_equal(mean, [7.5e153])
+        assert np.array_equal(sigma, [[2 * 7.5e153**2]])  # 1.125e308, rounded once
 
     def test_row_permutation_invariance(self, rng):
         z = rng.standard_normal((40, 5))
@@ -276,8 +287,11 @@ class TestCovarianceAccumulator:
             assert np.linalg.norm(sigma - sigma_ref) <= 1e-10 * np.linalg.norm(sigma_ref)
 
     def test_overflowing_merge_rejected_and_state_kept(self):
-        # each batch's scatter is finite; their sum is not
-        acc = CovarianceAccumulator(1).update([[8e153], [0.0]]).update([[8e153], [0.0]])
+        # each batch's scatter is 3.2e307; five sum to a finite 1.6e308, six to
+        # 1.92e308, beyond the float64 maximum
+        acc = CovarianceAccumulator(1)
+        for _ in range(5):
+            acc.update([[8e153], [0.0]])
         count, mean, scatter = acc.count, acc.mean.copy(), acc.scatter.copy()
         with pytest.raises(InvalidInput, match=r"overflows float64 \(largest .* 8e\+153\); rescale"):
             acc.update([[8e153], [0.0]])
@@ -319,3 +333,49 @@ class TestCovarianceAccumulator:
         for _ in range(10):
             acc.update(rng.standard_normal((int(rng.integers(1, 7)), 4)) * 100)
         assert np.max(np.abs(acc.scatter - acc.scatter.T)) <= 1e-12
+
+
+def _power_without_eigh(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    return spd_power(np.eye(2), 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, error, pattern",
+    [
+        (lambda mp: covariance([1.0, 2.0]), InvalidInput, r"^embeddings must be a 2-D matrix, got ndim=1$"),
+        (
+            lambda mp: covariance(np.empty((0, 2))),
+            InvalidInput,
+            r"^embeddings must have at least one row and one column, got \(0, 2\)$",
+        ),
+        (
+            _power_without_eigh,
+            NumericalFailure,
+            r"^eigendecomposition did not converge: Eigenvalues did not converge$",
+        ),
+        (
+            lambda mp: CovarianceAccumulator(2).merge(CovarianceAccumulator(3)),
+            InvalidInput,
+            r"^cannot merge accumulators of dimension 3 and 2$",
+        ),
+    ],
+    ids=["not-2d", "empty", "eigh-fails", "merge-dimension"],
+)
+def test_rejections(monkeypatch, call, error, pattern):
+    with pytest.raises(error, match=pattern):
+        call(monkeypatch)
+
+
+@pytest.mark.parametrize("rows", [[[1.0, 2.0], [3.0, 5.0]], None], ids=["into-filled", "into-empty"])
+def test_merging_an_empty_accumulator_changes_nothing(rows):
+    acc = CovarianceAccumulator(2)
+    if rows is not None:
+        acc.update(rows)
+    count, mean, scatter = acc.count, acc.mean.copy(), acc.scatter.copy()
+    assert acc.merge(CovarianceAccumulator(2)) is acc
+    assert acc.count == count
+    assert np.array_equal(acc.mean, mean) and np.array_equal(acc.scatter, scatter)

@@ -101,3 +101,12 @@ class TestLinearFit:
         # degenerate two-point cloud fitted through distant outliers
         fit = linear_fit_r2([0.0, 0.0, 1.0], [0.0, 10.0, 5.0])
         assert fit.r2 <= 1.0
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [([0.0, 1.0, 2.0], [0.0, 1.0]), ([[0.0, 1.0]], [[0.0, 1.0]]), ([1.0], [2.0])],
+    ids=["length-mismatch", "2-d", "one-point"],
+)
+def test_linear_fit_of_malformed_input_is_none(x, y):
+    assert linear_fit_r2(x, y) is None

@@ -795,6 +795,35 @@ class TestValidationBoundary:
         assert solves == math.ceil(len(test) / batch_size) - report.unadapted_batches
         assert matrix_calls["_power"] == solves + selections
 
+    @pytest.mark.parametrize("selection_mode", ["global", "class_balanced"])
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_source_root_once_per_selection(self, linear_demo, monkeypatch, batch_size, selection_mode):
+        # S_s^(1/2) (power 1/2) is computed once per change of the selected
+        # rows, S_t^(-1/2) once per solve
+        from tcalign import linalg
+
+        original, powers = linalg._power, []
+
+        def recorded(sigma, p):
+            powers.append(p)
+            return original(sigma, p)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "tcalign" and vars(module).get("_power") is original:
+                monkeypatch.setattr(module, "_power", recorded)
+        data, head = linear_demo
+        cfg = AdaptConfig(batch_size=batch_size, selection_mode=selection_mode)
+        adapt_online(data.target.features, head, cfg)
+        solves = changes = 0
+        last = None
+        for _, _, selected in streamed_selections(data.target.features, head, cfg):
+            if len(selected) >= 2:
+                solves += 1
+                changes += not np.array_equal(selected, last)
+                last = selected
+        assert 0 < changes <= solves
+        assert sorted(powers) == [-0.5] * solves + [0.5] * changes
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(

@@ -365,3 +365,18 @@ class TestClassBalancedSelect:
         for cls in (0, 1):
             chosen = sorted(u[rows[classes[rows] == cls]])
             assert chosen == sorted(omegas[cls])[:2]
+
+
+@pytest.mark.parametrize(
+    "uncertainty, rows, classes, pattern",
+    [
+        ([[0.1, 0.2]], None, None, r"^uncertainties must be a 1-D vector$"),
+        ([0.1, 0.2], [0], None, r"^1 row indices for 2 uncertainties$"),
+        ([0.1, 0.2], None, [0], r"^1 predicted classes for 2 uncertainties$"),
+        ([0.1, 0.2], None, [0, -1], r"^predicted classes must be nonnegative$"),
+    ],
+    ids=["uncertainty-not-1d", "row-count", "class-count", "negative-class"],
+)
+def test_candidates_rejected(uncertainty, rows, classes, pattern):
+    with pytest.raises(InvalidInput, match=pattern):
+        most_certain(uncertainty, 1, rows=rows, classes=classes)

@@ -1,11 +1,12 @@
 """Source rules: the package has one atomic writer, one decimal float format
-(applied in bulk, with ``%`` only per element in its fallback), one place that
-opens files and one that packs byte layouts, all in ``io.py``,
-and one eigendecomposition, in ``linalg.py``, so no module grows a second
-copy of any; it keeps no public definition that nothing reads; the adapt
-loop and the gradient solver's loop call kernels, never the checked public
-functions around them; and the adapt loop has one solver, the closed form,
-while only the alignment trace runs the gradient solver."""
+(applied in bulk, with ``%`` only per element in its fallback) and one number
+formatter, one place that opens files and one that packs byte layouts, all in
+``io.py``, and one eigendecomposition and one symmetrizer, in ``linalg.py``,
+so no module grows a second copy of any; it keeps no public definition that
+nothing reads; the adapt loop and the gradient solver's loop call kernels,
+never the checked public functions around them; and the adapt loop has one
+solver, the closed form, while only the alignment trace runs the gradient
+solver."""
 
 import ast
 from pathlib import Path
@@ -50,6 +51,39 @@ def test_floats_are_formatted_in_bulk():
         if isinstance(node, ast.BinOp) and getattr(node.left, "id", None) == "FLOAT_FORMAT"
     ]
     assert isinstance(fallback.op, ast.Mod) and isinstance(fallback.right, ast.Subscript)
+
+
+def test_one_number_formatter():
+    # the CSV index is printed through the float slots, not a formatter of its own
+    tree = ast.parse((PACKAGE / "io.py").read_text(encoding="utf-8"))
+    names = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert [name for name in names if name.startswith("_fill_")] == ["_fill_floats"]
+
+
+def _adds_own_transpose(node: ast.AST) -> bool:
+    """Whether ``node`` is ``X + X.T`` or ``X.T + X``."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    return any(
+        isinstance(b, ast.Attribute) and b.attr == "T" and ast.dump(b.value) == ast.dump(a)
+        for a, b in ((node.left, node.right), (node.right, node.left))
+    )
+
+
+def test_one_symmetrizer():
+    # linalg._symmetrized halves before it adds, so that no finite entry
+    # overflows; a second (a + a.T) / 2 would bring the overflow back
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {  # innermost function of each node: ast.walk visits outer ones first
+            id(node): f"{path.name}:{function.name}"
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+        }
+        found += [owners.get(id(node), path.name) for node in ast.walk(tree) if _adds_own_transpose(node)]
+    assert found == ["linalg.py:_symmetrized"]
 
 
 def test_only_linalg_calls_numpy_linalg():

@@ -286,3 +286,28 @@ class TestApplyTransform:
         # a 0-d w used to raise IndexError from its missing shape[0]
         with pytest.raises(InvalidInput):
             AlignmentTransform(w=w, mu_t=np.zeros(1), mu_s_hat=np.zeros(1))
+
+
+@pytest.mark.parametrize(
+    "call, error, pattern",
+    [
+        (
+            lambda: AlignmentTransform(w=np.eye(2), mu_t=np.zeros(3), mu_s_hat=np.zeros(2)),
+            InvalidInput,
+            r"^inconsistent transform shapes: w \(2, 2\), mu_t \(3,\), mu_s_hat \(2,\)$",
+        ),
+        (
+            # the identity's residual, 1e200 on the diagonal, squares beyond float64
+            lambda: solve_gradient(np.diag([1e200, 1.0]), np.eye(2)),
+            DivergenceError,
+            r"^objective is non-finite at the initial iterate$",
+        ),
+    ],
+    ids=["transform-shapes", "initial-objective"],
+)
+def test_rejections(call, error, pattern):
+    with pytest.raises(error, match=pattern) as info:
+        call()
+    if error is DivergenceError:
+        assert np.array_equal(info.value.last_iterate, np.eye(2))
+        assert info.value.objective_values == []
