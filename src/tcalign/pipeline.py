@@ -1,16 +1,16 @@
 """End-to-end adaptation pipelines and theory-validation experiments.
 
 ``_adapt`` is the one adaptation loop. It checks the test matrix once, in
-``_check_test``; then, per batch, it predicts and scores the rows, folds them
-into streaming statistics and a bounded index bank, selects the
+``_check_test``, and scores each row once, in ``_scored`` (one whole-matrix
+product, so no score depends on the batch size). Per batch it then folds the
+rows into streaming statistics and a bounded index bank, selects the
 pseudo-source, solves for the alignment transform in closed form and
 predicts the batch through it. Transductive mode is one batch of all n rows.
 The pseudo-source half of the solve (mu_s_hat, sigma_s_hat, S_s^(1/2)) is
 redone only when the selected rows change. Below the entry the loop calls
-only kernels, never the checked public functions. ``validate_alignment_trace``
-builds the transductive pseudo-source from the same kernels and records the
-iterates of one gradient solve towards it; the gradient solver runs nowhere
-else.
+only kernels. Both experiments score through ``_scored``; the alignment
+trace builds the transductive pseudo-source from the same kernels and
+records the iterates of one gradient solve, which runs nowhere else.
 
 Adapted rows are never materialised. The affine map z -> (z - mu_t) W +
 mu_s_hat is folded into the linear softmax head (weight H W^T, bias
@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InsufficientSamples, InvalidConfig, InvalidInput, _check_count, _finite_real
-from .head import PredictionBatch, SoftmaxHead, accuracy, check_labels, softmax_rows
+from .head import PredictionBatch, SoftmaxHead, check_labels, softmax_rows
 from .linalg import CovarianceAccumulator, _check_eps, _check_width, _covariance, _moments
 from .linalg import _power, _shrink, _symmetrized
 from .linalg import correlation_distance, validate_embeddings
@@ -130,6 +130,13 @@ def _mapped(batch: tuple, t: AlignmentTransform) -> tuple[int, np.ndarray, np.nd
     return n, (mean - t.mu_t) @ t.w + t.mu_s_hat, _recolor(t.w, scatter)
 
 
+def _scored(test: np.ndarray, head: SoftmaxHead) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unadapted (probs, classes, uncertainty) of checked rows, from one whole-matrix product."""
+    probs = softmax_rows(test, head.weight, head.bias)
+    classes = probs.argmax(axis=1)
+    return probs, classes, _uncertainties(probs, classes)
+
+
 def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
     """The adaptation loop of both modes; returns the predictions, the report
     and the transform of the last solve. A batch that selects fewer than 2
@@ -142,8 +149,7 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
         labels = check_labels(labels, n)
 
     c = head.n_classes
-    probs = np.empty((n, c))
-    uncertainty, classes = np.empty(n), np.empty(n, dtype=np.int64)  # per row, unadapted
+    probs, classes, uncertainty = _scored(test, head)  # unadapted; adapted rows overwrite probs
     class_counts = np.zeros(c, dtype=np.int64)
     bank = np.empty(0, dtype=np.int64)
     stats, emitted = CovarianceAccumulator(d), CovarianceAccumulator(d)
@@ -152,9 +158,6 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
     batch_size = n if mode == "transductive" else cfg.batch_size
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
-        out = softmax_rows(test[lo:hi], head.weight, head.bias, out=probs[lo:hi])
-        classes[lo:hi] = out.argmax(axis=1)
-        uncertainty[lo:hi] = _uncertainties(out, classes[lo:hi])
         class_counts += np.bincount(classes[lo:hi], minlength=c)
         batch = _moments(test[lo:hi])
         stats._merge_moments(*batch)
@@ -172,7 +175,7 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
         mu_t, sigma_t = stats.finalize()
         w = _closed_form(sigma_t, root_s, cfg.eps)
         transform = AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
-        softmax_rows(test[lo:hi], *_adapted_head(head, transform), out=out)
+        softmax_rows(test[lo:hi], *_adapted_head(head, transform), out=probs[lo:hi])
         emitted._merge_moments(*_mapped(batch, transform))
 
     # n >= 2, so the last batch was adapted and its moments cover every row
@@ -189,7 +192,7 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
     )
     if labels is not None:
         report.accuracy_before = float(np.mean(classes == labels))
-        report.accuracy_after = accuracy(preds_out, labels)
+        report.accuracy_after = float(np.mean(preds_out.argmax == labels))
     if source_stats is not None:
         _, sigma_s = source_stats
         report.dist_test_to_source_before = correlation_distance(sigma_t, sigma_s)
@@ -252,9 +255,8 @@ def validate_uncertainty_groups(
             f"each group needs >= 2 instances: n={n} is too small for {n_groups} groups"
         )
     _, sigma_s = source_stats
-    probs = softmax_rows(_check_width(test, head.dim, "head"), head.weight, head.bias)
-    uncertainties = _uncertainties(probs, probs.argmax(axis=1))
-    order = np.lexsort((np.arange(n), uncertainties))
+    _, _, uncertainties = _scored(_check_width(test, head.dim, "head"), head)
+    order = np.argsort(uncertainties, kind="stable")  # ties go to the lower row
     size = n // n_groups
     rows = []
     for g in range(n_groups):
@@ -332,9 +334,7 @@ def validate_alignment_trace(
     labels = check_labels(labels, n)
     _, sigma_s = source_stats
 
-    probs = softmax_rows(test, head.weight, head.bias)
-    classes = probs.argmax(axis=1)
-    uncertainty = _uncertainties(probs, classes)
+    _, classes, uncertainty = _scored(test, head)
     class_counts = np.bincount(classes, minlength=head.n_classes)
     empty = np.empty(0, dtype=np.int64)
     _, selected = _fold(cfg, empty, np.arange(n), uncertainty, classes, class_counts)

@@ -25,19 +25,19 @@ def make_symmetric(rng, d, scale=1.0):
 
 
 def streamed_selections(test, head, cfg):
-    """Fold ``test`` batch by batch into a bounded index bank, as online mode
-    does, and yield ``(lo, hi, pseudo-source rows)`` after each batch."""
+    """Score every row once, over the whole matrix, then fold ``test`` batch
+    by batch into a bounded index bank, as online mode does, and yield
+    ``(lo, hi, pseudo-source rows)`` after each batch."""
     from tcalign import batch_uncertainties, predict
     from tcalign.pipeline import _fold
 
     n = len(test)
-    omegas, classes = np.empty(n), np.empty(n, dtype=np.int64)
+    preds = predict(head, test)
+    omegas, classes = batch_uncertainties(preds.probs), preds.argmax
     counts = np.zeros(head.n_classes, dtype=np.int64)
     bank = np.empty(0, dtype=np.int64)
     for lo in range(0, n, cfg.batch_size):
         hi = min(lo + cfg.batch_size, n)
-        probs = predict(head, test[lo:hi]).probs
-        omegas[lo:hi], classes[lo:hi] = batch_uncertainties(probs), probs.argmax(axis=1)
         counts += np.bincount(classes[lo:hi], minlength=head.n_classes)
         bank, selected = _fold(cfg, bank, np.arange(lo, hi), omegas, classes, counts)
         yield lo, hi, selected

@@ -103,6 +103,7 @@ class TestFoldedHead:
         # replay every batch through the public functions: the running moments,
         # the pseudo-source's covariance and solve_closed_form give the loop's
         # transforms, so the head with each folded in predicts the loop's bits;
+        # an unadapted batch keeps its rows of the one whole-matrix prediction;
         # applying each transform to its batch's rows gives the emitted rows,
         # which are measured directly
         data, head = linear_demo
@@ -110,13 +111,14 @@ class TestFoldedHead:
         source_stats = covariance(data.source.features)
         cfg = AdaptConfig(batch_size=batch_size)
         preds, report = adapt_online(test, head, cfg, source_stats=source_stats)
+        unadapted = predict(head, test).probs
         stats = CovarianceAccumulator(test.shape[1])
         folded, emitted = [], []
         for lo, hi, selected in streamed_selections(test, head, cfg):
             rows = test[lo:hi]
             stats.update(rows)
             if len(selected) < 2:
-                folded.append(predict(head, rows).probs)
+                folded.append(unadapted[lo:hi])
                 emitted.append(rows)
                 continue
             mu_s_hat, sigma_s_hat = covariance(test[selected])
@@ -823,6 +825,74 @@ class TestValidationBoundary:
                 last = selected
         assert 0 < changes <= solves
         assert sorted(powers) == [-0.5] * solves + [0.5] * changes
+
+
+def bench_like(seed, n=256, d=64, c=10):
+    """(rows, head) drawn as the 64-d benchmark inputs are: class means on a
+    radius-4 sphere, unit noise, the affine shift, float32 rows, and the
+    Gaussian-LDA head of the means."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((c, d))
+    means = 4.0 * g / np.linalg.norm(g, axis=1, keepdims=True)
+    z = means[rng.integers(0, c, size=n)] + rng.standard_normal((n, d))
+    shift = np.eye(d) + 0.3 * rng.standard_normal((d, d)) / np.sqrt(d)
+    z = (z @ shift + 0.5 * rng.standard_normal(d)).astype(np.float32).astype(np.float64)
+    return z, SoftmaxHead(weight=means, bias=-0.5 * np.sum(means * means, axis=1))
+
+
+class TestScoredOnce:
+    """Each adapt call and each experiment scores the test rows once, in one
+    softmax of the head's own weight over the whole matrix, so no unadapted
+    probability, class or uncertainty depends on the batch size."""
+
+    @pytest.fixture
+    def unadapted_rows(self, monkeypatch, linear_demo):
+        # the row count of each softmax_rows call with the demo head's weight
+        from tcalign import head as head_module
+
+        _, head = linear_demo
+        original, rows = head_module.softmax_rows, []
+
+        def recorded(z, weight, bias, out=None):
+            if weight is head.weight:
+                rows.append(len(z))
+            return original(z, weight, bias, out=out)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "tcalign" and vars(module).get("softmax_rows") is original:
+                monkeypatch.setattr(module, "softmax_rows", recorded)
+        return rows
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 64, 750])
+    def test_online_scores_once(self, linear_demo, unadapted_rows, batch_size):
+        data, head = linear_demo
+        adapt_online(data.target.features, head, AdaptConfig(batch_size=batch_size))
+        assert unadapted_rows == [len(data.target.features)]
+
+    @pytest.mark.parametrize("selection_mode", ["global", "class_balanced"])
+    def test_transductive_scores_once(self, linear_demo, unadapted_rows, selection_mode):
+        data, head = linear_demo
+        adapt_transductive(data.target.features, head, AdaptConfig(selection_mode=selection_mode))
+        assert unadapted_rows == [len(data.target.features)]
+
+    def test_experiments_score_once(self, linear_demo, unadapted_rows):
+        data, head = linear_demo
+        test, stats = data.target.features, covariance(data.source.features)
+        validate_uncertainty_groups(test, head, stats)
+        assert unadapted_rows == [len(test)]
+        validate_alignment_trace(
+            test, head, AdaptConfig(), stats, data.target.labels, lr=1e-7, max_iters=20
+        )
+        assert unadapted_rows == [len(test)] * 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unadapted_row_is_the_whole_matrix_prediction(self, seed):
+        # a 1-row product may round differently from a many-row one; the
+        # cold-start row keeps its bits from the whole-matrix prediction
+        z, head = bench_like(seed)
+        preds, report = adapt_online(z, head, AdaptConfig(k=128, batch_size=1))
+        assert report.unadapted_batches == 1
+        assert np.array_equal(preds.probs[0], predict(head, z).probs[0])
 
 
 class TestConfigValidation:

@@ -4,8 +4,9 @@ formatter, one place that opens files and one that packs byte layouts, all in
 ``io.py``, and one eigendecomposition and one symmetrizer, in ``linalg.py``,
 so no module grows a second copy of any; it keeps no public definition that
 nothing reads; the adapt loop and the gradient solver's loop call kernels,
-never the checked public functions around them; and the adapt loop has one
-solver, the closed form, while only the alignment trace runs the gradient
+never the checked public functions around them; the test rows are scored
+once, in ``pipeline._scored``, ahead of the batch loop; and the adapt loop has
+one solver, the closed form, while only the alignment trace runs the gradient
 solver."""
 
 import ast
@@ -125,7 +126,7 @@ def test_every_unexported_definition_is_used():
 
 # The batch loop of the adapt path and the checked public functions whose
 # kernels it calls instead; the test matrix is checked once, in _check_test.
-ADAPT_LOOP = ("_fold", "_adapted_head", "_mapped", "_adapt")
+ADAPT_LOOP = ("_fold", "_adapted_head", "_mapped", "_scored", "_adapt")
 CHECKED_ENTRIES = {
     "validate_embeddings",
     "covariance",
@@ -153,6 +154,29 @@ def test_adapt_loop_calls_no_checked_entry_point():
         for name, body in bodies.items()
     }
     assert found == {name: [] for name in ADAPT_LOOP}
+
+
+def test_rows_are_scored_only_in_scored():
+    # the unadapted softmax and the uncertainty run once per adapt call or
+    # experiment, over the whole matrix, never per batch
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
+    owners = {  # innermost function of each node: ast.walk visits outer ones first
+        id(node): function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "_uncertainties":
+            found.append(f"{owners.get(id(node))}:_uncertainties")
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "softmax_rows"
+            and [ast.unparse(arg) for arg in node.args[1:]] == ["head.weight", "head.bias"]
+        ):
+            found.append(f"{owners.get(id(node))}:softmax_rows")
+    assert sorted(found) == ["_scored:_uncertainties", "_scored:softmax_rows"]
 
 
 def test_gradient_loop_calls_no_checked_objective():
