@@ -18,31 +18,26 @@ from .errors import (
     SingularMatrix,
     TcaError,
 )
-from .head import PredictionBatch, SoftmaxHead, accuracy, load_head, predict, save_head, train_head
-from .linalg import CovarianceAccumulator, correlation_distance, covariance, shrink, spd_power
-from .metrics import LinearFit, linear_fit_r2, spearman
-from .pipeline import (
-    AdaptConfig,
-    AdaptReport,
+from .experiments import (
     GroupRow,
+    LinearFit,
+    SolverTrace,
     TraceResult,
     TraceRow,
-    adapt_online,
-    adapt_transductive,
+    linear_fit_r2,
+    objective,
+    objective_gradient,
+    solve_gradient,
+    spearman,
     validate_alignment_trace,
     validate_uncertainty_groups,
 )
+from .head import PredictionBatch, SoftmaxHead, accuracy, load_head, predict, save_head, train_head
+from .linalg import CovarianceAccumulator, correlation_distance, covariance, shrink, spd_power
+from .pipeline import AdaptConfig, AdaptReport, adapt_online, adapt_transductive
 from .pseudo_source import batch_uncertainties, class_quotas, most_certain
 from .synth import LabeledBatch, NormalStream, ShiftDataset, gen_linear_shift, gen_nonlinear_shift
-from .transform import (
-    AlignmentTransform,
-    SolverTrace,
-    apply_transform,
-    objective,
-    objective_gradient,
-    solve_closed_form,
-    solve_gradient,
-)
+from .transform import AlignmentTransform, apply_transform, solve_closed_form
 
 __version__ = "0.1.0"
 

@@ -15,19 +15,13 @@ import numpy as np
 
 from . import io as tio
 from .errors import NumericalFailure, ParseError, TcaError
+from .experiments import DEFAULT_LR, DEFAULT_MAX_ITERS, spearman
+from .experiments import validate_alignment_trace, validate_uncertainty_groups
 from .head import accuracy, load_head, predict, save_head, train_head
 from .linalg import covariance
-from .metrics import spearman
-from .pipeline import (
-    AdaptConfig,
-    adapt_online,
-    adapt_transductive,
-    validate_alignment_trace,
-    validate_uncertainty_groups,
-)
+from .pipeline import AdaptConfig, adapt_online, adapt_transductive
 from .plot import write_scatter_svg
 from .synth import gen_linear_shift, gen_nonlinear_shift
-from .transform import DEFAULT_LR, DEFAULT_MAX_ITERS
 
 EXIT_OK = 0
 EXIT_INVALID = 2

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all tcalign modules, and the one integer-count
-and finite-real rules."""
+"""Exception hierarchy shared by all tcalign modules, and the one integer-count,
+finite-real and finite-positive rules."""
 
 import math
 import numbers
@@ -26,11 +26,13 @@ class DegenerateLabels(TcaError):
 
 
 class NumericalFailure(TcaError):
-    """An iterative numerical routine failed to converge."""
+    """A numerical routine failed: an eigendecomposition did not converge, or a
+    result (a matrix power, a softmax) is not finite."""
 
 
 class SingularMatrix(NumericalFailure):
-    """A matrix power with negative exponent hit a non-positive eigenvalue."""
+    """A matrix power is undefined: a negative exponent of a non-positive
+    eigenvalue, or a fractional exponent of a negative one."""
 
 
 class DivergenceError(NumericalFailure):
@@ -63,6 +65,12 @@ def _check_count(name: str, value, minimum: int, error: type[TcaError] = Invalid
     booleans do not) or is below ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise error(f"{name} must be an integer >= {minimum}, got {value}")
+
+
+def _check_positive(name: str, value, error: type[TcaError] = InvalidInput) -> None:
+    """Raise ``error`` for a ``value`` that is not a finite real number > 0."""
+    if not (_finite_real(value) and value > 0):
+        raise error(f"{name} must be finite and positive, got {value}")
 
 
 def _finite_real(value) -> bool:

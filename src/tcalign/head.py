@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabels, InvalidInput, NumericalFailure, ParseError
-from .errors import _check_count, _finite_real
+from .errors import _check_count, _check_positive
 from .io import _atomic_write, _class_indices, _float_texts, _read_text
 from .linalg import _check_width, validate_embeddings
 
@@ -110,8 +110,7 @@ def train_head(
     _check_count("n_classes", c, 2)
     if labels.max() >= c:
         raise InvalidInput(f"labels must lie in [0, {c})")
-    if not (_finite_real(lr) and lr > 0):
-        raise InvalidInput(f"learning rate must be finite and positive, got {lr}")
+    _check_positive("learning rate", lr)
     _check_count("epochs", epochs, 0)
 
     n, d = z.shape

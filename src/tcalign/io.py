@@ -304,13 +304,23 @@ def _read_text(path) -> str:
 
 
 def write_embeddings(path, z, dtype: str = "f64") -> None:
-    """Write an n x d matrix as a .tcae file (row-major, little-endian)."""
+    """Write an n x d matrix as a .tcae file (row-major, little-endian).
+
+    An f32 file is refused, before anything is written, for a value that the
+    cast would turn into an infinity."""
     z = validate_embeddings(z)
     if dtype not in ("f32", "f64"):
         raise InvalidInput(f"dtype must be 'f32' or 'f64', got {dtype!r}")
     code = DTYPE_F64 if dtype == "f64" else DTYPE_F32
+    with np.errstate(over="ignore"):
+        payload = z.astype(PAYLOAD_DTYPES[code])
+    if code == DTYPE_F32 and not np.all(np.isfinite(payload)):
+        raise InvalidInput(
+            f"values beyond float32 range (largest |entry| {np.abs(z).max():.3g}); "
+            "write with dtype='f64'"
+        )
     header = EMBEDDING_MAGIC + struct.pack(EMBEDDING_LAYOUT, FORMAT_VERSION, code, *z.shape)
-    _atomic_write(path, header + z.astype(PAYLOAD_DTYPES[code]).tobytes(order="C"))
+    _atomic_write(path, header + payload.tobytes(order="C"))
 
 
 def read_embeddings(path) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""End-to-end adaptation pipelines and theory-validation experiments.
+"""The adapt path: transductive and online test-time correlation alignment.
 
 ``_adapt`` is the one adaptation loop. It checks the test matrix once, in
 ``_check_test``, and scores each row once, in ``_scored`` (one whole-matrix
@@ -8,9 +8,8 @@ pseudo-source, solves for the alignment transform in closed form and
 predicts the batch through it. Transductive mode is one batch of all n rows.
 The pseudo-source half of the solve (mu_s_hat, sigma_s_hat, S_s^(1/2)) is
 redone only when the selected rows change. Below the entry the loop calls
-only kernels. Both experiments score through ``_scored``; the alignment
-trace builds the transductive pseudo-source from the same kernels and
-records the iterates of one gradient solve, which runs nowhere else.
+only kernels. The theory experiments in ``experiments`` reuse these kernels,
+and this module imports nothing from there.
 
 Adapted rows are never materialised. The affine map z -> (z - mu_t) W +
 mu_s_hat is folded into the linear softmax head (weight H W^T, bias
@@ -22,19 +21,17 @@ those identities are tested against.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InsufficientSamples, InvalidConfig, InvalidInput, _check_count, _finite_real
+from .errors import InsufficientSamples, InvalidConfig, InvalidInput, _check_count
 from .head import PredictionBatch, SoftmaxHead, check_labels, softmax_rows
 from .linalg import CovarianceAccumulator, _check_eps, _check_width, _covariance, _moments
-from .linalg import _power, _shrink, _symmetrized
+from .linalg import _power, _shrink, _square, _symmetrized
 from .linalg import correlation_distance, validate_embeddings
-from .metrics import linear_fit_r2, spearman
 from .pseudo_source import _class_quotas, _most_certain, _uncertainties
-from .transform import DEFAULT_EPS, DEFAULT_LR, DEFAULT_MAX_ITERS
-from .transform import AlignmentTransform, SolverTrace, _closed_form, solve_gradient
+from .transform import DEFAULT_EPS, AlignmentTransform, _closed_form
 
 SELECTION_MODES = ("global", "class_balanced")
 
@@ -111,6 +108,18 @@ def _check_test(test, head: SoftmaxHead, mode: str) -> np.ndarray:
     return _check_width(test, head.dim, "head")
 
 
+def _source_covariance(source_stats, dim: int) -> np.ndarray:
+    """The covariance of a (mean, covariance) ``source_stats`` pair, once it is
+    a finite dim x dim matrix; the mean is not read."""
+    if not (isinstance(source_stats, (tuple, list)) and len(source_stats) == 2):
+        kind = type(source_stats).__name__
+        raise InvalidInput(f"source_stats must be a (mean, covariance) pair, got {kind}")
+    sigma_s = _square(source_stats[1], "source_stats covariance")
+    if sigma_s.shape != (dim, dim):
+        raise InvalidInput(f"source_stats covariance must be {dim} x {dim}, got {sigma_s.shape}")
+    return sigma_s
+
+
 def _recolor(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """W^T sigma W, symmetrized: the covariance (or scatter) of rows mapped through W."""
     return _symmetrized(w.T @ sigma @ w)
@@ -147,6 +156,8 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
     n, d = test.shape
     if labels is not None:
         labels = check_labels(labels, n)
+    if source_stats is not None:
+        sigma_s = _source_covariance(source_stats, d)
 
     c = head.n_classes
     probs, classes, uncertainty = _scored(test, head)  # unadapted; adapted rows overwrite probs
@@ -194,7 +205,6 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
         report.accuracy_before = float(np.mean(classes == labels))
         report.accuracy_after = float(np.mean(preds_out.argmax == labels))
     if source_stats is not None:
-        _, sigma_s = source_stats
         report.dist_test_to_source_before = correlation_distance(sigma_t, sigma_s)
         report.dist_test_to_source_after = correlation_distance(sigma_emitted, sigma_s)
         report.dist_pseudo_to_source = correlation_distance(sigma_s_hat, sigma_s)
@@ -230,144 +240,3 @@ def adapt_online(
     report."""
     preds, report, _ = _adapt(test, head, cfg, labels, source_stats, "online")
     return preds, report
-
-
-@dataclass
-class GroupRow:
-    group_index: int
-    mean_uncertainty: float
-    dist_to_source: float
-
-
-def validate_uncertainty_groups(
-    test,
-    head: SoftmaxHead,
-    source_stats,
-    n_groups: int = 10,
-) -> list[GroupRow]:
-    """Split test instances into uncertainty-sorted groups and measure each
-    group's covariance distance to the true source covariance."""
-    test = validate_embeddings(test, "test")
-    n = test.shape[0]
-    _check_count("n_groups", n_groups, 1, InvalidConfig)
-    if n // n_groups < 2:
-        raise InvalidConfig(
-            f"each group needs >= 2 instances: n={n} is too small for {n_groups} groups"
-        )
-    _, sigma_s = source_stats
-    _, _, uncertainties = _scored(_check_width(test, head.dim, "head"), head)
-    order = np.argsort(uncertainties, kind="stable")  # ties go to the lower row
-    size = n // n_groups
-    rows = []
-    for g in range(n_groups):
-        lo = g * size
-        hi = (g + 1) * size if g < n_groups - 1 else n  # remainder joins the last group
-        idx = order[lo:hi]
-        _, sigma_g = _covariance(test[idx])
-        rows.append(
-            GroupRow(
-                group_index=g,
-                mean_uncertainty=float(uncertainties[idx].mean()),
-                dist_to_source=correlation_distance(sigma_g, sigma_s),
-            )
-        )
-    return rows
-
-
-@dataclass
-class TraceRow:
-    iteration: int
-    dist_to_pseudo: float
-    dist_to_source: float
-    accuracy: float
-
-
-@dataclass
-class TraceResult:
-    rows: list[TraceRow] = field(default_factory=list)
-    spearman_pseudo_vs_source: float | None = None
-    spearman_pseudo_vs_accuracy: float | None = None
-    r2_pseudo_vs_source: float | None = None
-    r2_pseudo_vs_accuracy: float | None = None
-    solver_trace: SolverTrace | None = None
-
-    def summarize(self) -> None:
-        dp = [r.dist_to_pseudo for r in self.rows]
-        ds = [r.dist_to_source for r in self.rows]
-        acc = [r.accuracy for r in self.rows]
-        self.spearman_pseudo_vs_source = spearman(dp, ds)
-        self.spearman_pseudo_vs_accuracy = spearman(dp, acc)
-        fit_src = linear_fit_r2(dp, ds)
-        fit_acc = linear_fit_r2(dp, acc)
-        self.r2_pseudo_vs_source = fit_src.r2 if fit_src is not None else None
-        self.r2_pseudo_vs_accuracy = fit_acc.r2 if fit_acc is not None else None
-
-
-def validate_alignment_trace(
-    test,
-    head: SoftmaxHead,
-    cfg: AdaptConfig,
-    source_stats,
-    labels,
-    record_every: int = 10,
-    lr: float = DEFAULT_LR,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> TraceResult:
-    """Record gradient-solver iterates applied to the test set.
-
-    The pseudo-source is the one ``adapt_transductive`` selects under ``cfg``,
-    built from the same kernels; one ``solve_gradient`` with step ``lr`` and
-    at most ``max_iters`` iterations then aligns the test covariance to it.
-    Every ``record_every``-th iterate (plus the final one) is turned into a
-    row of covariance distances and accuracy as the solver hands it over, so
-    only the latest iterate is held; the summary correlations mirror the
-    relationship plots of the alignment-theory experiments.
-    """
-    if not (_finite_real(lr) and lr > 0):
-        raise InvalidConfig(f"lr must be finite and positive, got {lr}")
-    _check_count("max_iters", max_iters, 1, InvalidConfig)
-    if labels is None:
-        raise InvalidInput("alignment traces require test labels for the accuracy column")
-    _check_count("record_every", record_every, 1, InvalidConfig)
-    test = _check_test(test, head, "transductive")
-    n = test.shape[0]
-    labels = check_labels(labels, n)
-    _, sigma_s = source_stats
-
-    _, classes, uncertainty = _scored(test, head)
-    class_counts = np.bincount(classes, minlength=head.n_classes)
-    empty = np.empty(0, dtype=np.int64)
-    _, selected = _fold(cfg, empty, np.arange(n), uncertainty, classes, class_counts)
-    mu_t, sigma_t = _covariance(test)
-    mu_s_hat, sigma_s_hat = _covariance(test[selected])
-
-    result = TraceResult()
-
-    def record(iteration: int, w: np.ndarray) -> None:
-        sigma_i = _recolor(w, sigma_t)
-        adapted = _adapted_head(head, AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat))
-        argmax = softmax_rows(test, *adapted).argmax(axis=1)
-        result.rows.append(
-            TraceRow(
-                iteration=iteration,
-                dist_to_pseudo=correlation_distance(sigma_i, sigma_s_hat),
-                dist_to_source=correlation_distance(sigma_i, sigma_s),
-                accuracy=float(np.mean(argmax == labels)),
-            )
-        )
-
-    latest = None
-
-    def hook(iteration: int, w: np.ndarray) -> None:
-        nonlocal latest
-        latest = (iteration, w)
-        if iteration % record_every == 0:
-            record(iteration, w)
-
-    _, result.solver_trace = solve_gradient(
-        sigma_t, sigma_s_hat, lr=lr, max_iters=max_iters, eps=cfg.eps, iterate_hook=hook
-    )
-    if latest[0] % record_every != 0:  # the final iterate, not yet recorded
-        record(*latest)
-    result.summarize()
-    return result

@@ -11,7 +11,7 @@ import tcalign
 from tcalign import AdaptConfig, cli
 from tcalign.cli import _build_parser, main
 from tcalign.io import read_embeddings, read_labels, write_embeddings, write_labels
-from tcalign.transform import DEFAULT_LR, DEFAULT_MAX_ITERS
+from tcalign.experiments import DEFAULT_LR, DEFAULT_MAX_ITERS
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -36,6 +37,25 @@ class TestEmbeddingFormat:
         back = read_embeddings(path)
         assert back.dtype == np.float64
         assert np.array_equal(back, z.astype(np.float32).astype(np.float64))
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.finfo(np.float64).max])
+    def test_f32_overflow_rejected_before_writing(self, tmp_path, value):
+        # a value the cast would turn into an infinity: no warning, no file
+        path = tmp_path / "o.tcae"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="^values beyond float32 range"):
+                write_embeddings(path, [[value, 1.0]], dtype="f32")
+        assert not path.exists()
+
+    def test_f32_max_round_trips(self, tmp_path):
+        # float32's largest value is in range, and f64 files take any finite value
+        path = tmp_path / "m.tcae"
+        big = float(np.finfo(np.float32).max)
+        write_embeddings(path, [[big, -big]], dtype="f32")
+        assert read_embeddings(path).tolist() == [[big, -big]]
+        write_embeddings(path, [[1e39, 1.0]])
+        assert read_embeddings(path).tolist() == [[1e39, 1.0]]
 
     def test_header_layout(self, rng, tmp_path):
         path = tmp_path / "c.tcae"

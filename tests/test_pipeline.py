@@ -672,6 +672,56 @@ class TestAlignmentTrace:
         assert isinstance(result.solver_trace.converged, bool)
 
 
+SOURCE_STATS_ENTRIES = {
+    "transductive": lambda data, head, stats: adapt_transductive(
+        data.target.features, head, source_stats=stats
+    ),
+    "online": lambda data, head, stats: adapt_online(data.target.features, head, source_stats=stats),
+    "groups": lambda data, head, stats: validate_uncertainty_groups(data.target.features, head, stats),
+    "trace": lambda data, head, stats: validate_alignment_trace(
+        data.target.features, head, AdaptConfig(), stats, data.target.labels, lr=1e-7, max_iters=5
+    ),
+}
+
+
+class TestSourceStatsChecked:
+    """Every entry that takes ``source_stats`` checks it once, after its config
+    and before it scores a row, and names it in the InvalidInput it raises."""
+
+    @pytest.fixture
+    def unscored(self, monkeypatch):
+        def scored(*args):
+            raise AssertionError("rows scored before source_stats was checked")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "tcalign" and "_scored" in vars(module):
+                monkeypatch.setattr(module, "_scored", scored)
+
+    @pytest.mark.parametrize("entry", sorted(SOURCE_STATS_ENTRIES))
+    @pytest.mark.parametrize(
+        "stats, message",
+        [
+            (np.eye(3), r"source_stats must be a \(mean, covariance\) pair, got ndarray"),
+            (object, r"source_stats must be a \(mean, covariance\) pair, got type"),
+            ((np.eye(2),), r"source_stats must be a \(mean, covariance\) pair, got tuple"),
+            ((np.zeros(3), np.eye(3)), r"source_stats covariance must be 2 x 2, got \(3, 3\)"),
+            ((np.zeros(2), np.ones(2)), "source_stats covariance must be a non-empty square matrix"),
+            ((np.zeros(2), np.diag([1.0, np.nan])), "source_stats covariance contains non-finite entries"),
+            ((np.zeros(2), np.diag([1.0, np.inf])), "source_stats covariance contains non-finite entries"),
+        ],
+        ids=["matrix", "object", "single", "wrong-d", "vector", "nan", "inf"],
+    )
+    def test_bad_source_stats_rejected_before_scoring(self, linear_demo, unscored, entry, stats, message):
+        data, head = linear_demo
+        with pytest.raises(InvalidInput, match=f"^{message}"):
+            SOURCE_STATS_ENTRIES[entry](data, head, stats)
+
+    @pytest.mark.parametrize("entry", sorted(SOURCE_STATS_ENTRIES))
+    def test_list_pair_accepted(self, linear_demo, entry):
+        data, head = linear_demo
+        SOURCE_STATS_ENTRIES[entry](data, head, list(covariance(data.source.features)))
+
+
 def count_calls(monkeypatch, calls, name):
     """Count, in ``calls[name]``, the calls of ``linalg.<name>`` made through
     any tcalign module that holds it."""
@@ -766,14 +816,15 @@ class TestValidationBoundary:
     def test_only_the_report_rescans_matrices(
         self, linear_demo, matrix_calls, batch_size, selection_mode
     ):
-        # no square-matrix check runs in the closed-form loop: the report's
-        # distances are the only callers of _square, two per distance
+        # no square-matrix check runs in the closed-form loop: the callers of
+        # _square are the entry check of source_stats and the report's
+        # distances, two per distance
         data, head = linear_demo
         cfg = AdaptConfig(batch_size=batch_size, selection_mode=selection_mode)
         source_stats = covariance(data.source.features)
         adapt_online(data.target.features, head, cfg, source_stats=source_stats)
         assert matrix_calls["correlation_distance"] == 5
-        assert matrix_calls["_square"] == 2 * 5
+        assert matrix_calls["_square"] == 1 + 2 * 5
         assert matrix_calls["_symmetric"] == 0
 
     @pytest.mark.parametrize("selection_mode", ["global", "class_balanced"])

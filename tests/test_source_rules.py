@@ -5,11 +5,13 @@ formatter, one place that opens files and one that packs byte layouts, all in
 so no module grows a second copy of any; it keeps no public definition that
 nothing reads; the adapt loop and the gradient solver's loop call kernels,
 never the checked public functions around them; the test rows are scored
-once, in ``pipeline._scored``, ahead of the batch loop; and the adapt loop has
+once, in ``pipeline._scored``, ahead of the batch loop; the adapt loop has
 one solver, the closed form, while only the alignment trace runs the gradient
-solver."""
+solver; the adapt path and the closed form import nothing from the theory
+experiments; and every module and name the benchmark imports stays importable."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ import pytest
 import tcalign
 
 PACKAGE = Path(tcalign.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.mark.parametrize("needle", ["os.replace", ".17g", "open(", "import struct"])
@@ -181,7 +184,7 @@ def test_rows_are_scored_only_in_scored():
 
 def test_gradient_loop_calls_no_checked_objective():
     # the loop carries its residual through the unchecked kernel
-    tree = ast.parse((PACKAGE / "transform.py").read_text(encoding="utf-8"))
+    tree = ast.parse((PACKAGE / "experiments.py").read_text(encoding="utf-8"))
     (solver,) = [
         node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "solve_gradient"
     ]
@@ -195,9 +198,14 @@ SOLVES = {"_closed_form", "solve_closed_form", "solve_gradient"}
 def test_adapt_loop_has_one_solver():
     # one closed-form solve per batch; the alignment trace runs the gradient
     # solver on statistics it builds from the kernels, not through _adapt
-    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    adapt, trace = functions["_adapt"], functions["validate_alignment_trace"]
+    functions = {
+        (name, node.name): node
+        for name in ("pipeline.py", "experiments.py")
+        for node in ast.parse((PACKAGE / name).read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    adapt = functions["pipeline.py", "_adapt"]
+    trace = functions["experiments.py", "validate_alignment_trace"]
     calls = [
         node.func.id
         for node in ast.walk(adapt)
@@ -208,3 +216,45 @@ def test_adapt_loop_has_one_solver():
     names = _referenced_names(adapt) | parameters
     assert {"solve_gradient", "iterate_hook", "partial"} & names == set()
     assert {"_adapt", "_closed_form"} & _referenced_names(trace) == set()
+
+
+EXPERIMENT_NAMES = {"solve_gradient", "SolverTrace", "objective", "spearman", "linear_fit_r2", "DEFAULT_LR"}
+
+
+@pytest.mark.parametrize("module", ["pipeline.py", "transform.py"])
+def test_adapt_path_does_not_reach_into_experiments(module):
+    # dependencies run one way: experiments imports the adapt path's kernels
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    modules = {node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert [name for name in sorted(modules) if "experiments" in name] == []
+    # _referenced_names holds the names of ``from . import experiments`` too
+    assert ({"experiments"} | EXPERIMENT_NAMES) & _referenced_names(tree) == set()
+
+
+def test_benchmark_imports_resolve():
+    # every ``from tcalign... import name`` in the benchmark's code
+    imports = [
+        (node.module, alias.name)
+        for path in sorted(BENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tcalign"
+        for alias in node.names
+    ]
+    for name in ("AdaptConfig", "SoftmaxHead", "adapt_transductive"):
+        assert ("tcalign.pipeline", name) in imports
+    missing = [f"{module}.{name}" for module, name in imports if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+def test_traced_layers_import():
+    # bench/tracer.py wraps the public surface of each module in its LAYERS
+    tree = ast.parse((BENCH / "tracer.py").read_text(encoding="utf-8"))
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["LAYERS"]
+    ]
+    assert "pipeline" in layers and "transform" in layers
+    for layer in layers:
+        importlib.import_module(f"tcalign.{layer}")
