@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidConfig, InvalidInput, _check_count, _check_positive
 from .head import SoftmaxHead, check_labels, softmax_rows
-from .linalg import _check_width, _covariance, _square_pair, correlation_distance, shrink
+from .linalg import _check_width, _covariance, _moments, _square_pair, correlation_distance, shrink
 from .linalg import validate_embeddings
 from .pipeline import AdaptConfig, _adapted_head, _check_test, _fold, _recolor, _scored
 from .pipeline import _source_covariance
@@ -228,7 +228,7 @@ def validate_uncertainty_groups(
         lo = g * size
         hi = (g + 1) * size if g < n_groups - 1 else n  # remainder joins the last group
         idx = order[lo:hi]
-        _, sigma_g = _covariance(test[idx])
+        _, sigma_g = _covariance(_moments(test[idx]))
         rows.append(
             GroupRow(
                 group_index=g,
@@ -294,8 +294,8 @@ def validate_alignment_trace(
     class_counts = np.bincount(classes, minlength=head.n_classes)
     empty = np.empty(0, dtype=np.int64)
     _, selected = _fold(cfg, empty, np.arange(n), uncertainty, classes, class_counts)
-    mu_t, sigma_t = _covariance(test)
-    mu_s_hat, sigma_s_hat = _covariance(test[selected])
+    mu_t, sigma_t = _covariance(_moments(test))
+    mu_s_hat, sigma_s_hat = _covariance(_moments(test[selected]))
 
     rows = []
 

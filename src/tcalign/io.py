@@ -90,8 +90,8 @@ _WORDS = 6  # words per float slot
 _CHUNK_VALUES = 40960  # floats per chunk of rows: 4096 rows at c = 10, 2 x 2 MB of slots
 
 
-def _pow10_table() -> tuple[np.ndarray, ...]:
-    """hi, its Dekker halves, lo and b of 10^(16-E) = (hi + lo) 2^b, indexed by E - _E_MIN."""
+def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
+    """Rows hi, its Dekker halves and lo, and b, of 10^(16-E) = (hi + lo) 2^b, by E - _E_MIN."""
     hi, lo, exp = [], [], []
     for k in range(16 - _E_MIN, 15 - _E_MAX, -1):
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
@@ -105,7 +105,7 @@ def _pow10_table() -> tuple[np.ndarray, ...]:
     split = hi * _SPLIT
     hi_head = split - (split - hi)
     # b as int32, like frexp's exponents: np.ldexp is 10x slower with int64 ones
-    return hi, hi_head, hi - hi_head, np.array(lo), np.array(exp, np.int32)
+    return np.stack([hi, hi_head, hi - hi_head, lo]), np.array(exp, np.int32)
 
 
 def _word_tables() -> tuple[np.ndarray, ...]:
@@ -157,20 +157,20 @@ def _word_tables() -> tuple[np.ndarray, ...]:
     )
 
 
-_HI, _HI_HEAD, _HI_TAIL, _LO, _EXP = _pow10_table()
+_POW10, _EXP = _pow10_table()
 _GROUPS, _SIGNIFICANT, _LEADS, _EXPS, _CLASSES, _KEEP = _word_tables()
 
 
 def _scaled(m: np.ndarray, e: np.ndarray, exponent: np.ndarray):
     """``(head, tail, exact)``: m 2^e 10^(16 - exponent) = head + tail (see above)."""
     i = exponent - _E_MIN
-    hi, hi_head, hi_tail, lo = _HI[i], _HI_HEAD[i], _HI_TAIL[i], _LO[i]
+    hi, hi_head, hi_tail, lo = np.take(_POW10, i, axis=1)  # one gather; each row contiguous
     head = m * hi
     split = m * _SPLIT
     m_head = split - (split - m)
     m_tail = m - m_head
     err = ((m_head * hi_head - head) + m_head * hi_tail + m_tail * hi_head) + m_tail * hi_tail
-    scale = e + _EXP[i]
+    scale = e + np.take(_EXP, i)
     return np.ldexp(head, scale), np.ldexp(err + m * lo, scale), lo == 0
 
 
@@ -330,10 +330,10 @@ def read_embeddings(path) -> np.ndarray:
         raise ParseError(f"unknown dtype code {code}", "byte offset 8")
     if n < 1 or d < 1:
         raise ParseError(f"invalid shape {n} x {d}", "byte offset 9")
-    z = _payload(path, blob, offset, PAYLOAD_DTYPES[code], n * d).reshape(n, d).astype(np.float64)
-    if not np.all(np.isfinite(z)):
+    payload = _payload(path, blob, offset, PAYLOAD_DTYPES[code], n * d)
+    if not np.all(np.isfinite(payload)):  # before the upcast, which keeps finiteness
         raise ParseError(f"non-finite values in {path}", "payload")
-    return z
+    return payload.reshape(n, d).astype(np.float64)
 
 
 def _class_indices(labels: np.ndarray) -> np.ndarray:

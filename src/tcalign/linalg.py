@@ -1,11 +1,11 @@
-"""Dense linear algebra for small symmetric matrices.
+"""Dense linear algebra for small symmetric matrices, in float64.
 
-Everything here operates on float64 regardless of what precision the caller
-hands in: eigensolves on near-singular covariances are the accuracy
-bottleneck of the whole alignment pipeline, so inputs are upcast on entry.
-The package's one eigendecomposition is ``_power``; public entries check
-their matrices once and hand them to it unchecked. ``_covariance`` and
-``_shrink`` are the unchecked kernels of ``covariance`` and ``shrink``.
+Inputs are upcast on entry: eigensolves on near-singular covariances are the
+accuracy bottleneck. Moments are (count, mean, scatter) values, exactly
+symmetric as built: ``_moments`` makes one, ``_pooled`` merges two (as
+``CovarianceAccumulator`` does) and ``_covariance`` divides. ``_power`` is the
+one eigendecomposition; public entries check a matrix once and pass it on, so
+``_symmetrized`` runs only on a matrix product or a ``_symmetric`` input.
 """
 
 from __future__ import annotations
@@ -67,24 +67,23 @@ def _symmetric(a, name: str) -> np.ndarray:
 def covariance(z) -> tuple[np.ndarray, np.ndarray]:
     """Column mean and unbiased sample covariance of an n x d batch.
 
-    Uses the centered-scatter form (Z - mean)^T (Z - mean) / (n - 1); the
-    result is symmetrized to kill the last-bit asymmetry of the matmul.
+    Uses the centered-scatter form (Z - mean)^T (Z - mean) / (n - 1), exactly symmetric.
     """
     z = validate_embeddings(z)
     if z.shape[0] < 2:
         raise InsufficientSamples(f"covariance needs at least 2 rows, got {z.shape[0]}")
-    return _covariance(z)
+    return _covariance(_moments(z))
 
 
-def _covariance(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``covariance`` of a checked batch of at least 2 rows."""
-    n, mean, scatter = _moments(z)
-    return mean, _symmetrized(scatter / (n - 1))
+def _covariance(moments: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, scatter / (n - 1)) of a (count, mean, scatter) triple of n >= 2 rows."""
+    n, mean, scatter = moments
+    return mean, scatter / (n - 1)
 
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:
-    """(a + a^T) / 2, halved before the add so that no finite entry overflows;
-    halving is exact for normal-range values, so the bits are those of the sum."""
+    """(a + a^T) / 2 of a matrix product or a ``_symmetric`` input, halved before the
+    add so that no finite entry overflows; exact for normal-range values."""
     half = a / 2.0
     return half + half.T
 
@@ -98,7 +97,7 @@ def _moments(z: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         mean = z.mean(axis=0)
         centered = z - mean
-        scatter = centered.T @ centered
+        scatter = centered.T @ centered  # one symmetric rank-k update: exactly symmetric
     if not np.all(np.isfinite(scatter)):
         raise _overflow("|entry|", np.abs(z).max())
     return z.shape[0], mean, scatter
@@ -153,13 +152,13 @@ def spd_power(sigma, p: float) -> np.ndarray:
     """Matrix power U diag(lambda^p) U^T of a symmetric positive definite matrix."""
     if not _finite_real(p):
         raise InvalidInput(f"power must be finite, got {p}")
-    return _power(_symmetric(sigma, "sigma"), p)
+    return _power(_symmetrized(_symmetric(sigma, "sigma")), p)
 
 
 def _power(sigma: np.ndarray, p: float) -> np.ndarray:
-    """``spd_power`` of a finite symmetric matrix, such as ``shrink``'s output."""
+    """``spd_power`` of a finite, exactly symmetric matrix, such as ``shrink``'s output."""
     try:
-        values, vectors = np.linalg.eigh(_symmetrized(sigma))
+        values, vectors = np.linalg.eigh(sigma)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
     min_val = float(values.min())
@@ -182,12 +181,29 @@ def _power(sigma: np.ndarray, p: float) -> np.ndarray:
     return powered
 
 
+def _pooled(a: tuple, b: tuple) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, mean, scatter) of two such triples' rows; ``a`` itself only when ``b`` has none."""
+    (n_a, mean_a, scatter_a), (n_b, mean_b, scatter_b) = a, b
+    if n_b == 0:
+        return a
+    if n_a == 0:
+        return n_b, mean_b.copy(), scatter_b.copy()
+    total = n_a + n_b
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = mean_b - mean_a
+        scatter = scatter_a + scatter_b + np.outer(delta, delta) * (n_a * n_b / total)
+    if not np.all(np.isfinite(scatter)):
+        scale = max(np.max(np.abs(m) + np.sqrt(np.diag(s) / c)) for c, m, s in (b, a))
+        raise _overflow("column |mean| + rms deviation", scale)
+    return total, mean_a + delta * (n_b / total), scatter
+
+
 class CovarianceAccumulator:
     """Streaming mean/scatter accumulator with exact pairwise merging.
 
-    Batches are folded in with the standard pooled-moment correction, so
-    finalize() reproduces covariance() of the concatenated rows no matter
-    how the stream was partitioned. Not safe for concurrent mutation.
+    Batches are folded in by ``_pooled``, so finalize() reproduces
+    covariance() of the concatenated rows no matter how the stream was
+    partitioned. Not safe for concurrent mutation.
     """
 
     def __init__(self, dim: int):
@@ -200,8 +216,7 @@ class CovarianceAccumulator:
     def update(self, batch) -> "CovarianceAccumulator":
         """Fold an n x d batch into the running moments."""
         batch = _check_width(validate_embeddings(batch, "batch"), self.dim, "accumulator", "batch")
-        self._merge_moments(*_moments(batch))
-        return self
+        return self._pool(_moments(batch))
 
     def merge(self, other: "CovarianceAccumulator") -> "CovarianceAccumulator":
         """Fold another accumulator into this one (parallel-merge form)."""
@@ -209,29 +224,11 @@ class CovarianceAccumulator:
             raise InvalidInput(
                 f"cannot merge accumulators of dimension {other.dim} and {self.dim}"
             )
-        self._merge_moments(other.count, other.mean, other.scatter)
-        return self
+        return self._pool((other.count, other.mean, other.scatter))
 
-    def _merge_moments(self, n: int, mean: np.ndarray, scatter: np.ndarray) -> None:
-        if n == 0:
-            return
-        if self.count == 0:
-            self.count = n
-            self.mean = mean.copy()
-            self.scatter = scatter.copy()
-            return
-        total = self.count + n
-        with np.errstate(over="ignore", invalid="ignore"):
-            delta = mean - self.mean
-            merged = self.scatter + scatter + np.outer(delta, delta) * (self.count * n / total)
-            merged = _symmetrized(merged)
-        if not np.all(np.isfinite(merged)):
-            sides = ((n, mean, scatter), (self.count, self.mean, self.scatter))
-            scale = max(np.max(np.abs(m) + np.sqrt(np.diag(s) / c)) for c, m, s in sides)
-            raise _overflow("column |mean| + rms deviation", scale)
-        self.scatter = merged
-        self.mean = self.mean + delta * (n / total)
-        self.count = total
+    def _pool(self, other: tuple) -> "CovarianceAccumulator":
+        self.count, self.mean, self.scatter = _pooled((self.count, self.mean, self.scatter), other)
+        return self
 
     def finalize(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (mean, sigma) over everything accumulated so far."""
@@ -239,4 +236,4 @@ class CovarianceAccumulator:
             raise InsufficientSamples(
                 f"finalize needs at least 2 accumulated rows, got {self.count}"
             )
-        return self.mean.copy(), self.scatter / (self.count - 1)
+        return _covariance((self.count, self.mean.copy(), self.scatter))

@@ -2,14 +2,13 @@
 
 ``_adapt`` is the one adaptation loop. It checks the test matrix once, in
 ``_check_test``, and scores each row once, in ``_scored`` (one whole-matrix
-product, so no score depends on the batch size). Per batch it then folds the
-rows into streaming statistics and a bounded index bank, selects the
-pseudo-source, solves for the alignment transform in closed form and
-predicts the batch through it. Transductive mode is one batch of all n rows.
+product, so no score depends on the batch size). Per batch it pools the rows'
+(count, mean, scatter) into the running one (``linalg._pooled``), folds them
+into a bounded index bank, selects the pseudo-source, solves in closed form
+and predicts the batch through it. Transductive mode is one batch of n rows.
 The pseudo-source half of the solve (mu_s_hat, sigma_s_hat, S_s^(1/2)) is
 redone only when the selected rows change. Below the entry the loop calls
-only kernels. The theory experiments in ``experiments`` reuse these kernels,
-and this module imports nothing from there.
+only kernels, reused by ``experiments``, from which this module imports nothing.
 
 Adapted rows are never materialised. The affine map z -> (z - mu_t) W +
 mu_s_hat is folded into the linear softmax head (weight H W^T, bias
@@ -27,8 +26,8 @@ import numpy as np
 
 from .errors import InsufficientSamples, InvalidConfig, InvalidInput, _check_count
 from .head import PredictionBatch, SoftmaxHead, check_labels, softmax_rows
-from .linalg import CovarianceAccumulator, _check_eps, _check_width, _covariance, _moments
-from .linalg import _power, _shrink, _square, _symmetrized
+from .linalg import _check_eps, _check_width, _covariance, _moments, _pooled, _power
+from .linalg import _shrink, _square, _symmetrized
 from .linalg import correlation_distance, validate_embeddings
 from .pseudo_source import _class_quotas, _most_certain, _uncertainties
 from .transform import DEFAULT_EPS, AlignmentTransform, _closed_form
@@ -163,7 +162,7 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
     probs, classes, uncertainty = _scored(test, head)  # unadapted; adapted rows overwrite probs
     class_counts = np.zeros(c, dtype=np.int64)
     bank = np.empty(0, dtype=np.int64)
-    stats, emitted = CovarianceAccumulator(d), CovarianceAccumulator(d)
+    stats = emitted = (0, np.zeros(d), np.zeros((d, d)))  # (count, mean, scatter) so far
     source_rows = None  # the rows of the last pseudo-source moments
     unadapted_batches = 0
     batch_size = n if mode == "transductive" else cfg.batch_size
@@ -171,27 +170,27 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
         hi = min(lo + batch_size, n)
         class_counts += np.bincount(classes[lo:hi], minlength=c)
         batch = _moments(test[lo:hi])
-        stats._merge_moments(*batch)
+        stats = _pooled(stats, batch)
         bank, selected = _fold(cfg, bank, np.arange(lo, hi), uncertainty, classes, class_counts)
         if len(selected) < 2:
-            emitted._merge_moments(*batch)
+            emitted = _pooled(emitted, batch)
             unadapted_batches += 1
             continue
         # the key is the selected rows, not the bank: class-balanced quotas
         # move with the class counts while the bank stands still
         if not np.array_equal(selected, source_rows):
             source_rows = selected
-            mu_s_hat, sigma_s_hat = _covariance(test[selected])
+            mu_s_hat, sigma_s_hat = _covariance(_moments(test[selected]))
             root_s = _power(_shrink(sigma_s_hat, cfg.eps), 0.5)
-        mu_t, sigma_t = stats.finalize()
+        mu_t, sigma_t = _covariance(stats)
         w = _closed_form(sigma_t, root_s, cfg.eps)
         transform = AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
         softmax_rows(test[lo:hi], *_adapted_head(head, transform), out=probs[lo:hi])
-        emitted._merge_moments(*_mapped(batch, transform))
+        emitted = _pooled(emitted, _mapped(batch, transform))
 
     # n >= 2, so the last batch was adapted and its moments cover every row
     preds_out = PredictionBatch(probs=probs, argmax=probs.argmax(axis=1))
-    _, sigma_emitted = emitted.finalize()
+    _, sigma_emitted = _covariance(emitted)
     report = AdaptReport(
         n=n,
         d=d,

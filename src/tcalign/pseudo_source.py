@@ -100,6 +100,9 @@ def most_certain(uncertainty, k, rows=None, classes=None) -> np.ndarray:
 def _most_certain(uncertainty, k, rows, classes=None) -> np.ndarray:
     """``most_certain`` of checked candidates, every row named and every class capped."""
     if classes is None:
+        if k < uncertainty.size:  # drop rows above the k-th smallest uncertainty; its ties stay
+            keep = uncertainty <= np.partition(uncertainty, k - 1)[k - 1]
+            uncertainty, rows = uncertainty[keep], rows[keep]
         return np.sort(rows[np.lexsort((rows, uncertainty))[:k]])
     order = np.lexsort((rows, uncertainty, classes))
     sorted_classes = classes[order]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .linalg import _check_eps, _check_width, _power, _shrink, _square_pair, _symmetric
-from .linalg import validate_embeddings
+from .linalg import _symmetrized, validate_embeddings
 
 DEFAULT_EPS = 1e-3
 
@@ -57,14 +57,14 @@ def solve_closed_form(sigma_t, sigma_s_hat, eps: float = DEFAULT_EPS) -> np.ndar
     floating-point accuracy.
     """
     sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
-    sigma_t = _symmetric(sigma_t, "sigma")
+    sigma_t = _symmetrized(_symmetric(sigma_t, "sigma"))
     _check_eps(eps)
-    root_s = _power(_shrink(_symmetric(sigma_s_hat, "sigma"), eps), 0.5)
+    root_s = _power(_shrink(_symmetrized(_symmetric(sigma_s_hat, "sigma")), eps), 0.5)
     return _closed_form(sigma_t, root_s, eps)
 
 
 def _closed_form(sigma_t: np.ndarray, root_s: np.ndarray, eps: float) -> np.ndarray:
-    """``solve_closed_form`` of a finite symmetric sigma_t, given root_s = S_s_reg^(1/2)."""
+    """``solve_closed_form`` of an exactly symmetric sigma_t, given root_s = S_s_reg^(1/2)."""
     return _power(_shrink(sigma_t, eps), -0.5) @ root_s
 
 

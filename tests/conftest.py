@@ -24,6 +24,19 @@ def make_symmetric(rng, d, scale=1.0):
     return (a + a.T) / 2.0
 
 
+LAYOUTS = ("C", "F", "row-strided", "column-strided")
+
+
+def laid_out(rng, n, d, layout, scale=1.0):
+    """An n x d matrix of normal draws with the memory layout ``layout``."""
+    base = rng.standard_normal((2 * n, 2 * d)) * scale
+    if layout == "C":
+        return np.ascontiguousarray(base[:n, :d])
+    if layout == "F":
+        return np.asfortranarray(base[:n, :d])
+    return base[::2, :d] if layout == "row-strided" else base[:n, ::2]
+
+
 def streamed_selections(test, head, cfg):
     """Score every row once, over the whole matrix, then fold ``test`` batch
     by batch into a bounded index bank, as online mode does, and yield

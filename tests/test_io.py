@@ -109,6 +109,18 @@ class TestEmbeddingFormat:
         with pytest.raises(ParseError, match="non-finite values"):
             read_embeddings(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_f32_payload_rejected(self, rng, tmp_path, bad):
+        # the f32 payload is scanned before its upcast
+        path = tmp_path / "bad32.tcae"
+        write_embeddings(path, rng.standard_normal((3, 2)), dtype="f32")
+        blob = bytearray(path.read_bytes())
+        blob[25 + 12 : 25 + 16] = np.array([bad], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match="non-finite values") as info:
+            read_embeddings(path)
+        assert info.value.context == "payload"
+
     def test_wrong_version(self, rng, tmp_path):
         path = tmp_path / "v.tcae"
         write_embeddings(path, rng.standard_normal((2, 2)))
@@ -332,7 +344,7 @@ class TestFloatFormatter:
     def test_lo_is_zero_exactly_where_ten_power_is_a_double(self):
         # exactness (and with it round-half-even without the fallback) is read off lo == 0
         exponents = np.arange(io._E_MIN, io._E_MAX + 1)
-        assert exponents[io._LO == 0].tolist() == list(range(-6, 17))
+        assert exponents[io._POW10[3] == 0].tolist() == list(range(-6, 17))
 
 
 def _reference_csv(header, index, values) -> bytes:

@@ -14,7 +14,8 @@ from tcalign import (
     shrink,
     spd_power,
 )
-from conftest import make_spd, make_symmetric
+from tcalign.linalg import _moments, _pooled
+from conftest import LAYOUTS, laid_out, make_spd, make_symmetric
 
 
 class TestCovariance:
@@ -332,7 +333,62 @@ class TestCovarianceAccumulator:
         acc = CovarianceAccumulator(4)
         for _ in range(10):
             acc.update(rng.standard_normal((int(rng.integers(1, 7)), 4)) * 100)
-        assert np.max(np.abs(acc.scatter - acc.scatter.T)) <= 1e-12
+        assert np.array_equal(acc.scatter, acc.scatter.T)
+
+    def test_merge_into_empty_copies_the_other_moments(self, rng):
+        other = CovarianceAccumulator(3).update(rng.standard_normal((5, 3)))
+        acc = CovarianceAccumulator(3).merge(other)
+        assert acc.count == other.count
+        assert acc.mean is not other.mean and acc.scatter is not other.scatter
+        assert np.array_equal(acc.mean, other.mean) and np.array_equal(acc.scatter, other.scatter)
+
+
+class TestExactSymmetry:
+    """Moments are symmetric by construction: the scatter is one product of a
+    matrix with its own transpose, and pooling only adds symmetric terms, so
+    no symmetrization runs on them."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n, d", [(2, 1), (7, 5), (300, 64), (40, 130)])
+    def test_moments_and_covariance(self, rng, layout, n, d):
+        z = laid_out(rng, n, d, layout, scale=30.0)
+        _, _, scatter = _moments(z)
+        _, sigma = covariance(z)
+        assert np.array_equal(scatter, scatter.T)
+        assert np.array_equal(sigma, sigma.T)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_accumulator_after_update_and_merge(self, rng, layout):
+        z = laid_out(rng, 90, 9, layout, scale=10.0)
+        acc = CovarianceAccumulator(9)
+        for part in (z[:1], z[1:30], z[30:]):
+            acc.update(part)
+            assert np.array_equal(acc.scatter, acc.scatter.T)
+        acc.merge(CovarianceAccumulator(9).update(laid_out(rng, 40, 9, layout, scale=0.1)))
+        _, sigma = acc.finalize()
+        assert np.array_equal(acc.scatter, acc.scatter.T)
+        assert np.array_equal(sigma, sigma.T)
+
+    def test_pooling_keeps_odd_subnormal_entries(self):
+        # halving 3 x the smallest subnormal rounds it to even, so symmetrizing
+        # this matrix would change it; pooling it with a same-mean empty scatter
+        # adds exact zeros and must return it unchanged
+        tiny = 5e-324
+        s = np.array([[3 * tiny, tiny], [tiny, 5 * tiny]])
+        assert not np.array_equal(s / 2 + (s / 2).T, s)
+        mean = np.array([1.0, -2.0])
+        count, pooled_mean, scatter = _pooled((2, mean, s), (3, mean.copy(), np.zeros((2, 2))))
+        assert count == 5 and np.array_equal(pooled_mean, mean)
+        assert np.array_equal(scatter, s)
+
+    def test_spd_power_symmetrizes_a_nearly_symmetric_input_first(self, rng):
+        # spd_power accepts asymmetry within SYMMETRY_ATOL; it returns the
+        # bits of symmetrizing first and then calling it
+        for d in (2, 5, 16):
+            a = make_spd(rng, d) + np.triu(rng.uniform(-4e-10, 4e-10, (d, d)), 1)
+            assert not np.array_equal(a, a.T)
+            for p in (0.5, -0.5, 1.0):
+                assert np.array_equal(spd_power(a, p), spd_power((a + a.T) / 2, p))
 
 
 def _power_without_eigh(monkeypatch):

@@ -29,7 +29,9 @@ from tcalign import (
     validate_alignment_trace,
     validate_uncertainty_groups,
 )
-from conftest import streamed_pseudo_source, streamed_selections
+from tcalign import pipeline
+from tcalign.linalg import _covariance
+from conftest import LAYOUTS, laid_out, streamed_pseudo_source, streamed_selections
 
 
 @pytest.fixture(scope="module")
@@ -849,6 +851,22 @@ class TestValidationBoundary:
         assert matrix_calls["_power"] == solves + selections
 
     @pytest.mark.parametrize("selection_mode", ["global", "class_balanced"])
+    @pytest.mark.parametrize("batch_size", [1, 7, 64, 750])
+    def test_symmetrized_only_after_products(self, linear_demo, monkeypatch, batch_size, selection_mode):
+        # the moments are exactly symmetric when built, so _symmetrized runs
+        # once per matrix power, on its eigenvector product, and once per
+        # adapted batch, on W^T S W
+        calls = {}
+        for name in ("_power", "_symmetrized"):
+            count_calls(monkeypatch, calls, name)
+        data, head = linear_demo
+        test = data.target.features
+        cfg = AdaptConfig(batch_size=batch_size, selection_mode=selection_mode)
+        _, report = adapt_online(test, head, cfg)
+        solves = math.ceil(len(test) / batch_size) - report.unadapted_batches
+        assert calls["_symmetrized"] == calls["_power"] + solves
+
+    @pytest.mark.parametrize("selection_mode", ["global", "class_balanced"])
     @pytest.mark.parametrize("batch_size", [1, 7, 64])
     def test_source_root_once_per_selection(self, linear_demo, monkeypatch, batch_size, selection_mode):
         # S_s^(1/2) (power 1/2) is computed once per change of the selected
@@ -1024,3 +1042,31 @@ class TestConfigValidation:
                     lr=1e-7,
                     max_iters=20,
                 )
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("batch_size", [None, 1, 16], ids=["transductive", "online-1", "online-16"])
+def test_adapt_statistics_are_exactly_symmetric(monkeypatch, layout, batch_size):
+    # every covariance the loop divides out of its (count, mean, scatter)
+    # triples, whatever the memory layout of the test rows
+    rng = np.random.default_rng(7)
+    test = laid_out(rng, 120, 6, layout, scale=3.0)
+    head = SoftmaxHead(weight=rng.standard_normal((4, 6)), bias=rng.standard_normal(4))
+    seen = []
+
+    def recorded(moments):
+        mean, sigma = _covariance(moments)
+        seen.append(sigma)
+        return mean, sigma
+
+    monkeypatch.setattr(pipeline, "_covariance", recorded)
+    cfg = AdaptConfig(k=10, batch_size=batch_size or 1)
+    if batch_size is None:
+        adapt_transductive(test, head, cfg)
+        solves = 1
+    else:
+        _, report = adapt_online(test, head, cfg)
+        solves = math.ceil(120 / batch_size) - report.unadapted_batches
+    # S_t of each solve, each new pseudo-source's covariance and the emitted one
+    assert len(seen) > solves
+    assert all(np.array_equal(sigma, sigma.T) for sigma in seen)

@@ -13,6 +13,7 @@ from tcalign import (
     covariance,
     most_certain,
 )
+from tcalign.pseudo_source import _most_certain
 
 
 def uncertainty(p) -> float:
@@ -128,6 +129,17 @@ class TestBank:
                 for i in sorted(np.flatnonzero(classes == c), key=lambda i: (omegas[i], i))[:k]
             )
             assert got == expected, f"trial {trial} per class: {got} != {expected}"
+
+    def test_global_kernel_matches_plain_lexsort_under_ties(self, rng):
+        # the kernel drops rows above the k-th smallest uncertainty before it
+        # sorts; every tie at the k-th value stays, so the lower rows still win
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            u = rng.integers(0, 4, size=n) / 4.0
+            rows = rng.permutation(3 * n)[:n]
+            for k in {1, 2, n // 2 + 1, max(n - 1, 1), n, n + 3}:
+                expected = np.sort(rows[np.lexsort((rows, u))[:k]])
+                assert np.array_equal(_most_certain(u, k, rows), expected)
 
     def test_invalid_uncertainty_rejected(self):
         with pytest.raises(InvalidInput):

@@ -2,7 +2,9 @@
 (applied in bulk, with ``%`` only per element in its fallback) and one number
 formatter, one place that opens files and one that packs byte layouts, all in
 ``io.py``, and one eigendecomposition and one symmetrizer, in ``linalg.py``,
-so no module grows a second copy of any; it keeps no public definition that
+so no module grows a second copy of any; the symmetrizer runs only on a
+matrix product or a matrix checked by ``_symmetric``, and the adapt loop pools
+its moments with ``linalg._pooled``, not through the accumulator; it keeps no public definition that
 nothing reads; the adapt loop and the gradient solver's loop call kernels,
 never the checked public functions around them; the test rows are scored
 once, in ``pipeline._scored``, ahead of the batch loop; the adapt loop has
@@ -88,6 +90,30 @@ def test_one_symmetrizer():
         }
         found += [owners.get(id(node), path.name) for node in ast.walk(tree) if _adds_own_transpose(node)]
     assert found == ["linalg.py:_symmetrized"]
+
+
+def test_symmetrized_only_after_a_product_or_a_boundary_check():
+    # moments are exactly symmetric when built, so _symmetrized is left only
+    # where a matrix product rounds its two triangles apart, or where a
+    # public entry accepts asymmetry within SYMMETRY_ATOL (_symmetric)
+    found, offenders = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_symmetrized":
+                (arg,) = node.args
+                found.append(path.name)
+                product = isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.MatMult)
+                boundary = isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "_symmetric"
+                if not (product or boundary):
+                    offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found and offenders == []
+
+
+def test_adapt_loop_pools_triples_without_the_accumulator():
+    # the loop keeps (count, mean, scatter) triples and pools them with
+    # linalg._pooled, which CovarianceAccumulator wraps for the public API
+    names = _referenced_names(ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8")))
+    assert "CovarianceAccumulator" not in names and "_pooled" in names
 
 
 def test_only_linalg_calls_numpy_linalg():
