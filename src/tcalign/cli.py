@@ -7,7 +7,6 @@ included), 3 parse error in a persisted artifact, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -154,7 +153,7 @@ def _cmd_adapt(args) -> int:
         "dist_test_to_pseudo_before": report.dist_test_to_pseudo_before,
         "dist_test_to_pseudo_after": report.dist_test_to_pseudo_after,
     }
-    print(json.dumps({k: v for k, v in summary.items() if v is not None}))
+    print(tio._json_text({k: v for k, v in summary.items() if v is not None}))
     return EXIT_OK
 
 
@@ -171,7 +170,7 @@ def _cmd_validate_theory(args) -> int:
             [(r.group_index, r.mean_uncertainty, r.dist_to_source) for r in rows],
         )
         rho = spearman([r.group_index for r in rows], [r.dist_to_source for r in rows])
-        print(json.dumps({"experiment": "groups", "n_groups": len(rows), "spearman": rho}))
+        print(tio._json_text({"experiment": "groups", "n_groups": len(rows), "spearman": rho}))
         return EXIT_OK
 
     labels = tio.read_labels(args.labels)
@@ -191,7 +190,7 @@ def _cmd_validate_theory(args) -> int:
         [(r.iteration, r.dist_to_pseudo, r.dist_to_source, r.accuracy) for r in result.rows],
     )
     print(
-        json.dumps(
+        tio._json_text(
             {
                 "experiment": "trace",
                 "rows": len(result.rows),
@@ -209,7 +208,7 @@ def _cmd_eval(args) -> int:
     preds = tio.read_predictions_csv(args.preds)
     labels = tio.read_labels(args.labels)
     acc = accuracy(preds, labels)
-    print(json.dumps({"n": int(labels.size), "accuracy": acc}))
+    print(tio._json_text({"n": int(labels.size), "accuracy": acc}))
     return EXIT_OK
 
 

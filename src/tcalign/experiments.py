@@ -20,11 +20,11 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidConfig, InvalidInput, _check_count, _check_positive
 from .head import SoftmaxHead, check_labels, softmax_rows
-from .linalg import _check_width, _covariance, _moments, _square_pair, correlation_distance, shrink
+from .linalg import _check_width, _covariance, _distance, _moments, _square_pair, shrink
 from .linalg import validate_embeddings
 from .pipeline import AdaptConfig, _adapted_head, _check_test, _fold, _recolor, _scored
 from .pipeline import _source_covariance
-from .transform import DEFAULT_EPS, AlignmentTransform
+from .transform import DEFAULT_EPS
 
 DEFAULT_LR = 1e-3
 DEFAULT_MAX_ITERS = 1000
@@ -233,7 +233,7 @@ def validate_uncertainty_groups(
             GroupRow(
                 group_index=g,
                 mean_uncertainty=float(uncertainties[idx].mean()),
-                dist_to_source=correlation_distance(sigma_g, sigma_s),
+                dist_to_source=_distance(sigma_g, sigma_s),
             )
         )
     return rows
@@ -301,13 +301,12 @@ def validate_alignment_trace(
 
     def record(iteration: int, w: np.ndarray) -> None:
         sigma_i = _recolor(w, sigma_t)
-        adapted = _adapted_head(head, AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat))
-        argmax = softmax_rows(test, *adapted).argmax(axis=1)
+        argmax = softmax_rows(test, *_adapted_head(head, w, mu_t, mu_s_hat)).argmax(axis=1)
         rows.append(
             TraceRow(
                 iteration=iteration,
-                dist_to_pseudo=correlation_distance(sigma_i, sigma_s_hat),
-                dist_to_source=correlation_distance(sigma_i, sigma_s),
+                dist_to_pseudo=_distance(sigma_i, sigma_s_hat),
+                dist_to_source=_distance(sigma_i, sigma_s),
                 accuracy=float(np.mean(argmax == labels)),
             )
         )

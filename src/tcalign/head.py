@@ -157,6 +157,11 @@ def save_head(head: SoftmaxHead, path) -> None:
     _atomic_write(path, text)
 
 
+def _numbers(values: list) -> bool:
+    """Whether every entry of a JSON list is a number: an int or a float, not a bool."""
+    return all(type(v) is int or type(v) is float for v in values)
+
+
 def load_head(path) -> SoftmaxHead:
     """Read a head JSON file, validating schema and shapes."""
     try:
@@ -176,13 +181,19 @@ def load_head(path) -> SoftmaxHead:
     c, d = doc["c"], doc["d"]
     if not (type(c) is int and type(d) is int and c >= 2 and d >= 1):
         raise ParseError("c and d must be integers with c >= 2, d >= 1", "fields 'c'/'d'")
+    # exact types again: float() would take "1.5" and true for numbers
+    weight, bias = doc["weight"], doc["bias"]
+    if not (type(weight) is list and all(type(row) is list and _numbers(row) for row in weight)):
+        raise ParseError("weight must be a list of lists of JSON numbers", "field 'weight'")
+    if not (type(bias) is list and _numbers(bias)):
+        raise ParseError("bias must be a list of JSON numbers", "field 'bias'")
     try:
-        weight = np.array(doc["weight"], dtype=np.float64)
-        bias = np.array(doc["bias"], dtype=np.float64)
+        weight = np.array(weight, dtype=np.float64)
+        bias = np.array(bias, dtype=np.float64)
         if weight.shape != (c, d):
             raise ParseError(f"weight must have {c} rows of {d} entries", "field 'weight'")
         if bias.shape != (c,):
             raise ParseError(f"bias must have {c} entries", "field 'bias'")
         return SoftmaxHead(weight=weight, bias=bias)
-    except (InvalidInput, TypeError, ValueError, OverflowError) as exc:
+    except (InvalidInput, ValueError, OverflowError) as exc:  # ragged, huge, non-finite
         raise ParseError(f"head values are invalid: {exc}", "fields 'weight'/'bias'") from exc

@@ -6,7 +6,10 @@ Binary files are a 4-byte magic, a little-endian header struct with no padding
 malformed file, non-UTF-8 text included, raises ParseError. Every file the
 package writes, head JSON and SVG plots included, goes through the temp-file
 rename of ``_atomic_write``, so a crashed process never leaves a half-written
-artifact; a CSV streams to it chunk by chunk, never joined in memory.
+artifact; a CSV streams to it chunk by chunk, never joined in memory. Every
+JSON text the package emits, the report file and each line the CLI prints,
+comes from one encoder, ``_json_text``: strict JSON, with a non-finite float
+written as null.
 
 Every decimal number is printed by one formatter, ``_fill_floats``, as
 ``FLOAT_FORMAT % x`` byte for byte, but in bulk: ``_csv_chunks`` (both CSV
@@ -375,7 +378,11 @@ def write_predictions_csv(path, preds) -> None:
 
 
 def read_predictions_csv(path):
-    """Read a predictions CSV back into a ``PredictionBatch``."""
+    """Read a predictions CSV back into a ``PredictionBatch``.
+
+    Each row must be what ``write_predictions_csv`` writes: an argmax of ASCII
+    decimal digits below the number of probability columns, then finite
+    probabilities."""
     from .head import PredictionBatch
 
     lines = _read_text(path).splitlines()
@@ -388,10 +395,18 @@ def read_predictions_csv(path):
         if len(parts) != n_cols:
             raise ParseError(f"wrong field count in {path}", f"line {i}")
         try:
-            argmax.append(np.int64(int(parts[0])))
-            probs.append([float(v) for v in parts[1:]])
-        except (ValueError, OverflowError) as exc:
+            if not (parts[0].isascii() and parts[0].isdigit()):
+                raise ValueError(f"argmax {parts[0]!r} is not a decimal class index")
+            label = int(parts[0])
+            if label >= n_cols - 1:
+                raise ValueError(f"argmax {label} is not below the class count {n_cols - 1}")
+            row = [float(v) for v in parts[1:]]
+            if not all(map(math.isfinite, row)):
+                raise ValueError("a probability is not finite")
+        except ValueError as exc:  # int() also refuses more than 4300 digits
             raise ParseError(f"unparseable number in {path}: {exc}", f"line {i}") from exc
+        argmax.append(label)
+        probs.append(row)
     if not probs:
         raise ParseError(f"no prediction rows in {path}", "line 2")
     return PredictionBatch(probs=np.array(probs), argmax=np.array(argmax, dtype=np.int64))
@@ -408,5 +423,12 @@ def _json_ready(value):
     return value
 
 
+def _json_text(value, indent: int | None = None) -> str:
+    """Strict JSON text of ``value``: non-finite floats become null, never
+    ``NaN`` or ``Infinity``. The one JSON encoder of the report file and of
+    every line the CLI prints."""
+    return json.dumps(_json_ready(value), indent=indent, allow_nan=False)
+
+
 def write_report_json(path, report_dict: dict) -> None:
-    _atomic_write(path, json.dumps(_json_ready(report_dict), indent=2) + "\n")
+    _atomic_write(path, _json_text(report_dict, indent=2) + "\n")

@@ -4,8 +4,11 @@ Inputs are upcast on entry: eigensolves on near-singular covariances are the
 accuracy bottleneck. Moments are (count, mean, scatter) values, exactly
 symmetric as built: ``_moments`` makes one, ``_pooled`` merges two (as
 ``CovarianceAccumulator`` does) and ``_covariance`` divides. ``_power`` is the
-one eigendecomposition; public entries check a matrix once and pass it on, so
-``_symmetrized`` runs only on a matrix product or a ``_symmetric`` input.
+one eigendecomposition and ``_distance`` the one covariance discrepancy. Values
+inside, checks at the edge: a public entry checks a matrix once and passes it
+to its kernel, and the adapt path and the experiments call the kernels on the
+matrices they built, so ``_symmetrized`` runs only on a matrix product or a
+``_symmetric`` input, and no built covariance is scanned again to be measured.
 """
 
 from __future__ import annotations
@@ -112,7 +115,11 @@ def _overflow(what: str, magnitude) -> InvalidInput:
 
 def correlation_distance(a, b) -> float:
     """Covariance discrepancy ||a - b||_F^2 / (4 d^2) of two d x d matrices, inf on overflow."""
-    a, b = _square_pair(a, b, "a", "b")
+    return _distance(*_square_pair(a, b, "a", "b"))
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """``correlation_distance`` of two float64 matrices of one square shape."""
     d = a.shape[0]
     with np.errstate(over="ignore"):
         diff = a - b

@@ -7,8 +7,14 @@ product, so no score depends on the batch size). Per batch it pools the rows'
 into a bounded index bank, selects the pseudo-source, solves in closed form
 and predicts the batch through it. Transductive mode is one batch of n rows.
 The pseudo-source half of the solve (mu_s_hat, sigma_s_hat, S_s^(1/2)) is
-redone only when the selected rows change. Below the entry the loop calls
-only kernels, reused by ``experiments``, from which this module imports nothing.
+redone only when the selected rows change.
+
+Values inside, checks at the edge. Below the entry the loop calls only
+kernels, reused by ``experiments``, from which this module imports nothing,
+and hands them arrays: each solve's map is the (w, mu_t, mu_s_hat) it just
+computed, and the report's distances go through ``linalg._distance``. The
+one checked ``AlignmentTransform`` is built after the loop, from the last
+solve, for the return value.
 
 Adapted rows are never materialised. The affine map z -> (z - mu_t) W +
 mu_s_hat is folded into the linear softmax head (weight H W^T, bias
@@ -26,9 +32,8 @@ import numpy as np
 
 from .errors import InsufficientSamples, InvalidConfig, InvalidInput, _check_count
 from .head import PredictionBatch, SoftmaxHead, check_labels, softmax_rows
-from .linalg import _check_eps, _check_width, _covariance, _moments, _pooled, _power
-from .linalg import _shrink, _square, _symmetrized
-from .linalg import correlation_distance, validate_embeddings
+from .linalg import _check_eps, _check_width, _covariance, _distance, _moments, _pooled
+from .linalg import _power, _shrink, _square, _symmetrized, validate_embeddings
 from .pseudo_source import _class_quotas, _most_certain, _uncertainties
 from .transform import DEFAULT_EPS, AlignmentTransform, _closed_form
 
@@ -124,18 +129,19 @@ def _recolor(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return _symmetrized(w.T @ sigma @ w)
 
 
-def _adapted_head(head: SoftmaxHead, t: AlignmentTransform) -> tuple[np.ndarray, np.ndarray]:
-    """The (weight, bias) of the head with the transform folded in, so that
-    predicting z through them equals predicting (z - mu_t) W + mu_s_hat
-    through ``head``."""
-    return head.weight @ t.w.T, head.bias + head.weight @ (t.mu_s_hat - t.w.T @ t.mu_t)
+def _adapted_head(head: SoftmaxHead, w, mu_t, mu_s_hat) -> tuple[np.ndarray, np.ndarray]:
+    """The (weight, bias) of the head with the map z -> (z - mu_t) W + mu_s_hat
+    folded in, so that predicting z through them equals predicting the mapped
+    row through ``head``."""
+    return head.weight @ w.T, head.bias + head.weight @ (mu_s_hat - w.T @ mu_t)
 
 
-def _mapped(batch: tuple, t: AlignmentTransform) -> tuple[int, np.ndarray, np.ndarray]:
-    """The (count, mean, scatter) of the batch's rows after the transform: the
-    mean maps through it, the scatter becomes W^T S W."""
+def _mapped(batch: tuple, w, mu_t, mu_s_hat) -> tuple[int, np.ndarray, np.ndarray]:
+    """The (count, mean, scatter) of the batch's rows after the map
+    z -> (z - mu_t) W + mu_s_hat: the mean maps through it, the scatter
+    becomes W^T S W."""
     n, mean, scatter = batch
-    return n, (mean - t.mu_t) @ t.w + t.mu_s_hat, _recolor(t.w, scatter)
+    return n, (mean - mu_t) @ w + mu_s_hat, _recolor(w, scatter)
 
 
 def _scored(test: np.ndarray, head: SoftmaxHead) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -184,9 +190,8 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
             root_s = _power(_shrink(sigma_s_hat, cfg.eps), 0.5)
         mu_t, sigma_t = _covariance(stats)
         w = _closed_form(sigma_t, root_s, cfg.eps)
-        transform = AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
-        softmax_rows(test[lo:hi], *_adapted_head(head, transform), out=probs[lo:hi])
-        emitted = _pooled(emitted, _mapped(batch, transform))
+        softmax_rows(test[lo:hi], *_adapted_head(head, w, mu_t, mu_s_hat), out=probs[lo:hi])
+        emitted = _pooled(emitted, _mapped(batch, w, mu_t, mu_s_hat))
 
     # n >= 2, so the last batch was adapted and its moments cover every row
     preds_out = PredictionBatch(probs=probs, argmax=probs.argmax(axis=1))
@@ -196,18 +201,18 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
         d=d,
         c=c,
         mode=mode,
-        dist_test_to_pseudo_before=correlation_distance(sigma_t, sigma_s_hat),
-        dist_test_to_pseudo_after=correlation_distance(sigma_emitted, sigma_s_hat),
+        dist_test_to_pseudo_before=_distance(sigma_t, sigma_s_hat),
+        dist_test_to_pseudo_after=_distance(sigma_emitted, sigma_s_hat),
         unadapted_batches=unadapted_batches,
     )
     if labels is not None:
         report.accuracy_before = float(np.mean(classes == labels))
         report.accuracy_after = float(np.mean(preds_out.argmax == labels))
     if source_stats is not None:
-        report.dist_test_to_source_before = correlation_distance(sigma_t, sigma_s)
-        report.dist_test_to_source_after = correlation_distance(sigma_emitted, sigma_s)
-        report.dist_pseudo_to_source = correlation_distance(sigma_s_hat, sigma_s)
-    return preds_out, report, transform
+        report.dist_test_to_source_before = _distance(sigma_t, sigma_s)
+        report.dist_test_to_source_after = _distance(sigma_emitted, sigma_s)
+        report.dist_pseudo_to_source = _distance(sigma_s_hat, sigma_s)
+    return preds_out, report, AlignmentTransform(w=w, mu_t=mu_t, mu_s_hat=mu_s_hat)
 
 
 def adapt_transductive(

@@ -364,6 +364,34 @@ class TestAdapt:
         assert "logits z W^T + b are not finite" in capsys.readouterr().err
 
 
+    def test_stdout_is_strict_json(self, tmp_path, capsys):
+        # rows at 1e78 overflow the test covariance's distance to inf; it used
+        # to print as Infinity, which is not JSON, while report.json held null
+        rng = np.random.default_rng(0)
+        write_embeddings(tmp_path / "big.tcae", rng.standard_normal((200, 3)) * 1e78)
+        head = tcalign.SoftmaxHead(weight=rng.standard_normal((2, 3)) * 1e-78, bias=np.zeros(2))
+        tcalign.save_head(head, tmp_path / "head.json")
+        report_path = tmp_path / "r.json"
+        code = main(
+            [
+                "adapt",
+                "--test", str(tmp_path / "big.tcae"),
+                "--head", str(tmp_path / "head.json"),
+                "--out-preds", str(tmp_path / "p.csv"),
+                "--out-report", str(report_path),
+            ]
+        )
+        assert code == 0
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        printed = json.loads(capsys.readouterr().out, parse_constant=reject)
+        report = json.loads(report_path.read_text(), parse_constant=reject)
+        assert printed["dist_test_to_pseudo_before"] is None
+        assert printed == {key: report[key] for key in printed}
+
+
 class TestEval:
     def test_eval_matches_report(self, workspace, tmp_path, capsys):
         _, data_dir, head_path = workspace

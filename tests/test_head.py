@@ -287,6 +287,28 @@ class TestPersistence:
         with pytest.raises(ParseError, match=r"^c and d must be integers .* \(fields 'c'/'d'\)$"):
             load_head(path)
 
+    @pytest.mark.parametrize(
+        "weight, bias, field",
+        [
+            ('[["1.5"], [true]]', '["2", 0]', "weight"),
+            ('[["1.5"], [1]]', "[0, 0]", "weight"),
+            ("[[true], [1]]", "[0, 0]", "weight"),
+            ("[[[1]], [1]]", "[0, 0]", "weight"),
+            ("[1, 2]", "[0, 0]", "weight"),
+            ("[[1], [2]]", '["2", 0]', "bias"),
+            ("[[1], [2]]", "[false, 0]", "bias"),
+            ("[[1], [2]]", "[[0], 0]", "bias"),
+        ],
+        ids=["issue-example", "weight-string", "weight-bool", "weight-list", "weight-flat",
+             "bias-string", "bias-bool", "bias-list"],
+    )
+    def test_non_number_entries_rejected(self, tmp_path, weight, bias, field):
+        # float() takes "1.5" and true for numbers; they used to load as 1.5 and 1.0
+        path = tmp_path / "types.json"
+        path.write_text(f'{{"version": 1, "c": 2, "d": 1, "weight": {weight}, "bias": {bias}}}')
+        with pytest.raises(ParseError, match=rf"JSON numbers \(field '{field}'\)$"):
+            load_head(path)
+
     def test_nan_weight_rejected(self, tmp_path):
         # Python's json accepts the NaN literal, so the head check must catch it
         path = tmp_path / "nan.json"

@@ -232,6 +232,30 @@ class TestCsv:
         with pytest.raises(ParseError, match="wrong field count.*line 3"):
             read_predictions_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("7,0.5,0.5", "argmax 7 is not below the class count 2"),
+            ("2,0.5,0.5", "argmax 2 is not below the class count 2"),
+            ("1_0,0.1,0.9", "argmax '1_0' is not a decimal class index"),
+            ("-1,0.5,0.5", "argmax '-1' is not a decimal class index"),
+            ("+1,0.2,0.8", "argmax '\\+1' is not a decimal class index"),
+            (" 1,0.2,0.8", "argmax ' 1' is not a decimal class index"),
+            ("\u0661,0.2,0.8", "is not a decimal class index"),
+            ("0,nan,0.5", "a probability is not finite"),
+            ("0,0.5,inf", "a probability is not finite"),
+            ("1,-Infinity,0.5", "a probability is not finite"),
+        ],
+        ids=["argmax-beyond", "argmax-at-count", "underscore", "minus", "plus", "space",
+             "non-ascii-digit", "nan", "inf", "minus-infinity"],
+    )
+    def test_predictions_reject_what_the_writer_never_writes(self, tmp_path, row, reason):
+        # int() and float() used to accept each of these rows
+        path = tmp_path / "p.csv"
+        path.write_text(f"argmax,p0,p1\n0,0.5,0.5\n{row}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"^unparseable number in .*{reason}.* \(line 3\)$"):
+            read_predictions_csv(path)
+
     def test_predictions_without_rows_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("argmax,p0,p1\n")
@@ -400,9 +424,9 @@ class TestCsvWriterBytes:
 class TestReportJson:
     def test_writes_valid_json(self, tmp_path):
         path = tmp_path / "r.json"
-        write_report_json(path, {"a": 1, "b": 0.5, "c": None, "d": np.float64(np.nan)})
+        write_report_json(path, {"a": 1, "b": 0.5, "c": None, "d": np.float64(np.nan), "e": [-math.inf]})
         doc = json.loads(path.read_text())
-        assert doc == {"a": 1, "b": 0.5, "c": None, "d": None}
+        assert doc == {"a": 1, "b": 0.5, "c": None, "d": None, "e": [None]}
 
     def test_booleans_stay_booleans(self, tmp_path):
         # a bool used to be written as 0/1

@@ -762,9 +762,22 @@ class TestValidationBoundary:
     @pytest.fixture
     def matrix_calls(self, monkeypatch):
         calls = {}
-        for name in ("_power", "_square", "_symmetric", "correlation_distance"):
+        for name in ("_power", "_square", "_symmetric", "correlation_distance", "_distance"):
             count_calls(monkeypatch, calls, name)
         return calls
+
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        """Every ``AlignmentTransform`` built, in order."""
+        built = []
+        check = AlignmentTransform.__post_init__
+
+        def counted(transform):
+            built.append(transform)
+            check(transform)
+
+        monkeypatch.setattr(AlignmentTransform, "__post_init__", counted)
+        return built
 
     @pytest.mark.parametrize("n, batch_size", [(750, 1), (750, 7), (750, 64), (300, 300)])
     def test_online_checks_once(self, linear_demo, calls, n, batch_size):
@@ -810,7 +823,12 @@ class TestValidationBoundary:
         CovarianceAccumulator(2).update(np.zeros((3, 2)))
         assert calls == {"validate_embeddings": 3, "update": 1}
         solve_closed_form(np.eye(2), np.eye(2))
-        want = {"_power": 2, "_square": 4, "_symmetric": 2, "correlation_distance": 0}
+        want = {"_power": 2, "_square": 4, "_symmetric": 2, "correlation_distance": 0, "_distance": 0}
+        assert matrix_calls == want
+        from tcalign import linalg
+
+        linalg.correlation_distance(np.eye(2), np.eye(2))
+        want.update(_square=6, correlation_distance=1, _distance=1)
         assert matrix_calls == want
 
     @pytest.mark.parametrize("selection_mode", ["global", "class_balanced"])
@@ -818,16 +836,42 @@ class TestValidationBoundary:
     def test_only_the_report_rescans_matrices(
         self, linear_demo, matrix_calls, batch_size, selection_mode
     ):
-        # no square-matrix check runs in the closed-form loop: the callers of
-        # _square are the entry check of source_stats and the report's
-        # distances, two per distance
+        # no square-matrix check runs in the closed-form loop or the report:
+        # the one caller of _square is the entry check of source_stats, and
+        # the report measures the matrices it built with the unchecked kernel
         data, head = linear_demo
         cfg = AdaptConfig(batch_size=batch_size, selection_mode=selection_mode)
         source_stats = covariance(data.source.features)
         adapt_online(data.target.features, head, cfg, source_stats=source_stats)
-        assert matrix_calls["correlation_distance"] == 5
-        assert matrix_calls["_square"] == 1 + 2 * 5
+        assert matrix_calls["correlation_distance"] == 0
+        assert matrix_calls["_distance"] == 5
+        assert matrix_calls["_square"] == 1
         assert matrix_calls["_symmetric"] == 0
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 750])
+    def test_one_checked_transform_per_call(self, linear_demo, transforms, batch_size):
+        # each solve's map passes between the kernels as arrays; the checked
+        # transform is built once per call, after the loop, from the last solve
+        data, head = linear_demo
+        cfg = AdaptConfig(batch_size=batch_size)
+        adapt_online(data.target.features, head, cfg)
+        assert len(transforms) == 1
+        *_, transform = adapt_transductive(data.target.features, head, cfg)
+        assert len(transforms) == 2 and transforms[-1] is transform
+
+    def test_experiments_build_no_transform(self, linear_demo, transforms, matrix_calls):
+        # the trace folds each iterate into the head as arrays, and both
+        # experiments measure the covariances they built with the kernel
+        data, head = linear_demo
+        stats = covariance(data.source.features)
+        validate_uncertainty_groups(data.target.features, head, stats, n_groups=5)
+        result = validate_alignment_trace(
+            data.target.features, head, AdaptConfig(), stats, data.target.labels,
+            lr=1e-7, max_iters=20, record_every=5,
+        )
+        assert transforms == []
+        assert matrix_calls["correlation_distance"] == 0
+        assert matrix_calls["_distance"] == 5 + 2 * len(result.rows)
 
     @pytest.mark.parametrize("selection_mode", ["global", "class_balanced"])
     @pytest.mark.parametrize("batch_size", [1, 7, 64])

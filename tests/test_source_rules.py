@@ -1,12 +1,14 @@
 """Source rules: the package has one atomic writer, one decimal float format
 (applied in bulk, with ``%`` only per element in its fallback) and one number
-formatter, one place that opens files and one that packs byte layouts, all in
-``io.py``, and one eigendecomposition and one symmetrizer, in ``linalg.py``,
+formatter, one place that opens files, one that packs byte layouts and one
+JSON encoder, all in ``io.py``, and one eigendecomposition and one symmetrizer, in ``linalg.py``,
 so no module grows a second copy of any; the symmetrizer runs only on a
 matrix product or a matrix checked by ``_symmetric``, and the adapt loop pools
 its moments with ``linalg._pooled``, not through the accumulator; it keeps no public definition that
 nothing reads; the adapt loop and the gradient solver's loop call kernels,
-never the checked public functions around them; the test rows are scored
+never the checked public functions around them, and build the one checked
+transform after the loop; the experiments measure and fold in the
+statistics they built without re-checking them; the test rows are scored
 once, in ``pipeline._scored``, ahead of the batch loop; the adapt loop has
 one solver, the closed form, while only the alignment trace runs the gradient
 solver; the adapt path and the closed form import nothing from the theory
@@ -24,7 +26,7 @@ PACKAGE = Path(tcalign.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.mark.parametrize("needle", ["os.replace", ".17g", "open(", "import struct"])
+@pytest.mark.parametrize("needle", ["os.replace", ".17g", "open(", "import struct", "json.dumps"])
 def test_only_io_renames_files_and_formats_floats(needle):
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert needle in sources.pop("io.py")
@@ -154,9 +156,12 @@ def test_every_unexported_definition_is_used():
 
 
 # The batch loop of the adapt path and the checked public functions whose
-# kernels it calls instead; the test matrix is checked once, in _check_test.
+# kernels it calls instead; the test matrix is checked once, in _check_test,
+# and the transform once, when _adapt returns it.
 ADAPT_LOOP = ("_fold", "_adapted_head", "_mapped", "_scored", "_adapt")
 CHECKED_ENTRIES = {
+    "AlignmentTransform",
+    "correlation_distance",
     "validate_embeddings",
     "covariance",
     "batch_uncertainties",
@@ -182,7 +187,27 @@ def test_adapt_loop_calls_no_checked_entry_point():
         name: sorted(CHECKED_ENTRIES & set().union(*map(_referenced_names, body)))
         for name, body in bodies.items()
     }
-    assert found == {name: [] for name in ADAPT_LOOP}
+    assert found == {name: [] for name in ADAPT_LOOP} | {"_adapt": ["AlignmentTransform"]}
+    # _adapt builds the checked transform once, in its return statement, after the loop
+    (returned,) = [node for node in bodies["_adapt"] if isinstance(node, ast.Return)]
+    builds = [
+        node
+        for node in ast.walk(ast.Module(bodies["_adapt"], []))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "AlignmentTransform"
+    ]
+    assert len(builds) == 1 and builds[0] in ast.walk(returned)
+
+
+@pytest.mark.parametrize("function", ["validate_uncertainty_groups", "validate_alignment_trace"])
+def test_experiments_pass_values_to_kernels(function):
+    # each group's and each trace record's covariance is built by the kernels,
+    # so it is measured by linalg._distance and folded into the head as
+    # arrays, not re-checked by the public entry points per group or record
+    tree = ast.parse((PACKAGE / "experiments.py").read_text(encoding="utf-8"))
+    (node,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function]
+    names = _referenced_names(node)
+    assert {"AlignmentTransform", "correlation_distance"} & names == set()
+    assert "_distance" in names
 
 
 def test_rows_are_scored_only_in_scored():
