@@ -32,7 +32,8 @@ from .experiments import (
     validate_alignment_trace,
     validate_uncertainty_groups,
 )
-from .head import PredictionBatch, SoftmaxHead, accuracy, load_head, predict, save_head, train_head
+from .head import PredictionBatch, SoftmaxHead, accuracy, predict, train_head
+from .io import load_head, save_head
 from .linalg import CovarianceAccumulator, correlation_distance, covariance, shrink, spd_power
 from .pipeline import AdaptConfig, AdaptReport, adapt_online, adapt_transductive
 from .pseudo_source import batch_uncertainties, class_quotas, most_certain

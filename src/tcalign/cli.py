@@ -16,7 +16,7 @@ from . import io as tio
 from .errors import NumericalFailure, ParseError, TcaError
 from .experiments import DEFAULT_LR, DEFAULT_MAX_ITERS, spearman
 from .experiments import validate_alignment_trace, validate_uncertainty_groups
-from .head import accuracy, load_head, predict, save_head, train_head
+from .head import accuracy, predict, train_head
 from .linalg import covariance
 from .pipeline import AdaptConfig, adapt_online, adapt_transductive
 from .plot import write_scatter_svg
@@ -129,7 +129,7 @@ def _cmd_train_head(args) -> int:
     z = tio.read_embeddings(args.embeddings)
     labels = tio.read_labels(args.labels)
     head = train_head(z, labels, lr=args.lr, epochs=args.epochs)
-    save_head(head, args.out)
+    tio.save_head(head, args.out)
     acc = accuracy(predict(head, z), labels)
     print(f"trained head: c={head.n_classes} d={head.dim} training accuracy {acc:.4f} -> {args.out}")
     return EXIT_OK
@@ -137,7 +137,7 @@ def _cmd_train_head(args) -> int:
 
 def _cmd_adapt(args) -> int:
     test = tio.read_embeddings(args.test)
-    head = load_head(args.head)
+    head = tio.load_head(args.head)
     labels = tio.read_labels(args.labels) if args.labels else None
     cfg = _cfg_from_args(args, batch_size=args.batch_size)
     if args.mode == "online":
@@ -159,7 +159,7 @@ def _cmd_adapt(args) -> int:
 
 def _cmd_validate_theory(args) -> int:
     test = tio.read_embeddings(args.test)
-    head = load_head(args.head)
+    head = tio.load_head(args.head)
     source = tio.read_embeddings(args.source)
     source_stats = covariance(source)
     if args.experiment == "groups":

@@ -175,8 +175,12 @@ class LinearFit:
 def linear_fit_r2(x, y) -> LinearFit | None:
     """Ordinary least squares y = slope*x + intercept with R^2.
 
-    None for constant x or a non-finite input (no fit exists); r2 is None
-    when y is constant (zero total variance makes the ratio meaningless).
+    None for constant x, a non-finite input or a slope or intercept beyond
+    float64 (no finite fit exists); r2 is None when y is constant (zero total
+    variance makes the ratio meaningless). x and y are fitted scaled by the
+    powers of two that bring their largest magnitudes into [0.5, 1), so that
+    no sum of squares overflows or underflows; the scaling is exact, and
+    normal-range inputs give the bits of the unscaled fit.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -184,6 +188,8 @@ def linear_fit_r2(x, y) -> LinearFit | None:
         return None
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         return None
+    ex, ey = (int(np.frexp(np.abs(v).max())[1]) for v in (x, y))
+    x, y = np.ldexp(x, -ex), np.ldexp(y, -ey)
     xc = x - x.mean()
     sxx = float(xc @ xc)
     if sxx == 0.0:
@@ -194,6 +200,10 @@ def linear_fit_r2(x, y) -> LinearFit | None:
     ss_res = float(residual @ residual)
     ss_tot = float((y - y.mean()) @ (y - y.mean()))
     r2 = None if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    try:
+        slope, intercept = math.ldexp(slope, ey - ex), math.ldexp(intercept, ey)
+    except OverflowError:
+        return None
     return LinearFit(slope=slope, intercept=intercept, r2=r2)
 
 

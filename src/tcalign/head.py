@@ -1,23 +1,21 @@
-"""Linear softmax decoder: prediction, desk-scale training, persistence.
+"""Linear softmax decoder: prediction, desk-scale training, accuracy and labels.
 
 The head is a plain multinomial logistic regression trained from zero
 initialization by full-batch gradient descent, which keeps every run
-deterministic without threading an RNG through the API.
+deterministic without threading an RNG through the API. ``check_labels`` is
+the package's one label rule (nonnegative integers, one per row); the head's
+JSON file format lives in ``io``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels, InvalidInput, NumericalFailure, ParseError
+from .errors import DegenerateLabels, InvalidInput, NumericalFailure
 from .errors import _check_count, _check_positive
-from .io import _atomic_write, _class_indices, _float_texts, _read_text
 from .linalg import _check_width, validate_embeddings
-
-HEAD_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -38,6 +36,8 @@ class SoftmaxHead:
             )
         if self.weight.shape[0] < 2:
             raise InvalidInput("head needs at least 2 classes")
+        if self.weight.shape[1] < 1:
+            raise InvalidInput("head needs at least 1 embedding dimension")
         if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
             raise InvalidInput("head contains non-finite values")
 
@@ -134,66 +134,15 @@ def check_labels(labels, n: int) -> np.ndarray:
     return _class_indices(labels)
 
 
+def _class_indices(labels: np.ndarray) -> np.ndarray:
+    """``labels`` as int64, rejecting negative and non-integer values (NaN included)."""
+    with np.errstate(invalid="ignore"):  # NaN/inf casts are caught by the comparison
+        as_int = labels.astype(np.int64)
+    if labels.size and (np.any(labels != as_int) or as_int.min() < 0):
+        raise InvalidInput("labels must be nonnegative integers")
+    return as_int
+
+
 def accuracy(preds: PredictionBatch, labels) -> float:
     """Fraction of rows whose argmax matches the label."""
     return float(np.mean(preds.argmax == check_labels(labels, preds.argmax.shape[0])))
-
-
-def save_head(head: SoftmaxHead, path) -> None:
-    """Write the head as JSON with 17-significant-digit decimals (lossless for float64)."""
-    c, d = head.weight.shape
-    weight = _float_texts(head.weight)
-    rows = ",\n    ".join("[" + ", ".join(weight[i * d : (i + 1) * d]) + "]" for i in range(c))
-    bias = ", ".join(_float_texts(head.bias))
-    text = (
-        "{\n"
-        f'  "version": {HEAD_FORMAT_VERSION},\n'
-        f'  "c": {c},\n'
-        f'  "d": {d},\n'
-        f'  "weight": [\n    {rows}\n  ],\n'
-        f'  "bias": [{bias}]\n'
-        "}\n"
-    )
-    _atomic_write(path, text)
-
-
-def _numbers(values: list) -> bool:
-    """Whether every entry of a JSON list is a number: an int or a float, not a bool."""
-    return all(type(v) is int or type(v) is float for v in values)
-
-
-def load_head(path) -> SoftmaxHead:
-    """Read a head JSON file, validating schema and shapes."""
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in head file {path}", f"line {exc.lineno}") from exc
-    except (ValueError, RecursionError) as exc:  # integer digit limit, nesting depth
-        raise ParseError(f"invalid JSON in head file {path}: {exc}", "top level") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("head file must contain a JSON object", "top level")
-    for key in ("version", "c", "d", "weight", "bias"):
-        if key not in doc:
-            raise ParseError("missing required field", f"field '{key}'")
-    # exact types: JSON's true and 1.0 compare equal to 1, and bool is an int
-    if type(doc["version"]) is not int or doc["version"] != HEAD_FORMAT_VERSION:
-        raise ParseError(f"unsupported head version {doc['version']}", "field 'version'")
-    c, d = doc["c"], doc["d"]
-    if not (type(c) is int and type(d) is int and c >= 2 and d >= 1):
-        raise ParseError("c and d must be integers with c >= 2, d >= 1", "fields 'c'/'d'")
-    # exact types again: float() would take "1.5" and true for numbers
-    weight, bias = doc["weight"], doc["bias"]
-    if not (type(weight) is list and all(type(row) is list and _numbers(row) for row in weight)):
-        raise ParseError("weight must be a list of lists of JSON numbers", "field 'weight'")
-    if not (type(bias) is list and _numbers(bias)):
-        raise ParseError("bias must be a list of JSON numbers", "field 'bias'")
-    try:
-        weight = np.array(weight, dtype=np.float64)
-        bias = np.array(bias, dtype=np.float64)
-        if weight.shape != (c, d):
-            raise ParseError(f"weight must have {c} rows of {d} entries", "field 'weight'")
-        if bias.shape != (c,):
-            raise ParseError(f"bias must have {c} entries", "field 'bias'")
-        return SoftmaxHead(weight=weight, bias=bias)
-    except (InvalidInput, ValueError, OverflowError) as exc:  # ragged, huge, non-finite
-        raise ParseError(f"head values are invalid: {exc}", "fields 'weight'/'bias'") from exc

@@ -1,9 +1,13 @@
-"""Bit-exact file formats: embeddings (.tcae), labels (.tcal), CSV, report JSON.
+"""Bit-exact file formats: embeddings (.tcae), labels (.tcal), head JSON, CSV, report JSON.
 
 Binary files are a 4-byte magic, a little-endian header struct with no padding
 (``EMBEDDING_LAYOUT``, ``LABEL_LAYOUT``, version first) and the payload, read by
 ``_read_binary`` and ``_payload``; text files are read by ``_read_text``. Any
-malformed file, non-UTF-8 text included, raises ParseError. Every file the
+malformed file, non-UTF-8 text included, raises ParseError. The head JSON
+(``save_head``, ``load_head``, ``HEAD_FORMAT_VERSION``) is this module's, like
+every format; the values the formats carry (``SoftmaxHead``,
+``PredictionBatch``) and the label rule (``check_labels``) are ``head``'s,
+which imports nothing from here. Every file the
 package writes, head JSON and SVG plots included, goes through the temp-file
 rename of ``_atomic_write``, so a crashed process never leaves a half-written
 artifact; a CSV streams to it chunk by chunk, never joined in memory. Every
@@ -35,6 +39,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .errors import InvalidInput, ParseError
+from .head import PredictionBatch, SoftmaxHead, check_labels
 from .linalg import validate_embeddings
 
 EMBEDDING_MAGIC = b"TCAE"
@@ -46,6 +51,7 @@ DTYPE_F32 = 0
 DTYPE_F64 = 1
 PAYLOAD_DTYPES = {DTYPE_F32: "<f4", DTYPE_F64: "<f8"}
 FLOAT_FORMAT = "%.17g"  # 17 significant digits: lossless for float64 round-trips
+HEAD_FORMAT_VERSION = 1
 
 
 def _atomic_write(path, data: bytes | str | Iterable[bytes]) -> None:
@@ -339,21 +345,12 @@ def read_embeddings(path) -> np.ndarray:
     return payload.reshape(n, d).astype(np.float64)
 
 
-def _class_indices(labels: np.ndarray) -> np.ndarray:
-    """``labels`` as int64, rejecting negative and non-integer values (NaN included)."""
-    with np.errstate(invalid="ignore"):  # NaN/inf casts are caught by the comparison
-        as_int = labels.astype(np.int64)
-    if labels.size and (np.any(labels != as_int) or as_int.min() < 0):
-        raise InvalidInput("labels must be nonnegative integers")
-    return as_int
-
-
 def write_labels(path, labels) -> None:
     """Write class indices as a .tcal file (u32 little-endian)."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size < 1:
         raise InvalidInput("labels must be a non-empty 1-D vector")
-    labels = _class_indices(labels)
+    labels = check_labels(labels, labels.size)
     if labels.max() > 0xFFFFFFFF:
         raise InvalidInput(f"labels must fit in u32, got {labels.max()}")
     header = LABEL_MAGIC + struct.pack(LABEL_LAYOUT, FORMAT_VERSION, labels.size)
@@ -365,26 +362,95 @@ def read_labels(path) -> np.ndarray:
     return _payload(path, blob, offset, "<u4", n).astype(np.int64)
 
 
+def save_head(head: SoftmaxHead, path) -> None:
+    """Write the head as JSON with 17-significant-digit decimals (lossless for float64)."""
+    c, d = head.weight.shape
+    weight = _float_texts(head.weight)
+    rows = ",\n    ".join("[" + ", ".join(weight[i * d : (i + 1) * d]) + "]" for i in range(c))
+    bias = ", ".join(_float_texts(head.bias))
+    text = (
+        "{\n"
+        f'  "version": {HEAD_FORMAT_VERSION},\n'
+        f'  "c": {c},\n'
+        f'  "d": {d},\n'
+        f'  "weight": [\n    {rows}\n  ],\n'
+        f'  "bias": [{bias}]\n'
+        "}\n"
+    )
+    _atomic_write(path, text)
+
+
+def _numbers(values: list) -> bool:
+    """Whether every entry of a JSON list is a number: an int or a float, not a bool."""
+    return all(type(v) is int or type(v) is float for v in values)
+
+
+def load_head(path) -> SoftmaxHead:
+    """Read a head JSON file, validating schema and shapes."""
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in head file {path}", f"line {exc.lineno}") from exc
+    except (ValueError, RecursionError) as exc:  # integer digit limit, nesting depth
+        raise ParseError(f"invalid JSON in head file {path}: {exc}", "top level") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("head file must contain a JSON object", "top level")
+    for key in ("version", "c", "d", "weight", "bias"):
+        if key not in doc:
+            raise ParseError("missing required field", f"field '{key}'")
+    # exact types: JSON's true and 1.0 compare equal to 1, and bool is an int
+    if type(doc["version"]) is not int or doc["version"] != HEAD_FORMAT_VERSION:
+        raise ParseError(f"unsupported head version {doc['version']}", "field 'version'")
+    c, d = doc["c"], doc["d"]
+    if not (type(c) is int and type(d) is int and c >= 2 and d >= 1):
+        raise ParseError("c and d must be integers with c >= 2, d >= 1", "fields 'c'/'d'")
+    # exact types again: float() would take "1.5" and true for numbers
+    weight, bias = doc["weight"], doc["bias"]
+    if not (type(weight) is list and all(type(row) is list and _numbers(row) for row in weight)):
+        raise ParseError("weight must be a list of lists of JSON numbers", "field 'weight'")
+    if not (type(bias) is list and _numbers(bias)):
+        raise ParseError("bias must be a list of JSON numbers", "field 'bias'")
+    try:
+        weight = np.array(weight, dtype=np.float64)
+        bias = np.array(bias, dtype=np.float64)
+        if weight.shape != (c, d):
+            raise ParseError(f"weight must have {c} rows of {d} entries", "field 'weight'")
+        if bias.shape != (c,):
+            raise ParseError(f"bias must have {c} entries", "field 'bias'")
+        return SoftmaxHead(weight=weight, bias=bias)
+    except (InvalidInput, ValueError, OverflowError) as exc:  # ragged, huge, non-finite
+        raise ParseError(f"head values are invalid: {exc}", "fields 'weight'/'bias'") from exc
+
+
 def table_to_csv(path, header: list[str], rows) -> None:
     """Write CSV: ``header``, then per row an integer index followed by floats, LF endings."""
     rows = list(rows)
     _atomic_write(path, _csv_chunks(header, [row[0] for row in rows], [row[1:] for row in rows]))
 
 
-def write_predictions_csv(path, preds) -> None:
-    """Persist a PredictionBatch as CSV: argmax column then one column per class."""
-    header = ["argmax"] + [f"p{j}" for j in range(preds.n_classes)]
-    _atomic_write(path, _csv_chunks(header, preds.argmax, preds.probs))
+def write_predictions_csv(path, preds: PredictionBatch) -> None:
+    """Persist a PredictionBatch as CSV: argmax column then one column per class.
+
+    A batch that ``read_predictions_csv`` would refuse (no rows, an argmax
+    outside [0, c) or a non-finite probability) is refused before anything is
+    written."""
+    c, argmax = preds.n_classes, np.asarray(preds.argmax)
+    if argmax.size < 1:
+        raise InvalidInput("predictions must have at least one row")
+    if argmax.min() < 0 or argmax.max() >= c:
+        raise InvalidInput(f"argmax must lie in [0, {c}), got min {argmax.min()}, max {argmax.max()}")
+    if not np.all(np.isfinite(preds.probs)):
+        raise InvalidInput("predictions contain a non-finite probability")
+    header = ["argmax"] + [f"p{j}" for j in range(c)]
+    _atomic_write(path, _csv_chunks(header, argmax, preds.probs))
 
 
-def read_predictions_csv(path):
+def read_predictions_csv(path) -> PredictionBatch:
     """Read a predictions CSV back into a ``PredictionBatch``.
 
     Each row must be what ``write_predictions_csv`` writes: an argmax of ASCII
     decimal digits below the number of probability columns, then finite
     probabilities."""
-    from .head import PredictionBatch
-
     lines = _read_text(path).splitlines()
     if not lines or not lines[0].startswith("argmax,"):
         raise ParseError(f"missing predictions header in {path}", "line 1")

@@ -60,10 +60,14 @@ def _square_pair(a, b, name_a: str, name_b: str) -> tuple[np.ndarray, np.ndarray
 
 
 def _symmetric(a, name: str) -> np.ndarray:
-    """A square matrix (see ``_square``) equal to its transpose within SYMMETRY_ATOL."""
+    """A square matrix (see ``_square``) equal to its transpose within
+    SYMMETRY_ATOL * max(1, max|entry|), so that the rounding of a product of
+    large entries passes. The difference is taken of halves, which cannot
+    overflow and are exact for normal-range values."""
     a = _square(a, name)
-    if np.max(np.abs(a - a.T)) > SYMMETRY_ATOL:
-        raise InvalidInput(f"{name} is not symmetric within {SYMMETRY_ATOL}")
+    half = a / 2.0
+    if np.max(np.abs(half - half.T)) > SYMMETRY_ATOL / 2.0 * max(1.0, float(np.abs(a).max())):
+        raise InvalidInput(f"{name} is not symmetric within {SYMMETRY_ATOL} x max(1, max|entry|)")
     return a
 
 
@@ -147,11 +151,15 @@ def _shrink(sigma: np.ndarray, eps: float) -> np.ndarray:
     """``shrink`` of a symmetric matrix, rejecting a non-finite diagonal or ridge."""
     d = sigma.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = eps * float(np.trace(sigma)) / d + SHRINK_FLOOR
+        trace = float(np.trace(sigma))
+        lam = eps * trace / d + SHRINK_FLOOR
         shrunk = sigma + lam * np.eye(d)
     # an overflowing ridge always shows on the diagonal
     if not np.all(np.isfinite(shrunk.diagonal())):
-        raise InvalidInput("sigma contains non-finite entries")
+        raise InvalidInput(
+            f"sigma's diagonal plus the ridge eps * trace / d = {lam:.3g} (eps {eps:.3g}, "
+            f"trace {trace:.3g}, d {d}) overflows float64; lower eps or rescale the embeddings"
+        )
     return shrunk
 
 

@@ -201,6 +201,15 @@ class TestAdapt:
         assert code == 2
         assert [path.name for path in tmp_path.iterdir()] == []
 
+    def test_overflowing_ridge_names_eps(self, workspace, tmp_path, capsys):
+        # the test matrix is finite; the error used to say "sigma contains non-finite entries"
+        code = main([*adapt_argv(workspace, tmp_path), "--eps", "1e308"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma's diagonal plus the ridge eps * trace / d = inf (eps 1e+308, trace ")
+        assert err.endswith(") overflows float64; lower eps or rescale the embeddings\n")
+        assert [path.name for path in tmp_path.iterdir()] == []
+
     def test_corrupt_test_file_exits_3(self, workspace, tmp_path):
         _, _, head_path = workspace
         bad = tmp_path / "bad.tcae"

@@ -341,6 +341,12 @@ def _load_head_text(path, text: str) -> SoftmaxHead:
             r"^head needs at least 2 classes$",
         ),
         (
+            # save_head used to write "d": 0, which load_head refuses
+            lambda tmp: SoftmaxHead(weight=np.zeros((2, 0)), bias=[0.0, 0.0]),
+            InvalidInput,
+            r"^head needs at least 1 embedding dimension$",
+        ),
+        (
             lambda tmp: train_head(np.eye(3), [0, 1, 2], lr=0.1, epochs=1, n_classes=2),
             InvalidInput,
             r"^labels must lie in \[0, 2\)$",
@@ -351,7 +357,7 @@ def _load_head_text(path, text: str) -> SoftmaxHead:
             r"^head file must contain a JSON object \(top level\)$",
         ),
     ],
-    ids=["weight-not-2d", "bias-shape", "one-class", "label-beyond-n-classes", "json-not-object"],
+    ids=["weight-not-2d", "bias-shape", "one-class", "zero-width", "label-beyond-n-classes", "json-not-object"],
 )
 def test_rejections(tmp_path, call, error, pattern):
     with pytest.raises(error, match=pattern):

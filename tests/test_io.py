@@ -523,8 +523,33 @@ class TestReaderContract:
         ),
         (lambda path: write_labels(path, []), r"^labels must be a non-empty 1-D vector$"),
         (lambda path: write_labels(path, [[0, 1]]), r"^labels must be a non-empty 1-D vector$"),
+        # each prediction file below used to be written, and then refused by read_predictions_csv
+        (
+            lambda path: write_predictions_csv(path, PredictionBatch(np.array([[np.nan, 1.0]]), np.array([1]))),
+            r"^predictions contain a non-finite probability$",
+        ),
+        (
+            lambda path: write_predictions_csv(path, PredictionBatch(np.array([[0.5, 0.5]]), np.array([5]))),
+            r"^argmax must lie in \[0, 2\), got min 5, max 5$",
+        ),
+        (
+            lambda path: write_predictions_csv(path, PredictionBatch(np.array([[0.5, 0.5]]), np.array([-1]))),
+            r"^argmax must lie in \[0, 2\), got min -1, max -1$",
+        ),
+        (
+            lambda path: write_predictions_csv(path, PredictionBatch(np.empty((0, 2)), np.empty(0, np.int64))),
+            r"^predictions must have at least one row$",
+        ),
     ],
-    ids=["embedding-dtype", "labels-empty", "labels-2d"],
+    ids=[
+        "embedding-dtype",
+        "labels-empty",
+        "labels-2d",
+        "predictions-nan",
+        "predictions-argmax-beyond-classes",
+        "predictions-negative-argmax",
+        "predictions-no-rows",
+    ],
 )
 def test_writers_reject(tmp_path, call, pattern):
     with pytest.raises(InvalidInput, match=pattern):

@@ -128,9 +128,34 @@ class TestShrink:
             shrink(np.eye(2), eps)
 
     def test_overflowing_ridge_rejected(self):
-        # the trace overflows; the error comes without a RuntimeWarning
-        with pytest.raises(InvalidInput, match="^sigma contains non-finite entries$"):
+        # the trace overflows; the error names the ridge, without a RuntimeWarning
+        with pytest.raises(
+            InvalidInput,
+            match=r"^sigma's diagonal plus the ridge eps \* trace / d = inf \(eps 0\.001, trace inf, d 2\) "
+            "overflows float64; lower eps or rescale the embeddings$",
+        ):
             shrink(np.diag([1.7e308, 1.7e308]), 1e-3)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e5])
+    @pytest.mark.parametrize(
+        "call", [lambda m: shrink(m, 0.1), lambda m: spd_power(m + 1e3 * np.eye(64), 0.5)],
+        ids=["shrink", "spd_power"],
+    )
+    def test_large_product_is_symmetric_within_its_scale(self, rng, call, scale):
+        # R^T S R rounds its triangles apart by more than 1e-9 once its entries
+        # are large; the tolerance used to be absolute and refused it
+        r, a = rng.standard_normal((2, 64, 64))
+        t = (r * scale).T @ (a @ a.T) @ (r * scale)
+        assert np.abs(t - t.T).max() > 1e-9
+        assert np.all(np.isfinite(call(t)))
+
+    def test_asymmetry_near_the_float64_limit_rejected(self):
+        # a - a.T used to overflow with a RuntimeWarning
+        m = np.array([[1.0, 1.7e308], [-1.7e308, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=r"^sigma is not symmetric within 1e-09 x max\(1, max\|entry\|\)$"):
+                shrink(m, 0.1)
 
 
 class TestSpdPower:

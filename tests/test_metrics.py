@@ -97,6 +97,23 @@ class TestLinearFit:
         assert fit.intercept == pytest.approx(intercept_ref, rel=1e-10)
         assert fit.r2 == pytest.approx(r2_ref, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "x_scale, y_scale",
+        [(1e200, 1.0), (1.0, 1e200), (1e-200, 1.0)],
+        ids=["huge-x", "huge-y", "tiny-x"],
+    )
+    def test_fit_follows_the_scale_of_its_input(self, x_scale, y_scale):
+        # the sums of squares used to overflow or underflow: r2 0.0 with a
+        # RuntimeWarning for huge x, nan for huge y, None ("constant x") for tiny x
+        x, y = np.array([1.0, -1.0, 0.0]), np.array([0.0, 1.0, 2.0])
+        fit = linear_fit_r2(x * x_scale, y * y_scale)
+        assert fit.slope == pytest.approx(-0.5 * y_scale / x_scale, rel=1e-15)
+        assert fit.intercept == pytest.approx(y_scale, rel=1e-15)
+        assert fit.r2 == pytest.approx(0.25, rel=1e-15)
+
+    def test_slope_beyond_float64_is_none(self):
+        assert linear_fit_r2([1e-200, 2e-200, 3e-200], [1e200, 2e200, 4e200]) is None
+
     def test_r2_can_go_negative_for_terrible_fit(self):
         # degenerate two-point cloud fitted through distant outliers
         fit = linear_fit_r2([0.0, 0.0, 1.0], [0.0, 10.0, 5.0])

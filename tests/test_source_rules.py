@@ -12,7 +12,10 @@ statistics they built without re-checking them; the test rows are scored
 once, in ``pipeline._scored``, ahead of the batch loop; the adapt loop has
 one solver, the closed form, while only the alignment trace runs the gradient
 solver; the adapt path and the closed form import nothing from the theory
-experiments; and every module and name the benchmark imports stays importable."""
+experiments; the package imports at module top only, with no cycle between
+``head.py`` (the model and the label rule) and ``io.py`` (every file format,
+the head JSON included); and every module and name the benchmark imports
+stays importable."""
 
 import ast
 import importlib
@@ -26,11 +29,40 @@ PACKAGE = Path(tcalign.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.mark.parametrize("needle", ["os.replace", ".17g", "open(", "import struct", "json.dumps"])
+@pytest.mark.parametrize("needle", ["os.replace", ".17g", "open(", "import struct", "import json", "json.dumps"])
 def test_only_io_renames_files_and_formats_floats(needle):
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert needle in sources.pop("io.py")
     assert [name for name, text in sorted(sources.items()) if needle in text] == []
+
+
+def test_imports_only_at_module_top():
+    # a function-level import is how a cycle hides; io imports head at the top
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert found == []
+
+
+def test_head_is_the_model_and_io_every_format():
+    # head.py imports nothing from io, and the head JSON codec is io's
+    tree = ast.parse((PACKAGE / "head.py").read_text(encoding="utf-8"))
+    imported = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    sources = {getattr(node, "module", None) or "" for node in imported}
+    sources |= {alias.name for node in imported for alias in node.names}
+    assert [name for name in sorted(sources) if name.split(".")[-1] == "io"] == []
+    owners = {
+        node.name: path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name in ("load_head", "save_head")
+    }
+    assert owners == {"load_head": "io.py", "save_head": "io.py"}
 
 
 def test_floats_are_formatted_in_bulk():

@@ -133,7 +133,11 @@ class TestClosedForm:
     def test_overflowing_ridge_rejected(self):
         # the trace overflows, so shrink rejects its own ridge, without a RuntimeWarning
         huge = np.diag([1.7e308, 1.7e308])
-        with pytest.raises(InvalidInput, match="sigma contains non-finite entries"):
+        with pytest.raises(
+            InvalidInput,
+            match=r"^sigma's diagonal plus the ridge eps \* trace / d = inf \(eps 0\.001, trace inf, d 2\) "
+            "overflows float64; lower eps or rescale the embeddings$",
+        ):
             solve_closed_form(huge, np.eye(2))
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0, "x"])
