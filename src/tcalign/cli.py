@@ -1,6 +1,7 @@
 """Command-line surface: synth, train-head, adapt, validate-theory groups|trace, eval, plot.
 
-Exit codes: 0 success, 2 invalid input or configuration (an OS error
+Every file a command reads or writes, the ``plot`` SVG included, goes through
+``io``. Exit codes: 0 success, 2 invalid input or configuration (an OS error
 included), 3 parse error in a persisted artifact, 4 numerical failure.
 """
 
@@ -10,16 +11,13 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import io as tio
 from .errors import NumericalFailure, ParseError, TcaError
-from .experiments import DEFAULT_LR, DEFAULT_MAX_ITERS, spearman
+from .experiments import DEFAULT_MAX_ITERS, spearman
 from .experiments import validate_alignment_trace, validate_uncertainty_groups
 from .head import accuracy, predict, train_head
 from .linalg import covariance
 from .pipeline import AdaptConfig, adapt_online, adapt_transductive
-from .plot import write_scatter_svg
 from .synth import gen_linear_shift, gen_nonlinear_shift
 
 EXIT_OK = 0
@@ -84,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--labels", required=True, help="test labels for the accuracy column")
     trace.add_argument("--record-every", type=int, default=10)
     _add_adapt_options(trace)
-    trace.add_argument("--lr", type=float, default=DEFAULT_LR, help="gradient step of the trace")
+    trace.add_argument("--lr", type=float, help="gradient step (default 1e-3 / lambda_max^2 of S_t)")
     trace.add_argument("--iters", type=int, default=DEFAULT_MAX_ITERS, help="trace iterations")
 
     p = sub.add_parser("eval", help="score stored predictions against labels")
@@ -219,7 +217,7 @@ def _cmd_plot(args) -> int:
     ]
     if args.transformed:
         series.append(("transformed", tio.read_embeddings(args.transformed)))
-    write_scatter_svg(args.out, series)
+    tio.write_scatter_svg(args.out, series)
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -20,13 +20,12 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidConfig, InvalidInput, _check_count, _check_positive
 from .head import SoftmaxHead, check_labels, softmax_rows
-from .linalg import _check_width, _covariance, _distance, _moments, _square_pair, shrink
-from .linalg import validate_embeddings
+from .linalg import _check_width, _covariance, _distance, _moments, _spectral_radius, _square_pair
+from .linalg import shrink, validate_embeddings
 from .pipeline import AdaptConfig, _adapted_head, _check_test, _fold, _recolor, _scored
 from .pipeline import _source_covariance
 from .transform import DEFAULT_EPS
 
-DEFAULT_LR = 1e-3
 DEFAULT_MAX_ITERS = 1000
 DEFAULT_TOL = 1e-9
 STALL_ITERS = 10
@@ -70,7 +69,7 @@ def objective_gradient(w, sigma_t, sigma_s_hat) -> np.ndarray:
 def solve_gradient(
     sigma_t,
     sigma_s_hat,
-    lr: float = DEFAULT_LR,
+    lr: float | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
     eps: float = DEFAULT_EPS,
     iterate_hook: Callable[[int, np.ndarray], None] | None = None,
@@ -83,12 +82,14 @@ def solve_gradient(
     trace. Stops early once the relative improvement stays below
     ``DEFAULT_TOL`` for ``STALL_ITERS`` consecutive iterations. A non-finite
     objective aborts with DivergenceError carrying the best iterate seen
-    before the blow-up (its ``last_iterate``); fixed steps are only stable
-    when lr < 2 / (4 lambda_max^2), so large-scale covariances need a
-    smaller learning rate than the 1e-3 default.
+    before the blow-up (its ``last_iterate``). Fixed steps are only stable
+    when lr < 2 / (4 lambda_max^2), so ``lr=None`` takes 1e-3 / lambda_max^2
+    of the regularized sigma_t, which scales with the covariances; an
+    explicit ``lr`` is used as given.
     """
     sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
-    _check_positive("learning rate", lr)
+    if lr is not None:
+        _check_positive("learning rate", lr)
     _check_count("max_iters", max_iters, 1)
     sigma_t_reg = shrink(sigma_t, eps)
     sigma_s_reg = shrink(sigma_s_hat, eps)
@@ -101,6 +102,8 @@ def solve_gradient(
         current = float(np.sum(residual * residual))
     if not np.isfinite(current):
         raise DivergenceError("objective is non-finite at the initial iterate", w, [])
+    if lr is None:
+        lr = _default_step(sigma_t_reg)
     trace.objective_values.append(current)
     if iterate_hook is not None:
         iterate_hook(0, w.copy())
@@ -134,6 +137,20 @@ def solve_gradient(
             trace.converged = True
             break
     return best_w, trace
+
+
+def _default_step(sigma_t_reg: np.ndarray) -> float:
+    """1e-3 / lambda^2 for the spectral radius lambda of the regularized sigma_t,
+    divided twice so that no square overflows; a step that is not a positive
+    float64 raises InvalidInput."""
+    radius = _spectral_radius(sigma_t_reg)
+    step = 1e-3 / radius / radius if radius > 0 else math.inf
+    if not 0 < step < math.inf:
+        raise InvalidInput(
+            f"the default step 1e-3 / lambda_max^2 of sigma_t (lambda_max {radius:.3g}) "
+            "is not a positive float64; pass lr or rescale the embeddings"
+        )
+    return step
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
@@ -277,20 +294,22 @@ def validate_alignment_trace(
     source_stats,
     labels,
     record_every: int = 10,
-    lr: float = DEFAULT_LR,
+    lr: float | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> TraceResult:
     """Record gradient-solver iterates applied to the test set.
 
     The pseudo-source is the one ``adapt_transductive`` selects under ``cfg``,
-    built from the same kernels; one ``solve_gradient`` with step ``lr`` and
-    at most ``max_iters`` iterations then aligns the test covariance to it.
+    built from the same kernels; one ``solve_gradient`` with step ``lr`` (by
+    default derived from the test covariance's spectrum) and at most
+    ``max_iters`` iterations then aligns the test covariance to it.
     Every ``record_every``-th iterate (plus the final one) is turned into a
     row of covariance distances and accuracy as the solver hands it over, so
     only the latest iterate is held; the summary correlations mirror the
     relationship plots of the alignment-theory experiments.
     """
-    _check_positive("lr", lr, InvalidConfig)
+    if lr is not None:
+        _check_positive("lr", lr, InvalidConfig)
     _check_count("max_iters", max_iters, 1, InvalidConfig)
     if labels is None:
         raise InvalidInput("alignment traces require test labels for the accuracy column")

@@ -1,4 +1,5 @@
-"""Bit-exact file formats: embeddings (.tcae), labels (.tcal), head JSON, CSV, report JSON.
+"""Every file the package writes: the bit-exact formats (embeddings .tcae,
+labels .tcal, head JSON, CSV, report JSON) and SVG scatter plots.
 
 Binary files are a 4-byte magic, a little-endian header struct with no padding
 (``EMBEDDING_LAYOUT``, ``LABEL_LAYOUT``, version first) and the payload, read by
@@ -7,24 +8,24 @@ malformed file, non-UTF-8 text included, raises ParseError. The head JSON
 (``save_head``, ``load_head``, ``HEAD_FORMAT_VERSION``) is this module's, like
 every format; the values the formats carry (``SoftmaxHead``,
 ``PredictionBatch``) and the label rule (``check_labels``) are ``head``'s,
-which imports nothing from here. Every file the
-package writes, head JSON and SVG plots included, goes through the temp-file
-rename of ``_atomic_write``, so a crashed process never leaves a half-written
-artifact; a CSV streams to it chunk by chunk, never joined in memory. Every
-JSON text the package emits, the report file and each line the CLI prints,
-comes from one encoder, ``_json_text``: strict JSON, with a non-finite float
-written as null.
+which imports nothing from here. Every writer here, ``write_scatter_svg``
+included, goes through the temp-file rename of ``_atomic_write``, so a crashed
+process never leaves a half-written artifact; a CSV streams to it chunk by
+chunk, never joined in memory. Every JSON text the package emits, the report
+file and each line the CLI prints, comes from one encoder, ``_json_text``:
+strict JSON, with a non-finite float written as null.
 
-Every decimal number is printed by one formatter, ``_fill_floats``, as
-``FLOAT_FORMAT % x`` byte for byte, but in bulk: ``_csv_chunks`` (both CSV
-writers) and ``_float_texts`` (head JSON) format whole arrays in numpy, about
-4e4 values per chunk, from exact 17-digit significands and lookup tables. A
-value whose rounding the bulk path cannot certify (within 2^-30 of a tie, or of
-a decade boundary) and a non-finite one fall back to ``FLOAT_FORMAT % x`` one at
-a time; no value of the benchmark workloads' outputs does. A CSV row's integer
-index is one more float slot: a double holds every integer within +-2^53
-exactly, and ``FLOAT_FORMAT`` prints it as ``%d`` does; an index beyond that
-has ``"%d" % i`` spliced over its slot.
+Every decimal number of the data formats (CSV and head JSON) is printed by one
+formatter, ``_fill_floats``, as ``FLOAT_FORMAT % x`` byte for byte, but in
+bulk: ``_csv_chunks`` (both CSV writers) and ``_float_texts`` (head JSON)
+format whole arrays in numpy, about 4e4 values per chunk, from exact 17-digit
+significands and lookup tables. A value whose rounding the bulk path cannot
+certify (within 2^-30 of a tie, or of a decade boundary) and a non-finite one
+fall back to ``FLOAT_FORMAT % x`` one at a time; no value of the benchmark
+workloads' outputs does. A CSV row's integer index is one more float slot: a
+double holds every integer within +-2^53 exactly, and ``FLOAT_FORMAT`` prints
+it as ``%d`` does; an index beyond that has ``"%d" % i`` spliced over its slot.
+An SVG's pixel coordinates are ``:.2f`` f-strings: drawing positions, not data.
 """
 
 from __future__ import annotations
@@ -498,3 +499,62 @@ def _json_text(value, indent: int | None = None) -> str:
 
 def write_report_json(path, report_dict: dict) -> None:
     _atomic_write(path, _json_text(report_dict, indent=2) + "\n")
+
+
+_SVG_WIDTH = 640
+_SVG_HEIGHT = 480
+_SVG_MARGIN = 40
+_SVG_COLORS = ("#4878cf", "#e8b516", "#d65f5f", "#6acc65", "#956cb4", "#8c613c")
+
+
+def scatter_svg(series: list[tuple[str, np.ndarray]]) -> str:
+    """Render named 2-D point sets into one SVG string.
+
+    Series are drawn in order (source, target, transformed is the usual
+    trio) with a fixed palette and a legend in the top-left corner.
+    """
+    if not series:
+        raise InvalidInput("at least one point series is required")
+    checked = []
+    for name, pts in series:
+        pts = validate_embeddings(pts, name or "series")
+        if pts.shape[1] != 2:
+            raise InvalidInput(f"scatter plots require d = 2, series {name!r} has d = {pts.shape[1]}")
+        checked.append((name, pts))
+
+    stacked = np.vstack([pts for _, pts in checked])
+    lo = stacked.min(axis=0)
+    hi = stacked.max(axis=0)
+    span = np.maximum(hi - lo, 1e-9)
+
+    def sx(x: float) -> float:
+        return _SVG_MARGIN + (x - lo[0]) / span[0] * (_SVG_WIDTH - 2 * _SVG_MARGIN)
+
+    def sy(y: float) -> float:
+        # SVG y grows downward
+        return _SVG_HEIGHT - _SVG_MARGIN - (y - lo[1]) / span[1] * (_SVG_HEIGHT - 2 * _SVG_MARGIN)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
+        f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
+        f'<rect x="{_SVG_MARGIN}" y="{_SVG_MARGIN}" width="{_SVG_WIDTH - 2 * _SVG_MARGIN}" '
+        f'height="{_SVG_HEIGHT - 2 * _SVG_MARGIN}" fill="none" stroke="#999" stroke-width="1"/>',
+    ]
+    for idx, (name, pts) in enumerate(checked):
+        color = _SVG_COLORS[idx % len(_SVG_COLORS)]
+        parts.append(f'<g fill="{color}" fill-opacity="0.55">')
+        for x, y in pts:
+            parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.5"/>')
+        parts.append("</g>")
+        ly = _SVG_MARGIN + 16 + 18 * idx
+        parts.append(f'<circle cx="{_SVG_MARGIN + 12}" cy="{ly - 4}" r="4" fill="{color}"/>')
+        parts.append(
+            f'<text x="{_SVG_MARGIN + 24}" y="{ly}" font-family="sans-serif" font-size="13">{name}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def write_scatter_svg(path, series: list[tuple[str, np.ndarray]]) -> None:
+    _atomic_write(path, scatter_svg(series))

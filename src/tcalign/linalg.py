@@ -3,8 +3,9 @@
 Inputs are upcast on entry: eigensolves on near-singular covariances are the
 accuracy bottleneck. Moments are (count, mean, scatter) values, exactly
 symmetric as built: ``_moments`` makes one, ``_pooled`` merges two (as
-``CovarianceAccumulator`` does) and ``_covariance`` divides. ``_power`` is the
-one eigendecomposition and ``_distance`` the one covariance discrepancy. Values
+``CovarianceAccumulator`` does) and ``_covariance`` divides. ``_eigh`` is the
+one eigendecomposition, under ``_power`` and ``_spectral_radius``, and
+``_distance`` the one covariance discrepancy. Values
 inside, checks at the edge: a public entry checks a matrix once and passes it
 to its kernel, and the adapt path and the experiments call the kernels on the
 matrices they built, so ``_symmetrized`` runs only on a matrix product or a
@@ -170,12 +171,23 @@ def spd_power(sigma, p: float) -> np.ndarray:
     return _power(_symmetrized(_symmetric(sigma, "sigma")), p)
 
 
-def _power(sigma: np.ndarray, p: float) -> np.ndarray:
-    """``spd_power`` of a finite, exactly symmetric matrix, such as ``shrink``'s output."""
+def _eigh(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of a finite, exactly symmetric matrix."""
     try:
-        values, vectors = np.linalg.eigh(sigma)
+        return np.linalg.eigh(sigma)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
+
+
+def _spectral_radius(sigma: np.ndarray) -> float:
+    """max |eigenvalue| of a finite, exactly symmetric matrix, such as ``shrink``'s output."""
+    values, _ = _eigh(sigma)
+    return float(max(-values[0], values[-1]))
+
+
+def _power(sigma: np.ndarray, p: float) -> np.ndarray:
+    """``spd_power`` of a finite, exactly symmetric matrix, such as ``shrink``'s output."""
+    values, vectors = _eigh(sigma)
     min_val = float(values.min())
     if p < 0 and min_val <= 0:
         raise SingularMatrix(

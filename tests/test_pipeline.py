@@ -23,6 +23,7 @@ from tcalign import (
     gen_linear_shift,
     gen_nonlinear_shift,
     predict,
+    shrink,
     solve_closed_form,
     solve_gradient,
     train_head,
@@ -581,13 +582,12 @@ class TestAlignmentTrace:
             ({"lr": 0.0}, "lr must be finite and positive, got 0.0"),
             ({"lr": float("nan")}, "lr must be finite and positive, got nan"),
             ({"lr": float("inf")}, "lr must be finite and positive, got inf"),
-            ({"lr": None}, "lr must be finite and positive, got None"),
             ({"lr": "0.1"}, "lr must be finite and positive, got 0.1"),
             ({"max_iters": 0}, "max_iters must be an integer >= 1, got 0"),
             ({"max_iters": True}, "max_iters must be an integer >= 1, got True"),
             ({"max_iters": 5.0}, "max_iters must be an integer >= 1, got 5.0"),
         ],
-        ids=["lr-0", "lr-nan", "lr-inf", "lr-none", "lr-str", "iters-0", "iters-bool", "iters-float"],
+        ids=["lr-0", "lr-nan", "lr-inf", "lr-str", "iters-0", "iters-bool", "iters-float"],
     )
     def test_bad_step_rejected(self, linear_demo, monkeypatch, kwargs, message):
         # before the test matrix is scanned
@@ -600,6 +600,35 @@ class TestAlignmentTrace:
                 data.target.features, head, AdaptConfig(), stats, data.target.labels, **kwargs
             )
         assert calls == {"validate_embeddings": 0}
+
+    def test_none_lr_derives_the_step(self, linear_demo):
+        # lr=None runs 1e-3 / lambda_max^2 of the regularized test covariance,
+        # stable on the demo (lambda_max ~ 90), where a fixed 1e-3 diverges
+        data, head = linear_demo
+        cfg = AdaptConfig()
+        args = (data.target.features, head, cfg, covariance(data.source.features), data.target.labels)
+        _, sigma_t = covariance(data.target.features)
+        lam = float(np.linalg.eigh(shrink(sigma_t, cfg.eps))[0].max())
+        derived = validate_alignment_trace(*args)
+        assert derived.rows == validate_alignment_trace(*args, lr=1e-3 / lam / lam).rows
+        assert derived.solver_trace.iterations == 1000
+
+    @pytest.mark.parametrize("scale", [0.25, 4.0, 1024.0])
+    def test_default_trace_is_scale_free(self, linear_demo, scale):
+        # rows scaled by s and the head weight by 1/s keep the logits; the
+        # derived step scales as 1/s^4, so every gradient step stays the same
+        data, head = linear_demo
+
+        def accuracies(s):
+            scaled = SoftmaxHead(weight=head.weight / s, bias=head.bias)
+            stats = covariance(data.source.features * s)
+            result = validate_alignment_trace(
+                data.target.features * s, scaled, AdaptConfig(), stats, data.target.labels
+            )
+            return [(r.iteration, r.accuracy) for r in result.rows]
+
+        unscaled = accuracies(1.0)
+        assert len(unscaled) == 101 and accuracies(scale) == unscaled
 
     def test_numpy_integer_max_iters_accepted(self, linear_demo):
         data, head = linear_demo

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tcalign import InvalidInput
-from tcalign.plot import scatter_svg, write_scatter_svg
+from tcalign.io import scatter_svg, write_scatter_svg
 
 
 def test_svg_contains_all_points(rng):

@@ -1,4 +1,4 @@
-"""Source rules: the package has one atomic writer, one decimal float format
+"""Source rules: the package has one atomic writer, called only in ``io.py``, one decimal float format
 (applied in bulk, with ``%`` only per element in its fallback) and one number
 formatter, one place that opens files, one that packs byte layouts and one
 JSON encoder, all in ``io.py``, and one eigendecomposition and one symmetrizer, in ``linalg.py``,
@@ -14,8 +14,8 @@ one solver, the closed form, while only the alignment trace runs the gradient
 solver; the adapt path and the closed form import nothing from the theory
 experiments; the package imports at module top only, with no cycle between
 ``head.py`` (the model and the label rule) and ``io.py`` (every file format,
-the head JSON included); and every module and name the benchmark imports
-stays importable."""
+the head JSON included); no module but ``__init__`` imports a name it never
+reads; and every module and name the benchmark imports stays importable."""
 
 import ast
 import importlib
@@ -29,7 +29,9 @@ PACKAGE = Path(tcalign.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.mark.parametrize("needle", ["os.replace", ".17g", "open(", "import struct", "import json", "json.dumps"])
+@pytest.mark.parametrize(
+    "needle", ["os.replace", "_atomic_write", ".17g", "open(", "import struct", "import json", "json.dumps"]
+)
 def test_only_io_renames_files_and_formats_floats(needle):
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert needle in sources.pop("io.py")
@@ -47,6 +49,24 @@ def test_imports_only_at_module_top():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert found == []
+
+
+def test_every_module_level_import_is_read():
+    # an import nothing reads is dead weight at import time; the package's
+    # __init__ imports names only to re-export them
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unread += [f"{path.name}:{name}" for name in bound if name not in read]
+    assert unread == []
 
 
 def test_head_is_the_model_and_io_every_format():
@@ -151,7 +171,7 @@ def test_adapt_loop_pools_triples_without_the_accumulator():
 
 
 def test_only_linalg_calls_numpy_linalg():
-    # one eigendecomposition (linalg._power), so no module grows a second solver
+    # one eigendecomposition (linalg._eigh), so no module grows a second solver
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert sources.pop("linalg.py").count("np.linalg.eigh(") == 1
     assert [name for name, text in sorted(sources.items()) if "np.linalg." in text] == []
@@ -301,7 +321,7 @@ def test_adapt_loop_has_one_solver():
     assert {"_adapt", "_closed_form"} & _referenced_names(trace) == set()
 
 
-EXPERIMENT_NAMES = {"solve_gradient", "SolverTrace", "objective", "spearman", "linear_fit_r2", "DEFAULT_LR"}
+EXPERIMENT_NAMES = {"solve_gradient", "SolverTrace", "objective", "spearman", "linear_fit_r2"}
 
 
 @pytest.mark.parametrize("module", ["pipeline.py", "transform.py"])

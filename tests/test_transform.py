@@ -214,11 +214,22 @@ class TestGradientSolver:
         with pytest.raises(InvalidInput, match="max_iters must be an integer"):
             solve_gradient(s, s, max_iters=5.0)
 
-    @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1e-3, "x", None])
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1e-3, "x"])
     def test_bad_lr_rejected(self, lr):
         # a NaN lr used to run and raise DivergenceError ("retry with a smaller learning rate")
         with pytest.raises(InvalidInput, match="learning rate must be finite and positive"):
             solve_gradient(np.eye(2), np.eye(2), lr=lr)
+
+    def test_none_lr_derives_the_step(self):
+        # lr=None is 1e-3 / lambda_max^2 of the regularized sigma_t: stable on
+        # the pair where the fixed 1e-3 diverges (test_divergence_carries_best_iterate)
+        st, ss = 100.0 * np.eye(2), np.eye(2)
+        lam = float(np.linalg.eigvalsh(shrink(st, 0.0)).max())
+        w, trace = solve_gradient(st, ss, max_iters=100, eps=0.0)
+        w_explicit, trace_explicit = solve_gradient(st, ss, lr=1e-3 / lam / lam, max_iters=100, eps=0.0)
+        assert np.array_equal(w, w_explicit)
+        assert trace.objective_values == trace_explicit.objective_values
+        assert trace.objective_values[-1] < trace.objective_values[0]
 
     def test_nan_eps_rejected(self):
         with pytest.raises(InvalidInput, match="eps must be finite"):
@@ -315,8 +326,15 @@ class TestApplyTransform:
             DivergenceError,
             r"^objective is non-finite at the initial iterate$",
         ),
+        (
+            # the objective is 0, but 1e-3 / lambda_max^2 = 1e-3 / 1e400 underflows
+            lambda: solve_gradient(1e200 * np.eye(2), 1e200 * np.eye(2)),
+            InvalidInput,
+            r"^the default step 1e-3 / lambda_max\^2 of sigma_t \(lambda_max 1e\+200\) is not a "
+            r"positive float64; pass lr or rescale the embeddings$",
+        ),
     ],
-    ids=["transform-shapes", "initial-objective"],
+    ids=["transform-shapes", "initial-objective", "default-step-underflow"],
 )
 def test_rejections(call, error, pattern):
     with pytest.raises(error, match=pattern) as info:
