@@ -22,9 +22,9 @@ from .errors import DivergenceError, InvalidConfig, InvalidInput, _check_count, 
 from .head import SoftmaxHead, check_labels, softmax_rows
 from .linalg import _check_width, _covariance, _distance, _moments, _spectral_radius, _square_pair
 from .linalg import shrink, validate_embeddings
-from .pipeline import AdaptConfig, _adapted_head, _check_test, _fold, _recolor, _scored
-from .pipeline import _source_covariance
-from .transform import DEFAULT_EPS
+from .pipeline import AdaptConfig, _check_test, _source_covariance
+from .pseudo_source import _fold, _scored
+from .transform import DEFAULT_EPS, _adapted_head, _recolor
 
 DEFAULT_MAX_ITERS = 1000
 DEFAULT_TOL = 1e-9
@@ -290,7 +290,7 @@ class TraceResult:
 def validate_alignment_trace(
     test,
     head: SoftmaxHead,
-    cfg: AdaptConfig,
+    cfg: AdaptConfig | None,
     source_stats,
     labels,
     record_every: int = 10,
@@ -299,15 +299,17 @@ def validate_alignment_trace(
 ) -> TraceResult:
     """Record gradient-solver iterates applied to the test set.
 
-    The pseudo-source is the one ``adapt_transductive`` selects under ``cfg``,
-    built from the same kernels; one ``solve_gradient`` with step ``lr`` (by
-    default derived from the test covariance's spectrum) and at most
-    ``max_iters`` iterations then aligns the test covariance to it.
+    The pseudo-source is the one ``adapt_transductive`` selects under ``cfg``
+    (None means ``AdaptConfig()``, as there), built from the same kernels;
+    one ``solve_gradient`` with step ``lr`` (by default derived from the test
+    covariance's spectrum) and at most ``max_iters`` iterations then aligns
+    the test covariance to it.
     Every ``record_every``-th iterate (plus the final one) is turned into a
     row of covariance distances and accuracy as the solver hands it over, so
     only the latest iterate is held; the summary correlations mirror the
     relationship plots of the alignment-theory experiments.
     """
+    cfg = AdaptConfig._checked(cfg)
     if lr is not None:
         _check_positive("lr", lr, InvalidConfig)
     _check_count("max_iters", max_iters, 1, InvalidConfig)

@@ -424,8 +424,19 @@ def load_head(path) -> SoftmaxHead:
 
 
 def table_to_csv(path, header: list[str], rows) -> None:
-    """Write CSV: ``header``, then per row an integer index followed by floats, LF endings."""
+    """Write CSV: ``header``, then per row an integer index followed by floats, LF endings.
+
+    A row whose field count is not the header's, or whose index is not an
+    int64 integer, is refused before anything is written."""
     rows = list(rows)
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise InvalidInput(f"row {i} has {len(row)} fields for {len(header)} header columns")
+        index = row[0]
+        if isinstance(index, (bool, np.bool_)) or not isinstance(index, (int, np.integer)):
+            raise InvalidInput(f"row {i}'s index {index!r} is not an integer")
+        if not -(2**63) <= index < 2**63:
+            raise InvalidInput(f"row {i}'s index {index} is beyond int64")
     _atomic_write(path, _csv_chunks(header, [row[0] for row in rows], [row[1:] for row in rows]))
 
 
@@ -433,11 +444,15 @@ def write_predictions_csv(path, preds: PredictionBatch) -> None:
     """Persist a PredictionBatch as CSV: argmax column then one column per class.
 
     A batch that ``read_predictions_csv`` would refuse (no rows, an argmax
-    outside [0, c) or a non-finite probability) is refused before anything is
-    written."""
+    that is not an integer in [0, c), one per probability row, or a
+    non-finite probability) is refused before anything is written."""
     c, argmax = preds.n_classes, np.asarray(preds.argmax)
+    if argmax.shape != preds.probs.shape[:1]:
+        raise InvalidInput(f"argmax shape {argmax.shape} for {preds.probs.shape[0]} probability rows")
     if argmax.size < 1:
         raise InvalidInput("predictions must have at least one row")
+    if argmax.dtype.kind not in "iu":
+        raise InvalidInput(f"argmax must be integers, got dtype {argmax.dtype}")
     if argmax.min() < 0 or argmax.max() >= c:
         raise InvalidInput(f"argmax must lie in [0, {c}), got min {argmax.min()}, max {argmax.max()}")
     if not np.all(np.isfinite(preds.probs)):

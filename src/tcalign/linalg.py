@@ -132,7 +132,9 @@ def _distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def shrink(sigma, eps: float) -> np.ndarray:
-    """Trace-scaled ridge: sigma + (eps * trace/d + floor) * I.
+    """Trace-scaled ridge: sigma + (eps + floor) * trace/d * I, or floor * I when
+    the trace is not positive. The ridge follows sigma's scale: scaling sigma
+    by a power of two scales the output by it exactly, barring underflow.
 
     Keeps inverse square roots finite when sigma is rank-deficient, e.g. a
     pseudo-source covariance built from fewer samples than dimensions.
@@ -153,7 +155,7 @@ def _shrink(sigma: np.ndarray, eps: float) -> np.ndarray:
     d = sigma.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         trace = float(np.trace(sigma))
-        lam = eps * trace / d + SHRINK_FLOOR
+        lam = (eps + SHRINK_FLOOR) * trace / d if trace > 0 else SHRINK_FLOOR
         shrunk = sigma + lam * np.eye(d)
     # an overflowing ridge always shows on the diagonal
     if not np.all(np.isfinite(shrunk.diagonal())):

@@ -1,27 +1,19 @@
 """The adapt path: transductive and online test-time correlation alignment.
 
-``_adapt`` is the one adaptation loop. It checks the test matrix once, in
-``_check_test``, and scores each row once, in ``_scored`` (one whole-matrix
-product, so no score depends on the batch size). Per batch it pools the rows'
-(count, mean, scatter) into the running one (``linalg._pooled``), folds them
-into a bounded index bank, selects the pseudo-source, solves in closed form
-and predicts the batch through it. Transductive mode is one batch of n rows.
-The pseudo-source half of the solve (mu_s_hat, sigma_s_hat, S_s^(1/2)) is
-redone only when the selected rows change.
-
-Values inside, checks at the edge. Below the entry the loop calls only
-kernels, reused by ``experiments``, from which this module imports nothing,
-and hands them arrays: each solve's map is the (w, mu_t, mu_s_hat) it just
-computed, and the report's distances go through ``linalg._distance``. The
-one checked ``AlignmentTransform`` is built after the loop, from the last
-solve, for the return value.
-
-Adapted rows are never materialised. The affine map z -> (z - mu_t) W +
-mu_s_hat is folded into the linear softmax head (weight H W^T, bias
-b + H (mu_s_hat - W^T mu_t)), and the moments of the adapted rows follow
-from the batch's own: the mean maps through the transform and the scatter
-S becomes W^T S W. ``transform.apply_transform`` remains the reference
-those identities are tested against.
+This module is the loop and its edge: ``AdaptConfig``, ``AdaptReport``, the
+boundary checks ``_check_test`` and ``_source_covariance``, the one loop
+``_adapt`` and its two public entries. Each decision inside the loop has one
+owner: scoring and selection (``_scored``, ``_fold``) are ``pseudo_source``'s;
+the source-side root, the solve and the map folded into the head are
+``transform``'s; the moments are ``linalg``'s. Per batch the loop pools the
+rows' moments, folds the rows into a bounded index bank, selects the
+pseudo-source, solves and predicts the batch through the adapted head;
+transductive mode is one batch of n rows. Rows are scored once, over the whole
+matrix, and the pseudo-source half of the solve (mu_s_hat, sigma_s_hat,
+S_s^(1/2)) is redone only when the selected rows change. Values inside, checks
+at the edge: the one checked ``AlignmentTransform`` is built after the loop,
+for the return value. ``experiments`` reuses the kernels; this module imports
+nothing from it.
 """
 
 from __future__ import annotations
@@ -32,12 +24,10 @@ import numpy as np
 
 from .errors import InsufficientSamples, InvalidConfig, InvalidInput, _check_count
 from .head import PredictionBatch, SoftmaxHead, check_labels, softmax_rows
-from .linalg import _check_eps, _check_width, _covariance, _distance, _moments, _pooled
-from .linalg import _power, _shrink, _square, _symmetrized, validate_embeddings
-from .pseudo_source import _class_quotas, _most_certain, _uncertainties
-from .transform import DEFAULT_EPS, AlignmentTransform, _closed_form
-
-SELECTION_MODES = ("global", "class_balanced")
+from .linalg import _check_eps, _check_width, _covariance, _distance, _moments, _pooled, _square
+from .linalg import validate_embeddings
+from .pseudo_source import SELECTION_MODES, _fold, _scored
+from .transform import DEFAULT_EPS, AlignmentTransform, _adapted_head, _closed_form, _mapped, _source_root
 
 
 @dataclass(frozen=True)
@@ -64,6 +54,15 @@ class AdaptConfig:
             )
         _check_count("batch_size", self.batch_size, 1, InvalidConfig)
 
+    @classmethod
+    def _checked(cls, cfg) -> "AdaptConfig":
+        """``cfg`` itself, or the defaults for None; anything else raises InvalidConfig."""
+        if cfg is None:
+            return cls()
+        if not isinstance(cfg, cls):
+            raise InvalidConfig(f"cfg must be an AdaptConfig or None, got {type(cfg).__name__}")
+        return cfg
+
 
 @dataclass
 class AdaptReport:
@@ -86,25 +85,6 @@ class AdaptReport:
         return asdict(self)
 
 
-def _fold(cfg: AdaptConfig, bank, rows, uncertainty, classes, class_counts):
-    """Merge ``rows`` into the online bank; return ``(bank, pseudo_source)``.
-
-    A global bank keeps the k most certain rows so far and is itself the
-    pseudo-source. A class-balanced bank keeps the k most certain rows of
-    each class, and the pseudo-source keeps the most certain bank rows of
-    each class up to its ``class_quotas`` share of min(k, bank size) slots;
-    that share is at most min(k, n_j), n_j the class's rows so far, so
-    selecting from the bank picks what selecting from every row would.
-    """
-    bank = np.concatenate([bank, rows])
-    if cfg.selection_mode == "global":
-        bank = _most_certain(uncertainty[bank], cfg.k, bank)
-        return bank, bank
-    bank = _most_certain(uncertainty[bank], cfg.k, bank, classes[bank])
-    quotas = _class_quotas(class_counts, min(cfg.k, bank.size))
-    return bank, _most_certain(uncertainty[bank], quotas, bank, classes[bank])
-
-
 def _check_test(test, head: SoftmaxHead, mode: str) -> np.ndarray:
     test = validate_embeddings(test, "test")
     if test.shape[0] < 2:
@@ -124,39 +104,12 @@ def _source_covariance(source_stats, dim: int) -> np.ndarray:
     return sigma_s
 
 
-def _recolor(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """W^T sigma W, symmetrized: the covariance (or scatter) of rows mapped through W."""
-    return _symmetrized(w.T @ sigma @ w)
-
-
-def _adapted_head(head: SoftmaxHead, w, mu_t, mu_s_hat) -> tuple[np.ndarray, np.ndarray]:
-    """The (weight, bias) of the head with the map z -> (z - mu_t) W + mu_s_hat
-    folded in, so that predicting z through them equals predicting the mapped
-    row through ``head``."""
-    return head.weight @ w.T, head.bias + head.weight @ (mu_s_hat - w.T @ mu_t)
-
-
-def _mapped(batch: tuple, w, mu_t, mu_s_hat) -> tuple[int, np.ndarray, np.ndarray]:
-    """The (count, mean, scatter) of the batch's rows after the map
-    z -> (z - mu_t) W + mu_s_hat: the mean maps through it, the scatter
-    becomes W^T S W."""
-    n, mean, scatter = batch
-    return n, (mean - mu_t) @ w + mu_s_hat, _recolor(w, scatter)
-
-
-def _scored(test: np.ndarray, head: SoftmaxHead) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unadapted (probs, classes, uncertainty) of checked rows, from one whole-matrix product."""
-    probs = softmax_rows(test, head.weight, head.bias)
-    classes = probs.argmax(axis=1)
-    return probs, classes, _uncertainties(probs, classes)
-
-
 def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
     """The adaptation loop of both modes; returns the predictions, the report
     and the transform of the last solve. A batch that selects fewer than 2
     rows is emitted unadapted; k >= 2, so only a first batch of one row does.
     """
-    cfg = cfg or AdaptConfig()
+    cfg = AdaptConfig._checked(cfg)
     test = _check_test(test, head, mode)
     n, d = test.shape
     if labels is not None:
@@ -187,7 +140,7 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
         if not np.array_equal(selected, source_rows):
             source_rows = selected
             mu_s_hat, sigma_s_hat = _covariance(_moments(test[selected]))
-            root_s = _power(_shrink(sigma_s_hat, cfg.eps), 0.5)
+            root_s = _source_root(sigma_s_hat, cfg.eps)
         mu_t, sigma_t = _covariance(stats)
         w = _closed_form(sigma_t, root_s, cfg.eps)
         softmax_rows(test[lo:hi], *_adapted_head(head, w, mu_t, mu_s_hat), out=probs[lo:hi])

@@ -11,8 +11,10 @@ one selection rule: one ``lexsort`` over (row, uncertainty[, class]),
 returning row indices in ascending order. ``class_quotas`` apportions a
 selection size over classes in proportion to their predicted counts. Each
 public function checks its arguments and calls a private kernel
-(``_uncertainties``, ``_most_certain``, ``_class_quotas``), which the adapt
-loop calls directly on the arrays it built.
+(``_uncertainties``, ``_most_certain``, ``_class_quotas``). The adapt loop's
+two steps over these kernels live here too: ``_scored`` scores checked rows
+once, in one whole-matrix softmax, and ``_fold`` merges a batch into the
+bounded bank and selects the pseudo-source under ``SELECTION_MODES``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput, _check_count
+from .head import SoftmaxHead, softmax_rows
 
 PROB_SUM_ATOL = 1e-6
+SELECTION_MODES = ("global", "class_balanced")
 
 
 def batch_uncertainties(probs) -> np.ndarray:
@@ -42,6 +46,13 @@ def _uncertainties(probs: np.ndarray, argmax: np.ndarray) -> np.ndarray:
     top = probs[np.arange(probs.shape[0]), argmax]
     # ||onehot - p||^2 = sum p^2 - p_max^2 + (1 - p_max)^2
     return np.sum(probs * probs, axis=1) - top * top + (1.0 - top) ** 2
+
+
+def _scored(test: np.ndarray, head: SoftmaxHead) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unadapted (probs, classes, uncertainty) of checked rows, from one whole-matrix product."""
+    probs = softmax_rows(test, head.weight, head.bias)
+    classes = probs.argmax(axis=1)
+    return probs, classes, _uncertainties(probs, classes)
 
 
 def _candidates(uncertainty, rows, classes) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -137,3 +148,23 @@ def _class_quotas(counts: np.ndarray, slots: int) -> np.ndarray:
     order = np.lexsort((np.arange(counts.size), -counts, -remainders))
     quotas[order[:leftover]] += 1
     return quotas
+
+
+def _fold(cfg, bank, rows, uncertainty, classes, class_counts):
+    """Merge ``rows`` into the online bank; return ``(bank, pseudo_source)``.
+
+    Reads ``cfg.k`` and ``cfg.selection_mode`` of an ``AdaptConfig``. A global
+    bank keeps the k most certain rows so far and is itself the
+    pseudo-source. A class-balanced bank keeps the k most certain rows of
+    each class, and the pseudo-source keeps the most certain bank rows of
+    each class up to its ``class_quotas`` share of min(k, bank size) slots;
+    that share is at most min(k, n_j), n_j the class's rows so far, so
+    selecting from the bank picks what selecting from every row would.
+    """
+    bank = np.concatenate([bank, rows])
+    if cfg.selection_mode == "global":
+        bank = _most_certain(uncertainty[bank], cfg.k, bank)
+        return bank, bank
+    bank = _most_certain(uncertainty[bank], cfg.k, bank, classes[bank])
+    quotas = _class_quotas(class_counts, min(cfg.k, bank.size))
+    return bank, _most_certain(uncertainty[bank], quotas, bank, classes[bank])

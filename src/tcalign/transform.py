@@ -1,11 +1,14 @@
-"""Linear alignment of second-order statistics, in closed form.
+"""Linear alignment of second-order statistics, in closed form, and its map.
 
-Solves min_W ||W^T S_t W - S_s||_F^2 for the transform matching the test
-covariance to the pseudo-source covariance, through whitening followed by
-recoloring. Both covariances get the same trace-scaled ridge, so
-rank-deficient pseudo-source statistics stay invertible. The fixed-step
-gradient solver of the same objective lives in ``experiments``, with the
-alignment trace that records its iterates.
+Solves min_W ||W^T S_t W - S_s||_F^2 through whitening followed by recoloring.
+Both covariances get the same trace-scaled ridge, so rank-deficient
+pseudo-source statistics stay invertible; ``_source_root`` is the one
+ridge-and-root of the pseudo-source side. The gradient solver of the same
+objective lives in ``experiments``. The adapt loop never materialises adapted
+rows: ``_adapted_head`` folds z -> (z - mu_t) W + mu_s_hat into the softmax
+head (weight H W^T, bias b + H (mu_s_hat - W^T mu_t)) and ``_mapped`` carries
+a batch's moments through it (the scatter S becomes W^T S W, ``_recolor``),
+with ``apply_transform``, the row form, as their test reference.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
+from .head import SoftmaxHead
 from .linalg import _check_eps, _check_width, _power, _shrink, _square_pair, _symmetric
 from .linalg import _symmetrized, validate_embeddings
 
@@ -35,11 +39,7 @@ class AlignmentTransform:
         self.mu_s_hat = np.asarray(self.mu_s_hat, dtype=np.float64)
         if self.w.ndim != 2:
             raise InvalidInput(f"transform w must be a d x d matrix, got ndim={self.w.ndim}")
-        if not (
-            np.all(np.isfinite(self.w))
-            and np.all(np.isfinite(self.mu_t))
-            and np.all(np.isfinite(self.mu_s_hat))
-        ):
+        if not all(np.all(np.isfinite(a)) for a in (self.w, self.mu_t, self.mu_s_hat)):
             raise InvalidInput("alignment transform contains non-finite values")
         d = self.w.shape[0]
         if self.w.shape != (d, d) or self.mu_t.shape != (d,) or self.mu_s_hat.shape != (d,):
@@ -59,12 +59,17 @@ def solve_closed_form(sigma_t, sigma_s_hat, eps: float = DEFAULT_EPS) -> np.ndar
     sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
     sigma_t = _symmetrized(_symmetric(sigma_t, "sigma"))
     _check_eps(eps)
-    root_s = _power(_shrink(_symmetrized(_symmetric(sigma_s_hat, "sigma")), eps), 0.5)
+    root_s = _source_root(_symmetrized(_symmetric(sigma_s_hat, "sigma")), eps)
     return _closed_form(sigma_t, root_s, eps)
 
 
+def _source_root(sigma_s_hat: np.ndarray, eps: float) -> np.ndarray:
+    """S_s_reg^(1/2): the ridged square root of an exactly symmetric sigma_s_hat."""
+    return _power(_shrink(sigma_s_hat, eps), 0.5)
+
+
 def _closed_form(sigma_t: np.ndarray, root_s: np.ndarray, eps: float) -> np.ndarray:
-    """``solve_closed_form`` of an exactly symmetric sigma_t, given root_s = S_s_reg^(1/2)."""
+    """``solve_closed_form`` of an exactly symmetric sigma_t, given root_s = ``_source_root``."""
     return _power(_shrink(sigma_t, eps), -0.5) @ root_s
 
 
@@ -72,3 +77,23 @@ def apply_transform(z, t: AlignmentTransform) -> np.ndarray:
     """Map each row z_i to (z_i - mu_t) W + mu_s_hat."""
     z = _check_width(validate_embeddings(z), t.w.shape[0], "transform")
     return (z - t.mu_t) @ t.w + t.mu_s_hat
+
+
+def _recolor(w: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """W^T sigma W, symmetrized: the covariance (or scatter) of rows mapped through W."""
+    return _symmetrized(w.T @ sigma @ w)
+
+
+def _adapted_head(head: SoftmaxHead, w, mu_t, mu_s_hat) -> tuple[np.ndarray, np.ndarray]:
+    """The (weight, bias) of the head with the map z -> (z - mu_t) W + mu_s_hat
+    folded in, so that predicting z through them equals predicting the mapped
+    row through ``head``."""
+    return head.weight @ w.T, head.bias + head.weight @ (mu_s_hat - w.T @ mu_t)
+
+
+def _mapped(batch: tuple, w, mu_t, mu_s_hat) -> tuple[int, np.ndarray, np.ndarray]:
+    """The (count, mean, scatter) of the batch's rows after the map
+    z -> (z - mu_t) W + mu_s_hat: the mean maps through it, the scatter
+    becomes W^T S W."""
+    n, mean, scatter = batch
+    return n, (mean - mu_t) @ w + mu_s_hat, _recolor(w, scatter)

@@ -42,7 +42,7 @@ def streamed_selections(test, head, cfg):
     by batch into a bounded index bank, as online mode does, and yield
     ``(lo, hi, pseudo-source rows)`` after each batch."""
     from tcalign import batch_uncertainties, predict
-    from tcalign.pipeline import _fold
+    from tcalign.pseudo_source import _fold
 
     n = len(test)
     preds = predict(head, test)

@@ -168,8 +168,9 @@ def test_criterion_06_alignment_trace(demos):
     try:
         result = validate_alignment_trace(test, head, cfg, source_stats, labels)
     except DivergenceError:
-        # the fixed 1e-3 step is unstable at this covariance scale; rerun at
-        # the scale-equivalent stable rate to measure the actual correlations
+        # the default step, 1e-3 / lambda_max^2 of the regularized test
+        # covariance, diverged; rerun at that lr, given explicitly, to measure
+        # the actual correlations
         diverged = True
         _, sigma_t = covariance(test)
         scale = float(np.linalg.eigvalsh(shrink(sigma_t, cfg.eps)).max())
@@ -188,7 +189,7 @@ def test_criterion_06_alignment_trace(demos):
         f"spearman(dist_pseudo,accuracy)={rho_acc} over {len(result.rows)} records"
     )
     report(6, ok, detail)
-    assert not diverged, "gradient solver diverged at the default lr=1e-3: " + detail
+    assert not diverged, "gradient solver diverged at the default step 1e-3 / lambda_max^2: " + detail
     assert rho_src is not None and rho_src >= 0.8, detail
     assert rho_acc is not None and rho_acc <= -0.5, detail
 

@@ -540,6 +540,36 @@ class TestReaderContract:
             lambda path: write_predictions_csv(path, PredictionBatch(np.empty((0, 2)), np.empty(0, np.int64))),
             r"^predictions must have at least one row$",
         ),
+        # each file below used to be written with its index truncated, or to fail in numpy
+        (
+            lambda path: write_predictions_csv(path, PredictionBatch(np.array([[0.5, 0.5]]), np.array([1.5]))),
+            r"^argmax must be integers, got dtype float64$",
+        ),
+        (
+            lambda path: write_predictions_csv(path, PredictionBatch(np.full((2, 2), 0.5), np.array([1]))),
+            r"^argmax shape \(1,\) for 2 probability rows$",
+        ),
+        (
+            lambda path: write_predictions_csv(path, PredictionBatch(np.full((1, 2), 0.5), np.array([[1]]))),
+            r"^argmax shape \(1, 1\) for 1 probability rows$",
+        ),
+        (
+            lambda path: table_to_csv(path, ["i", "v"], [(0, 0.5), (1.5, 0.5)]),
+            r"^row 1's index 1.5 is not an integer$",
+        ),
+        (lambda path: table_to_csv(path, ["i", "v"], [(True, 0.5)]), r"^row 0's index True is not an integer$"),
+        (
+            lambda path: table_to_csv(path, ["i", "v"], [(2**63, 0.5)]),
+            r"^row 0's index 9223372036854775808 is beyond int64$",
+        ),
+        (
+            lambda path: table_to_csv(path, ["i", "v"], [(0, 0.5, 1.0)]),
+            r"^row 0 has 3 fields for 2 header columns$",
+        ),
+        (
+            lambda path: table_to_csv(path, ["i", "v"], [(0, 0.5), (1,)]),
+            r"^row 1 has 1 fields for 2 header columns$",
+        ),
     ],
     ids=[
         "embedding-dtype",
@@ -549,6 +579,14 @@ class TestReaderContract:
         "predictions-argmax-beyond-classes",
         "predictions-negative-argmax",
         "predictions-no-rows",
+        "predictions-float-argmax",
+        "predictions-short-argmax",
+        "predictions-2d-argmax",
+        "table-float-index",
+        "table-bool-index",
+        "table-index-beyond-int64",
+        "table-long-row",
+        "table-short-row",
     ],
 )
 def test_writers_reject(tmp_path, call, pattern):

@@ -4,13 +4,14 @@ method should not see leaves the predictions unchanged.
 The input is a random cloud with a random head, so no two rows tie in
 uncertainty; the 2-D demos saturate the head, and the row tie-break there
 would defeat the permutation checks. Both selection modes run, in
-transductive mode and online with batches of 7.
+transductive mode and online with batches of 7. Only the decimal-scale check
+runs the 2-D linear demo, whose accuracy it compares.
 """
 
 import numpy as np
 import pytest
 
-from tcalign import AdaptConfig, SoftmaxHead, adapt_online, adapt_transductive
+from tcalign import AdaptConfig, SoftmaxHead, adapt_online, adapt_transductive, gen_linear_shift, train_head
 from tcalign.io import read_embeddings, write_embeddings
 from conftest import random_orthogonal
 
@@ -40,11 +41,37 @@ SELECTIONS = pytest.mark.parametrize("selection_mode", ["global", "class_balance
 @MODES
 @SELECTIONS
 def test_scaling_embeddings_against_head_is_invisible(cloud, selection_mode, mode):
-    # the ridge is trace-scaled, but its 1e-12 floor is not, hence no exact match
+    # the whole ridge, its floor included, is trace-scaled, and a power of two
+    # scales every moment exactly, so the probabilities keep their bits
     z, head = cloud
-    scaled = SoftmaxHead(weight=head.weight / 4.0, bias=head.bias)
     want = run(z, head, selection_mode, mode)
-    assert np.max(np.abs(run(z * 4.0, scaled, selection_mode, mode) - want)) <= 1e-10
+    for scale in (2.0**-30, 2.0**-20, 0.25, 4.0, 2.0**20):
+        scaled = SoftmaxHead(weight=head.weight / scale, bias=head.bias)
+        assert np.array_equal(run(z * scale, scaled, selection_mode, mode), want), scale
+
+
+@MODES
+@SELECTIONS
+def test_translating_embeddings_against_head_bias_is_invisible(cloud, selection_mode, mode):
+    # z -> z + t with bias -> bias - H t leaves every logit unchanged
+    z, head = cloud
+    t = np.random.default_rng(17).standard_normal(D) * 3.0
+    moved = SoftmaxHead(weight=head.weight, bias=head.bias - head.weight @ t)
+    want = run(z, head, selection_mode, mode)
+    assert np.max(np.abs(run(z + t, moved, selection_mode, mode) - want)) <= 1e-12
+
+
+def test_tiny_demo_embeddings_keep_their_accuracy():
+    # the 2-D linear demo scaled by 1e-8 against its head used to adapt as if
+    # its covariances were nearly zero, because the ridge floor was absolute
+    data = gen_linear_shift(0)
+    head = train_head(data.source.features, data.source.labels, lr=0.1, epochs=2000)
+    test, labels = data.target.features, data.target.labels
+    want, want_report, _ = adapt_transductive(test, head, AdaptConfig(), labels=labels)
+    tiny = SoftmaxHead(weight=head.weight / 1e-8, bias=head.bias)
+    got, got_report, _ = adapt_transductive(test * 1e-8, tiny, AdaptConfig(), labels=labels)
+    assert got_report.accuracy_after == want_report.accuracy_after
+    assert np.max(np.abs(got.probs - want.probs)) <= 1e-12
 
 
 @MODES

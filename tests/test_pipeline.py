@@ -447,7 +447,7 @@ class TestClassBalancedSelection:
         # the class-balanced bank keeps min(k, n_j) rows of class j and no
         # quota exceeds that, so selecting from the bank after every batch
         # picks what selecting from every row so far would
-        from tcalign.pipeline import _fold
+        from tcalign.pseudo_source import _fold
 
         for trial in range(300):
             n, c = int(rng.integers(2, 40)), int(rng.integers(2, 9))
@@ -1087,6 +1087,34 @@ class TestConfigValidation:
         adapt = adapt_transductive if mode == "transductive" else adapt_online
         with pytest.raises(InvalidConfig, match="must be an integer"):
             adapt(data.target.features, head, AdaptConfig(**kwargs))
+
+    @pytest.mark.parametrize("entry", ["transductive", "online", "trace"])
+    @pytest.mark.parametrize("cfg", [{}, {"k": 5}, (30,), "global"], ids=["empty", "dict", "tuple", "str"])
+    def test_config_that_is_not_an_adapt_config_rejected(self, linear_demo, entry, cfg):
+        # {} used to run the defaults and {"k": 5} to raise a bare AttributeError
+        data, head = linear_demo
+        stats = covariance(data.source.features)
+        calls = {
+            "transductive": lambda: adapt_transductive(data.target.features, head, cfg),
+            "online": lambda: adapt_online(data.target.features, head, cfg),
+            "trace": lambda: validate_alignment_trace(
+                data.target.features, head, cfg, stats, data.target.labels, lr=1e-7, max_iters=5
+            ),
+        }
+        kind = type(cfg).__name__
+        with pytest.raises(InvalidConfig, match=f"^cfg must be an AdaptConfig or None, got {kind}$"):
+            calls[entry]()
+
+    def test_none_config_is_the_defaults_at_every_entry(self, linear_demo):
+        # validate_alignment_trace(..., None, ...) used to raise AttributeError
+        data, head = linear_demo
+        test, labels = data.target.features, data.target.labels
+        stats = covariance(data.source.features)
+        for adapt in (adapt_transductive, adapt_online):
+            assert np.array_equal(adapt(test, head, None)[0].probs, adapt(test, head, AdaptConfig())[0].probs)
+        got = validate_alignment_trace(test, head, None, stats, labels, lr=1e-7, max_iters=5)
+        want = validate_alignment_trace(test, head, AdaptConfig(), stats, labels, lr=1e-7, max_iters=5)
+        assert got.rows == want.rows
 
     def test_numpy_integer_counts_accepted(self, linear_demo):
         data, head = linear_demo

@@ -207,10 +207,19 @@ def test_every_unexported_definition_is_used():
     assert unused == []
 
 
-# The batch loop of the adapt path and the checked public functions whose
-# kernels it calls instead; the test matrix is checked once, in _check_test,
-# and the transform once, when _adapt returns it.
-ADAPT_LOOP = ("_fold", "_adapted_head", "_mapped", "_scored", "_adapt")
+# The batch loop of the adapt path, with the module that owns each function,
+# and the checked public functions whose kernels it calls instead; the test
+# matrix is checked once, in _check_test, and the transform once, when _adapt
+# returns it.
+ADAPT_LOOP = {
+    "_scored": "pseudo_source.py",
+    "_fold": "pseudo_source.py",
+    "_source_root": "transform.py",
+    "_adapted_head": "transform.py",
+    "_mapped": "transform.py",
+    "_recolor": "transform.py",
+    "_adapt": "pipeline.py",
+}
 CHECKED_ENTRIES = {
     "AlignmentTransform",
     "correlation_distance",
@@ -227,12 +236,17 @@ CHECKED_ENTRIES = {
 }
 
 
+def _top_level_functions(module: str) -> dict[str, ast.FunctionDef]:
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
 def test_adapt_loop_calls_no_checked_entry_point():
-    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
     bodies = {
-        node.name: node.body
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in ADAPT_LOOP
+        name: function.body
+        for module in sorted(set(ADAPT_LOOP.values()))
+        for name, function in _top_level_functions(module).items()
+        if ADAPT_LOOP.get(name) == module
     }
     assert sorted(bodies) == sorted(ADAPT_LOOP)
     found = {
@@ -250,6 +264,53 @@ def test_adapt_loop_calls_no_checked_entry_point():
     assert len(builds) == 1 and builds[0] in ast.walk(returned)
 
 
+def _definitions(path: Path) -> set[str]:
+    """Names a module defines at its top: functions, classes and assigned names."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return names
+
+
+def test_each_adapt_decision_has_one_owner():
+    # pipeline.py is the loop: it imports the scoring and selection of
+    # pseudo_source and the map and source root of transform, and
+    # experiments takes from it only the config and the boundary checks
+    definitions = {path.name: _definitions(path) for path in sorted(PACKAGE.glob("*.py"))}
+    owners = {name: module for module, names in definitions.items() for name in names if name in ADAPT_LOOP}
+    assert owners == ADAPT_LOOP
+    selection_modes = [module for module, names in definitions.items() if "SELECTION_MODES" in names]
+    assert selection_modes == ["pseudo_source.py"]
+    tree = ast.parse((PACKAGE / "experiments.py").read_text(encoding="utf-8"))
+    from_pipeline = [
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "pipeline"
+        for alias in node.names
+    ]
+    assert sorted(from_pipeline) == ["AdaptConfig", "_check_test", "_source_covariance"]
+    pipeline = _referenced_names(ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8")))
+    assert {"_power", "_shrink", "_symmetrized"} & pipeline == set()
+    # the ridge-and-root of sigma_s_hat, _power(_shrink(...), 0.5), is written once
+    roots = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in tree.body:
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_power"
+                    and isinstance(node.args[0], ast.Call)
+                    and getattr(node.args[0].func, "id", None) == "_shrink"
+                    and ast.unparse(node.args[1]) == "0.5"
+                ):
+                    roots.append(f"{path.name}:{getattr(function, 'name', '')}")
+    assert roots == ["transform.py:_source_root"]
+
+
 @pytest.mark.parametrize("function", ["validate_uncertainty_groups", "validate_alignment_trace"])
 def test_experiments_pass_values_to_kernels(function):
     # each group's and each trace record's covariance is built by the kernels,
@@ -264,25 +325,31 @@ def test_experiments_pass_values_to_kernels(function):
 
 def test_rows_are_scored_only_in_scored():
     # the unadapted softmax and the uncertainty run once per adapt call or
-    # experiment, over the whole matrix, never per batch
-    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
-    owners = {  # innermost function of each node: ast.walk visits outer ones first
-        id(node): function.name
-        for function in ast.walk(tree)
-        if isinstance(function, ast.FunctionDef)
-        for node in ast.walk(function)
-    }
+    # experiment, over the whole matrix, never per batch; the public
+    # batch_uncertainties wraps the kernel for checked callers
     found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id == "_uncertainties":
-            found.append(f"{owners.get(id(node))}:_uncertainties")
-        elif (
-            isinstance(node, ast.Call)
-            and getattr(node.func, "id", None) == "softmax_rows"
-            and [ast.unparse(arg) for arg in node.args[1:]] == ["head.weight", "head.bias"]
-        ):
-            found.append(f"{owners.get(id(node))}:softmax_rows")
-    assert sorted(found) == ["_scored:_uncertainties", "_scored:softmax_rows"]
+    for module in ("experiments.py", "pipeline.py", "pseudo_source.py", "transform.py"):
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        owners = {  # innermost function of each node: ast.walk visits outer ones first
+            id(node): function.name
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "_uncertainties":
+                found.append(f"{module}:{owners.get(id(node))}:_uncertainties")
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "softmax_rows"
+                and [ast.unparse(arg) for arg in node.args[1:]] == ["head.weight", "head.bias"]
+            ):
+                found.append(f"{module}:{owners.get(id(node))}:softmax_rows")
+    assert sorted(found) == [
+        "pseudo_source.py:_scored:_uncertainties",
+        "pseudo_source.py:_scored:softmax_rows",
+        "pseudo_source.py:batch_uncertainties:_uncertainties",
+    ]
 
 
 def test_gradient_loop_calls_no_checked_objective():
@@ -324,7 +391,7 @@ def test_adapt_loop_has_one_solver():
 EXPERIMENT_NAMES = {"solve_gradient", "SolverTrace", "objective", "spearman", "linear_fit_r2"}
 
 
-@pytest.mark.parametrize("module", ["pipeline.py", "transform.py"])
+@pytest.mark.parametrize("module", ["pipeline.py", "pseudo_source.py", "transform.py"])
 def test_adapt_path_does_not_reach_into_experiments(module):
     # dependencies run one way: experiments imports the adapt path's kernels
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
