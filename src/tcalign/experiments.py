@@ -6,8 +6,8 @@ measures each uncertainty group's distance to the source, and
 ``validate_alignment_trace`` records distances and accuracy along one fixed-step
 ``solve_gradient``, which runs nowhere else. Both reuse the adapt path's kernels
 without its loop. ``spearman`` and ``linear_fit_r2`` return None for an undefined
-statistic (constant inputs, mismatched lengths, too few points) rather than a
-silent 0, so threshold comparisons fail loudly instead of passing by accident.
+statistic (constant inputs, mismatched lengths, too few points), never a silent
+0, so a threshold comparison fails loudly; a complex input raises InvalidInput.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidConfig, InvalidInput, _check_count, _check_positive
 from .head import SoftmaxHead, check_labels, softmax_rows
-from .linalg import _check_width, _covariance, _distance, _moments, _spectral_radius, _square_pair
-from .linalg import shrink, validate_embeddings
+from .linalg import _check_width, _covariance, _distance, _moments, _real, _spectral_radius
+from .linalg import _square_pair, shrink, validate_embeddings
 from .pipeline import AdaptConfig, _check_test, _source_covariance
 from .pseudo_source import _fold, _scored
 from .transform import DEFAULT_EPS, _adapted_head, _recolor
@@ -43,7 +43,7 @@ class SolverTrace:
 def _checked(w, sigma_t, sigma_s_hat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(w, sigma_t, sigma_s_hat) as float64, once they are square matrices of one shape."""
     sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
-    w = np.asarray(w, dtype=np.float64)
+    w = _real(w, "w")
     if w.shape != sigma_t.shape:
         raise InvalidInput(f"w shape {w.shape} does not match sigma shape {sigma_t.shape}")
     return w, sigma_t, sigma_s_hat
@@ -166,8 +166,7 @@ def spearman(x, y) -> float | None:
     Returns None when undefined (length mismatch, fewer than 2 points, a NaN,
     which has no rank, or a constant sequence).
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = _real(x, "x"), _real(y, "y")
     if x.ndim != 1 or y.ndim != 1 or len(x) != len(y) or len(x) < 2:
         return None
     if np.isnan(x).any() or np.isnan(y).any():
@@ -199,8 +198,7 @@ def linear_fit_r2(x, y) -> LinearFit | None:
     no sum of squares overflows or underflows; the scaling is exact, and
     normal-range inputs give the bits of the unscaled fit.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = _real(x, "x"), _real(y, "y")
     if x.ndim != 1 or y.ndim != 1 or len(x) != len(y) or len(x) < 2:
         return None
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):

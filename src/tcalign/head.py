@@ -3,8 +3,9 @@
 The head is a plain multinomial logistic regression trained from zero
 initialization by full-batch gradient descent, which keeps every run
 deterministic without threading an RNG through the API. ``check_labels`` is
-the package's one label rule (nonnegative integers, one per row); the head's
-JSON file format lives in ``io``.
+the package's one label rule (nonnegative integers, one per row), over the
+integer rule ``_indices`` that ``most_certain`` shares; the head's JSON file
+format lives in ``io``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateLabels, InvalidInput, NumericalFailure
 from .errors import _check_count, _check_positive
-from .linalg import _check_width, validate_embeddings
+from .linalg import _check_width, _real, validate_embeddings
 
 
 @dataclass
@@ -26,8 +27,7 @@ class SoftmaxHead:
     bias: np.ndarray
 
     def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.weight, self.bias = _real(self.weight, "head weight"), _real(self.bias, "head bias")
         if self.weight.ndim != 2:
             raise InvalidInput("head weight must be a c x d matrix")
         if self.bias.shape != (self.weight.shape[0],):
@@ -131,15 +131,17 @@ def check_labels(labels, n: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != n:
         raise InvalidInput(f"label count {labels.shape} does not match row count {n}")
-    return _class_indices(labels)
+    return _indices(labels)
 
 
-def _class_indices(labels: np.ndarray) -> np.ndarray:
-    """``labels`` as int64, rejecting negative and non-integer values (NaN included)."""
+def _indices(values, message="labels must be nonnegative integers", signed=False) -> np.ndarray:
+    """``values`` as int64, or InvalidInput(``message``) for a complex value, one the
+    cast would change (a fraction, NaN, an infinity) or, unless ``signed``, a negative one."""
+    values = np.asarray(values)
     with np.errstate(invalid="ignore"):  # NaN/inf casts are caught by the comparison
-        as_int = labels.astype(np.int64)
-    if labels.size and (np.any(labels != as_int) or as_int.min() < 0):
-        raise InvalidInput("labels must be nonnegative integers")
+        as_int = values.real.astype(np.int64)
+    if np.iscomplexobj(values) or np.any(values != as_int) or (not signed and np.any(as_int < 0)):
+        raise InvalidInput(message)
     return as_int
 
 

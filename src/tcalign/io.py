@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import InvalidInput, ParseError
 from .head import PredictionBatch, SoftmaxHead, check_labels
-from .linalg import validate_embeddings
+from .linalg import _real, validate_embeddings
 
 EMBEDDING_MAGIC = b"TCAE"
 LABEL_MAGIC = b"TCAL"
@@ -247,7 +247,7 @@ def _csv_chunks(header: list[str], index, values) -> Iterator[bytes | np.ndarray
     """The CSV text of ``header`` and rows ``"%d" % index[i]`` then ``FLOAT_FORMAT``
     of each of ``values[i]`` (comma-separated, LF endings), in chunks of rows."""
     index = np.asarray(index, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64).reshape(index.size, len(header) - 1)
+    values = _real(values, "CSV values").reshape(index.size, len(header) - 1)
     n, c = values.shape
     yield (",".join(header) + "\n").encode("utf-8")
     rows = max(1, _CHUNK_VALUES // max(c, 1))
@@ -446,19 +446,20 @@ def write_predictions_csv(path, preds: PredictionBatch) -> None:
     A batch that ``read_predictions_csv`` would refuse (no rows, an argmax
     that is not an integer in [0, c), one per probability row, or a
     non-finite probability) is refused before anything is written."""
-    c, argmax = preds.n_classes, np.asarray(preds.argmax)
-    if argmax.shape != preds.probs.shape[:1]:
-        raise InvalidInput(f"argmax shape {argmax.shape} for {preds.probs.shape[0]} probability rows")
+    probs, argmax = _real(preds.probs, "probabilities"), np.asarray(preds.argmax)
+    if argmax.shape != probs.shape[:1]:
+        raise InvalidInput(f"argmax shape {argmax.shape} for {probs.shape[0]} probability rows")
+    c = probs.shape[1]
     if argmax.size < 1:
         raise InvalidInput("predictions must have at least one row")
     if argmax.dtype.kind not in "iu":
         raise InvalidInput(f"argmax must be integers, got dtype {argmax.dtype}")
     if argmax.min() < 0 or argmax.max() >= c:
         raise InvalidInput(f"argmax must lie in [0, {c}), got min {argmax.min()}, max {argmax.max()}")
-    if not np.all(np.isfinite(preds.probs)):
+    if not np.all(np.isfinite(probs)):
         raise InvalidInput("predictions contain a non-finite probability")
     header = ["argmax"] + [f"p{j}" for j in range(c)]
-    _atomic_write(path, _csv_chunks(header, argmax, preds.probs))
+    _atomic_write(path, _csv_chunks(header, argmax, probs))
 
 
 def read_predictions_csv(path) -> PredictionBatch:

@@ -1,15 +1,16 @@
-"""Dense linear algebra for small symmetric matrices, in float64.
-
-Inputs are upcast on entry: eigensolves on near-singular covariances are the
-accuracy bottleneck. Moments are (count, mean, scatter) values, exactly
-symmetric as built: ``_moments`` makes one, ``_pooled`` merges two (as
-``CovarianceAccumulator`` does) and ``_covariance`` divides. ``_eigh`` is the
-one eigendecomposition, under ``_power`` and ``_spectral_radius``, and
-``_distance`` the one covariance discrepancy. Values
-inside, checks at the edge: a public entry checks a matrix once and passes it
-to its kernel, and the adapt path and the experiments call the kernels on the
-matrices they built, so ``_symmetrized`` runs only on a matrix product or a
-``_symmetric`` input, and no built covariance is scanned again to be measured.
+"""Dense linear algebra for small symmetric matrices, in float64 (eigensolves
+on near-singular covariances are the accuracy bottleneck), and the owner of
+both input rules: ``_real`` is the one conversion of an argument to float64 and
+refuses complex values, and ``_symmetric`` accepts a matrix within
+SYMMETRY_ATOL x max|entry| of its transpose and returns it symmetrized. Moments
+are (count, mean, scatter) values, exactly symmetric as built: ``_moments``
+makes one, ``_pooled`` merges two (as ``CovarianceAccumulator`` does) and
+``_covariance`` divides. ``_eigh`` is the one eigendecomposition, under
+``_power`` and ``_spectral_radius``, and ``_distance`` the one covariance
+discrepancy. Values inside, checks at the edge: a public entry checks a matrix
+once and passes it to its kernel, and the adapt path and the experiments call
+the kernels on the matrices they built, so ``_symmetrized`` runs only on a
+matrix product or in ``_symmetric``, and no built covariance is scanned again.
 """
 
 from __future__ import annotations
@@ -23,9 +24,17 @@ SHRINK_FLOOR = 1e-12
 SYMMETRY_ATOL = 1e-9
 
 
+def _real(a, name: str) -> np.ndarray:
+    """``np.asarray(a, dtype=np.float64)``, or InvalidInput naming ``name`` for complex
+    values (even with every imaginary part 0), whose imaginary parts it would drop."""
+    if np.iscomplexobj(a):
+        raise InvalidInput(f"{name} must be real, got complex values")
+    return np.asarray(a, dtype=np.float64)
+
+
 def validate_embeddings(z, name: str = "embeddings") -> np.ndarray:
     """Check an n x d embedding matrix and return it as a float64 array."""
-    z = np.asarray(z, dtype=np.float64)
+    z = _real(z, name)
     if z.ndim != 2:
         raise InvalidInput(f"{name} must be a 2-D matrix, got ndim={z.ndim}")
     if z.shape[0] < 1 or z.shape[1] < 1:
@@ -44,7 +53,7 @@ def _check_width(z: np.ndarray, dim: int, owner: str, name: str = "embedding") -
 
 def _square(a, name: str) -> np.ndarray:
     """A non-empty square matrix of finite entries, as float64."""
-    a = np.asarray(a, dtype=np.float64)
+    a = _real(a, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise InvalidInput(f"{name} must be a non-empty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -62,14 +71,14 @@ def _square_pair(a, b, name_a: str, name_b: str) -> tuple[np.ndarray, np.ndarray
 
 def _symmetric(a, name: str) -> np.ndarray:
     """A square matrix (see ``_square``) equal to its transpose within
-    SYMMETRY_ATOL * max(1, max|entry|), so that the rounding of a product of
-    large entries passes. The difference is taken of halves, which cannot
-    overflow and are exact for normal-range values."""
+    SYMMETRY_ATOL * max|entry|, returned symmetrized: the tolerance follows the
+    matrix's scale, and a zero matrix passes. The difference is taken of halves,
+    which cannot overflow and are exact for normal-range values."""
     a = _square(a, name)
     half = a / 2.0
-    if np.max(np.abs(half - half.T)) > SYMMETRY_ATOL / 2.0 * max(1.0, float(np.abs(a).max())):
-        raise InvalidInput(f"{name} is not symmetric within {SYMMETRY_ATOL} x max(1, max|entry|)")
-    return a
+    if np.max(np.abs(half - half.T)) > SYMMETRY_ATOL / 2.0 * float(np.abs(a).max()):
+        raise InvalidInput(f"{name} is not symmetric within {SYMMETRY_ATOL} x max|entry|")
+    return _symmetrized(a)
 
 
 def covariance(z) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +99,7 @@ def _covariance(moments: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:
-    """(a + a^T) / 2 of a matrix product or a ``_symmetric`` input, halved before the
+    """(a + a^T) / 2 of a matrix product or, in ``_symmetric``, of an input, halved before the
     add so that no finite entry overflows; exact for normal-range values."""
     half = a / 2.0
     return half + half.T
@@ -170,7 +179,7 @@ def spd_power(sigma, p: float) -> np.ndarray:
     """Matrix power U diag(lambda^p) U^T of a symmetric positive definite matrix."""
     if not _finite_real(p):
         raise InvalidInput(f"power must be finite, got {p}")
-    return _power(_symmetrized(_symmetric(sigma, "sigma")), p)
+    return _power(_symmetric(sigma, "sigma"), p)
 
 
 def _eigh(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput, _check_count
-from .head import SoftmaxHead, softmax_rows
+from .head import SoftmaxHead, _indices, softmax_rows
+from .linalg import _real
 
 PROB_SUM_ATOL = 1e-6
 SELECTION_MODES = ("global", "class_balanced")
@@ -30,7 +31,7 @@ SELECTION_MODES = ("global", "class_balanced")
 
 def batch_uncertainties(probs) -> np.ndarray:
     """Row-wise prediction uncertainty for an n x c probability matrix."""
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = _real(probs, "probabilities")
     if probs.ndim != 2 or probs.shape[1] < 1:
         raise InvalidInput("probability matrix must be 2-D")
     if not np.min(probs) >= 0:  # written so that NaN fails too
@@ -57,16 +58,16 @@ def _scored(test: np.ndarray, head: SoftmaxHead) -> tuple[np.ndarray, np.ndarray
 
 def _candidates(uncertainty, rows, classes) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Validate candidate arrays; ``rows`` defaults to 0..n-1."""
-    uncertainty = np.asarray(uncertainty, dtype=np.float64)
+    uncertainty = _real(uncertainty, "uncertainties")
     if uncertainty.ndim != 1:
         raise InvalidInput("uncertainties must be a 1-D vector")
     if uncertainty.size and not (uncertainty.min() >= 0.0 and uncertainty.max() < 2.0):
         raise InvalidInput("uncertainties must lie in [0, 2)")
-    rows = np.arange(uncertainty.size) if rows is None else np.asarray(rows, dtype=np.int64)
+    rows = np.arange(uncertainty.size) if rows is None else _indices(rows, "rows must be integers", True)
     if rows.shape != uncertainty.shape:
         raise InvalidInput(f"{rows.size} row indices for {uncertainty.size} uncertainties")
     if classes is not None:
-        classes = np.asarray(classes, dtype=np.int64)
+        classes = _indices(classes, "classes must be integers", True)
         if classes.shape != uncertainty.shape:
             raise InvalidInput(f"{classes.size} predicted classes for {uncertainty.size} uncertainties")
         if classes.size and classes.min() < 0:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .head import SoftmaxHead
-from .linalg import _check_eps, _check_width, _power, _shrink, _square_pair, _symmetric
+from .linalg import _check_eps, _check_width, _power, _real, _shrink, _square_pair, _symmetric
 from .linalg import _symmetrized, validate_embeddings
 
 DEFAULT_EPS = 1e-3
@@ -34,9 +34,8 @@ class AlignmentTransform:
     mu_s_hat: np.ndarray
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        self.mu_t = np.asarray(self.mu_t, dtype=np.float64)
-        self.mu_s_hat = np.asarray(self.mu_s_hat, dtype=np.float64)
+        self.w, self.mu_t = _real(self.w, "transform w"), _real(self.mu_t, "transform mu_t")
+        self.mu_s_hat = _real(self.mu_s_hat, "transform mu_s_hat")
         if self.w.ndim != 2:
             raise InvalidInput(f"transform w must be a d x d matrix, got ndim={self.w.ndim}")
         if not all(np.all(np.isfinite(a)) for a in (self.w, self.mu_t, self.mu_s_hat)):
@@ -57,9 +56,9 @@ def solve_closed_form(sigma_t, sigma_s_hat, eps: float = DEFAULT_EPS) -> np.ndar
     floating-point accuracy.
     """
     sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
-    sigma_t = _symmetrized(_symmetric(sigma_t, "sigma"))
+    sigma_t = _symmetric(sigma_t, "sigma")
     _check_eps(eps)
-    root_s = _source_root(_symmetrized(_symmetric(sigma_s_hat, "sigma")), eps)
+    root_s = _source_root(_symmetric(sigma_s_hat, "sigma"), eps)
     return _closed_form(sigma_t, root_s, eps)
 
 

@@ -1,0 +1,160 @@
+"""The package's two input rules, each with one owner in ``linalg``.
+
+``_real`` converts every array argument to float64 and refuses a complex one,
+whose imaginary part the cast would drop: every public entry that takes an
+array raises InvalidInput for a complex ndarray (even one whose imaginary
+parts are all 0) and for a list holding a complex number, and a writer leaves
+no file. ``_symmetric`` accepts a matrix within SYMMETRY_ATOL x max|entry| of
+its transpose, so a matrix and its power-of-two multiples get one verdict.
+"""
+
+import numpy as np
+import pytest
+
+from tcalign import (
+    AlignmentTransform,
+    CovarianceAccumulator,
+    InvalidInput,
+    PredictionBatch,
+    SoftmaxHead,
+    adapt_online,
+    adapt_transductive,
+    apply_transform,
+    batch_uncertainties,
+    correlation_distance,
+    covariance,
+    linear_fit_r2,
+    most_certain,
+    objective,
+    objective_gradient,
+    predict,
+    shrink,
+    solve_closed_form,
+    solve_gradient,
+    spd_power,
+    spearman,
+    train_head,
+    validate_alignment_trace,
+    validate_uncertainty_groups,
+)
+from tcalign.io import scatter_svg, table_to_csv, write_embeddings, write_predictions_csv
+from conftest import make_spd
+
+Z = np.array([[0.0, 1.0], [1.0, 0.5], [2.0, -1.0], [-1.0, 0.0], [0.5, 2.0], [1.5, 1.5]])
+LABELS = np.array([0, 1, 2, 0, 1, 2])
+HEAD = SoftmaxHead(weight=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), bias=np.zeros(3))
+S = np.array([[2.0, 0.5], [0.5, 1.0]])
+MU = np.zeros(2)
+PROBS = np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
+SERIES = np.array([0.1, 0.4, 0.2, 0.9])
+
+
+def _complex_array(a):
+    return np.asarray(a) + 0.5j
+
+
+def _zero_imaginary_array(a):
+    return np.asarray(a) + 0j
+
+
+def _list_with_complex(a):
+    """``a`` as nested lists of floats whose first number is complex."""
+    out = np.asarray(a, dtype=np.float64).tolist()
+    first = out
+    while isinstance(first[0], list):
+        first = first[0]
+    first[0] = complex(first[0], 0.5)
+    return out
+
+
+KINDS = [_complex_array, _zero_imaginary_array, _list_with_complex]
+
+# each entry, given ``bad`` (a complex version of a valid argument) and a directory
+ENTRIES = {
+    "adapt_transductive": lambda bad, tmp: adapt_transductive(bad(Z), HEAD),
+    "adapt_online": lambda bad, tmp: adapt_online(bad(Z), HEAD),
+    "predict": lambda bad, tmp: predict(HEAD, bad(Z)),
+    "train_head": lambda bad, tmp: train_head(bad(Z), LABELS, 0.1, 1),
+    "SoftmaxHead": lambda bad, tmp: SoftmaxHead(weight=bad(HEAD.weight), bias=HEAD.bias),
+    "SoftmaxHead-bias": lambda bad, tmp: SoftmaxHead(weight=HEAD.weight, bias=bad(HEAD.bias)),
+    "covariance": lambda bad, tmp: covariance(bad(Z)),
+    "CovarianceAccumulator.update": lambda bad, tmp: CovarianceAccumulator(2).update(bad(Z)),
+    "correlation_distance": lambda bad, tmp: correlation_distance(S, bad(S)),
+    "shrink": lambda bad, tmp: shrink(bad(S), 0.1),
+    "spd_power": lambda bad, tmp: spd_power(bad(S), 0.5),
+    "solve_closed_form": lambda bad, tmp: solve_closed_form(S, bad(S)),
+    "AlignmentTransform": lambda bad, tmp: AlignmentTransform(w=bad(S), mu_t=MU, mu_s_hat=MU),
+    "AlignmentTransform-mean": lambda bad, tmp: AlignmentTransform(w=S, mu_t=MU, mu_s_hat=bad(MU)),
+    "apply_transform": lambda bad, tmp: apply_transform(bad(Z), AlignmentTransform(S, MU, MU)),
+    "objective": lambda bad, tmp: objective(bad(S), S, S),
+    "objective_gradient": lambda bad, tmp: objective_gradient(np.eye(2), S, bad(S)),
+    "solve_gradient": lambda bad, tmp: solve_gradient(bad(S), S, max_iters=2),
+    "batch_uncertainties": lambda bad, tmp: batch_uncertainties(bad(PROBS)),
+    "most_certain": lambda bad, tmp: most_certain(bad(SERIES), 2),
+    "spearman": lambda bad, tmp: spearman(SERIES, bad(SERIES)),
+    "linear_fit_r2": lambda bad, tmp: linear_fit_r2(bad(SERIES), SERIES),
+    "validate_uncertainty_groups": lambda bad, tmp: validate_uncertainty_groups(
+        bad(Z), HEAD, (MU, S), n_groups=2
+    ),
+    "validate_alignment_trace": lambda bad, tmp: validate_alignment_trace(
+        bad(Z), HEAD, None, (MU, S), LABELS, max_iters=2
+    ),
+    "scatter_svg": lambda bad, tmp: scatter_svg([("target", bad(Z))]),
+    "write_embeddings": lambda bad, tmp: write_embeddings(tmp / "z.tcae", bad(Z)),
+    "write_predictions_csv": lambda bad, tmp: write_predictions_csv(
+        tmp / "preds.csv", PredictionBatch(probs=bad(PROBS), argmax=np.array([0, 2]))
+    ),
+    "table_to_csv": lambda bad, tmp: table_to_csv(
+        tmp / "table.csv", ["i", "x", "y"], [(0, *bad(SERIES[:2]))]
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+def test_complex_arguments_are_refused(tmp_path, entry, kind):
+    # every array argument goes through linalg._real: a complex ndarray used
+    # to be cut to its real part, and a list holding a complex number raised
+    # a bare TypeError
+    with pytest.raises(InvalidInput, match="must be real, got complex values"):
+        entry(kind, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+SYMMETRIC_ENTRIES = {
+    "shrink": lambda m: shrink(m, 0.1),
+    "spd_power": lambda m: spd_power(m, 0.5),
+    "solve_closed_form-sigma_t": lambda m: solve_closed_form(m, m + m.T),
+    "solve_closed_form-sigma_s_hat": lambda m: solve_closed_form(m + m.T, m),
+}
+
+
+def _accepted(call, m) -> bool:
+    try:
+        call(m)
+    except InvalidInput as exc:
+        assert "is not symmetric within" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("call", SYMMETRIC_ENTRIES.values(), ids=SYMMETRIC_ENTRIES.keys())
+def test_small_asymmetric_matrix_refused(call):
+    # its off-diagonal entries differ by 500 times its diagonal; the tolerance
+    # used to be absolute below entries of 1 and let it through
+    with pytest.raises(InvalidInput, match=r"^sigma is not symmetric within 1e-09 x max\|entry\|$"):
+        call(np.array([[1e-12, 5e-10], [0.0, 1e-12]]))
+
+
+@pytest.mark.parametrize("call", SYMMETRIC_ENTRIES.values(), ids=SYMMETRIC_ENTRIES.keys())
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("k", [-60, -20, 20, 60])
+def test_a_matrix_and_its_power_of_two_multiple_get_one_verdict(rng, call, d, k):
+    # an asymmetry of half the tolerance passes and one of twice it does not,
+    # at every scale
+    s = make_spd(rng, d, scale=3.0)
+    for fraction, expected in ((0.5, True), (2.0, False)):
+        m = s.copy()
+        m[d - 1, 0] += fraction * 1e-9 * np.abs(s).max()
+        assert _accepted(call, m) is expected
+        assert _accepted(call, np.ldexp(m, k)) is expected

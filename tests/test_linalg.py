@@ -154,7 +154,7 @@ class TestShrink:
         m = np.array([[1.0, 1.7e308], [-1.7e308, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidInput, match=r"^sigma is not symmetric within 1e-09 x max\(1, max\|entry\|\)$"):
+            with pytest.raises(InvalidInput, match=r"^sigma is not symmetric within 1e-09 x max\|entry\|$"):
                 shrink(m, 0.1)
 
 
@@ -228,6 +228,18 @@ class TestSpdPower:
                 root = spd_power(cov, 0.5)
                 assert np.all(np.isfinite(root))
                 assert np.linalg.norm(root @ root - cov) <= 1e-12 * np.linalg.norm(cov)
+
+    @pytest.mark.parametrize("d", [2, 5, 16, 64])
+    def test_root_of_rank_deficient_matrix_follows_its_scale(self, rng, d):
+        # a zero eigenvalue may round negative; _power clamps it relative to
+        # the matrix's own scale, so a multiple by 4^k has exactly 2^k times
+        # the root
+        for _ in range(5):
+            b = rng.standard_normal((d, max(1, d // 2)))
+            a = b @ b.T
+            root = spd_power(a, 0.5)
+            for k in (-20, -5, 5, 20):
+                assert np.array_equal(spd_power(4.0**k * a, 0.5), 2.0**k * root)
 
     @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, "x", None])
     def test_non_finite_power_rejected(self, p):
@@ -407,10 +419,11 @@ class TestExactSymmetry:
         assert np.array_equal(scatter, s)
 
     def test_spd_power_symmetrizes_a_nearly_symmetric_input_first(self, rng):
-        # spd_power accepts asymmetry within SYMMETRY_ATOL; it returns the
-        # bits of symmetrizing first and then calling it
+        # spd_power accepts asymmetry within SYMMETRY_ATOL x max|entry|; it
+        # returns the bits of symmetrizing first and then calling it
         for d in (2, 5, 16):
-            a = make_spd(rng, d) + np.triu(rng.uniform(-4e-10, 4e-10, (d, d)), 1)
+            s = make_spd(rng, d)
+            a = s + np.triu(rng.uniform(-4e-10, 4e-10, (d, d)), 1) * np.abs(s).max()
             assert not np.array_equal(a, a.T)
             for p in (0.5, -0.5, 1.0):
                 assert np.array_equal(spd_power(a, p), spd_power((a + a.T) / 2, p))

@@ -392,3 +392,23 @@ class TestClassBalancedSelect:
 def test_candidates_rejected(uncertainty, rows, classes, pattern):
     with pytest.raises(InvalidInput, match=pattern):
         most_certain(uncertainty, 1, rows=rows, classes=classes)
+
+
+@pytest.mark.parametrize(
+    "rows, classes, pattern",
+    [
+        ([0.5, 1.5, 2.9], None, r"^rows must be integers$"),
+        ([0, 1, np.nan], None, r"^rows must be integers$"),
+        ([0, 1, 2 + 0j], None, r"^rows must be integers$"),
+        (None, [0.2, 1.7, 1.2], r"^classes must be integers$"),
+        (None, [0, 1, np.inf], r"^classes must be integers$"),
+        (None, [0, 1, 1 + 0j], r"^classes must be integers$"),
+    ],
+    ids=["fractional-rows", "nan-row", "complex-row", "fractional-classes", "infinite-class", "complex-class"],
+)
+def test_non_integer_rows_or_classes_rejected(rows, classes, pattern):
+    # both used to be cast to int64, so rows [0.5, 1.5, 2.9] came back as
+    # [1 2] and classes [0.2, 1.7, 1.2] were read as [0, 1, 1]; they share the
+    # integer rule that labels follow
+    with pytest.raises(InvalidInput, match=pattern):
+        most_certain([0.3, 0.1, 0.2], 2, rows=rows, classes=classes)

@@ -1,9 +1,10 @@
 """Source rules: the package has one atomic writer, called only in ``io.py``, one decimal float format
 (applied in bulk, with ``%`` only per element in its fallback) and one number
 formatter, one place that opens files, one that packs byte layouts and one
-JSON encoder, all in ``io.py``, and one eigendecomposition and one symmetrizer, in ``linalg.py``,
+JSON encoder, all in ``io.py``, and one eigendecomposition, one symmetrizer and one
+conversion of an argument to float64 (``_real``), in ``linalg.py``,
 so no module grows a second copy of any; the symmetrizer runs only on a
-matrix product or a matrix checked by ``_symmetric``, and the adapt loop pools
+matrix product or inside ``_symmetric``, and the adapt loop pools
 its moments with ``linalg._pooled``, not through the accumulator; it keeps no public definition that
 nothing reads; the adapt loop and the gradient solver's loop call kernels,
 never the checked public functions around them, and build the one checked
@@ -146,21 +147,49 @@ def test_one_symmetrizer():
     assert found == ["linalg.py:_symmetrized"]
 
 
+def _calls(path: Path, name: str) -> list[tuple[str, ast.Call]]:
+    """(``module:innermost function``, call) of each call of ``name`` in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owners = {  # innermost function of each node: ast.walk visits outer ones first
+        id(node): f"{path.name}:{function.name}"
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+    }
+    return [
+        (owners.get(id(node), path.name), node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == name
+    ]
+
+
 def test_symmetrized_only_after_a_product_or_a_boundary_check():
     # moments are exactly symmetric when built, so _symmetrized is left only
-    # where a matrix product rounds its two triangles apart, or where a
-    # public entry accepts asymmetry within SYMMETRY_ATOL (_symmetric)
+    # where a matrix product rounds its two triangles apart, and in
+    # linalg._symmetric, which accepts a public entry's asymmetry within
+    # SYMMETRY_ATOL x max|entry| and returns the matrix symmetrized
     found, offenders = [], []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_symmetrized":
-                (arg,) = node.args
-                found.append(path.name)
-                product = isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.MatMult)
-                boundary = isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "_symmetric"
-                if not (product or boundary):
-                    offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
-    assert found and offenders == []
+        for owner, node in _calls(path, "_symmetrized"):
+            (arg,) = node.args
+            found.append(owner)
+            product = isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.MatMult)
+            if not (product or owner == "linalg.py:_symmetric"):
+                offenders.append(f"{owner}:{node.lineno}: {ast.unparse(node)}")
+    assert "linalg.py:_symmetric" in found and offenders == []
+
+
+def test_arguments_become_float64_only_in_real():
+    # linalg._real is the one conversion of an argument to float64, and it
+    # refuses a complex one, whose imaginary part the cast would drop; the
+    # other two convert values the package built itself
+    found = sorted(
+        owner
+        for path in PACKAGE.glob("*.py")
+        for owner, node in _calls(path, "np.asarray")
+        if any(ast.unparse(v) in ("np.float64", "float") for v in [*node.args[1:], *(kw.value for kw in node.keywords)])
+    )
+    assert found == ["io.py:_float_texts", "linalg.py:_real", "synth.py:_clusters"]
 
 
 def test_adapt_loop_pools_triples_without_the_accumulator():

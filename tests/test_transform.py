@@ -122,10 +122,13 @@ class TestClosedForm:
                 assert np.array_equal(solve_closed_form(st, ss, eps), expected)
 
     def test_nearly_symmetric_inputs_are_symmetrized_first(self, rng):
-        # both inputs may be asymmetric within SYMMETRY_ATOL; the solve returns
-        # the bits of symmetrizing them first and then solving
+        # both inputs may be asymmetric within SYMMETRY_ATOL x max|entry|; the
+        # solve returns the bits of symmetrizing them first and then solving
         for d in (2, 5, 16):
-            st, ss = (make_spd(rng, d) + np.triu(rng.uniform(-4e-10, 4e-10, (d, d)), 1) for _ in range(2))
+            st, ss = (
+                s + np.triu(rng.uniform(-4e-10, 4e-10, (d, d)), 1) * np.abs(s).max()
+                for s in (make_spd(rng, d) for _ in range(2))
+            )
             assert not np.array_equal(st, st.T) and not np.array_equal(ss, ss.T)
             expected = solve_closed_form((st + st.T) / 2, (ss + ss.T) / 2, 1e-3)
             assert np.array_equal(solve_closed_form(st, ss, 1e-3), expected)
