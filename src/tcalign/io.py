@@ -11,7 +11,13 @@ every format; the values the formats carry (``SoftmaxHead``,
 which imports nothing from here. Every writer here, ``write_scatter_svg``
 included, goes through the temp-file rename of ``_atomic_write``, so a crashed
 process never leaves a half-written artifact; a CSV streams to it chunk by
-chunk, never joined in memory. Every JSON text the package emits, the report
+chunk, in row order, never joined in memory. Its chunks are formatted on
+``min(cores, chunks)`` worker threads, cores being ``os.sched_getaffinity``'s
+count (inline for one worker): chunk i on worker i % workers, in that worker's
+own ``words`` and ``keep`` slots (about 2.2 MB each). A worker holds at most two
+formatted chunks that the writer has not taken (``_in_turn``), so the extra
+memory is bounded by workers x (2 x 2.2 MB of slots + two chunks of text), and
+no thread outlives the write. Every JSON text the package emits, the report
 file and each line the CLI prints, comes from one encoder, ``_json_text``:
 strict JSON, with a non-finite float written as null.
 
@@ -30,12 +36,15 @@ An SVG's pixel coordinates are ``:.2f`` f-strings: drawing positions, not data.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import itertools
 import json
 import math
 import os
 import struct
-from collections.abc import Iterable, Iterator
+import threading
+from collections.abc import Generator, Iterator
 
 import numpy as np
 
@@ -55,10 +64,11 @@ FLOAT_FORMAT = "%.17g"  # 17 significant digits: lossless for float64 round-trip
 HEAD_FORMAT_VERSION = 1
 
 
-def _atomic_write(path, data: bytes | str | Iterable[bytes]) -> None:
-    """Write ``data`` (a str as UTF-8, or an iterable of byte chunks streamed in
+def _atomic_write(path, data: bytes | str | Generator[bytes]) -> None:
+    """Write ``data`` (a str as UTF-8, or a generator of byte chunks streamed in
     order) to a temp file renamed over ``path``; the temp file is removed if
-    the write, a chunk or the rename fails."""
+    the write, a chunk or the rename fails, and the generator is closed then,
+    so that it ends its work before the error propagates."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -68,6 +78,8 @@ def _atomic_write(path, data: bytes | str | Iterable[bytes]) -> None:
                 fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
+        if not isinstance(data, bytes):
+            data.close()
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
@@ -97,7 +109,7 @@ _E_MIN, _E_MAX = -325, 309  # decades of every finite double, +-1 for the log10 
 _MARGIN = 2.0**-30
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
 _WORDS = 6  # words per float slot
-_CHUNK_VALUES = 40960  # floats per chunk of rows: 4096 rows at c = 10, 2 x 2 MB of slots
+_CHUNK_VALUES = 40960  # floats per chunk of rows: 4096 rows at c = 10, 2 x 2.2 MB of slots
 
 
 def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
@@ -243,28 +255,108 @@ def _splice(words: np.ndarray, keep: np.ndarray, text: str) -> None:
     mask[1 : 1 + text.size] = 1
 
 
+def _cores() -> int:
+    """The CPUs this process may run on: the CSV writer's most worker threads."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _csv_rows(index: np.ndarray, values: np.ndarray, words: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The CSV lines ``"%d" % index[i]`` then ``FLOAT_FORMAT`` of each of
+    ``values[i]``, formatted in the first ``len(index)`` rows of the slot buffers."""
+    n, c = values.shape
+    w, k = words[:n], keep[:n]
+    slots = (n, c + 1, _WORDS)  # views: each row's slots are contiguous
+    w_slots, k_slots = w[:, :-1].reshape(slots), k[:, :-1].reshape(slots)
+    _fill_floats(np.column_stack([index, values]), w_slots, k_slots)
+    k.view(np.uint8)[:, 0] = 0  # the index slot's comma
+    for r in np.flatnonzero((index > 2**53) | (index < -(2**53))):  # beyond a double's integers
+        _splice(w_slots[r, 0], k_slots[r, 0], "%d" % index[r])
+    return np.compress(k.view(bool).ravel(), w.view(np.uint8).ravel())
+
+
 def _csv_chunks(header: list[str], index, values) -> Iterator[bytes | np.ndarray]:
     """The CSV text of ``header`` and rows ``"%d" % index[i]`` then ``FLOAT_FORMAT``
-    of each of ``values[i]`` (comma-separated, LF endings), in chunks of rows."""
+    of each of ``values[i]`` (comma-separated, LF endings), in chunks of rows.
+
+    Chunk i is formatted by worker i % workers, in that worker's own slot
+    buffers, with one worker per core up to one per chunk (see ``_in_turn``)."""
     index = np.asarray(index, dtype=np.int64)
     values = _real(values, "CSV values").reshape(index.size, len(header) - 1)
     n, c = values.shape
     yield (",".join(header) + "\n").encode("utf-8")
     rows = max(1, _CHUNK_VALUES // max(c, 1))
-    words = np.empty((min(rows, n), (c + 1) * _WORDS + 1), np.uint64)  # index, floats, newline
-    keep = np.empty_like(words)
-    words[:, -1] = np.frombuffer(b"\n".ljust(8, b"\0"), np.uint64)
-    keep[:, -1] = np.frombuffer(b"\1".ljust(8, b"\0"), np.uint64)
-    for start in range(0, n, rows):
-        w, k = words[: min(rows, n - start)], keep[: min(rows, n - start)]
-        idx = index[start : start + len(w)]
-        slots = (len(w), c + 1, _WORDS)  # views: each row's slots are contiguous
-        w_slots, k_slots = w[:, :-1].reshape(slots), k[:, :-1].reshape(slots)
-        _fill_floats(np.column_stack([idx, values[start : start + len(w)]]), w_slots, k_slots)
-        k.view(np.uint8)[:, 0] = 0  # the index slot's comma
-        for r in np.flatnonzero((idx > 2**53) | (idx < -(2**53))):  # beyond a double's integers
-            _splice(w_slots[r, 0], k_slots[r, 0], "%d" % idx[r])
-        yield np.compress(k.view(bool).ravel(), w.view(np.uint8).ravel())
+    starts = range(0, n, rows)
+    workers = max(1, min(_cores(), len(starts)))
+
+    def worker(w: int) -> Iterator[np.ndarray]:
+        words = np.empty((min(rows, n), (c + 1) * _WORDS + 1), np.uint64)  # index, floats, newline
+        keep = np.empty_like(words)
+        words[:, -1] = np.frombuffer(b"\n".ljust(8, b"\0"), np.uint64)
+        keep[:, -1] = np.frombuffer(b"\1".ljust(8, b"\0"), np.uint64)
+        for start in starts[w::workers]:
+            yield _csv_rows(index[start : start + rows], values[start : start + rows], words, keep)
+
+    yield from _in_turn([worker(w) for w in range(workers)])
+
+
+_END = object()  # a lane's last item: its source is exhausted
+
+
+def _in_turn(sources: list[Iterator]) -> Iterator:
+    """The items of ``sources`` in turn: the first of each, then the second of
+    each, ..., until the next one to take is missing.
+
+    One source is run inline. Several each run on a thread of their own, which
+    queues one item in its lane and holds the next until that one is taken, so
+    at most two items per source are made and not yet taken. An exception a
+    source raises is raised here, in its turn. Every thread has ended when the
+    generator ends, however it ends: exhausted, raising, or closed early."""
+    if len(sources) == 1:
+        yield from sources[0]
+        return
+    lanes = [collections.deque() for _ in sources]
+    turn = threading.Condition()
+    stopped = False
+
+    def run(source: Iterator, lane: collections.deque) -> None:
+        try:
+            for item in source:
+                with turn:
+                    turn.wait_for(lambda: stopped or not lane)
+                    if stopped:
+                        return
+                    lane.append(item)
+                    turn.notify_all()
+            item = _END
+        except BaseException as exc:  # handed to the consumer, which raises it
+            item = exc
+        with turn:
+            lane.append(item)
+            turn.notify_all()
+
+    threads = [threading.Thread(target=run, args=pair) for pair in zip(sources, lanes)]
+    try:
+        for thread in threads:
+            thread.start()
+        for lane in itertools.cycle(lanes):
+            with turn:
+                turn.wait_for(lambda: lane)
+                item = lane.popleft()
+                turn.notify_all()
+            if item is _END:
+                return
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+    finally:
+        with turn:
+            stopped = True
+            turn.notify_all()
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
 
 
 def _float_texts(values) -> list[str]:
@@ -443,10 +535,13 @@ def table_to_csv(path, header: list[str], rows) -> None:
 def write_predictions_csv(path, preds: PredictionBatch) -> None:
     """Persist a PredictionBatch as CSV: argmax column then one column per class.
 
-    A batch that ``read_predictions_csv`` would refuse (no rows, an argmax
-    that is not an integer in [0, c), one per probability row, or a
-    non-finite probability) is refused before anything is written."""
+    A batch that ``read_predictions_csv`` would refuse (probabilities that are
+    not a matrix, no rows, an argmax that is not an integer in [0, c), one per
+    probability row, or a non-finite probability) is refused before anything
+    is written."""
     probs, argmax = _real(preds.probs, "probabilities"), np.asarray(preds.argmax)
+    if probs.ndim != 2:
+        raise InvalidInput(f"probabilities must be a 2-D matrix, got ndim={probs.ndim}")
     if argmax.shape != probs.shape[:1]:
         raise InvalidInput(f"argmax shape {argmax.shape} for {probs.shape[0]} probability rows")
     c = probs.shape[1]

@@ -26,8 +26,10 @@ SYMMETRY_ATOL = 1e-9
 
 def _real(a, name: str) -> np.ndarray:
     """``np.asarray(a, dtype=np.float64)``, or InvalidInput naming ``name`` for complex
-    values (even with every imaginary part 0), whose imaginary parts it would drop."""
-    if np.iscomplexobj(a):
+    values (even with every imaginary part 0), whose imaginary parts it would drop,
+    in a complex array or as entries of an object array."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a) or (a.dtype == object and any(map(np.iscomplexobj, a.flat))):
         raise InvalidInput(f"{name} must be real, got complex values")
     return np.asarray(a, dtype=np.float64)
 

@@ -3,9 +3,10 @@
 ``_real`` converts every array argument to float64 and refuses a complex one,
 whose imaginary part the cast would drop: every public entry that takes an
 array raises InvalidInput for a complex ndarray (even one whose imaginary
-parts are all 0) and for a list holding a complex number, and a writer leaves
-no file. ``_symmetric`` accepts a matrix within SYMMETRY_ATOL x max|entry| of
-its transpose, so a matrix and its power-of-two multiples get one verdict.
+parts are all 0) and for a list or an object array holding a complex number,
+and a writer leaves no file. ``_symmetric`` accepts a matrix within
+SYMMETRY_ATOL x max|entry| of its transpose, so a matrix and its power-of-two
+multiples get one verdict.
 """
 
 import numpy as np
@@ -67,7 +68,14 @@ def _list_with_complex(a):
     return out
 
 
-KINDS = [_complex_array, _zero_imaginary_array, _list_with_complex]
+def _object_array_with_complex(a):
+    """``a`` as an object array whose first entry is a complex number."""
+    out = np.asarray(a, dtype=np.float64).astype(object)
+    out.flat[0] = complex(out.flat[0], 0.5)
+    return out
+
+
+KINDS = [_complex_array, _zero_imaginary_array, _list_with_complex, _object_array_with_complex]
 
 # each entry, given ``bad`` (a complex version of a valid argument) and a directory
 ENTRIES = {
@@ -114,8 +122,8 @@ ENTRIES = {
 @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
 def test_complex_arguments_are_refused(tmp_path, entry, kind):
     # every array argument goes through linalg._real: a complex ndarray used
-    # to be cut to its real part, and a list holding a complex number raised
-    # a bare TypeError
+    # to be cut to its real part, and a list or an object array holding a
+    # complex number raised a bare TypeError
     with pytest.raises(InvalidInput, match="must be real, got complex values"):
         entry(kind, tmp_path)
     assert list(tmp_path.iterdir()) == []

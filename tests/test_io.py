@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+import time
 import warnings
 from decimal import Decimal
 
@@ -15,11 +18,13 @@ from tcalign.io import (
     read_embeddings,
     read_labels,
     read_predictions_csv,
+    scatter_svg,
     table_to_csv,
     write_embeddings,
     write_labels,
     write_predictions_csv,
     write_report_json,
+    write_scatter_svg,
 )
 
 
@@ -288,6 +293,25 @@ class TestAtomicWrite:
             _atomic_write(target, chunks())
         assert list(tmp_path.iterdir()) == []
 
+    def test_failing_write_closes_the_stream(self, tmp_path):
+        # the producer is stopped before the error leaves the writer, not when
+        # the traceback that holds it is dropped
+        closed = []
+
+        def chunks():
+            try:
+                yield b"first chunk\n"
+                yield "not bytes"
+                yield b"never written\n"
+            finally:
+                closed.append(True)
+
+        with pytest.raises(TypeError) as info:
+            _atomic_write(tmp_path / "out.csv", chunks())
+        assert closed == [True]
+        assert info.tb is not None  # the traceback, which holds the writer's frame, is still alive
+        assert list(tmp_path.iterdir()) == []
+
 
 def _ties(exponents) -> list[float]:
     """Doubles whose exact decimal has 18 significant digits ending in 5, so
@@ -378,15 +402,20 @@ def _reference_csv(header, index, values) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def _probabilities(rng, n, c):
+    """n softmax rows of c classes, with logits at three scales so that some rows saturate."""
+    logits = rng.standard_normal((n, c)) * rng.choice([1.0, 40.0, 900.0], size=(n, 1))
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
 class TestCsvWriterBytes:
     @pytest.mark.parametrize("c", [2, 100])
     @pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["one-row", "chunk-1", "chunk", "chunk+1"])
     def test_writers_match_per_row_reference(self, tmp_path, rng, c, offset):
         chunk = max(1, io._CHUNK_VALUES // c)
         n = 1 if offset is None else chunk + offset
-        logits = rng.standard_normal((n, c)) * rng.choice([1.0, 40.0, 900.0], size=(n, 1))
-        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs = _probabilities(rng, n, c)
         preds = PredictionBatch(probs=probs, argmax=probs.argmax(axis=1))
         header = ["argmax"] + [f"p{j}" for j in range(c)]
         write_predictions_csv(tmp_path / "p.csv", preds)
@@ -419,6 +448,143 @@ class TestCsvWriterBytes:
     def test_empty_table_is_its_header(self, tmp_path):
         table_to_csv(tmp_path / "t.csv", ["i", "a"], [])
         assert (tmp_path / "t.csv").read_bytes() == b"i,a\n"
+
+
+class TestCsvWorkers:
+    """The CSV writers format their chunks on ``min(cores, chunks)`` threads and
+    write them in row order; no thread outlives a writer, however it ends.
+    Chunks are cut to 40 rows of 10 values here, so that tests of many chunks
+    stay small."""
+
+    ROWS = 40
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(io, "_CHUNK_VALUES", self.ROWS * 10)
+
+    @pytest.fixture
+    def formatters(self, monkeypatch):
+        """The thread that formatted each chunk."""
+        seen = []
+        csv_rows = io._csv_rows
+
+        def recorded(*args):
+            seen.append(threading.current_thread())  # an ident can be reused once its thread ends
+            return csv_rows(*args)
+
+        monkeypatch.setattr(io, "_csv_rows", recorded)
+        return seen
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["chunks-1", "chunks", "chunks+1"])
+    def test_bytes_do_not_depend_on_the_worker_count(self, tmp_path, rng, monkeypatch, formatters, workers, offset):
+        monkeypatch.setattr(io, "_cores", lambda: workers)
+        c = 10
+        n = 5 * self.ROWS + offset  # 5, 5 or 6 chunks
+        probs = _probabilities(rng, n, c)
+        preds = PredictionBatch(probs=probs, argmax=probs.argmax(axis=1))
+        header = ["argmax"] + [f"p{j}" for j in range(c)]
+        index = np.arange(n) - n // 2
+        values = probs * rng.choice([-1.0, 1.0], size=probs.shape) * 10.0 ** rng.integers(-320, 300, size=probs.shape)
+        rows = [(i, *row) for i, row in zip(index.tolist(), values.tolist())]
+        table_header = ["i"] + header[1:]
+        writes = [
+            (lambda path: write_predictions_csv(path, preds), _reference_csv(header, preds.argmax.tolist(), probs)),
+            (lambda path: table_to_csv(path, table_header, rows), _reference_csv(table_header, index.tolist(), values)),
+        ]
+        before = threading.active_count()
+        for write, expected in writes:
+            formatters.clear()
+            write(tmp_path / "out.csv")
+            assert (tmp_path / "out.csv").read_bytes() == expected
+            assert threading.active_count() == before
+            # one thread per worker, never the caller's, and only the caller's for one worker
+            assert len(formatters) == 5 + (offset > 0) and len(set(formatters)) == workers
+            assert (threading.current_thread() in formatters) is (workers == 1)
+
+    def test_workers_are_capped_by_the_chunk_count(self, tmp_path, rng, monkeypatch, formatters):
+        monkeypatch.setattr(io, "_cores", lambda: 8)
+        probs = _probabilities(rng, 2 * self.ROWS, 10)
+        write_predictions_csv(tmp_path / "p.csv", PredictionBatch(probs=probs, argmax=probs.argmax(axis=1)))
+        assert len(formatters) == 2 and len(set(formatters)) == 2
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_failing_chunk_leaves_no_file_and_no_thread(self, tmp_path, rng, monkeypatch, workers):
+        monkeypatch.setattr(io, "_cores", lambda: workers)
+        rows = self.ROWS
+        probs = _probabilities(rng, 16 * rows, 10)  # four chunks per worker
+        csv_rows = io._csv_rows
+
+        def failing(index, values, *rest):
+            if np.array_equal(values[0], probs[7 * rows]):  # a middle chunk; the other workers have more to make
+                raise RuntimeError("chunk failed")
+            return csv_rows(index, values, *rest)
+
+        monkeypatch.setattr(io, "_csv_rows", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            write_predictions_csv(tmp_path / "p.csv", PredictionBatch(probs=probs, argmax=probs.argmax(axis=1)))
+        assert threading.active_count() == before
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_write_leaves_no_file_and_no_thread(self, tmp_path, rng, monkeypatch):
+        # the consumer fails: a middle chunk that the file cannot take
+        monkeypatch.setattr(io, "_cores", lambda: 4)
+        rows = self.ROWS
+        probs = _probabilities(rng, 16 * rows, 10)  # four chunks per worker
+        csv_rows = io._csv_rows
+
+        def unwritable(index, values, *rest):
+            return "x" if np.array_equal(values[0], probs[7 * rows]) else csv_rows(index, values, *rest)
+
+        monkeypatch.setattr(io, "_csv_rows", unwritable)
+        before = threading.active_count()
+        with pytest.raises(TypeError) as info:  # the traceback keeps the unfinished generator
+            write_predictions_csv(tmp_path / "p.csv", PredictionBatch(probs=probs, argmax=probs.argmax(axis=1)))
+        assert threading.active_count() == before
+        assert info.tb is not None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_consumer_stopping_early_ends_every_thread(self, rng, monkeypatch):
+        monkeypatch.setattr(io, "_cores", lambda: 4)
+        probs = _probabilities(rng, 16 * self.ROWS, 10)
+        before = threading.active_count()
+        chunks = io._csv_chunks(["i"] + [f"p{j}" for j in range(10)], np.arange(len(probs)), probs)
+        next(chunks), next(chunks)  # the header and the first chunk; each worker has more to make
+        assert threading.active_count() == before + 4
+        chunks.close()
+        assert threading.active_count() == before
+
+
+class TestInTurn:
+    def test_items_are_taken_in_turn(self):
+        assert list(io._in_turn([iter(range(w, 10, 3)) for w in range(3)])) == list(range(10))
+        assert list(io._in_turn([iter(range(5))])) == list(range(5))
+
+    def test_order_holds_with_more_threads_than_cores_and_frequent_switches(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            items = list(io._in_turn([iter(range(w, 4000, 8)) for w in range(8)]))
+        finally:
+            sys.setswitchinterval(interval)
+        assert items == list(range(4000))
+
+    def test_each_source_runs_at_most_two_items_ahead(self):
+        made = [0, 0, 0]
+
+        def source(w):
+            for item in range(w, 60, 3):
+                made[w] += 1
+                yield item
+
+        taken = [0, 0, 0]
+        for item in io._in_turn([source(w) for w in range(3)]):
+            taken[item % 3] += 1
+            if item < 12:
+                time.sleep(0.01)  # room for the workers to run ahead, if they could
+                assert all(m <= t + 2 for m, t in zip(made, taken)), (made, taken)
+        assert made == taken == [20, 20, 20]
 
 
 class TestReportJson:
@@ -540,6 +706,10 @@ class TestReaderContract:
             lambda path: write_predictions_csv(path, PredictionBatch(np.empty((0, 2)), np.empty(0, np.int64))),
             r"^predictions must have at least one row$",
         ),
+        (
+            lambda path: write_predictions_csv(path, PredictionBatch(np.array([0.5, 0.5]), np.array([0, 0]))),
+            r"^probabilities must be a 2-D matrix, got ndim=1$",
+        ),
         # each file below used to be written with its index truncated, or to fail in numpy
         (
             lambda path: write_predictions_csv(path, PredictionBatch(np.array([[0.5, 0.5]]), np.array([1.5]))),
@@ -579,6 +749,7 @@ class TestReaderContract:
         "predictions-argmax-beyond-classes",
         "predictions-negative-argmax",
         "predictions-no-rows",
+        "predictions-1d-probabilities",
         "predictions-float-argmax",
         "predictions-short-argmax",
         "predictions-2d-argmax",
@@ -593,3 +764,41 @@ def test_writers_reject(tmp_path, call, pattern):
     with pytest.raises(InvalidInput, match=pattern):
         call(tmp_path / "out")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_svg_contains_all_points(rng):
+    pts_a = rng.standard_normal((5, 2))
+    pts_b = rng.standard_normal((7, 2)) + 3
+    svg = scatter_svg([("source", pts_a), ("target", pts_b)])
+    assert svg.count("<circle") == 5 + 7 + 2  # points plus two legend markers
+    assert "source" in svg and "target" in svg
+    assert svg.startswith("<svg")
+
+
+def test_svg_rejects_non_2d(rng):
+    with pytest.raises(InvalidInput):
+        scatter_svg([("x", rng.standard_normal((4, 3)))])
+
+
+def test_svg_rejects_empty_series_list():
+    with pytest.raises(InvalidInput):
+        scatter_svg([])
+
+
+def test_svg_deterministic(rng):
+    pts = rng.standard_normal((6, 2))
+    assert scatter_svg([("a", pts)]) == scatter_svg([("a", pts)])
+
+
+def test_write_scatter_svg(tmp_path, rng):
+    path = tmp_path / "out.svg"
+    write_scatter_svg(path, [("a", rng.standard_normal((3, 2)))])
+    text = path.read_text()
+    assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+
+
+def test_written_svg_is_the_rendered_document(tmp_path, rng):
+    series = [("a", rng.standard_normal((4, 2))), ("b", rng.standard_normal((3, 2)))]
+    path = tmp_path / "out.svg"
+    write_scatter_svg(path, series)
+    assert path.read_bytes() == scatter_svg(series).encode("utf-8")

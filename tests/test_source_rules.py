@@ -13,8 +13,9 @@ statistics they built without re-checking them; the test rows are scored
 once, in ``pipeline._scored``, ahead of the batch loop; the adapt loop has
 one solver, the closed form, while only the alignment trace runs the gradient
 solver; the adapt path and the closed form import nothing from the theory
-experiments; the package imports at module top only, with no cycle between
-``head.py`` (the model and the label rule) and ``io.py`` (every file format,
+experiments; only ``io.py`` imports ``threading``, and no module
+``multiprocessing`` or ``concurrent``; the package imports at module top only,
+with no cycle between ``head.py`` (the model and the label rule) and ``io.py`` (every file format,
 the head JSON included); no module but ``__init__`` imports a name it never
 reads; and every module and name the benchmark imports stays importable."""
 
@@ -37,6 +38,21 @@ def test_only_io_renames_files_and_formats_floats(needle):
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert needle in sources.pop("io.py")
     assert [name for name, text in sorted(sources.items()) if needle in text] == []
+
+
+def test_only_io_imports_threading_and_no_module_imports_processes():
+    # the package runs in one process; io's CSV writer is the one user of
+    # threads, and concurrent.futures, about 9 ms of import on every CLI
+    # start, stays out as multiprocessing does
+    imported = sorted(
+        (name.split(".")[0], path.name)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not getattr(node, "level", 0)
+        for name in ([node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names])
+    )
+    assert [owner for name, owner in imported if name == "threading"] == ["io.py"]
+    assert [(name, owner) for name, owner in imported if name in ("multiprocessing", "concurrent")] == []
 
 
 def test_imports_only_at_module_top():
