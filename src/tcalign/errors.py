@@ -74,5 +74,6 @@ def _check_positive(name: str, value, error: type[TcaError] = InvalidInput) -> N
 
 
 def _finite_real(value) -> bool:
-    """Whether ``value`` is a finite real number (numpy floats and integers pass)."""
-    return isinstance(value, numbers.Real) and math.isfinite(value)
+    """Whether ``value`` is a finite real number (numpy floats and integers pass,
+    booleans do not)."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)

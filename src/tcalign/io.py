@@ -14,12 +14,12 @@ process never leaves a half-written artifact; a CSV streams to it chunk by
 chunk, in row order, never joined in memory. Its chunks are formatted on
 ``min(cores, chunks)`` worker threads, cores being ``os.sched_getaffinity``'s
 count (inline for one worker): chunk i on worker i % workers, in that worker's
-own ``words`` and ``keep`` slots (about 2.2 MB each). A worker holds at most two
-formatted chunks that the writer has not taken (``_in_turn``), so the extra
-memory is bounded by workers x (2 x 2.2 MB of slots + two chunks of text), and
-no thread outlives the write. Every JSON text the package emits, the report
-file and each line the CLI prints, comes from one encoder, ``_json_text``:
-strict JSON, with a non-finite float written as null.
+own ``words`` and ``keep`` slots (about 2.2 MB each). A worker formats a chunk
+only with one of its two permits, each given back once its chunk is written,
+so the extra memory is bounded by workers x (2 x 2.2 MB of slots + two chunks
+of text), and no thread outlives the write. Every JSON text the package emits,
+the report file and each line the CLI prints, comes from one encoder,
+``_json_text``: strict JSON, with a non-finite float written as null.
 
 Every decimal number of the data formats (CSV and head JSON) is printed by one
 formatter, ``_fill_floats``, as ``FLOAT_FORMAT % x`` byte for byte, but in
@@ -36,9 +36,7 @@ An SVG's pixel coordinates are ``:.2f`` f-strings: drawing positions, not data.
 
 from __future__ import annotations
 
-import collections
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -281,7 +279,12 @@ def _csv_chunks(header: list[str], index, values) -> Iterator[bytes | np.ndarray
     of each of ``values[i]`` (comma-separated, LF endings), in chunks of rows.
 
     Chunk i is formatted by worker i % workers, in that worker's own slot
-    buffers, with one worker per core up to one per chunk (see ``_in_turn``)."""
+    buffers, with one worker per core up to one per chunk. One worker runs
+    inline; several each run on a thread that takes one of its own two permits
+    before it formats chunk i, puts the chunk (or what formatting raised) in
+    ``made[i]`` and sets ``ready[i]``. Chunks are taken in row order and a
+    permit is given back once a chunk is written. No thread outlives the
+    generator, however it ends: exhausted, raising, or closed early."""
     index = np.asarray(index, dtype=np.int64)
     values = _real(values, "CSV values").reshape(index.size, len(header) - 1)
     n, c = values.shape
@@ -298,62 +301,43 @@ def _csv_chunks(header: list[str], index, values) -> Iterator[bytes | np.ndarray
         for start in starts[w::workers]:
             yield _csv_rows(index[start : start + rows], values[start : start + rows], words, keep)
 
-    yield from _in_turn([worker(w) for w in range(workers)])
-
-
-_END = object()  # a lane's last item: its source is exhausted
-
-
-def _in_turn(sources: list[Iterator]) -> Iterator:
-    """The items of ``sources`` in turn: the first of each, then the second of
-    each, ..., until the next one to take is missing.
-
-    One source is run inline. Several each run on a thread of their own, which
-    queues one item in its lane and holds the next until that one is taken, so
-    at most two items per source are made and not yet taken. An exception a
-    source raises is raised here, in its turn. Every thread has ended when the
-    generator ends, however it ends: exhausted, raising, or closed early."""
-    if len(sources) == 1:
-        yield from sources[0]
+    if workers == 1:
+        yield from worker(0)
         return
-    lanes = [collections.deque() for _ in sources]
-    turn = threading.Condition()
+    made = [None] * len(starts)
+    ready = [threading.Event() for _ in starts]
+    permits = [threading.Semaphore(2) for _ in range(workers)]
     stopped = False
 
-    def run(source: Iterator, lane: collections.deque) -> None:
-        try:
-            for item in source:
-                with turn:
-                    turn.wait_for(lambda: stopped or not lane)
-                    if stopped:
-                        return
-                    lane.append(item)
-                    turn.notify_all()
-            item = _END
-        except BaseException as exc:  # handed to the consumer, which raises it
-            item = exc
-        with turn:
-            lane.append(item)
-            turn.notify_all()
+    def run(w: int) -> None:
+        chunks = worker(w)
+        for i in range(w, len(starts), workers):
+            permits[w].acquire()
+            if stopped:
+                return
+            try:
+                made[i] = next(chunks)
+            except BaseException as exc:  # handed to the consumer, which raises it
+                made[i] = exc
+                return
+            finally:
+                ready[i].set()
 
-    threads = [threading.Thread(target=run, args=pair) for pair in zip(sources, lanes)]
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(workers)]
     try:
         for thread in threads:
             thread.start()
-        for lane in itertools.cycle(lanes):
-            with turn:
-                turn.wait_for(lambda: lane)
-                item = lane.popleft()
-                turn.notify_all()
-            if item is _END:
-                return
-            if isinstance(item, BaseException):
-                raise item
-            yield item
+        for i, event in enumerate(ready):
+            event.wait()
+            chunk, made[i] = made[i], None
+            if isinstance(chunk, BaseException):
+                raise chunk
+            yield chunk
+            permits[i % workers].release()
     finally:
-        with turn:
-            stopped = True
-            turn.notify_all()
+        stopped = True
+        for permit in permits:
+            permit.release()
         for thread in threads:
             if thread.ident is not None:  # started
                 thread.join()

@@ -1,16 +1,17 @@
 """Dense linear algebra for small symmetric matrices, in float64 (eigensolves
 on near-singular covariances are the accuracy bottleneck), and the owner of
 both input rules: ``_real`` is the one conversion of an argument to float64 and
-refuses complex values, and ``_symmetric`` accepts a matrix within
-SYMMETRY_ATOL x max|entry| of its transpose and returns it symmetrized. Moments
-are (count, mean, scatter) values, exactly symmetric as built: ``_moments``
-makes one, ``_pooled`` merges two (as ``CovarianceAccumulator`` does) and
-``_covariance`` divides. ``_eigh`` is the one eigendecomposition, under
-``_power`` and ``_spectral_radius``, and ``_distance`` the one covariance
-discrepancy. Values inside, checks at the edge: a public entry checks a matrix
-once and passes it to its kernel, and the adapt path and the experiments call
-the kernels on the matrices they built, so ``_symmetrized`` runs only on a
-matrix product or in ``_symmetric``, and no built covariance is scanned again.
+refuses complex values, strings and ragged nests, and ``_symmetric`` accepts a
+matrix within SYMMETRY_ATOL x max|entry| of its transpose and returns it
+symmetrized. Moments are (count, mean, scatter) values, exactly symmetric as
+built: ``_moments`` makes one, ``_pooled`` merges two (as
+``CovarianceAccumulator`` does) and ``_covariance`` divides. ``_eigh`` is the
+one eigendecomposition, under ``_power`` and ``_spectral_radius``, and
+``_distance`` the one covariance discrepancy. Values inside, checks at the
+edge: a public entry checks a matrix once and passes it to its kernel, and the
+adapt path and the experiments call the kernels on the matrices they built, so
+``_symmetrized`` runs only on a matrix product or in ``_symmetric``, and no
+built covariance is scanned again.
 """
 
 from __future__ import annotations
@@ -25,13 +26,20 @@ SYMMETRY_ATOL = 1e-9
 
 
 def _real(a, name: str) -> np.ndarray:
-    """``np.asarray(a, dtype=np.float64)``, or InvalidInput naming ``name`` for complex
-    values (even with every imaginary part 0), whose imaginary parts it would drop,
-    in a complex array or as entries of an object array."""
-    a = np.asarray(a)
-    if np.iscomplexobj(a) or (a.dtype == object and any(map(np.iscomplexobj, a.flat))):
-        raise InvalidInput(f"{name} must be real, got complex values")
-    return np.asarray(a, dtype=np.float64)
+    """``np.asarray(a, dtype=np.float64)``, or InvalidInput naming ``name`` where that
+    cast would drop or parse values: complex ones (even with every imaginary part 0),
+    strings and bytes, as the array's dtype or as entries of an object array, and
+    a ragged nest."""
+    try:
+        a = np.asarray(a)
+        kinds = {np.asarray(v).dtype.kind for v in a.flat} if a.dtype == object else {a.dtype.kind}
+        if "c" in kinds:
+            raise InvalidInput(f"{name} must be real, got complex values")
+        if kinds & {"U", "S"}:
+            raise InvalidInput(f"{name} must be numeric, got strings")
+        return np.asarray(a, dtype=np.float64)
+    except ValueError:  # numpy's verdict on a nest of uneven or nested sequences
+        raise InvalidInput(f"{name} must be a regular array, got a ragged nest") from None
 
 
 def validate_embeddings(z, name: str = "embeddings") -> np.ndarray:

@@ -34,10 +34,9 @@ def batch_uncertainties(probs) -> np.ndarray:
     probs = _real(probs, "probabilities")
     if probs.ndim != 2 or probs.shape[1] < 1:
         raise InvalidInput("probability matrix must be 2-D")
-    if not np.min(probs) >= 0:  # written so that NaN fails too
+    if not np.all(probs >= 0):  # written so that NaN fails too, and zero rows pass
         raise InvalidInput("probabilities must be nonnegative")
-    sums = probs.sum(axis=1)
-    if not np.max(np.abs(sums - 1.0)) <= PROB_SUM_ATOL:
+    if not np.all(np.abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_ATOL):
         raise InvalidInput(f"probability rows must sum to 1 within {PROB_SUM_ATOL}")
     return _uncertainties(probs, probs.argmax(axis=1))
 

@@ -149,7 +149,7 @@ class TestTrainHead:
         want = train_head(z, y, lr=0.1, epochs=5)
         assert np.array_equal(got.weight, want.weight)
 
-    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -0.1, None, "0.1"])
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, 0.0, -0.1, None, "0.1", True])
     def test_bad_lr_rejected(self, lr):
         # an inf lr used to raise a numpy RuntimeWarning, a NaN lr to train
         # every epoch and fail on the non-finite head

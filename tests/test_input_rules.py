@@ -1,10 +1,12 @@
 """The package's two input rules, each with one owner in ``linalg``.
 
 ``_real`` converts every array argument to float64 and refuses a complex one,
-whose imaginary part the cast would drop: every public entry that takes an
-array raises InvalidInput for a complex ndarray (even one whose imaginary
-parts are all 0) and for a list or an object array holding a complex number,
-and a writer leaves no file. ``_symmetric`` accepts a matrix within
+whose imaginary part the cast would drop, one of strings or bytes, which it
+would parse, and a ragged nest: every public entry that takes an array raises
+InvalidInput for a complex ndarray (even one whose imaginary parts are all 0)
+or a string or bytes ndarray, for a list or an object array holding a complex
+number or a string, and for a list nested to uneven depths, and a writer
+leaves no file. ``_symmetric`` accepts a matrix within
 SYMMETRY_ATOL x max|entry| of its transpose, so a matrix and its power-of-two
 multiples get one verdict.
 """
@@ -58,26 +60,56 @@ def _zero_imaginary_array(a):
     return np.asarray(a) + 0j
 
 
-def _list_with_complex(a):
-    """``a`` as nested lists of floats whose first number is complex."""
+def _nested_lists(a, change):
+    """``a`` as nested lists of floats whose first number is ``change(number)``."""
     out = np.asarray(a, dtype=np.float64).tolist()
     first = out
     while isinstance(first[0], list):
         first = first[0]
-    first[0] = complex(first[0], 0.5)
+    first[0] = change(first[0])
     return out
+
+
+def _object_array(a, change):
+    """``a`` as an object array whose first entry is ``change(entry)``."""
+    out = np.asarray(a, dtype=np.float64).astype(object)
+    out.flat[0] = change(out.flat[0])
+    return out
+
+
+def _list_with_complex(a):
+    return _nested_lists(a, lambda x: complex(x, 0.5))
 
 
 def _object_array_with_complex(a):
-    """``a`` as an object array whose first entry is a complex number."""
-    out = np.asarray(a, dtype=np.float64).astype(object)
-    out.flat[0] = complex(out.flat[0], 0.5)
-    return out
+    return _object_array(a, lambda x: complex(x, 0.5))
+
+
+def _string_array(a):
+    return np.asarray(a, dtype=np.float64).astype(str)
+
+
+def _bytes_array(a):
+    return np.asarray(a, dtype=np.float64).astype(bytes)
+
+
+def _list_with_string(a):
+    return _nested_lists(a, str)
+
+
+def _object_array_with_string(a):
+    return _object_array(a, str)
+
+
+def _ragged_list(a):
+    """``a`` as nested lists whose first number is a pair, one level deeper."""
+    return _nested_lists(a, lambda x: [x, x])
 
 
 KINDS = [_complex_array, _zero_imaginary_array, _list_with_complex, _object_array_with_complex]
+STRING_KINDS = [_string_array, _bytes_array, _list_with_string, _object_array_with_string]
 
-# each entry, given ``bad`` (a complex version of a valid argument) and a directory
+# each entry, given ``bad`` (a malformed version of a valid argument) and a directory
 ENTRIES = {
     "adapt_transductive": lambda bad, tmp: adapt_transductive(bad(Z), HEAD),
     "adapt_online": lambda bad, tmp: adapt_online(bad(Z), HEAD),
@@ -126,6 +158,24 @@ def test_complex_arguments_are_refused(tmp_path, entry, kind):
     # complex number raised a bare TypeError
     with pytest.raises(InvalidInput, match="must be real, got complex values"):
         entry(kind, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", STRING_KINDS, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+def test_string_arguments_are_refused(tmp_path, entry, kind):
+    # numbers written as strings used to be parsed (most_certain(["0.1"], 1)
+    # returned [0]), and letters raised a bare ValueError
+    with pytest.raises(InvalidInput, match="must be numeric, got strings"):
+        entry(kind, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+def test_ragged_arguments_are_refused(tmp_path, entry):
+    # numpy gives a ragged nest no shape; that used to surface as a bare ValueError
+    with pytest.raises(InvalidInput, match="must be a regular array, got a ragged nest"):
+        entry(_ragged_list, tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -555,33 +555,41 @@ class TestCsvWorkers:
         chunks.close()
         assert threading.active_count() == before
 
+    def one_row_chunks(self, monkeypatch, workers, n, made=None):
+        """``_csv_chunks`` of ``n`` one-row chunks on ``workers`` workers, after
+        its header, each formatted as the row's index; a chunk made counts in
+        ``made[i % workers]``."""
+        monkeypatch.setattr(io, "_CHUNK_VALUES", 1)
+        monkeypatch.setattr(io, "_cores", lambda: workers)
 
-class TestInTurn:
-    def test_items_are_taken_in_turn(self):
-        assert list(io._in_turn([iter(range(w, 10, 3)) for w in range(3)])) == list(range(10))
-        assert list(io._in_turn([iter(range(5))])) == list(range(5))
+        def indexed(index, *rest):
+            if made is not None:
+                made[index[0] % workers] += 1
+            return int(index[0])
 
-    def test_order_holds_with_more_threads_than_cores_and_frequent_switches(self):
+        monkeypatch.setattr(io, "_csv_rows", indexed)
+        chunks = io._csv_chunks(["i", "v"], np.arange(n), np.zeros(n))
+        assert next(chunks) == b"i,v\n"
+        return chunks
+
+    def test_chunks_are_taken_in_turn(self, monkeypatch):
+        assert list(self.one_row_chunks(monkeypatch, 3, 10)) == list(range(10))
+        assert list(self.one_row_chunks(monkeypatch, 1, 5)) == list(range(5))
+
+    def test_order_holds_with_more_threads_than_cores_and_frequent_switches(self, monkeypatch):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            items = list(io._in_turn([iter(range(w, 4000, 8)) for w in range(8)]))
+            chunks = list(self.one_row_chunks(monkeypatch, 8, 4000))
         finally:
             sys.setswitchinterval(interval)
-        assert items == list(range(4000))
+        assert chunks == list(range(4000))
 
-    def test_each_source_runs_at_most_two_items_ahead(self):
-        made = [0, 0, 0]
-
-        def source(w):
-            for item in range(w, 60, 3):
-                made[w] += 1
-                yield item
-
-        taken = [0, 0, 0]
-        for item in io._in_turn([source(w) for w in range(3)]):
-            taken[item % 3] += 1
-            if item < 12:
+    def test_each_worker_runs_at_most_two_chunks_ahead(self, monkeypatch):
+        made, taken = [0, 0, 0], [0, 0, 0]
+        for chunk in self.one_row_chunks(monkeypatch, 3, 60, made):
+            taken[chunk % 3] += 1
+            if chunk < 12:
                 time.sleep(0.01)  # room for the workers to run ahead, if they could
                 assert all(m <= t + 2 for m, t in zip(made, taken)), (made, taken)
         assert made == taken == [20, 20, 20]

@@ -121,7 +121,7 @@ class TestShrink:
         out = shrink(sigma, 1e-3)
         assert np.linalg.eigvalsh(out).min() > 0
 
-    @pytest.mark.parametrize("eps", [np.nan, np.inf, -0.1, None, "0.1"])
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -0.1, None, "0.1", True])
     def test_bad_eps_rejected(self, eps):
         # a NaN eps used to slip past "eps < 0" and return a NaN matrix
         with pytest.raises(InvalidInput, match="eps must be finite and >= 0"):
@@ -241,7 +241,7 @@ class TestSpdPower:
             for k in (-20, -5, 5, 20):
                 assert np.array_equal(spd_power(4.0**k * a, 0.5), 2.0**k * root)
 
-    @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, "x", None])
+    @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, "x", None, True])
     def test_non_finite_power_rejected(self, p):
         # a NaN power used to raise a bare ValueError from int(p)
         with pytest.raises(InvalidInput, match="power must be finite"):

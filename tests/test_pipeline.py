@@ -586,8 +586,9 @@ class TestAlignmentTrace:
             ({"max_iters": 0}, "max_iters must be an integer >= 1, got 0"),
             ({"max_iters": True}, "max_iters must be an integer >= 1, got True"),
             ({"max_iters": 5.0}, "max_iters must be an integer >= 1, got 5.0"),
+            ({"lr": True}, "lr must be finite and positive, got True"),
         ],
-        ids=["lr-0", "lr-nan", "lr-inf", "lr-str", "iters-0", "iters-bool", "iters-float"],
+        ids=["lr-0", "lr-nan", "lr-inf", "lr-str", "iters-0", "iters-bool", "iters-float", "lr-bool"],
     )
     def test_bad_step_rejected(self, linear_demo, monkeypatch, kwargs, message):
         # before the test matrix is scanned
@@ -1058,6 +1059,7 @@ class TestConfigValidation:
             {"eps": None},
             {"batch_size": True},
             {"batch_size": "64"},
+            {"eps": True},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):

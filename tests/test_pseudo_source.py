@@ -88,6 +88,11 @@ class TestOneHot:
         with pytest.raises(InvalidInput):
             batch_uncertainties(np.empty((1, 0)))
 
+    def test_zero_rows_give_an_empty_vector(self):
+        # as most_certain takes zero candidates; np.min of no rows used to raise a bare ValueError
+        out = batch_uncertainties(np.empty((0, 3)))
+        assert out.shape == (0,) and out.dtype == np.float64
+
 
 def fold(omegas, k, order, batch_size=1, classes=None):
     """Stream rows in ``order`` through a bounded index bank, as online mode does."""

@@ -143,7 +143,7 @@ class TestClosedForm:
         ):
             solve_closed_form(huge, np.eye(2))
 
-    @pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0, "x"])
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0, "x", True])
     def test_bad_eps_rejected(self, eps):
         # a NaN eps used to surface as NumericalFailure from the eigensolver
         with pytest.raises(InvalidInput, match="eps must be finite"):
@@ -217,7 +217,7 @@ class TestGradientSolver:
         with pytest.raises(InvalidInput, match="max_iters must be an integer"):
             solve_gradient(s, s, max_iters=5.0)
 
-    @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1e-3, "x"])
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1e-3, "x", True])
     def test_bad_lr_rejected(self, lr):
         # a NaN lr used to run and raise DivergenceError ("retry with a smaller learning rate")
         with pytest.raises(InvalidInput, match="learning rate must be finite and positive"):
