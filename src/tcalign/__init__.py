@@ -36,7 +36,7 @@ from .head import PredictionBatch, SoftmaxHead, accuracy, predict, train_head
 from .io import load_head, save_head
 from .linalg import CovarianceAccumulator, correlation_distance, covariance, shrink, spd_power
 from .pipeline import AdaptConfig, AdaptReport, adapt_online, adapt_transductive
-from .pseudo_source import batch_uncertainties, class_quotas, most_certain
+from .pseudo_source import batch_uncertainties, most_certain
 from .synth import LabeledBatch, NormalStream, ShiftDataset, gen_linear_shift, gen_nonlinear_shift
 from .transform import AlignmentTransform, apply_transform, solve_closed_form
 
@@ -71,7 +71,6 @@ __all__ = [
     "adapt_transductive",
     "apply_transform",
     "batch_uncertainties",
-    "class_quotas",
     "correlation_distance",
     "covariance",
     "gen_linear_shift",

@@ -3,9 +3,9 @@
 The head is a plain multinomial logistic regression trained from zero
 initialization by full-batch gradient descent, which keeps every run
 deterministic without threading an RNG through the API. ``check_labels`` is
-the package's one label rule (nonnegative integers, one per row), over the
-integer rule ``_indices`` that ``most_certain`` shares; the head's JSON file
-format lives in ``io``.
+the package's one label rule (nonnegative integers, one per row), over
+``linalg._indices``, the integer rule that ``most_certain`` shares; the head's
+JSON file format lives in ``io``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateLabels, InvalidInput, NumericalFailure
 from .errors import _check_count, _check_positive
-from .linalg import _check_width, _real, validate_embeddings
+from .linalg import _check_width, _indices, _numeric, _real, validate_embeddings
 
 
 @dataclass
@@ -56,10 +56,6 @@ class PredictionBatch:
 
     probs: np.ndarray
     argmax: np.ndarray
-
-    @property
-    def n_classes(self) -> int:
-        return self.probs.shape[1]
 
 
 def softmax_rows(
@@ -128,21 +124,10 @@ def train_head(
 
 def check_labels(labels, n: int) -> np.ndarray:
     """Labels of n rows (embeddings or predictions) as an int64 vector of nonnegative integers."""
-    labels = np.asarray(labels)
+    labels = _numeric(labels, "labels")
     if labels.ndim != 1 or labels.shape[0] != n:
         raise InvalidInput(f"label count {labels.shape} does not match row count {n}")
-    return _indices(labels)
-
-
-def _indices(values, message="labels must be nonnegative integers", signed=False) -> np.ndarray:
-    """``values`` as int64, or InvalidInput(``message``) for a complex value, one the
-    cast would change (a fraction, NaN, an infinity) or, unless ``signed``, a negative one."""
-    values = np.asarray(values)
-    with np.errstate(invalid="ignore"):  # NaN/inf casts are caught by the comparison
-        as_int = values.real.astype(np.int64)
-    if np.iscomplexobj(values) or np.any(values != as_int) or (not signed and np.any(as_int < 0)):
-        raise InvalidInput(message)
-    return as_int
+    return _indices(labels, "labels")
 
 
 def accuracy(preds: PredictionBatch, labels) -> float:

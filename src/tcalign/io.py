@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import InvalidInput, ParseError
 from .head import PredictionBatch, SoftmaxHead, check_labels
-from .linalg import _real, validate_embeddings
+from .linalg import _numeric, _real, validate_embeddings
 
 EMBEDDING_MAGIC = b"TCAE"
 LABEL_MAGIC = b"TCAL"
@@ -424,7 +424,7 @@ def read_embeddings(path) -> np.ndarray:
 
 def write_labels(path, labels) -> None:
     """Write class indices as a .tcal file (u32 little-endian)."""
-    labels = np.asarray(labels)
+    labels = _numeric(labels, "labels")
     if labels.ndim != 1 or labels.size < 1:
         raise InvalidInput("labels must be a non-empty 1-D vector")
     labels = check_labels(labels, labels.size)
@@ -523,7 +523,7 @@ def write_predictions_csv(path, preds: PredictionBatch) -> None:
     not a matrix, no rows, an argmax that is not an integer in [0, c), one per
     probability row, or a non-finite probability) is refused before anything
     is written."""
-    probs, argmax = _real(preds.probs, "probabilities"), np.asarray(preds.argmax)
+    probs, argmax = _real(preds.probs, "probabilities"), _numeric(preds.argmax, "argmax")
     if probs.ndim != 2:
         raise InvalidInput(f"probabilities must be a 2-D matrix, got ndim={probs.ndim}")
     if argmax.shape != probs.shape[:1]:

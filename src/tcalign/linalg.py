@@ -1,11 +1,14 @@
 """Dense linear algebra for small symmetric matrices, in float64 (eigensolves
 on near-singular covariances are the accuracy bottleneck), and the owner of
-both input rules: ``_real`` is the one conversion of an argument to float64 and
-refuses complex values, strings and ragged nests, and ``_symmetric`` accepts a
-matrix within SYMMETRY_ATOL x max|entry| of its transpose and returns it
-symmetrized. Moments are (count, mean, scatter) values, exactly symmetric as
-built: ``_moments`` makes one, ``_pooled`` merges two (as
-``CovarianceAccumulator`` does) and ``_covariance`` divides. ``_eigh`` is the
+both input rules. ``_numeric`` is the one conversion of an array argument: it
+accepts only float and integer dtypes and refuses a ragged nest, complex
+values, strings and every other dtype (object, bool, datetime) with
+InvalidInput; ``_real`` takes its result to float64 and ``_indices`` to int64,
+refusing a value the cast would change. ``_symmetric`` accepts a matrix within
+SYMMETRY_ATOL x max|entry| of its transpose and returns it symmetrized.
+Moments are (count, mean, scatter) values, exactly symmetric as built:
+``_moments`` makes one, ``_pooled`` merges two (as ``CovarianceAccumulator``
+does) and ``_covariance`` divides. ``_eigh`` is the
 one eigendecomposition, under ``_power`` and ``_spectral_radius``, and
 ``_distance`` the one covariance discrepancy. Values inside, checks at the
 edge: a public entry checks a matrix once and passes it to its kernel, and the
@@ -25,21 +28,39 @@ SHRINK_FLOOR = 1e-12
 SYMMETRY_ATOL = 1e-9
 
 
-def _real(a, name: str) -> np.ndarray:
-    """``np.asarray(a, dtype=np.float64)``, or InvalidInput naming ``name`` where that
-    cast would drop or parse values: complex ones (even with every imaginary part 0),
-    strings and bytes, as the array's dtype or as entries of an object array, and
-    a ragged nest."""
+def _numeric(a, name: str) -> np.ndarray:
+    """``np.asarray(a)`` when its dtype is a float or an integer one (kind f, i or u),
+    or InvalidInput naming ``name``: for a ragged nest, complex values (even with
+    every imaginary part 0), strings or bytes, and any other dtype (object, bool,
+    datetime, timedelta, void), each with its own message."""
     try:
         a = np.asarray(a)
-        kinds = {np.asarray(v).dtype.kind for v in a.flat} if a.dtype == object else {a.dtype.kind}
-        if "c" in kinds:
-            raise InvalidInput(f"{name} must be real, got complex values")
-        if kinds & {"U", "S"}:
-            raise InvalidInput(f"{name} must be numeric, got strings")
-        return np.asarray(a, dtype=np.float64)
     except ValueError:  # numpy's verdict on a nest of uneven or nested sequences
         raise InvalidInput(f"{name} must be a regular array, got a ragged nest") from None
+    kind = a.dtype.kind
+    if kind in "fiu":
+        return a
+    if kind == "c":
+        raise InvalidInput(f"{name} must be real, got complex values")
+    if kind in "US":
+        raise InvalidInput(f"{name} must be numeric, got strings")
+    raise InvalidInput(f"{name} must hold integers or floats, got dtype {a.dtype}")
+
+
+def _real(a, name: str) -> np.ndarray:
+    """``a`` through ``_numeric``, as float64."""
+    return np.asarray(_numeric(a, name), dtype=np.float64)
+
+
+def _indices(values, name: str, signed: bool = False) -> np.ndarray:
+    """``values`` through ``_numeric``, as int64, or InvalidInput for a value the
+    cast would change (a fraction, NaN, an infinity) or, unless ``signed``, a negative one."""
+    values = _numeric(values, name)
+    with np.errstate(invalid="ignore"):  # NaN/inf casts are caught by the comparison
+        as_int = values.astype(np.int64)
+    if np.any(values != as_int) or (not signed and np.any(as_int < 0)):
+        raise InvalidInput(f"{name} must be {'integers' if signed else 'nonnegative integers'}")
+    return as_int
 
 
 def validate_embeddings(z, name: str = "embeddings") -> np.ndarray:

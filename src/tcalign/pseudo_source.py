@@ -8,10 +8,11 @@ matrix: the k most certain rows, ties broken toward the lower row (a row's
 arrival index is its row number), or, class-balanced, the most certain rows
 of each predicted class up to that class's quota. ``most_certain`` is the
 one selection rule: one ``lexsort`` over (row, uncertainty[, class]),
-returning row indices in ascending order. ``class_quotas`` apportions a
-selection size over classes in proportion to their predicted counts. Each
-public function checks its arguments and calls a private kernel
-(``_uncertainties``, ``_most_certain``, ``_class_quotas``). The adapt loop's
+returning row indices in ascending order; its rows, classes and per-class
+caps pass ``linalg``'s one conversion gate, ``_numeric``. ``_class_quotas``
+apportions a selection size over classes in proportion to their predicted
+counts. Each public function checks its arguments and calls a private kernel
+(``_uncertainties``, ``_most_certain``). The adapt loop's
 two steps over these kernels live here too: ``_scored`` scores checked rows
 once, in one whole-matrix softmax, and ``_fold`` merges a batch into the
 bounded bank and selects the pseudo-source under ``SELECTION_MODES``.
@@ -22,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput, _check_count
-from .head import SoftmaxHead, _indices, softmax_rows
-from .linalg import _real
+from .head import SoftmaxHead, softmax_rows
+from .linalg import _indices, _numeric, _real
 
 PROB_SUM_ATOL = 1e-6
 SELECTION_MODES = ("global", "class_balanced")
@@ -62,24 +63,16 @@ def _candidates(uncertainty, rows, classes) -> tuple[np.ndarray, np.ndarray, np.
         raise InvalidInput("uncertainties must be a 1-D vector")
     if uncertainty.size and not (uncertainty.min() >= 0.0 and uncertainty.max() < 2.0):
         raise InvalidInput("uncertainties must lie in [0, 2)")
-    rows = np.arange(uncertainty.size) if rows is None else _indices(rows, "rows must be integers", True)
+    rows = np.arange(uncertainty.size) if rows is None else _indices(rows, "rows", True)
     if rows.shape != uncertainty.shape:
         raise InvalidInput(f"{rows.size} row indices for {uncertainty.size} uncertainties")
     if classes is not None:
-        classes = _indices(classes, "classes must be integers", True)
+        classes = _indices(classes, "classes", True)
         if classes.shape != uncertainty.shape:
             raise InvalidInput(f"{classes.size} predicted classes for {uncertainty.size} uncertainties")
         if classes.size and classes.min() < 0:
             raise InvalidInput("predicted classes must be nonnegative")
     return uncertainty, rows, classes
-
-
-def _count_vector(name: str, values) -> np.ndarray:
-    """A 1-D vector of nonnegative integers (entry j belongs to class j), as int64."""
-    values = np.asarray(values)
-    if values.ndim != 1 or values.dtype.kind not in "iu" or np.min(values, initial=0) < 0:
-        raise InvalidInput(f"{name} must be a 1-D vector of nonnegative integers")
-    return values.astype(np.int64)
 
 
 def _class_rank(sorted_classes: np.ndarray) -> np.ndarray:
@@ -99,10 +92,13 @@ def most_certain(uncertainty, k, rows=None, classes=None) -> np.ndarray:
     call over the whole stream.
     """
     uncertainty, rows, classes = _candidates(uncertainty, rows, classes)
-    if classes is None or np.ndim(k) == 0:
+    if classes is None or k is None or np.isscalar(k):  # np.ndim(k) raises for a ragged nest
         _check_count("k", k, 1)
     else:
-        k = _count_vector("per-class caps k", k)
+        k = _numeric(k, "per-class caps k")
+        if k.ndim != 1 or k.dtype.kind not in "iu" or np.min(k, initial=0) < 0:
+            raise InvalidInput("per-class caps k must be a 1-D vector of nonnegative integers")
+        k = k.astype(np.int64)
         if classes.size and classes.max() >= k.size:
             raise InvalidInput(f"{k.size} per-class caps for class index {classes.max()}")
     return _most_certain(uncertainty, k, rows, classes)
@@ -122,26 +118,12 @@ def _most_certain(uncertainty, k, rows, classes=None) -> np.ndarray:
     return np.sort(rows[order[_class_rank(sorted_classes) < k]])
 
 
-def class_quotas(class_counts, slots: int) -> np.ndarray:
-    """Split ``slots`` over classes in proportion to ``class_counts`` (entry j
-    counts class j) by the largest-remainder rule.
-
-    Floor quotas first, then hand leftover slots to the largest remainders,
-    computed exactly in integers; remainder ties prefer the larger count,
-    then the lower class index. A zero-count class gets no slot. For
-    candidates whose classes are counted, ``most_certain(u,
-    class_quotas(counts, min(k, n)), rows, classes)`` keeps the most certain
-    candidates of each class up to its quota.
-    """
-    counts = _count_vector("class_counts", class_counts)
-    _check_count("slots", slots, 0)
-    if not counts.any():
-        raise InvalidInput("class_counts must count at least one row")
-    return _class_quotas(counts, slots)
-
-
 def _class_quotas(counts: np.ndarray, slots: int) -> np.ndarray:
-    """``class_quotas`` of an int64 count vector that counts at least one row."""
+    """Split ``slots`` over classes in proportion to ``counts`` (int64, entry j
+    counts class j, at least one row counted) by the largest-remainder rule:
+    floor quotas, then the leftover slots to the largest remainders, compared
+    exactly in integers, ties to the larger count, then the lower class. A
+    zero-count class gets no slot."""
     total = int(counts.sum())
     quotas, remainders = np.divmod(counts * int(slots), total)
     leftover = slots - int(quotas.sum())
@@ -157,7 +139,7 @@ def _fold(cfg, bank, rows, uncertainty, classes, class_counts):
     bank keeps the k most certain rows so far and is itself the
     pseudo-source. A class-balanced bank keeps the k most certain rows of
     each class, and the pseudo-source keeps the most certain bank rows of
-    each class up to its ``class_quotas`` share of min(k, bank size) slots;
+    each class up to its ``_class_quotas`` share of min(k, bank size) slots;
     that share is at most min(k, n_j), n_j the class's rows so far, so
     selecting from the bank picks what selecting from every row would.
     """

@@ -1,12 +1,14 @@
 """The package's two input rules, each with one owner in ``linalg``.
 
-``_real`` converts every array argument to float64 and refuses a complex one,
-whose imaginary part the cast would drop, one of strings or bytes, which it
-would parse, and a ragged nest: every public entry that takes an array raises
+``_numeric`` converts every array argument, float or integer, and accepts only
+float and integer dtypes: every public entry that takes an array raises
 InvalidInput for a complex ndarray (even one whose imaginary parts are all 0)
-or a string or bytes ndarray, for a list or an object array holding a complex
-number or a string, and for a list nested to uneven depths, and a writer
-leaves no file. ``_symmetric`` accepts a matrix within
+or a list holding a complex number, whose imaginary part a cast would drop,
+for a string or bytes ndarray or a list holding a string, which a cast would
+parse, for a list nested to uneven depths, and for any other dtype: an object
+array (whatever it holds), a list holding None and a boolean array. The
+entries that take labels, rows, classes, per-class caps or an argmax refuse
+the same, and a writer leaves no file. ``_symmetric`` accepts a matrix within
 SYMMETRY_ATOL x max|entry| of its transpose, so a matrix and its power-of-two
 multiples get one verdict.
 """
@@ -20,6 +22,7 @@ from tcalign import (
     InvalidInput,
     PredictionBatch,
     SoftmaxHead,
+    accuracy,
     adapt_online,
     adapt_transductive,
     apply_transform,
@@ -40,7 +43,7 @@ from tcalign import (
     validate_alignment_trace,
     validate_uncertainty_groups,
 )
-from tcalign.io import scatter_svg, table_to_csv, write_embeddings, write_predictions_csv
+from tcalign.io import scatter_svg, table_to_csv, write_embeddings, write_labels, write_predictions_csv
 from conftest import make_spd
 
 Z = np.array([[0.0, 1.0], [1.0, 0.5], [2.0, -1.0], [-1.0, 0.0], [0.5, 2.0], [1.5, 1.5]])
@@ -61,8 +64,8 @@ def _zero_imaginary_array(a):
 
 
 def _nested_lists(a, change):
-    """``a`` as nested lists of floats whose first number is ``change(number)``."""
-    out = np.asarray(a, dtype=np.float64).tolist()
+    """``a`` as nested lists of numbers whose first number is ``change(number)``."""
+    out = np.asarray(a).tolist()
     first = out
     while isinstance(first[0], list):
         first = first[0]
@@ -106,8 +109,26 @@ def _ragged_list(a):
     return _nested_lists(a, lambda x: [x, x])
 
 
+def _list_with_none(a):
+    return _nested_lists(a, lambda x: None)
+
+
+def _bool_array(a):
+    return np.asarray(a) > 0
+
+
 KINDS = [_complex_array, _zero_imaginary_array, _list_with_complex, _object_array_with_complex]
 STRING_KINDS = [_string_array, _bytes_array, _list_with_string, _object_array_with_string]
+# the gate's messages, and the dtype that each other kind reaches it with
+COMPLEX = "must be real, got complex values"
+STRINGS = "must be numeric, got strings"
+RAGGED = "must be a regular array, got a ragged nest"
+OTHER_DTYPES = {_list_with_none: "object", _bool_array: "bool"}
+
+
+def _dtype_refused(dtype: str) -> str:
+    return f"must hold integers or floats, got dtype {dtype}$"
+
 
 # each entry, given ``bad`` (a malformed version of a valid argument) and a directory
 ENTRIES = {
@@ -150,13 +171,22 @@ ENTRIES = {
 }
 
 
+def _refusal(entry, kind, message: str) -> str:
+    """What ``entry`` says of ``kind``: an object array is refused for its dtype,
+    whatever it holds, except by table_to_csv, whose row tuple unpacks it into
+    Python numbers that the gate sees as ``message`` says."""
+    if kind in (_object_array_with_complex, _object_array_with_string) and entry is not ENTRIES["table_to_csv"]:
+        return _dtype_refused("object")
+    return message
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=lambda f: f.__name__.strip("_"))
 @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
 def test_complex_arguments_are_refused(tmp_path, entry, kind):
-    # every array argument goes through linalg._real: a complex ndarray used
-    # to be cut to its real part, and a list or an object array holding a
-    # complex number raised a bare TypeError
-    with pytest.raises(InvalidInput, match="must be real, got complex values"):
+    # every array argument goes through linalg._numeric: a complex ndarray used
+    # to be cut to its real part, and a list holding a complex number raised
+    # a bare TypeError
+    with pytest.raises(InvalidInput, match=_refusal(entry, kind, COMPLEX)):
         entry(kind, tmp_path)
     assert list(tmp_path.iterdir()) == []
 
@@ -166,7 +196,7 @@ def test_complex_arguments_are_refused(tmp_path, entry, kind):
 def test_string_arguments_are_refused(tmp_path, entry, kind):
     # numbers written as strings used to be parsed (most_certain(["0.1"], 1)
     # returned [0]), and letters raised a bare ValueError
-    with pytest.raises(InvalidInput, match="must be numeric, got strings"):
+    with pytest.raises(InvalidInput, match=_refusal(entry, kind, STRINGS)):
         entry(kind, tmp_path)
     assert list(tmp_path.iterdir()) == []
 
@@ -174,8 +204,62 @@ def test_string_arguments_are_refused(tmp_path, entry, kind):
 @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
 def test_ragged_arguments_are_refused(tmp_path, entry):
     # numpy gives a ragged nest no shape; that used to surface as a bare ValueError
-    with pytest.raises(InvalidInput, match="must be a regular array, got a ragged nest"):
+    with pytest.raises(InvalidInput, match=RAGGED):
         entry(_ragged_list, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", OTHER_DTYPES, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+def test_other_dtypes_are_refused(tmp_path, entry, kind):
+    # None used to become NaN (spearman([None, 1.0, 2.0], [1, 2, 3]) returned
+    # None, and table_to_csv wrote "0,nan"), and booleans became 0.0 and 1.0
+    with pytest.raises(InvalidInput, match=_dtype_refused(OTHER_DTYPES[kind])):
+        entry(kind, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_object_array_of_numbers_is_refused():
+    # the gate reads the dtype, not the entries: an object array is refused
+    # even when every entry is a float
+    with pytest.raises(InvalidInput, match=r"^embeddings must hold integers or floats, got dtype object$"):
+        covariance(Z.astype(object))
+
+
+PREDS = predict(HEAD, Z)
+# each entry that takes integers (labels, rows, classes, per-class caps or an
+# argmax), given ``bad`` and a directory
+INTEGER_ENTRIES = {
+    "train_head": lambda bad, tmp: train_head(Z, bad(LABELS), 0.1, 1),
+    "adapt_transductive": lambda bad, tmp: adapt_transductive(Z, HEAD, labels=bad(LABELS)),
+    "adapt_online": lambda bad, tmp: adapt_online(Z, HEAD, labels=bad(LABELS)),
+    "accuracy": lambda bad, tmp: accuracy(PREDS, bad(LABELS)),
+    "validate_alignment_trace": lambda bad, tmp: validate_alignment_trace(
+        Z, HEAD, None, (MU, S), bad(LABELS), max_iters=2
+    ),
+    "write_labels": lambda bad, tmp: write_labels(tmp / "labels.tcal", bad(LABELS)),
+    "most_certain-rows": lambda bad, tmp: most_certain(SERIES, 2, rows=bad(np.arange(4))),
+    "most_certain-classes": lambda bad, tmp: most_certain(SERIES, 2, classes=bad(np.array([0, 1, 0, 1]))),
+    "most_certain-k": lambda bad, tmp: most_certain(SERIES, bad(np.array([1, 1])), classes=[0, 1, 0, 1]),
+    "write_predictions_csv-argmax": lambda bad, tmp: write_predictions_csv(
+        tmp / "preds.csv", PredictionBatch(probs=PROBS, argmax=bad(np.array([0, 2])))
+    ),
+}
+INTEGER_KINDS = {
+    _ragged_list: RAGGED,
+    _list_with_none: _dtype_refused("object"),
+    _list_with_complex: COMPLEX,
+    _list_with_string: STRINGS,
+}
+
+
+@pytest.mark.parametrize("kind", INTEGER_KINDS, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("entry", INTEGER_ENTRIES.values(), ids=INTEGER_ENTRIES.keys())
+def test_integer_arguments_are_refused(tmp_path, entry, kind):
+    # integers pass the same gate: a ragged nest used to raise a bare
+    # ValueError, and a list holding None a bare TypeError
+    with pytest.raises(InvalidInput, match=INTEGER_KINDS[kind]):
+        entry(kind, tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 

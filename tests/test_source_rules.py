@@ -2,7 +2,7 @@
 (applied in bulk, with ``%`` only per element in its fallback) and one number
 formatter, one place that opens files, one that packs byte layouts and one
 JSON encoder, all in ``io.py``, and one eigendecomposition, one symmetrizer and one
-conversion of an argument to float64 (``_real``), in ``linalg.py``,
+conversion of an array argument (``_numeric``, which ``_real`` takes to float64), in ``linalg.py``,
 so no module grows a second copy of any; the symmetrizer runs only on a
 matrix product or inside ``_symmetric``, and the adapt loop pools
 its moments with ``linalg._pooled``, not through the accumulator; it keeps no public definition that
@@ -195,17 +195,18 @@ def test_symmetrized_only_after_a_product_or_a_boundary_check():
     assert "linalg.py:_symmetric" in found and offenders == []
 
 
-def test_arguments_become_float64_only_in_real():
-    # linalg._real is the one conversion of an argument to float64, and it
-    # refuses a complex one, whose imaginary part the cast would drop; the
-    # other two convert values the package built itself
-    found = sorted(
-        owner
-        for path in PACKAGE.glob("*.py")
-        for owner, node in _calls(path, "np.asarray")
-        if any(ast.unparse(v) in ("np.float64", "float") for v in [*node.args[1:], *(kw.value for kw in node.keywords)])
-    )
-    assert found == ["io.py:_float_texts", "linalg.py:_real", "synth.py:_clusters"]
+def test_arguments_are_converted_only_by_the_gate():
+    # linalg._numeric is the one conversion of an array argument, which _real
+    # takes to float64; the other three convert values the package built
+    # itself, so a new entry point cannot grow its own conversion
+    found = sorted(owner for path in PACKAGE.glob("*.py") for owner, _ in _calls(path, "np.asarray"))
+    assert found == [
+        "io.py:_csv_chunks",
+        "io.py:_float_texts",
+        "linalg.py:_numeric",
+        "linalg.py:_real",
+        "synth.py:_clusters",
+    ]
 
 
 def test_adapt_loop_pools_triples_without_the_accumulator():
@@ -272,7 +273,6 @@ CHECKED_ENTRIES = {
     "covariance",
     "batch_uncertainties",
     "most_certain",
-    "class_quotas",
     "solve_closed_form",
     "shrink",
     "spd_power",
