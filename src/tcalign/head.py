@@ -4,8 +4,8 @@ The head is a plain multinomial logistic regression trained from zero
 initialization by full-batch gradient descent, which keeps every run
 deterministic without threading an RNG through the API. ``check_labels`` is
 the package's one label rule (nonnegative integers, one per row), over
-``linalg._indices``, the integer rule that ``most_certain`` shares; the head's
-JSON file format lives in ``io``.
+``linalg._indices``, the one integer rule; the head's JSON file format lives
+in ``io``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateLabels, InvalidInput, NumericalFailure
 from .errors import _check_count, _check_positive
-from .linalg import _check_width, _indices, _numeric, _real, validate_embeddings
+from .linalg import _check_width, _indices, _real, validate_embeddings
 
 
 @dataclass
@@ -124,10 +124,10 @@ def train_head(
 
 def check_labels(labels, n: int) -> np.ndarray:
     """Labels of n rows (embeddings or predictions) as an int64 vector of nonnegative integers."""
-    labels = _numeric(labels, "labels")
-    if labels.ndim != 1 or labels.shape[0] != n:
+    labels = _indices(labels, "labels")
+    if labels.shape != (n,):
         raise InvalidInput(f"label count {labels.shape} does not match row count {n}")
-    return _indices(labels, "labels")
+    return labels
 
 
 def accuracy(preds: PredictionBatch, labels) -> float:

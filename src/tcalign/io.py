@@ -7,8 +7,10 @@ Binary files are a 4-byte magic, a little-endian header struct with no padding
 malformed file, non-UTF-8 text included, raises ParseError. The head JSON
 (``save_head``, ``load_head``, ``HEAD_FORMAT_VERSION``) is this module's, like
 every format; the values the formats carry (``SoftmaxHead``,
-``PredictionBatch``) and the label rule (``check_labels``) are ``head``'s,
-which imports nothing from here. Every writer here, ``write_scatter_svg``
+``PredictionBatch``) are ``head``'s, which imports nothing from here. Each
+writer converts its array arguments once, through ``linalg._real`` or
+``linalg._indices``; ``save_head`` prints the head's float64 arrays as they
+are. Every writer here, ``write_scatter_svg``
 included, goes through the temp-file rename of ``_atomic_write``, so a crashed
 process never leaves a half-written artifact; a CSV streams to it chunk by
 chunk, in row order, never joined in memory. Its chunks are formatted on
@@ -47,8 +49,8 @@ from collections.abc import Generator, Iterator
 import numpy as np
 
 from .errors import InvalidInput, ParseError
-from .head import PredictionBatch, SoftmaxHead, check_labels
-from .linalg import _numeric, _real, validate_embeddings
+from .head import PredictionBatch, SoftmaxHead
+from .linalg import _indices, _real, validate_embeddings
 
 EMBEDDING_MAGIC = b"TCAE"
 LABEL_MAGIC = b"TCAL"
@@ -276,7 +278,8 @@ def _csv_rows(index: np.ndarray, values: np.ndarray, words: np.ndarray, keep: np
 
 def _csv_chunks(header: list[str], index, values) -> Iterator[bytes | np.ndarray]:
     """The CSV text of ``header`` and rows ``"%d" % index[i]`` then ``FLOAT_FORMAT``
-    of each of ``values[i]`` (comma-separated, LF endings), in chunks of rows.
+    of each of ``values[i]`` (comma-separated, LF endings), in chunks of rows,
+    from an int64 vector ``index`` and a float64 matrix ``values`` of one row each.
 
     Chunk i is formatted by worker i % workers, in that worker's own slot
     buffers, with one worker per core up to one per chunk. One worker runs
@@ -285,8 +288,6 @@ def _csv_chunks(header: list[str], index, values) -> Iterator[bytes | np.ndarray
     ``made[i]`` and sets ``ready[i]``. Chunks are taken in row order and a
     permit is given back once a chunk is written. No thread outlives the
     generator, however it ends: exhausted, raising, or closed early."""
-    index = np.asarray(index, dtype=np.int64)
-    values = _real(values, "CSV values").reshape(index.size, len(header) - 1)
     n, c = values.shape
     yield (",".join(header) + "\n").encode("utf-8")
     rows = max(1, _CHUNK_VALUES // max(c, 1))
@@ -343,9 +344,9 @@ def _csv_chunks(header: list[str], index, values) -> Iterator[bytes | np.ndarray
                 thread.join()
 
 
-def _float_texts(values) -> list[str]:
-    """``FLOAT_FORMAT % v`` for each v of ``values``, flattened in C order."""
-    x = np.asarray(values, dtype=np.float64).ravel()
+def _float_texts(values: np.ndarray) -> list[str]:
+    """``FLOAT_FORMAT % v`` for each v of a float64 array ``values``, flattened in C order."""
+    x = values.ravel()
     words = np.empty((x.size, _WORDS), np.uint64)
     keep = np.empty_like(words)
     _fill_floats(x, words, keep)
@@ -424,10 +425,9 @@ def read_embeddings(path) -> np.ndarray:
 
 def write_labels(path, labels) -> None:
     """Write class indices as a .tcal file (u32 little-endian)."""
-    labels = _numeric(labels, "labels")
+    labels = _indices(labels, "labels")
     if labels.ndim != 1 or labels.size < 1:
         raise InvalidInput("labels must be a non-empty 1-D vector")
-    labels = check_labels(labels, labels.size)
     if labels.max() > 0xFFFFFFFF:
         raise InvalidInput(f"labels must fit in u32, got {labels.max()}")
     header = LABEL_MAGIC + struct.pack(LABEL_LAYOUT, FORMAT_VERSION, labels.size)
@@ -502,18 +502,25 @@ def load_head(path) -> SoftmaxHead:
 def table_to_csv(path, header: list[str], rows) -> None:
     """Write CSV: ``header``, then per row an integer index followed by floats, LF endings.
 
-    A row whose field count is not the header's, or whose index is not an
-    int64 integer, is refused before anything is written."""
-    rows = list(rows)
+    A header with no index column, a row whose field count is not the
+    header's, an index that is not an int64 integer, and a field after it
+    that is not a number are refused before anything is written."""
+    if not header:
+        raise InvalidInput("the CSV header must name an index column")
+    rows, index = list(rows), []
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise InvalidInput(f"row {i} has {len(row)} fields for {len(header)} header columns")
-        index = row[0]
-        if isinstance(index, (bool, np.bool_)) or not isinstance(index, (int, np.integer)):
-            raise InvalidInput(f"row {i}'s index {index!r} is not an integer")
-        if not -(2**63) <= index < 2**63:
-            raise InvalidInput(f"row {i}'s index {index} is beyond int64")
-    _atomic_write(path, _csv_chunks(header, [row[0] for row in rows], [row[1:] for row in rows]))
+        if isinstance(row[0], (bool, np.bool_)) or not isinstance(row[0], (int, np.integer)):
+            raise InvalidInput(f"row {i}'s index {row[0]!r} is not an integer")
+        if not -(2**63) <= row[0] < 2**63:
+            raise InvalidInput(f"row {i}'s index {row[0]} is beyond int64")
+        index.append(int(row[0]))  # as Python ints, which no mix of numpy integer types rounds
+    shape = (len(rows), len(header) - 1)
+    values = _real([row[1:] for row in rows], "CSV values")
+    if rows and values.shape != shape:  # zero rows convert to shape (0,)
+        raise InvalidInput(f"each field after the index must be a number, got shape {values.shape} for {shape}")
+    _atomic_write(path, _csv_chunks(header, _indices(index, "CSV index", True), values.reshape(shape)))
 
 
 def write_predictions_csv(path, preds: PredictionBatch) -> None:
@@ -523,7 +530,7 @@ def write_predictions_csv(path, preds: PredictionBatch) -> None:
     not a matrix, no rows, an argmax that is not an integer in [0, c), one per
     probability row, or a non-finite probability) is refused before anything
     is written."""
-    probs, argmax = _real(preds.probs, "probabilities"), _numeric(preds.argmax, "argmax")
+    probs, argmax = _real(preds.probs, "probabilities"), _indices(preds.argmax, "argmax", True)
     if probs.ndim != 2:
         raise InvalidInput(f"probabilities must be a 2-D matrix, got ndim={probs.ndim}")
     if argmax.shape != probs.shape[:1]:
@@ -531,8 +538,6 @@ def write_predictions_csv(path, preds: PredictionBatch) -> None:
     c = probs.shape[1]
     if argmax.size < 1:
         raise InvalidInput("predictions must have at least one row")
-    if argmax.dtype.kind not in "iu":
-        raise InvalidInput(f"argmax must be integers, got dtype {argmax.dtype}")
     if argmax.min() < 0 or argmax.max() >= c:
         raise InvalidInput(f"argmax must lie in [0, {c}), got min {argmax.min()}, max {argmax.max()}")
     if not np.all(np.isfinite(probs)):
@@ -637,6 +642,7 @@ def scatter_svg(series: list[tuple[str, np.ndarray]]) -> str:
         f'height="{_SVG_HEIGHT - 2 * _SVG_MARGIN}" fill="none" stroke="#999" stroke-width="1"/>',
     ]
     for idx, (name, pts) in enumerate(checked):
+        legend = str(name).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
         parts.append(f'<g fill="{color}" fill-opacity="0.55">')
         for x, y in pts:
@@ -645,7 +651,7 @@ def scatter_svg(series: list[tuple[str, np.ndarray]]) -> str:
         ly = _SVG_MARGIN + 16 + 18 * idx
         parts.append(f'<circle cx="{_SVG_MARGIN + 12}" cy="{ly - 4}" r="4" fill="{color}"/>')
         parts.append(
-            f'<text x="{_SVG_MARGIN + 24}" y="{ly}" font-family="sans-serif" font-size="13">{name}</text>'
+            f'<text x="{_SVG_MARGIN + 24}" y="{ly}" font-family="sans-serif" font-size="13">{legend}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -3,9 +3,10 @@ on near-singular covariances are the accuracy bottleneck), and the owner of
 both input rules. ``_numeric`` is the one conversion of an array argument: it
 accepts only float and integer dtypes and refuses a ragged nest, complex
 values, strings and every other dtype (object, bool, datetime) with
-InvalidInput; ``_real`` takes its result to float64 and ``_indices`` to int64,
-refusing a value the cast would change. ``_symmetric`` accepts a matrix within
-SYMMETRY_ATOL x max|entry| of its transpose and returns it symmetrized.
+InvalidInput. It has two doors, its only callers: ``_real`` takes its result
+to float64, and ``_indices`` to int64, refusing a value the cast would change.
+``_symmetric`` accepts a matrix within SYMMETRY_ATOL x max|entry| of its
+transpose and returns it symmetrized.
 Moments are (count, mean, scatter) values, exactly symmetric as built:
 ``_moments`` makes one, ``_pooled`` merges two (as ``CovarianceAccumulator``
 does) and ``_covariance`` divides. ``_eigh`` is the

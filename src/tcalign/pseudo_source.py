@@ -8,8 +8,8 @@ matrix: the k most certain rows, ties broken toward the lower row (a row's
 arrival index is its row number), or, class-balanced, the most certain rows
 of each predicted class up to that class's quota. ``most_certain`` is the
 one selection rule: one ``lexsort`` over (row, uncertainty[, class]),
-returning row indices in ascending order; its rows, classes and per-class
-caps pass ``linalg``'s one conversion gate, ``_numeric``. ``_class_quotas``
+returning row indices in ascending order; its rows and classes pass
+``linalg._indices``, the one integer rule. ``_class_quotas``
 apportions a selection size over classes in proportion to their predicted
 counts. Each public function checks its arguments and calls a private kernel
 (``_uncertainties``, ``_most_certain``). The adapt loop's
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidInput, _check_count
 from .head import SoftmaxHead, softmax_rows
-from .linalg import _indices, _numeric, _real
+from .linalg import _indices, _real
 
 PROB_SUM_ATOL = 1e-6
 SELECTION_MODES = ("global", "class_balanced")
@@ -85,27 +85,19 @@ def most_certain(uncertainty, k, rows=None, classes=None) -> np.ndarray:
 
     ``rows`` names each candidate's row (default 0..n-1); ties go to the lower
     row. With ``classes``, keep the k most certain candidates of each class
-    instead, where ``k`` is one integer for every class or a vector whose
-    entry j caps class j. A cap larger than a class's candidates keeps all of
-    that class; no slot moves to another class. Folding a stream in batches
-    through this function with one integer k retains the same rows as one
-    call over the whole stream.
+    instead; a class with fewer keeps all of them, and no slot moves to
+    another class. Folding a stream in batches through this function retains
+    the same rows as one call over the whole stream.
     """
     uncertainty, rows, classes = _candidates(uncertainty, rows, classes)
-    if classes is None or k is None or np.isscalar(k):  # np.ndim(k) raises for a ragged nest
-        _check_count("k", k, 1)
-    else:
-        k = _numeric(k, "per-class caps k")
-        if k.ndim != 1 or k.dtype.kind not in "iu" or np.min(k, initial=0) < 0:
-            raise InvalidInput("per-class caps k must be a 1-D vector of nonnegative integers")
-        k = k.astype(np.int64)
-        if classes.size and classes.max() >= k.size:
-            raise InvalidInput(f"{k.size} per-class caps for class index {classes.max()}")
+    _check_count("k", k, 1)
     return _most_certain(uncertainty, k, rows, classes)
 
 
 def _most_certain(uncertainty, k, rows, classes=None) -> np.ndarray:
-    """``most_certain`` of checked candidates, every row named and every class capped."""
+    """``most_certain`` of checked candidates, every row named; with ``classes``,
+    ``k`` is one integer for every class or, as the adapt loop passes its
+    ``_class_quotas``, an int64 vector whose entry j caps class j."""
     if classes is None:
         if k < uncertainty.size:  # drop rows above the k-th smallest uncertainty; its ties stay
             keep = uncertainty <= np.partition(uncertainty, k - 1)[k - 1]

@@ -84,7 +84,7 @@ def _clusters(stream: NormalStream, specs) -> LabeledBatch:
     blocks = []
     labels = []
     for label, (count, scale, offset) in enumerate(specs):
-        blocks.append(stream.normal_matrix(count, 2) * scale + np.asarray(offset, dtype=np.float64))
+        blocks.append(stream.normal_matrix(count, 2) * scale + offset)
         labels.append(np.full(count, label, dtype=np.int64))
     return LabeledBatch(features=np.vstack(blocks), labels=np.concatenate(labels))
 

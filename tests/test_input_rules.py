@@ -7,11 +7,14 @@ or a list holding a complex number, whose imaginary part a cast would drop,
 for a string or bytes ndarray or a list holding a string, which a cast would
 parse, for a list nested to uneven depths, and for any other dtype: an object
 array (whatever it holds), a list holding None and a boolean array. The
-entries that take labels, rows, classes, per-class caps or an argmax refuse
-the same, and a writer leaves no file. ``_symmetric`` accepts a matrix within
-SYMMETRY_ATOL x max|entry| of its transpose, so a matrix and its power-of-two
-multiples get one verdict.
+entries that take labels, rows, classes or an argmax refuse the same, and a
+writer leaves no file; they then share one integer rule, ``_indices``, which
+takes integral floats by value and refuses a fraction. ``_symmetric`` accepts
+a matrix within SYMMETRY_ATOL x max|entry| of its transpose, so a matrix and
+its power-of-two multiples get one verdict.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -227,8 +230,8 @@ def test_object_array_of_numbers_is_refused():
 
 
 PREDS = predict(HEAD, Z)
-# each entry that takes integers (labels, rows, classes, per-class caps or an
-# argmax), given ``bad`` and a directory
+# each entry that takes integers (labels, rows, classes or an argmax), given
+# ``bad`` and a directory
 INTEGER_ENTRIES = {
     "train_head": lambda bad, tmp: train_head(Z, bad(LABELS), 0.1, 1),
     "adapt_transductive": lambda bad, tmp: adapt_transductive(Z, HEAD, labels=bad(LABELS)),
@@ -240,7 +243,6 @@ INTEGER_ENTRIES = {
     "write_labels": lambda bad, tmp: write_labels(tmp / "labels.tcal", bad(LABELS)),
     "most_certain-rows": lambda bad, tmp: most_certain(SERIES, 2, rows=bad(np.arange(4))),
     "most_certain-classes": lambda bad, tmp: most_certain(SERIES, 2, classes=bad(np.array([0, 1, 0, 1]))),
-    "most_certain-k": lambda bad, tmp: most_certain(SERIES, bad(np.array([1, 1])), classes=[0, 1, 0, 1]),
     "write_predictions_csv-argmax": lambda bad, tmp: write_predictions_csv(
         tmp / "preds.csv", PredictionBatch(probs=PROBS, argmax=bad(np.array([0, 2])))
     ),
@@ -261,6 +263,36 @@ def test_integer_arguments_are_refused(tmp_path, entry, kind):
     with pytest.raises(InvalidInput, match=INTEGER_KINDS[kind]):
         entry(kind, tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+def _integral_floats(a):
+    return np.asarray(a, dtype=np.float64)
+
+
+def _with_fraction(a):
+    out = np.asarray(a, dtype=np.float64)
+    out.flat[0] = 0.5
+    return out
+
+
+def _outcome(entry, convert, tmp):
+    """The pickled return value of ``entry`` given ``convert`` of its integers,
+    and the bytes of each file it writes into ``tmp``."""
+    tmp.mkdir()
+    result = pickle.dumps(entry(convert, tmp))
+    return result, {path.name: path.read_bytes() for path in tmp.iterdir()}
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRIES.values(), ids=INTEGER_ENTRIES.keys())
+def test_integer_arguments_take_integral_floats_by_value(tmp_path, entry):
+    # one integer rule, linalg._indices: a float that is an integer reads as
+    # that integer everywhere, and a fraction is refused everywhere
+    as_integers = _outcome(entry, lambda a: a, tmp_path / "integers")
+    assert _outcome(entry, _integral_floats, tmp_path / "floats") == as_integers
+    (tmp_path / "fraction").mkdir()
+    with pytest.raises(InvalidInput, match=r"^(labels|rows|classes|argmax) must be (nonnegative )?integers$"):
+        entry(_with_fraction, tmp_path / "fraction")
+    assert list((tmp_path / "fraction").iterdir()) == []
 
 
 SYMMETRIC_ENTRIES = {

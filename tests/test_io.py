@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import warnings
+import xml.dom.minidom
 from decimal import Decimal
 
 import numpy as np
@@ -568,7 +569,7 @@ class TestCsvWorkers:
             return int(index[0])
 
         monkeypatch.setattr(io, "_csv_rows", indexed)
-        chunks = io._csv_chunks(["i", "v"], np.arange(n), np.zeros(n))
+        chunks = io._csv_chunks(["i", "v"], np.arange(n), np.zeros((n, 1)))
         assert next(chunks) == b"i,v\n"
         return chunks
 
@@ -721,7 +722,7 @@ class TestReaderContract:
         # each file below used to be written with its index truncated, or to fail in numpy
         (
             lambda path: write_predictions_csv(path, PredictionBatch(np.array([[0.5, 0.5]]), np.array([1.5]))),
-            r"^argmax must be integers, got dtype float64$",
+            r"^argmax must be integers$",
         ),
         (
             lambda path: write_predictions_csv(path, PredictionBatch(np.full((2, 2), 0.5), np.array([1]))),
@@ -748,6 +749,16 @@ class TestReaderContract:
             lambda path: table_to_csv(path, ["i", "v"], [(0, 0.5), (1,)]),
             r"^row 1 has 1 fields for 2 header columns$",
         ),
+        # a table with no index column, or with a list for a field, has no CSV form
+        (lambda path: table_to_csv(path, [], [()]), r"^the CSV header must name an index column$"),
+        (
+            lambda path: table_to_csv(path, ["i", "v"], [(0, [0.5, 0.6])]),
+            r"^each field after the index must be a number, got shape \(1, 1, 2\) for \(1, 1\)$",
+        ),
+        (
+            lambda path: table_to_csv(path, ["i", "a", "b"], [(0, [0.5], [0.6])]),
+            r"^each field after the index must be a number, got shape \(1, 2, 1\) for \(1, 2\)$",
+        ),
     ],
     ids=[
         "embedding-dtype",
@@ -766,6 +777,9 @@ class TestReaderContract:
         "table-index-beyond-int64",
         "table-long-row",
         "table-short-row",
+        "table-empty-header",
+        "table-list-field",
+        "table-nested-fields",
     ],
 )
 def test_writers_reject(tmp_path, call, pattern):
@@ -791,6 +805,13 @@ def test_svg_rejects_non_2d(rng):
 def test_svg_rejects_empty_series_list():
     with pytest.raises(InvalidInput):
         scatter_svg([])
+
+
+def test_svg_legend_is_escaped():
+    # a series name is text in the document: & < > used to make it ill-formed
+    svg = scatter_svg([("a<b & c>", np.zeros((2, 2)))])
+    (text,) = xml.dom.minidom.parseString(svg).getElementsByTagName("text")
+    assert text.firstChild.data == "a<b & c>"
 
 
 def test_svg_deterministic(rng):

@@ -167,25 +167,37 @@ class TestBank:
         assert most_certain([0.3, 0.1, 0.2], np.int32(1), classes=[0, 0, 1]).tolist() == [1, 2]
 
 
+def capped(uncertainty, caps, classes, rows=None) -> np.ndarray:
+    """The kernel's selection of the ``caps[j]`` most certain candidates of each
+    class j, as the adapt loop calls it with its int64 quotas."""
+    uncertainty = np.asarray(uncertainty, dtype=np.float64)
+    rows = np.arange(uncertainty.size) if rows is None else np.asarray(rows, dtype=np.int64)
+    caps, classes = np.asarray(caps, dtype=np.int64), np.asarray(classes, dtype=np.int64)
+    return _most_certain(uncertainty, caps, rows, classes)
+
+
 class TestPerClassCaps:
     def test_cap_beyond_candidates_keeps_class_without_redistribution(self):
         u, classes = [0.1, 0.2, 0.3, 0.4], [0, 0, 1, 1]
-        assert most_certain(u, [5, 1], classes=classes).tolist() == [0, 1, 2]
+        assert capped(u, [5, 1], classes).tolist() == [0, 1, 2]
         # class 0's unused cap does not move to class 1
-        assert most_certain(u, [0, 1], classes=classes).tolist() == [2]
+        assert capped(u, [0, 1], classes).tolist() == [2]
 
     def test_caps_index_classes_and_honor_rows(self):
         # entry j caps class j; ties go to the lower row name
-        got = most_certain([0.2, 0.2, 0.1, 0.5], [1, 0, 2], rows=[9, 4, 7, 1], classes=[0, 0, 2, 2])
+        got = capped([0.2, 0.2, 0.1, 0.5], [1, 0, 2], [0, 0, 2, 2], rows=[9, 4, 7, 1])
         assert got.tolist() == [1, 4, 7]
 
     @pytest.mark.parametrize(
         "caps",
-        [[1, -1], [1.0, 1.0], [[1, 1]], [1], np.array([1.5, 2.0])],
-        ids=["negative", "float", "2-d", "too-short", "fraction"],
+        [[1, -1], [1.0, 1.0], [[1, 1]], [1], np.array([1.5, 2.0]), np.array([1, 1]),
+         [[1], 1], [None, 1], [1 + 0.5j, 1], ["1", "1"]],
+        ids=["negative", "float", "2-d", "too-short", "fraction", "integers",
+             "ragged", "none", "complex", "strings"],
     )
     def test_bad_caps_rejected(self, caps):
-        with pytest.raises(InvalidInput):
+        # most_certain takes one k for every class; per-class caps are the kernel's
+        with pytest.raises(InvalidInput, match=r"^k must be an integer >= 1, got "):
             most_certain([0.1, 0.2, 0.3], caps, classes=[0, 1, 1])
 
 
@@ -296,7 +308,7 @@ class TestLargestRemainder:
 def balanced_select(omegas, classes, k, counts):
     """Class-proportional selection: the kernel's quotas over
     min(k, n) slots, then the most certain candidates of each class."""
-    return most_certain(omegas, int64_quotas(counts, min(k, len(omegas))), classes=classes)
+    return capped(omegas, int64_quotas(counts, min(k, len(omegas))), classes)
 
 
 def loop_capped_select(omegas, classes, caps):
@@ -314,7 +326,7 @@ class TestClassBalancedSelect:
             omegas = np.round(rng.uniform(0, 1.9, size=n), 1)  # coarse grid forces ties
             classes = rng.integers(0, c, size=n)
             caps = rng.integers(0, 30, size=c + int(rng.integers(0, 3)))  # extra caps name absent classes
-            got = most_certain(omegas, caps, classes=classes)
+            got = capped(omegas, caps, classes)
             assert got.tolist() == loop_capped_select(omegas, classes, caps), trial
             counts = np.bincount(classes, minlength=c)
             k = int(rng.integers(1, 30))

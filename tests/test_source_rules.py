@@ -2,9 +2,9 @@
 (applied in bulk, with ``%`` only per element in its fallback) and one number
 formatter, one place that opens files, one that packs byte layouts and one
 JSON encoder, all in ``io.py``, and one eigendecomposition, one symmetrizer and one
-conversion of an array argument (``_numeric``, which ``_real`` takes to float64), in ``linalg.py``,
-so no module grows a second copy of any; the symmetrizer runs only on a
-matrix product or inside ``_symmetric``, and the adapt loop pools
+conversion of an array argument (``_numeric``, whose only callers are ``_real``, to
+float64, and ``_indices``, to int64), in ``linalg.py``, so no module grows a second copy
+of any; the symmetrizer runs only on a matrix product or inside ``_symmetric``, and the adapt loop pools
 its moments with ``linalg._pooled``, not through the accumulator; it keeps no public definition that
 nothing reads; the adapt loop and the gradient solver's loop call kernels,
 never the checked public functions around them, and build the one checked
@@ -197,16 +197,18 @@ def test_symmetrized_only_after_a_product_or_a_boundary_check():
 
 def test_arguments_are_converted_only_by_the_gate():
     # linalg._numeric is the one conversion of an array argument, which _real
-    # takes to float64; the other three convert values the package built
-    # itself, so a new entry point cannot grow its own conversion
+    # takes to float64, so a new entry point cannot grow its own conversion
     found = sorted(owner for path in PACKAGE.glob("*.py") for owner, _ in _calls(path, "np.asarray"))
-    assert found == [
-        "io.py:_csv_chunks",
-        "io.py:_float_texts",
-        "linalg.py:_numeric",
-        "linalg.py:_real",
-        "synth.py:_clusters",
-    ]
+    assert found == ["linalg.py:_numeric", "linalg.py:_real"]
+
+
+def test_the_gate_has_two_doors():
+    # every array argument leaves the gate through _real, as float64, or
+    # _indices, as int64; no other function, here or in another module, reaches it
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    assert [name for name, tree in sorted(trees.items()) if "_numeric" in _referenced_names(tree)] == ["linalg.py"]
+    found = sorted(owner for owner, _ in _calls(PACKAGE / "linalg.py", "_numeric"))
+    assert found == ["linalg.py:_indices", "linalg.py:_real"]
 
 
 def test_adapt_loop_pools_triples_without_the_accumulator():
