@@ -20,11 +20,9 @@ from .errors import (
 )
 from .experiments import (
     GroupRow,
-    LinearFit,
     SolverTrace,
     TraceResult,
     TraceRow,
-    linear_fit_r2,
     objective,
     objective_gradient,
     solve_gradient,
@@ -54,7 +52,6 @@ __all__ = [
     "InvalidConfig",
     "InvalidInput",
     "LabeledBatch",
-    "LinearFit",
     "NormalStream",
     "NumericalFailure",
     "ParseError",
@@ -75,7 +72,6 @@ __all__ = [
     "covariance",
     "gen_linear_shift",
     "gen_nonlinear_shift",
-    "linear_fit_r2",
     "load_head",
     "most_certain",
     "objective",

@@ -5,7 +5,8 @@ pseudo-source, the closer it is to the true source. ``validate_uncertainty_group
 measures each uncertainty group's distance to the source, and
 ``validate_alignment_trace`` records distances and accuracy along one fixed-step
 ``solve_gradient``, which runs nowhere else. Both reuse the adapt path's kernels
-without its loop. ``spearman`` and ``linear_fit_r2`` return None for an undefined
+without its loop. ``spearman`` and the trace's R^2 share one Pearson kernel,
+``_pearson``, with exact power-of-two scaling; both return None for an undefined
 statistic (constant inputs, mismatched lengths, too few points), never a silent
 0, so a threshold comparison fails loudly; a complex input raises InvalidInput.
 """
@@ -41,11 +42,13 @@ class SolverTrace:
 
 
 def _checked(w, sigma_t, sigma_s_hat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w, sigma_t, sigma_s_hat) as float64, once they are square matrices of one shape."""
+    """(w, sigma_t, sigma_s_hat) as float64, once they are finite square matrices of one shape."""
     sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
     w = _real(w, "w")
     if w.shape != sigma_t.shape:
         raise InvalidInput(f"w shape {w.shape} does not match sigma shape {sigma_t.shape}")
+    if not np.all(np.isfinite(w)):
+        raise InvalidInput("w contains non-finite entries")
     return w, sigma_t, sigma_s_hat
 
 
@@ -160,66 +163,37 @@ def _ranks(values: np.ndarray) -> np.ndarray:
     return (ends - (counts - 1) / 2)[inverse]
 
 
-def spearman(x, y) -> float | None:
-    """Spearman rank correlation: Pearson correlation of average ranks.
+def _pearson(x, y) -> float | None:
+    """Pearson's r of two real vectors, or None where it is undefined: a length
+    mismatch, fewer than 2 points, a non-finite entry or a constant vector.
 
-    Returns None when undefined (length mismatch, fewer than 2 points, a NaN,
-    which has no rank, or a constant sequence).
-    """
-    x, y = _real(x, "x"), _real(y, "y")
-    if x.ndim != 1 or y.ndim != 1 or len(x) != len(y) or len(x) < 2:
-        return None
-    if np.isnan(x).any() or np.isnan(y).any():
-        return None
-    rx = _ranks(x)
-    ry = _ranks(y)
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    denom = math.sqrt(float(rx @ rx) * float(ry @ ry))
-    if denom == 0.0:
-        return None
-    return float(rx @ ry) / denom
-
-
-@dataclass
-class LinearFit:
-    slope: float
-    intercept: float
-    r2: float | None
-
-
-def linear_fit_r2(x, y) -> LinearFit | None:
-    """Ordinary least squares y = slope*x + intercept with R^2.
-
-    None for constant x, a non-finite input or a slope or intercept beyond
-    float64 (no finite fit exists); r2 is None when y is constant (zero total
-    variance makes the ratio meaningless). x and y are fitted scaled by the
-    powers of two that bring their largest magnitudes into [0.5, 1), so that
-    no sum of squares overflows or underflows; the scaling is exact, and
-    normal-range inputs give the bits of the unscaled fit.
+    x and y are first scaled by the powers of two that bring their largest
+    magnitudes into [0.5, 1), so that no sum of squares overflows or
+    underflows; the scaling is exact, and normal-range inputs give the bits of
+    the unscaled r.
     """
     x, y = _real(x, "x"), _real(y, "y")
     if x.ndim != 1 or y.ndim != 1 or len(x) != len(y) or len(x) < 2:
         return None
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         return None
-    ex, ey = (int(np.frexp(np.abs(v).max())[1]) for v in (x, y))
-    x, y = np.ldexp(x, -ex), np.ldexp(y, -ey)
-    xc = x - x.mean()
-    sxx = float(xc @ xc)
-    if sxx == 0.0:
+    if x.min() == x.max() or y.min() == y.max():
         return None
-    slope = float(xc @ (y - y.mean())) / sxx
-    intercept = float(y.mean() - slope * x.mean())
-    residual = y - (slope * x + intercept)
-    ss_res = float(residual @ residual)
-    ss_tot = float((y - y.mean()) @ (y - y.mean()))
-    r2 = None if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    try:
-        slope, intercept = math.ldexp(slope, ey - ex), math.ldexp(intercept, ey)
-    except OverflowError:
+    x, y = (np.ldexp(v, -int(np.frexp(np.abs(v).max())[1])) for v in (x, y))
+    x, y = x - x.mean(), y - y.mean()
+    return float(x @ y) / math.sqrt(float(x @ x) * float(y @ y))
+
+
+def spearman(x, y) -> float | None:
+    """Spearman rank correlation: ``_pearson`` of average ranks.
+
+    Returns None when undefined (length mismatch, fewer than 2 points, a NaN,
+    which has no rank, or a constant sequence).
+    """
+    x, y = _real(x, "x"), _real(y, "y")
+    if x.ndim != 1 or y.ndim != 1 or np.isnan(x).any() or np.isnan(y).any():
         return None
-    return LinearFit(slope=slope, intercept=intercept, r2=r2)
+    return _pearson(_ranks(x), _ranks(y))
 
 
 @dataclass
@@ -354,11 +328,13 @@ def validate_alignment_trace(
     if latest[0] % record_every != 0:  # the final iterate, not yet recorded
         record(*latest)
     dp, ds, acc = zip(*[(r.dist_to_pseudo, r.dist_to_source, r.accuracy) for r in rows])
+    # the R^2 of a one-variable least-squares line is r^2
+    r_source, r_accuracy = _pearson(dp, ds), _pearson(dp, acc)
     return TraceResult(
         rows=rows,
         spearman_pseudo_vs_source=spearman(dp, ds),
         spearman_pseudo_vs_accuracy=spearman(dp, acc),
-        r2_pseudo_vs_source=getattr(linear_fit_r2(dp, ds), "r2", None),
-        r2_pseudo_vs_accuracy=getattr(linear_fit_r2(dp, acc), "r2", None),
+        r2_pseudo_vs_source=None if r_source is None else r_source * r_source,
+        r2_pseudo_vs_accuracy=None if r_accuracy is None else r_accuracy * r_accuracy,
         solver_trace=solver_trace,
     )

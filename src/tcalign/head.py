@@ -19,27 +19,28 @@ from .errors import _check_count, _check_positive
 from .linalg import _check_width, _indices, _real, validate_embeddings
 
 
-@dataclass
+@dataclass(frozen=True)
 class SoftmaxHead:
-    """Linear decoder: c x d weight matrix plus length-c bias."""
+    """Linear decoder: c x d weight matrix plus length-c bias, checked when
+    built; its fields cannot be reassigned afterwards."""
 
     weight: np.ndarray
     bias: np.ndarray
 
     def __post_init__(self):
-        self.weight, self.bias = _real(self.weight, "head weight"), _real(self.bias, "head bias")
-        if self.weight.ndim != 2:
+        weight, bias = _real(self.weight, "head weight"), _real(self.bias, "head bias")
+        if weight.ndim != 2:
             raise InvalidInput("head weight must be a c x d matrix")
-        if self.bias.shape != (self.weight.shape[0],):
-            raise InvalidInput(
-                f"bias shape {self.bias.shape} does not match weight rows {self.weight.shape[0]}"
-            )
-        if self.weight.shape[0] < 2:
+        if bias.shape != (weight.shape[0],):
+            raise InvalidInput(f"bias shape {bias.shape} does not match weight rows {weight.shape[0]}")
+        if weight.shape[0] < 2:
             raise InvalidInput("head needs at least 2 classes")
-        if self.weight.shape[1] < 1:
+        if weight.shape[1] < 1:
             raise InvalidInput("head needs at least 1 embedding dimension")
-        if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
+        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
             raise InvalidInput("head contains non-finite values")
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "bias", bias)
 
     @property
     def n_classes(self) -> int:

@@ -25,27 +25,29 @@ from .linalg import _symmetrized, validate_embeddings
 DEFAULT_EPS = 1e-3
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlignmentTransform:
-    """The affine map z -> (z - mu_t) W + mu_s_hat applied row-wise."""
+    """The affine map z -> (z - mu_t) W + mu_s_hat applied row-wise, checked
+    when built; its fields cannot be reassigned afterwards."""
 
     w: np.ndarray
     mu_t: np.ndarray
     mu_s_hat: np.ndarray
 
     def __post_init__(self):
-        self.w, self.mu_t = _real(self.w, "transform w"), _real(self.mu_t, "transform mu_t")
-        self.mu_s_hat = _real(self.mu_s_hat, "transform mu_s_hat")
-        if self.w.ndim != 2:
-            raise InvalidInput(f"transform w must be a d x d matrix, got ndim={self.w.ndim}")
-        if not all(np.all(np.isfinite(a)) for a in (self.w, self.mu_t, self.mu_s_hat)):
+        names = ("w", "mu_t", "mu_s_hat")
+        w, mu_t, mu_s_hat = (_real(getattr(self, name), f"transform {name}") for name in names)
+        if w.ndim != 2:
+            raise InvalidInput(f"transform w must be a d x d matrix, got ndim={w.ndim}")
+        if not all(np.all(np.isfinite(a)) for a in (w, mu_t, mu_s_hat)):
             raise InvalidInput("alignment transform contains non-finite values")
-        d = self.w.shape[0]
-        if self.w.shape != (d, d) or self.mu_t.shape != (d,) or self.mu_s_hat.shape != (d,):
+        d = w.shape[0]
+        if w.shape != (d, d) or mu_t.shape != (d,) or mu_s_hat.shape != (d,):
             raise InvalidInput(
-                f"inconsistent transform shapes: w {self.w.shape}, mu_t {self.mu_t.shape}, "
-                f"mu_s_hat {self.mu_s_hat.shape}"
+                f"inconsistent transform shapes: w {w.shape}, mu_t {mu_t.shape}, mu_s_hat {mu_s_hat.shape}"
             )
+        for name, value in zip(names, (w, mu_t, mu_s_hat)):
+            object.__setattr__(self, name, value)
 
 
 def solve_closed_form(sigma_t, sigma_s_hat, eps: float = DEFAULT_EPS) -> np.ndarray:

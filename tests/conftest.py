@@ -24,6 +24,14 @@ def make_symmetric(rng, d, scale=1.0):
     return (a + a.T) / 2.0
 
 
+def normal_equation_r2(x, y):
+    """Brute-force oracle: 1 - SS_res / SS_tot of the line of y on x solved from the normal equations."""
+    x, y = np.asarray(x), np.asarray(y)
+    a = np.vstack([x, np.ones_like(x)]).T
+    residual = y - a @ np.linalg.solve(a.T @ a, a.T @ y)
+    return 1.0 - residual @ residual / ((y - y.mean()) @ (y - y.mean()))
+
+
 LAYOUTS = ("C", "F", "row-strided", "column-strided")
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from tcalign import linear_fit_r2, spearman
+from tcalign import spearman
+from tcalign.experiments import _pearson
+from conftest import normal_equation_r2
 
 
 def rank_then_pearson(x, y):
@@ -63,39 +65,36 @@ class TestSpearman:
         assert spearman([-np.inf, 0.0, np.inf], [1.0, 2.0, 3.0]) == 1.0
 
 
+def r2(x, y):
+    """The trace's R^2 of the least-squares line of y on x: the square of ``_pearson``."""
+    r = _pearson(x, y)
+    return None if r is None else r * r
+
+
 class TestLinearFit:
+    # the R^2 of a one-variable least-squares line, which the trace reports as r^2
     def test_exact_line(self):
-        fit = linear_fit_r2([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 5.0, 7.0])
-        assert fit.slope == pytest.approx(2.0, rel=1e-12)
-        assert fit.intercept == pytest.approx(1.0, rel=1e-12)
-        assert fit.r2 == pytest.approx(1.0, abs=1e-12)
+        assert _pearson([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 5.0, 7.0]) == pytest.approx(1.0, abs=1e-15)
+        assert _pearson([0.0, 1.0, 2.0, 3.0], [7.0, 5.0, 3.0, 1.0]) == pytest.approx(-1.0, abs=1e-15)
+        assert r2([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 5.0, 7.0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_y_gives_undefined_r2(self):
-        fit = linear_fit_r2([0.0, 1.0, 2.0], [5.0, 5.0, 5.0])
-        assert fit is not None
-        assert fit.slope == pytest.approx(0.0, abs=1e-12)
-        assert fit.r2 is None
+        assert _pearson([0.0, 1.0, 2.0], [5.0, 5.0, 5.0]) is None
+        # a constant of many entries whose mean is inexact is constant still
+        assert _pearson(np.arange(7.0), np.full(7, 0.1)) is None
 
     def test_constant_x_is_undefined(self):
-        assert linear_fit_r2([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]) is None
+        assert _pearson([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]) is None
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_is_undefined(self, bad):
-        # a NaN used to come back as a fit of NaNs
-        assert linear_fit_r2([1.0, bad, 3.0], [1.0, 2.0, 3.0]) is None
-        assert linear_fit_r2([1.0, 2.0, 3.0], [1.0, 2.0, bad]) is None
+        assert _pearson([1.0, bad, 3.0], [1.0, 2.0, 3.0]) is None
+        assert _pearson([1.0, 2.0, 3.0], [1.0, 2.0, -bad]) is None
 
     def test_matches_normal_equation_oracle(self, rng):
         x = rng.standard_normal(40)
         y = 3.0 * x - 2.0 + rng.standard_normal(40)
-        fit = linear_fit_r2(x, y)
-        a = np.vstack([x, np.ones_like(x)]).T
-        slope_ref, intercept_ref = np.linalg.solve(a.T @ a, a.T @ y)
-        residual = y - (slope_ref * x + intercept_ref)
-        r2_ref = 1.0 - residual @ residual / ((y - y.mean()) @ (y - y.mean()))
-        assert fit.slope == pytest.approx(slope_ref, rel=1e-10)
-        assert fit.intercept == pytest.approx(intercept_ref, rel=1e-10)
-        assert fit.r2 == pytest.approx(r2_ref, rel=1e-10)
+        assert r2(x, y) == pytest.approx(normal_equation_r2(x, y), rel=1e-12)
 
     @pytest.mark.parametrize(
         "x_scale, y_scale",
@@ -103,21 +102,17 @@ class TestLinearFit:
         ids=["huge-x", "huge-y", "tiny-x"],
     )
     def test_fit_follows_the_scale_of_its_input(self, x_scale, y_scale):
-        # the sums of squares used to overflow or underflow: r2 0.0 with a
-        # RuntimeWarning for huge x, nan for huge y, None ("constant x") for tiny x
+        # unscaled, the sums of squares overflow for huge x or y and underflow for tiny x
         x, y = np.array([1.0, -1.0, 0.0]), np.array([0.0, 1.0, 2.0])
-        fit = linear_fit_r2(x * x_scale, y * y_scale)
-        assert fit.slope == pytest.approx(-0.5 * y_scale / x_scale, rel=1e-15)
-        assert fit.intercept == pytest.approx(y_scale, rel=1e-15)
-        assert fit.r2 == pytest.approx(0.25, rel=1e-15)
+        assert _pearson(x * x_scale, y * y_scale) == _pearson(x, y) == -0.5
+        assert r2(x * x_scale, y * y_scale) == 0.25
 
-    def test_slope_beyond_float64_is_none(self):
-        assert linear_fit_r2([1e-200, 2e-200, 3e-200], [1e200, 2e200, 4e200]) is None
+    def test_r2_is_defined_where_the_slope_overflows(self):
+        # the line's slope, 1e400, is beyond float64; its R^2 is not
+        assert r2([1e-200, 2e-200, 3e-200], [1e200, 2e200, 4e200]) == pytest.approx(27 / 28, rel=1e-15)
 
-    def test_r2_can_go_negative_for_terrible_fit(self):
-        # degenerate two-point cloud fitted through distant outliers
-        fit = linear_fit_r2([0.0, 0.0, 1.0], [0.0, 10.0, 5.0])
-        assert fit.r2 <= 1.0
+    def test_r2_of_a_poor_fit_lies_in_the_unit_interval(self):
+        assert 0.0 <= r2([0.0, 0.0, 1.0], [0.0, 10.0, 5.0]) <= 1.0
 
 
 @pytest.mark.parametrize(
@@ -126,4 +121,5 @@ class TestLinearFit:
     ids=["length-mismatch", "2-d", "one-point"],
 )
 def test_linear_fit_of_malformed_input_is_none(x, y):
-    assert linear_fit_r2(x, y) is None
+    assert _pearson(x, y) is None
+    assert spearman(x, y) is None

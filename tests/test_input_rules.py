@@ -15,6 +15,7 @@ its power-of-two multiples get one verdict.
 """
 
 import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from tcalign import (
     batch_uncertainties,
     correlation_distance,
     covariance,
-    linear_fit_r2,
     most_certain,
     objective,
     objective_gradient,
@@ -156,7 +156,7 @@ ENTRIES = {
     "batch_uncertainties": lambda bad, tmp: batch_uncertainties(bad(PROBS)),
     "most_certain": lambda bad, tmp: most_certain(bad(SERIES), 2),
     "spearman": lambda bad, tmp: spearman(SERIES, bad(SERIES)),
-    "linear_fit_r2": lambda bad, tmp: linear_fit_r2(bad(SERIES), SERIES),
+    "spearman-x": lambda bad, tmp: spearman(bad(SERIES), SERIES),
     "validate_uncertainty_groups": lambda bad, tmp: validate_uncertainty_groups(
         bad(Z), HEAD, (MU, S), n_groups=2
     ),
@@ -227,6 +227,26 @@ def test_object_array_of_numbers_is_refused():
     # even when every entry is a float
     with pytest.raises(InvalidInput, match=r"^embeddings must hold integers or floats, got dtype object$"):
         covariance(Z.astype(object))
+
+
+@pytest.mark.parametrize("fn", [objective, objective_gradient])
+def test_non_finite_w_is_refused(fn):
+    # w was converted but never scanned: the objective came back nan and its
+    # gradient a matrix of NaNs
+    with pytest.raises(InvalidInput, match=r"^w contains non-finite entries$"):
+        fn(np.full((2, 2), np.nan), S, S)
+
+
+@pytest.mark.parametrize(
+    "built, name",
+    [(HEAD, "weight"), (HEAD, "bias"), *((AlignmentTransform(S, MU, MU), n) for n in ("w", "mu_t", "mu_s_hat"))],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+)
+def test_checked_fields_cannot_be_reassigned(built, name):
+    # the checks run when the object is built: a field assigned afterwards
+    # used to bypass them (a NaN w made apply_transform return NaN rows)
+    with pytest.raises(FrozenInstanceError):
+        setattr(built, name, np.full_like(getattr(built, name), np.nan))
 
 
 PREDS = predict(HEAD, Z)

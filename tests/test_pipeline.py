@@ -32,7 +32,7 @@ from tcalign import (
 )
 from tcalign import pipeline
 from tcalign.linalg import _covariance
-from conftest import LAYOUTS, laid_out, streamed_pseudo_source, streamed_selections
+from conftest import LAYOUTS, laid_out, normal_equation_r2, streamed_pseudo_source, streamed_selections
 
 
 @pytest.fixture(scope="module")
@@ -536,6 +536,14 @@ class TestAlignmentTrace:
         assert dp[-1] < dp[0]
         iterations = [r.iteration for r in result.rows]
         assert iterations == sorted(iterations)
+
+    def test_r2_matches_normal_equation_oracle(self, linear_demo):
+        data, head = linear_demo
+        stats = covariance(data.source.features)
+        result = validate_alignment_trace(data.target.features, head, None, stats, data.target.labels)
+        dp, ds, acc = zip(*[(r.dist_to_pseudo, r.dist_to_source, r.accuracy) for r in result.rows])
+        assert result.r2_pseudo_vs_source == pytest.approx(normal_equation_r2(dp, ds), abs=1e-12)
+        assert result.r2_pseudo_vs_accuracy == pytest.approx(normal_equation_r2(dp, acc), abs=1e-12)
 
     def test_memory_bounded_by_recorded_rows(self, rng):
         # keeping every iterate would hold max_iters + 1 copies of the d x d W

@@ -409,6 +409,22 @@ def test_gradient_loop_calls_no_checked_objective():
     assert {"objective", "objective_gradient"} & _referenced_names(loop) == set()
 
 
+def test_one_correlation_kernel():
+    # spearman and the trace's R^2 share one Pearson kernel, the only square
+    # root taken in experiments.py
+    tree = ast.parse((PACKAGE / "experiments.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    roots = {
+        name
+        for name, function in functions.items()
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and "sqrt" in {getattr(node.func, "attr", None), getattr(node.func, "id", None)}
+    }
+    assert roots == {"_pearson"}
+    for name in ("spearman", "validate_alignment_trace"):
+        assert "_pearson" in _referenced_names(functions[name])
+
+
 SOLVES = {"_closed_form", "solve_closed_form", "solve_gradient"}
 
 
@@ -435,7 +451,7 @@ def test_adapt_loop_has_one_solver():
     assert {"_adapt", "_closed_form"} & _referenced_names(trace) == set()
 
 
-EXPERIMENT_NAMES = {"solve_gradient", "SolverTrace", "objective", "spearman", "linear_fit_r2"}
+EXPERIMENT_NAMES = {"solve_gradient", "SolverTrace", "objective", "spearman", "_pearson"}
 
 
 @pytest.mark.parametrize("module", ["pipeline.py", "pseudo_source.py", "transform.py"])
