@@ -16,13 +16,14 @@ import numpy as np
 
 from .errors import DegenerateLabels, InvalidInput, NumericalFailure
 from .errors import _check_count, _check_positive
-from .linalg import _check_width, _indices, _real, validate_embeddings
+from .linalg import _check_width, _indices, _read_only, _real, validate_embeddings
 
 
 @dataclass(frozen=True)
 class SoftmaxHead:
     """Linear decoder: c x d weight matrix plus length-c bias, checked when
-    built; its fields cannot be reassigned afterwards."""
+    built and kept as read-only copies, so neither a reassignment nor a write
+    to the caller's arrays or in place can change them."""
 
     weight: np.ndarray
     bias: np.ndarray
@@ -39,8 +40,8 @@ class SoftmaxHead:
             raise InvalidInput("head needs at least 1 embedding dimension")
         if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
             raise InvalidInput("head contains non-finite values")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "bias", bias)
+        object.__setattr__(self, "weight", _read_only(weight))
+        object.__setattr__(self, "bias", _read_only(bias))
 
     @property
     def n_classes(self) -> int:

@@ -13,13 +13,12 @@ writer converts its array arguments once, through ``linalg._real`` or
 are. Every writer here, ``write_scatter_svg``
 included, goes through the temp-file rename of ``_atomic_write``, so a crashed
 process never leaves a half-written artifact; a CSV streams to it chunk by
-chunk, in row order, never joined in memory. Its chunks are formatted on
-``min(cores, chunks)`` worker threads, cores being ``os.sched_getaffinity``'s
-count (inline for one worker): chunk i on worker i % workers, in that worker's
-own ``words`` and ``keep`` slots (about 2.2 MB each). A worker formats a chunk
-only with one of its two permits, each given back once its chunk is written,
-so the extra memory is bounded by workers x (2 x 2.2 MB of slots + two chunks
-of text), and no thread outlives the write. Every JSON text the package emits,
+chunk, in row order, never joined in memory. Its chunks are formatted on a
+standard-library thread pool of ``min(cores, chunks)`` threads, cores being
+``os.sched_getaffinity``'s count, each chunk in ``words`` and ``keep`` slots of
+its own (about 2.2 MB each). At most two chunks per thread are queued or held
+ahead of the file, which bounds the extra memory, and the pool is shut down,
+its queue cancelled, however the write ends. Every JSON text the package emits,
 the report file and each line the CLI prints, comes from one encoder,
 ``_json_text``: strict JSON, with a non-finite float written as null.
 
@@ -43,8 +42,9 @@ import json
 import math
 import os
 import struct
-import threading
+from collections import deque
 from collections.abc import Generator, Iterator
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -262,18 +262,21 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _csv_rows(index: np.ndarray, values: np.ndarray, words: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def _csv_rows(index: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The CSV lines ``"%d" % index[i]`` then ``FLOAT_FORMAT`` of each of
-    ``values[i]``, formatted in the first ``len(index)`` rows of the slot buffers."""
+    ``values[i]``, formatted in slot buffers of their own."""
     n, c = values.shape
-    w, k = words[:n], keep[:n]
+    words = np.empty((n, (c + 1) * _WORDS + 1), np.uint64)  # index, floats, newline
+    keep = np.empty_like(words)
+    words[:, -1] = np.frombuffer(b"\n".ljust(8, b"\0"), np.uint64)
+    keep[:, -1] = np.frombuffer(b"\1".ljust(8, b"\0"), np.uint64)
     slots = (n, c + 1, _WORDS)  # views: each row's slots are contiguous
-    w_slots, k_slots = w[:, :-1].reshape(slots), k[:, :-1].reshape(slots)
+    w_slots, k_slots = words[:, :-1].reshape(slots), keep[:, :-1].reshape(slots)
     _fill_floats(np.column_stack([index, values]), w_slots, k_slots)
-    k.view(np.uint8)[:, 0] = 0  # the index slot's comma
+    keep.view(np.uint8)[:, 0] = 0  # the index slot's comma
     for r in np.flatnonzero((index > 2**53) | (index < -(2**53))):  # beyond a double's integers
         _splice(w_slots[r, 0], k_slots[r, 0], "%d" % index[r])
-    return np.compress(k.view(bool).ravel(), w.view(np.uint8).ravel())
+    return np.compress(keep.view(bool).ravel(), words.view(np.uint8).ravel())
 
 
 def _csv_chunks(header: list[str], index, values) -> Iterator[bytes | np.ndarray]:
@@ -281,67 +284,27 @@ def _csv_chunks(header: list[str], index, values) -> Iterator[bytes | np.ndarray
     of each of ``values[i]`` (comma-separated, LF endings), in chunks of rows,
     from an int64 vector ``index`` and a float64 matrix ``values`` of one row each.
 
-    Chunk i is formatted by worker i % workers, in that worker's own slot
-    buffers, with one worker per core up to one per chunk. One worker runs
-    inline; several each run on a thread that takes one of its own two permits
-    before it formats chunk i, puts the chunk (or what formatting raised) in
-    ``made[i]`` and sets ``ready[i]``. Chunks are taken in row order and a
-    permit is given back once a chunk is written. No thread outlives the
-    generator, however it ends: exhausted, raising, or closed early."""
+    Chunks are formatted on a pool of one thread per core, up to one per chunk,
+    and taken in row order from a queue of at most two per thread, the one the
+    caller holds included; a chunk that failed to format raises here, and the
+    chunks queued behind it are cancelled. No thread outlives the generator,
+    however it ends: exhausted, raising, or closed early."""
     n, c = values.shape
     yield (",".join(header) + "\n").encode("utf-8")
     rows = max(1, _CHUNK_VALUES // max(c, 1))
     starts = range(0, n, rows)
     workers = max(1, min(_cores(), len(starts)))
-
-    def worker(w: int) -> Iterator[np.ndarray]:
-        words = np.empty((min(rows, n), (c + 1) * _WORDS + 1), np.uint64)  # index, floats, newline
-        keep = np.empty_like(words)
-        words[:, -1] = np.frombuffer(b"\n".ljust(8, b"\0"), np.uint64)
-        keep[:, -1] = np.frombuffer(b"\1".ljust(8, b"\0"), np.uint64)
-        for start in starts[w::workers]:
-            yield _csv_rows(index[start : start + rows], values[start : start + rows], words, keep)
-
-    if workers == 1:
-        yield from worker(0)
-        return
-    made = [None] * len(starts)
-    ready = [threading.Event() for _ in starts]
-    permits = [threading.Semaphore(2) for _ in range(workers)]
-    stopped = False
-
-    def run(w: int) -> None:
-        chunks = worker(w)
-        for i in range(w, len(starts), workers):
-            permits[w].acquire()
-            if stopped:
-                return
-            try:
-                made[i] = next(chunks)
-            except BaseException as exc:  # handed to the consumer, which raises it
-                made[i] = exc
-                return
-            finally:
-                ready[i].set()
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(workers)]
+    ahead = deque()
+    pool = ThreadPoolExecutor(workers)
     try:
-        for thread in threads:
-            thread.start()
-        for i, event in enumerate(ready):
-            event.wait()
-            chunk, made[i] = made[i], None
-            if isinstance(chunk, BaseException):
-                raise chunk
-            yield chunk
-            permits[i % workers].release()
+        for start in starts:
+            ahead.append(pool.submit(_csv_rows, index[start : start + rows], values[start : start + rows]))
+            if len(ahead) == 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
     finally:
-        stopped = True
-        for permit in permits:
-            permit.release()
-        for thread in threads:
-            if thread.ident is not None:  # started
-                thread.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def _float_texts(values: np.ndarray) -> list[str]:

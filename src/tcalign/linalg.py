@@ -53,6 +53,13 @@ def _real(a, name: str) -> np.ndarray:
     return np.asarray(_numeric(a, name), dtype=np.float64)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a``, in its memory order, that cannot be written in place."""
+    a = a.copy(order="K")
+    a.setflags(write=False)
+    return a
+
+
 def _indices(values, name: str, signed: bool = False) -> np.ndarray:
     """``values`` through ``_numeric``, as int64, or InvalidInput for a value the
     cast would change (a fraction, NaN, an infinity) or, unless ``signed``, a negative one."""

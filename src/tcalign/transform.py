@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import InvalidInput
 from .head import SoftmaxHead
-from .linalg import _check_eps, _check_width, _power, _real, _shrink, _square_pair, _symmetric
-from .linalg import _symmetrized, validate_embeddings
+from .linalg import _check_eps, _check_width, _power, _read_only, _real, _shrink, _square_pair
+from .linalg import _symmetric, _symmetrized, validate_embeddings
 
 DEFAULT_EPS = 1e-3
 
@@ -28,7 +28,8 @@ DEFAULT_EPS = 1e-3
 @dataclass(frozen=True)
 class AlignmentTransform:
     """The affine map z -> (z - mu_t) W + mu_s_hat applied row-wise, checked
-    when built; its fields cannot be reassigned afterwards."""
+    when built and kept as read-only copies, so neither a reassignment nor a
+    write to the caller's arrays or in place can change them."""
 
     w: np.ndarray
     mu_t: np.ndarray
@@ -47,7 +48,7 @@ class AlignmentTransform:
                 f"inconsistent transform shapes: w {w.shape}, mu_t {mu_t.shape}, mu_s_hat {mu_s_hat.shape}"
             )
         for name, value in zip(names, (w, mu_t, mu_s_hat)):
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _read_only(value))
 
 
 def solve_closed_form(sigma_t, sigma_s_hat, eps: float = DEFAULT_EPS) -> np.ndarray:

@@ -238,15 +238,27 @@ def test_non_finite_w_is_refused(fn):
 
 
 @pytest.mark.parametrize(
-    "built, name",
-    [(HEAD, "weight"), (HEAD, "bias"), *((AlignmentTransform(S, MU, MU), n) for n in ("w", "mu_t", "mu_s_hat"))],
-    ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+    "cls, name",
+    [(SoftmaxHead, "weight"), (SoftmaxHead, "bias"), *((AlignmentTransform, n) for n in ("w", "mu_t", "mu_s_hat"))],
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
 )
-def test_checked_fields_cannot_be_reassigned(built, name):
-    # the checks run when the object is built: a field assigned afterwards
-    # used to bypass them (a NaN w made apply_transform return NaN rows)
+def test_checked_fields_cannot_be_reassigned(cls, name):
+    # the checks run when the object is built: a field assigned afterwards, or
+    # the caller's array written after the build, used to bypass them (a NaN w
+    # made apply_transform return NaN rows)
+    fields = (
+        {"weight": HEAD.weight.copy(), "bias": HEAD.bias.copy()}
+        if cls is SoftmaxHead
+        else {"w": S.copy(), "mu_t": MU.copy(), "mu_s_hat": MU.copy()}
+    )
+    built = cls(**fields)
     with pytest.raises(FrozenInstanceError):
         setattr(built, name, np.full_like(getattr(built, name), np.nan))
+    kept = getattr(built, name).copy()
+    fields[name].flat[0] = np.nan
+    np.testing.assert_array_equal(getattr(built, name), kept)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(built, name).flat[0] = np.nan
 
 
 PREDS = predict(HEAD, Z)
