@@ -3,26 +3,26 @@
 The theory says that the closer the test covariance is to a high-certainty
 pseudo-source, the closer it is to the true source. ``validate_uncertainty_groups``
 measures each uncertainty group's distance to the source, and
-``validate_alignment_trace`` records distances and accuracy along one fixed-step
-``solve_gradient``, which runs nowhere else. Both reuse the adapt path's kernels
-without its loop. ``spearman`` and the trace's R^2 share one Pearson kernel,
-``_pearson``, with exact power-of-two scaling; both return None for an undefined
-statistic (constant inputs, mismatched lengths, too few points), never a silent
-0, so a threshold comparison fails loudly; a complex input raises InvalidInput.
+``validate_alignment_trace`` records distances and accuracy along the fixed-step
+descent ``_descent``, which only it and ``solve_gradient`` iterate. Both reuse
+the adapt path's kernels without its loop. ``spearman`` and the trace's R^2
+share one Pearson kernel, ``_pearson``, with exact power-of-two scaling; both
+return None for an undefined statistic (constant inputs, mismatched lengths,
+too few points), never a silent 0, so a threshold comparison fails loudly; a
+complex input raises InvalidInput.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import DivergenceError, InvalidConfig, InvalidInput, _check_count, _check_positive
 from .head import SoftmaxHead, check_labels, softmax_rows
 from .linalg import _check_width, _covariance, _distance, _moments, _real, _spectral_radius
-from .linalg import _square_pair, shrink, validate_embeddings
+from .linalg import _shrink, _square_pair, shrink, validate_embeddings
 from .pipeline import AdaptConfig, _check_test, _source_covariance
 from .pseudo_source import _fold, _scored
 from .transform import DEFAULT_EPS, _adapted_head, _recolor
@@ -75,10 +75,9 @@ def solve_gradient(
     lr: float | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
     eps: float = DEFAULT_EPS,
-    iterate_hook: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, SolverTrace]:
     """Fixed-step gradient descent on the regularized alignment objective,
-    starting from the identity.
+    starting from the identity: the checked entry to ``_descent``, drained.
 
     Both covariances get the trace-scaled ridge of ``transform.solve_closed_form``.
     Returns the best iterate seen together with the per-iteration objective
@@ -94,11 +93,17 @@ def solve_gradient(
     if lr is not None:
         _check_positive("learning rate", lr)
     _check_count("max_iters", max_iters, 1)
-    sigma_t_reg = shrink(sigma_t, eps)
-    sigma_s_reg = shrink(sigma_s_hat, eps)
-
-    w = np.eye(sigma_t.shape[0])
     trace = SolverTrace()
+    for _, _, best_w in _descent(shrink(sigma_t, eps), shrink(sigma_s_hat, eps), lr, max_iters, trace):
+        pass
+    return best_w, trace
+
+
+def _descent(sigma_t_reg, sigma_s_reg, lr, max_iters, trace: SolverTrace):
+    """Yield (iteration, W, best W so far) from iteration 0, the identity, of
+    the descent on ridged matrices, appending each objective to ``trace``.
+    Each step builds a new W, so no yielded array is copied or changed."""
+    w = np.eye(sigma_t_reg.shape[0])
     # the loop carries the residual: objective sum(r * r), step 4 sigma_t W r
     with np.errstate(over="ignore", invalid="ignore"):
         residual = _residual(w, sigma_t_reg, sigma_s_reg)
@@ -108,12 +113,8 @@ def solve_gradient(
     if lr is None:
         lr = _default_step(sigma_t_reg)
     trace.objective_values.append(current)
-    if iterate_hook is not None:
-        iterate_hook(0, w.copy())
-
-    best_w = w.copy()
-    best_obj = current
-    stall = 0
+    best_w, best_obj, stall = w, current, 0
+    yield 0, w, best_w
     for it in range(1, max_iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             w = w - lr * (4.0 * sigma_t_reg @ w @ residual)
@@ -128,18 +129,15 @@ def solve_gradient(
             )
         trace.objective_values.append(value)
         trace.iterations = it
-        if iterate_hook is not None:
-            iterate_hook(it, w.copy())
         if value < best_obj:
-            best_obj = value
-            best_w = w.copy()
+            best_w, best_obj = w, value
+        yield it, w, best_w
         previous = trace.objective_values[-2]
         improvement = (previous - value) / max(abs(previous), 1e-300)
         stall = stall + 1 if improvement < DEFAULT_TOL else 0
         if stall >= STALL_ITERS:
             trace.converged = True
-            break
-    return best_w, trace
+            return
 
 
 def _default_step(sigma_t_reg: np.ndarray) -> float:
@@ -273,13 +271,13 @@ def validate_alignment_trace(
 
     The pseudo-source is the one ``adapt_transductive`` selects under ``cfg``
     (None means ``AdaptConfig()``, as there), built from the same kernels;
-    one ``solve_gradient`` with step ``lr`` (by default derived from the test
-    covariance's spectrum) and at most ``max_iters`` iterations then aligns
-    the test covariance to it.
-    Every ``record_every``-th iterate (plus the final one) is turned into a
-    row of covariance distances and accuracy as the solver hands it over, so
-    only the latest iterate is held; the summary correlations mirror the
-    relationship plots of the alignment-theory experiments.
+    ``_descent`` (``solve_gradient`` without its checks), with step ``lr``
+    (by default derived from the test covariance's spectrum) and at most
+    ``max_iters`` iterations, then aligns the test covariance to it.
+    Every ``record_every``-th iterate (plus the final one) becomes a row of
+    covariance distances and accuracy as the descent yields it, so no list
+    of iterates is held; the summary correlations mirror the relationship
+    plots of the alignment-theory experiments.
     """
     cfg = AdaptConfig._checked(cfg)
     if lr is not None:
@@ -300,33 +298,23 @@ def validate_alignment_trace(
     mu_t, sigma_t = _covariance(_moments(test))
     mu_s_hat, sigma_s_hat = _covariance(_moments(test[selected]))
 
-    rows = []
-
-    def record(iteration: int, w: np.ndarray) -> None:
+    def record(iteration: int, w: np.ndarray) -> TraceRow:
         sigma_i = _recolor(w, sigma_t)
         argmax = softmax_rows(test, *_adapted_head(head, w, mu_t, mu_s_hat)).argmax(axis=1)
-        rows.append(
-            TraceRow(
-                iteration=iteration,
-                dist_to_pseudo=_distance(sigma_i, sigma_s_hat),
-                dist_to_source=_distance(sigma_i, sigma_s),
-                accuracy=float(np.mean(argmax == labels)),
-            )
+        return TraceRow(
+            iteration=iteration,
+            dist_to_pseudo=_distance(sigma_i, sigma_s_hat),
+            dist_to_source=_distance(sigma_i, sigma_s),
+            accuracy=float(np.mean(argmax == labels)),
         )
 
-    latest = None
-
-    def hook(iteration: int, w: np.ndarray) -> None:
-        nonlocal latest
-        latest = (iteration, w)
+    rows, solver_trace = [], SolverTrace()
+    descent = _descent(_shrink(sigma_t, cfg.eps), _shrink(sigma_s_hat, cfg.eps), lr, max_iters, solver_trace)
+    for iteration, w, _ in descent:
         if iteration % record_every == 0:
-            record(iteration, w)
-
-    _, solver_trace = solve_gradient(
-        sigma_t, sigma_s_hat, lr=lr, max_iters=max_iters, eps=cfg.eps, iterate_hook=hook
-    )
-    if latest[0] % record_every != 0:  # the final iterate, not yet recorded
-        record(*latest)
+            rows.append(record(iteration, w))
+    if iteration % record_every != 0:  # the final iterate, not yet recorded
+        rows.append(record(iteration, w))
     dp, ds, acc = zip(*[(r.dist_to_pseudo, r.dist_to_source, r.accuracy) for r in rows])
     # the R^2 of a one-variable least-squares line is r^2
     r_source, r_accuracy = _pearson(dp, ds), _pearson(dp, acc)

@@ -133,5 +133,8 @@ def check_labels(labels, n: int) -> np.ndarray:
 
 
 def accuracy(preds: PredictionBatch, labels) -> float:
-    """Fraction of rows whose argmax matches the label."""
-    return float(np.mean(preds.argmax == check_labels(labels, preds.argmax.shape[0])))
+    """Fraction of rows whose argmax matches the label; a batch of no rows has none."""
+    n = preds.argmax.shape[0]
+    if n < 1:
+        raise InvalidInput("predictions must have at least one row")
+    return float(np.mean(preds.argmax == check_labels(labels, n)))

@@ -68,7 +68,8 @@ def _atomic_write(path, data: bytes | str | Generator[bytes]) -> None:
     """Write ``data`` (a str as UTF-8, or a generator of byte chunks streamed in
     order) to a temp file renamed over ``path``; the temp file is removed if
     the write, a chunk or the rename fails, and the generator is closed then,
-    so that it ends its work before the error propagates."""
+    so that it ends its work before the error propagates. An OSError that
+    names only the temp file names ``path`` instead."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -77,11 +78,13 @@ def _atomic_write(path, data: bytes | str | Generator[bytes]) -> None:
             for chunk in (data,) if isinstance(data, bytes) else data:
                 fh.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if not isinstance(data, bytes):
             data.close()
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp and exc.filename2 is None:
+            exc.filename = os.fspath(path)
         raise
 
 

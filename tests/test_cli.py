@@ -348,6 +348,22 @@ class TestAdapt:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["adapt", "plot"])
+    def test_unwritable_output_names_the_given_path(self, workspace, tmp_path, monkeypatch, capsys, command):
+        # the error used to name the writer's temp file, nodir/p.csv.tmp.<pid>
+        _, data_dir, head_path = workspace
+        monkeypatch.chdir(tmp_path)
+        target = str(data_dir / "target.tcae")
+        argv = {
+            "adapt": ["adapt", "--test", target, "--head", str(head_path), "--out-preds", "nodir/p.csv",
+                      "--out-report", "r.json"],
+            "plot": ["plot", "--source", target, "--target", target, "--out", "nodir/p.csv"],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: [Errno 2] No such file or directory: 'nodir/p.csv'\n"
+        assert ".tmp." not in err
+
     def test_gradient_divergence_exits_4(self, workspace, tmp_path):
         # only the trace runs the gradient solver; the demo covariances have
         # eigenvalues near 90, so an explicit 1e-3 step blows up

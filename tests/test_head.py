@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,16 @@ class TestAccuracy:
         preds = PredictionBatch(probs=probs, argmax=probs.argmax(axis=1))
         with pytest.raises(InvalidInput):
             accuracy(preds, [0, 1])
+
+    def test_zero_rows_rejected(self):
+        # a zero-row batch used to warn "Mean of empty slice" and return NaN
+        from tcalign import PredictionBatch
+
+        preds = PredictionBatch(probs=np.zeros((0, 2)), argmax=np.zeros(0, dtype=int))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="at least one row"):
+                accuracy(preds, [])
 
 
 class TestPersistence:

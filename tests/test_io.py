@@ -279,6 +279,14 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert list(target.iterdir()) == []
 
+    def test_missing_directory_names_the_target(self, tmp_path):
+        # the error used to name the temp file, out.csv.tmp.<pid>
+        target = tmp_path / "nodir" / "out.csv"
+        with pytest.raises(FileNotFoundError) as caught:
+            _atomic_write(target, b"data")
+        assert caught.value.filename == str(target)
+        assert str(caught.value) == f"[Errno 2] No such file or directory: '{target}'"
+
     def test_chunks_are_streamed_in_order(self, tmp_path):
         target = tmp_path / "out"
         _atomic_write(target, (part for part in [b"ab", np.frombuffer(b"cd", np.uint8), b"", b"e"]))

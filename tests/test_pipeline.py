@@ -31,6 +31,7 @@ from tcalign import (
     validate_uncertainty_groups,
 )
 from tcalign import pipeline
+from tcalign.experiments import SolverTrace, _descent
 from tcalign.linalg import _covariance
 from conftest import LAYOUTS, laid_out, normal_equation_r2, streamed_pseudo_source, streamed_selections
 
@@ -159,11 +160,8 @@ class TestFoldedHead:
         rows = streamed_pseudo_source(z, head, replace(cfg, batch_size=len(z)))
         mu_s_hat, sigma_s_hat = covariance(z[rows])
         mu_t, sigma_t = covariance(z)
-        iterates = []
-        solve_gradient(
-            sigma_t, sigma_s_hat, lr=lr, max_iters=max_iters, eps=cfg.eps,
-            iterate_hook=lambda it, w: iterates.append((it, w)),
-        )
+        descent = _descent(shrink(sigma_t, cfg.eps), shrink(sigma_s_hat, cfg.eps), lr, max_iters, SolverTrace())
+        iterates = [(it, w) for it, w, _ in descent]
         kept = [x for pos, x in enumerate(iterates) if pos % 20 == 0 or pos == len(iterates) - 1]
         assert [r.iteration for r in result.rows] == [it for it, _ in kept]
         for row, (_, w) in zip(result.rows, kept):
@@ -176,6 +174,25 @@ class TestFoldedHead:
                 correlation_distance(sigma_i, sigma_s), rel=1e-12, abs=0.0
             )
             assert row.accuracy == float(np.mean(predict(head, transformed).argmax == labels))
+
+    @pytest.mark.parametrize(
+        "cfg, lr, max_iters",
+        [(AdaptConfig(), None, 1000), (AdaptConfig(k=5, selection_mode="class_balanced"), 1e-7, 300)],
+        ids=["default", "class-balanced"],
+    )
+    def test_trace_runs_the_solvers_descent(self, linear_demo, cfg, lr, max_iters):
+        # the trace iterates the same descent that solve_gradient drains
+        data, head = linear_demo
+        z, labels = data.target.features, data.target.labels
+        source_stats = covariance(data.source.features)
+        result = validate_alignment_trace(z, head, cfg, source_stats, labels, lr=lr, max_iters=max_iters)
+
+        rows = streamed_pseudo_source(z, head, replace(cfg, batch_size=len(z)))
+        _, sigma_s_hat = covariance(z[rows])
+        _, sigma_t = covariance(z)
+        _, trace = solve_gradient(sigma_t, sigma_s_hat, lr, max_iters, cfg.eps)
+        assert result.solver_trace == trace  # dataclass equality: field for field, exactly
+        assert result.rows[-1].iteration == trace.iterations
 
 
 class TestAdaptTransductive:

@@ -401,13 +401,24 @@ def test_rows_are_scored_only_in_scored():
 
 
 def test_gradient_loop_calls_no_checked_objective():
-    # the loop carries its residual through the unchecked kernel
+    # the descent's loop carries its residual through the unchecked kernel
     tree = ast.parse((PACKAGE / "experiments.py").read_text(encoding="utf-8"))
-    (solver,) = [
-        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "solve_gradient"
-    ]
-    (loop,) = [node for node in ast.walk(solver) if isinstance(node, ast.For)]
+    (descent,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_descent"]
+    (loop,) = [node for node in ast.walk(descent) if isinstance(node, ast.For)]
     assert {"objective", "objective_gradient"} & _referenced_names(loop) == set()
+
+
+def test_trace_iterates_the_descent_on_values_it_built():
+    # the trace runs _descent itself, so the matrices it built are not checked
+    # again by the public solver or by the public ridge
+    tree = ast.parse((PACKAGE / "experiments.py").read_text(encoding="utf-8"))
+    (trace,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "validate_alignment_trace"
+    ]
+    names = _referenced_names(trace)
+    assert {"solve_gradient", "shrink", "iterate_hook"} & names == set()
+    assert {"_descent", "_shrink"} <= names
+    assert not any(isinstance(node, ast.Nonlocal) for node in ast.walk(tree))
 
 
 def test_one_correlation_kernel():
@@ -426,7 +437,7 @@ def test_one_correlation_kernel():
         assert "_pearson" in _referenced_names(functions[name])
 
 
-SOLVES = {"_closed_form", "solve_closed_form", "solve_gradient"}
+SOLVES = {"_closed_form", "solve_closed_form", "solve_gradient", "_descent"}
 
 
 def test_adapt_loop_has_one_solver():
@@ -452,7 +463,7 @@ def test_adapt_loop_has_one_solver():
     assert {"_adapt", "_closed_form"} & _referenced_names(trace) == set()
 
 
-EXPERIMENT_NAMES = {"solve_gradient", "SolverTrace", "objective", "spearman", "_pearson"}
+EXPERIMENT_NAMES = {"solve_gradient", "_descent", "SolverTrace", "objective", "spearman", "_pearson"}
 
 
 @pytest.mark.parametrize("module", ["pipeline.py", "pseudo_source.py", "transform.py"])

@@ -153,7 +153,7 @@ class TestClosedForm:
 class TestGradientSolver:
     def test_parameters(self):
         # the start is always the identity and the stall tolerance DEFAULT_TOL
-        names = ["sigma_t", "sigma_s_hat", "lr", "max_iters", "eps", "iterate_hook"]
+        names = ["sigma_t", "sigma_s_hat", "lr", "max_iters", "eps"]
         assert list(inspect.signature(solve_gradient).parameters) == names
 
     def test_fixed_point_when_already_aligned(self, rng):
