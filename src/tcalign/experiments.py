@@ -4,12 +4,13 @@ The theory says that the closer the test covariance is to a high-certainty
 pseudo-source, the closer it is to the true source. ``validate_uncertainty_groups``
 measures each uncertainty group's distance to the source, and
 ``validate_alignment_trace`` records distances and accuracy along the fixed-step
-descent ``_descent``, which only it and ``solve_gradient`` iterate. Both reuse
-the adapt path's kernels without its loop. ``spearman`` and the trace's R^2
-share one Pearson kernel, ``_pearson``, with exact power-of-two scaling; both
-return None for an undefined statistic (constant inputs, mismatched lengths,
-too few points), never a silent 0, so a threshold comparison fails loudly; a
-complex input raises InvalidInput.
+descent ``_descent``, which only it and ``solve_gradient`` iterate. The groups
+reuse the adapt path's kernels, and the trace takes its statistics from the
+adapt loop, ``pipeline._batches``. ``spearman`` and the trace's R^2 share one
+Pearson kernel, ``_pearson``, with exact power-of-two scaling; both return
+None for an undefined statistic (constant inputs, mismatched lengths, too few
+points), never a silent 0, so a threshold comparison fails loudly; a complex
+input raises InvalidInput.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .errors import DivergenceError, InvalidConfig, InvalidInput, _check_count, 
 from .head import SoftmaxHead, check_labels, softmax_rows
 from .linalg import _check_width, _covariance, _distance, _moments, _real, _spectral_radius
 from .linalg import _shrink, _square_pair, shrink, validate_embeddings
-from .pipeline import AdaptConfig, _check_test, _source_covariance
-from .pseudo_source import _fold, _scored
+from .pipeline import AdaptConfig, _batches, _check_test, _source_covariance
+from .pseudo_source import _scored
 from .transform import DEFAULT_EPS, _adapted_head, _recolor
 
 DEFAULT_MAX_ITERS = 1000
@@ -269,15 +270,15 @@ def validate_alignment_trace(
 ) -> TraceResult:
     """Record gradient-solver iterates applied to the test set.
 
-    The pseudo-source is the one ``adapt_transductive`` selects under ``cfg``
-    (None means ``AdaptConfig()``, as there), built from the same kernels;
-    ``_descent`` (``solve_gradient`` without its checks), with step ``lr``
-    (by default derived from the test covariance's spectrum) and at most
-    ``max_iters`` iterations, then aligns the test covariance to it.
-    Every ``record_every``-th iterate (plus the final one) becomes a row of
-    covariance distances and accuracy as the descent yields it, so no list
-    of iterates is held; the summary correlations mirror the relationship
-    plots of the alignment-theory experiments.
+    mu_t, sigma_t and the pseudo-source are ``adapt_transductive``'s under
+    ``cfg`` (None means ``AdaptConfig()``, as there): the one record of
+    ``pipeline._batches`` over all n rows, whose closed-form solve raises where
+    ``adapt_transductive``'s does. ``_descent`` (``solve_gradient`` without its
+    checks), with step ``lr`` (by default from the test covariance's spectrum)
+    and at most ``max_iters`` iterations, then aligns the test covariance to
+    it. Every ``record_every``-th iterate (plus the final one) becomes a row
+    of covariance distances and accuracy as the descent yields it, so no list
+    of iterates is held; the correlations mirror the alignment-theory plots.
     """
     cfg = AdaptConfig._checked(cfg)
     if lr is not None:
@@ -291,12 +292,7 @@ def validate_alignment_trace(
     labels = check_labels(labels, n)
     sigma_s = _source_covariance(source_stats, head.dim)
 
-    _, classes, uncertainty = _scored(test, head)
-    class_counts = np.bincount(classes, minlength=head.n_classes)
-    empty = np.empty(0, dtype=np.int64)
-    _, selected = _fold(cfg, empty, np.arange(n), uncertainty, classes, class_counts)
-    mu_t, sigma_t = _covariance(_moments(test))
-    mu_s_hat, sigma_s_hat = _covariance(_moments(test[selected]))
+    ((*_, mu_t, sigma_t, mu_s_hat, sigma_s_hat),) = _batches(test, head, cfg, *_scored(test, head)[1:], n)
 
     def record(iteration: int, w: np.ndarray) -> TraceRow:
         sigma_i = _recolor(w, sigma_t)

@@ -134,7 +134,7 @@ def check_labels(labels, n: int) -> np.ndarray:
 
 def accuracy(preds: PredictionBatch, labels) -> float:
     """Fraction of rows whose argmax matches the label; a batch of no rows has none."""
-    n = preds.argmax.shape[0]
-    if n < 1:
-        raise InvalidInput("predictions must have at least one row")
-    return float(np.mean(preds.argmax == check_labels(labels, n)))
+    argmax = _indices(preds.argmax, "argmax", True)
+    if argmax.ndim != 1 or argmax.size < 1:
+        raise InvalidInput(f"argmax must be a 1-D vector with at least one row, got shape {argmax.shape}")
+    return float(np.mean(argmax == check_labels(labels, argmax.size)))

@@ -69,7 +69,7 @@ def _atomic_write(path, data: bytes | str | Generator[bytes]) -> None:
     order) to a temp file renamed over ``path``; the temp file is removed if
     the write, a chunk or the rename fails, and the generator is closed then,
     so that it ends its work before the error propagates. An OSError that
-    names only the temp file names ``path`` instead."""
+    names the temp file is raised again, of the same type, naming ``path``."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -83,8 +83,8 @@ def _atomic_write(path, data: bytes | str | Generator[bytes]) -> None:
             data.close()
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        if isinstance(exc, OSError) and exc.filename == tmp and exc.filename2 is None:
-            exc.filename = os.fspath(path)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

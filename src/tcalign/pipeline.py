@@ -1,19 +1,19 @@
 """The adapt path: transductive and online test-time correlation alignment.
 
 This module is the loop and its edge: ``AdaptConfig``, ``AdaptReport``, the
-boundary checks ``_check_test`` and ``_source_covariance``, the one loop
-``_adapt`` and its two public entries. Each decision inside the loop has one
-owner: scoring and selection (``_scored``, ``_fold``) are ``pseudo_source``'s;
-the source-side root, the solve and the map folded into the head are
-``transform``'s; the moments are ``linalg``'s. Per batch the loop pools the
-rows' moments, folds the rows into a bounded index bank, selects the
-pseudo-source, solves and predicts the batch through the adapted head;
-transductive mode is one batch of n rows. Rows are scored once, over the whole
-matrix, and the pseudo-source half of the solve (mu_s_hat, sigma_s_hat,
+boundary checks ``_check_test`` and ``_source_covariance``, the loop
+``_batches``, ``_adapt``, which drains it, and the two public entries. Each
+decision in the loop has one owner: scoring and selection (``_scored``,
+``_fold``) are ``pseudo_source``'s; the source-side root, the solve and the map
+folded into the head are ``transform``'s; the moments are ``linalg``'s. Per
+batch ``_batches`` pools the rows' moments, folds the rows into a bounded index
+bank, selects the pseudo-source and solves, and ``_adapt`` predicts the batch
+through the adapted head; transductive mode is one batch of n rows. Rows are
+scored once, and the pseudo-source half of the solve (mu_s_hat, sigma_s_hat,
 S_s^(1/2)) is redone only when the selected rows change. Values inside, checks
-at the edge: the one checked ``AlignmentTransform`` is built after the loop,
-for the return value. ``experiments`` reuses the kernels; this module imports
-nothing from it.
+at the edge: ``_adapt`` builds the one checked ``AlignmentTransform`` after the
+loop. ``experiments`` takes the trace's statistics from ``_batches``; this
+module imports nothing from it.
 """
 
 from __future__ import annotations
@@ -104,36 +104,26 @@ def _source_covariance(source_stats, dim: int) -> np.ndarray:
     return sigma_s
 
 
-def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
-    """The adaptation loop of both modes; returns the predictions, the report
-    and the transform of the last solve. A batch that selects fewer than 2
-    rows is emitted unadapted; k >= 2, so only a first batch of one row does.
-    """
-    cfg = AdaptConfig._checked(cfg)
-    test = _check_test(test, head, mode)
+def _batches(test: np.ndarray, head: SoftmaxHead, cfg: AdaptConfig, classes, uncertainty, batch_size: int):
+    """The adaptation loop over checked ``test`` rows scored as ``classes`` and
+    ``uncertainty``: per batch of ``batch_size`` rows it pools the moments, folds
+    the rows into the bank, selects the pseudo-source, solves and yields
+    ``(lo, hi, moments, w, mu_t, sigma_t, mu_s_hat, sigma_s_hat)``, ``moments``
+    being the batch's own. A batch that selects fewer than 2 rows is not solved:
+    its last five fields are None."""
     n, d = test.shape
-    if labels is not None:
-        labels = check_labels(labels, n)
-    if source_stats is not None:
-        sigma_s = _source_covariance(source_stats, d)
-
-    c = head.n_classes
-    probs, classes, uncertainty = _scored(test, head)  # unadapted; adapted rows overwrite probs
-    class_counts = np.zeros(c, dtype=np.int64)
+    class_counts = np.zeros(head.n_classes, dtype=np.int64)
     bank = np.empty(0, dtype=np.int64)
-    stats = emitted = (0, np.zeros(d), np.zeros((d, d)))  # (count, mean, scatter) so far
+    stats = (0, np.zeros(d), np.zeros((d, d)))  # (count, mean, scatter) so far
     source_rows = None  # the rows of the last pseudo-source moments
-    unadapted_batches = 0
-    batch_size = n if mode == "transductive" else cfg.batch_size
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
-        class_counts += np.bincount(classes[lo:hi], minlength=c)
+        class_counts += np.bincount(classes[lo:hi], minlength=head.n_classes)
         batch = _moments(test[lo:hi])
         stats = _pooled(stats, batch)
         bank, selected = _fold(cfg, bank, np.arange(lo, hi), uncertainty, classes, class_counts)
         if len(selected) < 2:
-            emitted = _pooled(emitted, batch)
-            unadapted_batches += 1
+            yield lo, hi, batch, None, None, None, None, None
             continue
         # the key is the selected rows, not the bank: class-balanced quotas
         # move with the class counts while the bank stands still
@@ -142,9 +132,32 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
             mu_s_hat, sigma_s_hat = _covariance(_moments(test[selected]))
             root_s = _source_root(sigma_s_hat, cfg.eps)
         mu_t, sigma_t = _covariance(stats)
-        w = _closed_form(sigma_t, root_s, cfg.eps)
-        softmax_rows(test[lo:hi], *_adapted_head(head, w, mu_t, mu_s_hat), out=probs[lo:hi])
-        emitted = _pooled(emitted, _mapped(batch, w, mu_t, mu_s_hat))
+        yield lo, hi, batch, _closed_form(sigma_t, root_s, cfg.eps), mu_t, sigma_t, mu_s_hat, sigma_s_hat
+
+
+def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
+    """Both modes: drains ``_batches``, predicting each solved batch through the
+    adapted head; returns the predictions, the report and the transform of the
+    last solve. k >= 2, so only a first batch of one row is emitted unadapted."""
+    cfg = AdaptConfig._checked(cfg)
+    test = _check_test(test, head, mode)
+    n, d = test.shape
+    if labels is not None:
+        labels = check_labels(labels, n)
+    if source_stats is not None:
+        sigma_s = _source_covariance(source_stats, d)
+
+    probs, classes, uncertainty = _scored(test, head)  # unadapted; adapted rows overwrite probs
+    emitted = (0, np.zeros(d), np.zeros((d, d)))  # (count, mean, scatter) of the emitted rows
+    unadapted_batches = 0
+    records = _batches(test, head, cfg, classes, uncertainty, n if mode == "transductive" else cfg.batch_size)
+    for lo, hi, batch, w, mu_t, sigma_t, mu_s_hat, sigma_s_hat in records:
+        if w is None:
+            unadapted_batches += 1
+        else:
+            softmax_rows(test[lo:hi], *_adapted_head(head, w, mu_t, mu_s_hat), out=probs[lo:hi])
+            batch = _mapped(batch, w, mu_t, mu_s_hat)
+        emitted = _pooled(emitted, batch)
 
     # n >= 2, so the last batch was adapted and its moments cover every row
     preds_out = PredictionBatch(probs=probs, argmax=probs.argmax(axis=1))
@@ -152,7 +165,7 @@ def _adapt(test, head: SoftmaxHead, cfg, labels, source_stats, mode: str):
     report = AdaptReport(
         n=n,
         d=d,
-        c=c,
+        c=head.n_classes,
         mode=mode,
         dist_test_to_pseudo_before=_distance(sigma_t, sigma_s_hat),
         dist_test_to_pseudo_after=_distance(sigma_emitted, sigma_s_hat),

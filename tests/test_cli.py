@@ -317,8 +317,9 @@ class TestAdapt:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid JSON in head file") and err.endswith("(top level)\n")
 
-    def test_report_onto_directory_leaves_no_temp_file(self, workspace, tmp_path):
-        # the rename onto a directory fails; its temp file must not outlive it
+    def test_report_onto_directory_leaves_no_temp_file(self, workspace, tmp_path, capsys):
+        # the rename onto a directory fails; its temp file must not outlive it,
+        # and the message names the requested path, not the temp file
         _, data_dir, head_path = workspace
         taken = tmp_path / "taken"
         taken.mkdir()
@@ -334,6 +335,8 @@ class TestAdapt:
         assert code == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "taken"]
         assert list(taken.iterdir()) == []
+        err = capsys.readouterr().err
+        assert f"'{taken}'" in err and ".tmp." not in err
 
     def test_missing_file_exits_2(self, workspace, tmp_path):
         _, _, head_path = workspace

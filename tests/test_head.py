@@ -205,13 +205,34 @@ class TestAccuracy:
 
     def test_zero_rows_rejected(self):
         # a zero-row batch used to warn "Mean of empty slice" and return NaN
+        self.check_not_one_per_row(np.zeros(0, dtype=int), [])
+
+    @pytest.mark.parametrize("argmax, labels", [([[0, 1]], [0]), (0, [0])], ids=["2-d", "scalar"])
+    def test_argmax_that_is_not_a_vector_rejected(self, argmax, labels):
+        # a 2-D argmax used to broadcast against the labels and score 0.5
+        self.check_not_one_per_row(np.array(argmax), labels)
+
+    @staticmethod
+    def check_not_one_per_row(argmax, labels):
         from tcalign import PredictionBatch
 
-        preds = PredictionBatch(probs=np.zeros((0, 2)), argmax=np.zeros(0, dtype=int))
+        preds = PredictionBatch(probs=np.zeros((0, 2)), argmax=argmax)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInput, match="at least one row"):
-                accuracy(preds, [])
+                accuracy(preds, labels)
+
+    def test_argmax_passes_the_integer_rule(self):
+        # a list argmax used to raise a bare AttributeError, and a fractional
+        # one was compared as is and scored 0.5
+        from tcalign import PredictionBatch
+
+        probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.3, 0.7]])
+        as_list = accuracy(PredictionBatch(probs=probs, argmax=[0, 1, 0]), [0, 1, 1])
+        assert as_list == accuracy(PredictionBatch(probs=probs, argmax=np.array([0, 1, 0])), [0, 1, 1]) == 2 / 3
+        assert accuracy(PredictionBatch(probs=probs, argmax=np.array([0.0, 1.0, 1.0])), [0, 1, 1]) == 1.0
+        with pytest.raises(InvalidInput, match="argmax must be integers"):
+            accuracy(PredictionBatch(probs=probs[:2], argmax=np.array([0.5, 1.0])), [0, 1])
 
 
 class TestPersistence:

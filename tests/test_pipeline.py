@@ -14,6 +14,7 @@ from tcalign import (
     InsufficientSamples,
     InvalidConfig,
     InvalidInput,
+    SingularMatrix,
     SoftmaxHead,
     adapt_online,
     adapt_transductive,
@@ -442,6 +443,35 @@ class TestAdaptOnline:
         assert report.unadapted_batches == 0
 
 
+class TestBatchRecords:
+    """``pipeline._batches`` is the adapt loop: one record per batch, which
+    ``_adapt`` drains and from whose last record it builds its transform."""
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 64, None], ids=["b1", "b7", "b64", "bn"])
+    @pytest.mark.parametrize("selection_mode", ["global", "class_balanced"])
+    def test_records_tile_the_rows_and_end_in_the_transform(self, linear_demo, selection_mode, batch_size):
+        data, head = linear_demo
+        test = data.target.features
+        n = len(test)
+        cfg = AdaptConfig(selection_mode=selection_mode, batch_size=batch_size or n)
+        records = list(pipeline._batches(test, head, cfg, *pipeline._scored(test, head)[1:], cfg.batch_size))
+        assert [(lo, hi) for lo, hi, *_ in records] == [
+            (lo, min(lo + cfg.batch_size, n)) for lo in range(0, n, cfg.batch_size)
+        ]
+        assert len(records) == (1 if batch_size is None else math.ceil(n / batch_size))
+        _, report, transform = pipeline._adapt(test, head, cfg, None, None, "online")
+        # an unsolved batch carries its moments and nothing else
+        unsolved = [w is None for _, _, _, w, *_ in records]
+        assert unsolved == [all(field is None for field in record[3:]) for record in records]
+        assert unsolved == [True] * report.unadapted_batches + [False] * (len(records) - report.unadapted_batches)
+        assert report.unadapted_batches == (batch_size == 1)
+        _, _, _, w, mu_t, _, mu_s_hat, _ = records[-1]
+        for got, want in ((w, transform.w), (mu_t, transform.mu_t), (mu_s_hat, transform.mu_s_hat)):
+            assert got.tobytes() == want.tobytes()
+        if batch_size is None:
+            assert adapt_transductive(test, head, cfg)[2].w.tobytes() == w.tobytes()
+
+
 def all_rows_selection(omegas, classes, k, c):
     """Row-by-row class-balanced pseudo-source over every row given: largest-
     remainder quotas over the class counts, each filled from its class's
@@ -553,6 +583,19 @@ class TestAlignmentTrace:
         assert dp[-1] < dp[0]
         iterations = [r.iteration for r in result.rows]
         assert iterations == sorted(iterations)
+
+    def test_raises_where_adapt_transductive_does(self, rng):
+        # the trace takes adapt_transductive's record, closed-form solve and
+        # all: a singular sigma_t whose ridge underflows to 0 raises in both,
+        # where the descent alone would run
+        z = rng.standard_normal((200, 3)) * 1e-156
+        z[:, 2] = 0.0
+        head = SoftmaxHead(weight=rng.standard_normal((3, 3)) * 1e156, bias=np.zeros(3))
+        cfg, labels = AdaptConfig(eps=0.0), rng.integers(0, 3, size=200)
+        with pytest.raises(SingularMatrix, match="smallest eigenvalue 0.000e"):
+            adapt_transductive(z, head, cfg)
+        with pytest.raises(SingularMatrix, match="smallest eigenvalue 0.000e"):
+            validate_alignment_trace(z, head, cfg, (np.zeros(3), np.eye(3)), labels, lr=1.0, max_iters=3)
 
     def test_r2_matches_normal_equation_oracle(self, linear_demo):
         data, head = linear_demo

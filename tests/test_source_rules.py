@@ -10,10 +10,11 @@ nothing reads; the adapt loop and the gradient solver's loop call kernels,
 never the checked public functions around them, and build the one checked
 transform after the loop; the experiments measure and fold in the
 statistics they built without re-checking them; the test rows are scored
-once, in ``pipeline._scored``, ahead of the batch loop; the adapt loop has
-one solver, the closed form, while only the alignment trace runs the gradient
-solver; the adapt path and the closed form import nothing from the theory
-experiments; only ``io.py`` imports ``concurrent.futures``, and no module
+once, in ``pseudo_source._scored``, ahead of the batch loop; the adapt loop,
+``pipeline._batches``, has one solver, the closed form, and is the one place
+that selects the pseudo-source, whose record the alignment trace takes, while
+only the trace runs the gradient solver; the adapt path and the closed form
+import nothing from the theory experiments; only ``io.py`` imports ``concurrent.futures``, and no module
 ``threading`` or ``multiprocessing``; the package imports at module top only,
 with no cycle between ``head.py`` (the model and the label rule) and ``io.py`` (every file format,
 the head JSON included); no module but ``__init__`` imports a name it never
@@ -256,10 +257,10 @@ def test_every_unexported_definition_is_used():
     assert unused == []
 
 
-# The batch loop of the adapt path, with the module that owns each function,
-# and the checked public functions whose kernels it calls instead; the test
-# matrix is checked once, in _check_test, and the transform once, when _adapt
-# returns it.
+# The batch loop of the adapt path (_batches, which _adapt drains), with the
+# module that owns each function, and the checked public functions whose
+# kernels it calls instead; the test matrix is checked once, in _check_test,
+# and the transform once, when _adapt returns it.
 ADAPT_LOOP = {
     "_scored": "pseudo_source.py",
     "_fold": "pseudo_source.py",
@@ -267,6 +268,7 @@ ADAPT_LOOP = {
     "_adapted_head": "transform.py",
     "_mapped": "transform.py",
     "_recolor": "transform.py",
+    "_batches": "pipeline.py",
     "_adapt": "pipeline.py",
 }
 CHECKED_ENTRIES = {
@@ -326,7 +328,8 @@ def _definitions(path: Path) -> set[str]:
 def test_each_adapt_decision_has_one_owner():
     # pipeline.py is the loop: it imports the scoring and selection of
     # pseudo_source and the map and source root of transform, and
-    # experiments takes from it only the config and the boundary checks
+    # experiments takes from it only the config, the boundary checks and the
+    # loop's records
     definitions = {path.name: _definitions(path) for path in sorted(PACKAGE.glob("*.py"))}
     owners = {name: module for module, names in definitions.items() for name in names if name in ADAPT_LOOP}
     assert owners == ADAPT_LOOP
@@ -339,7 +342,7 @@ def test_each_adapt_decision_has_one_owner():
         if isinstance(node, ast.ImportFrom) and node.module == "pipeline"
         for alias in node.names
     ]
-    assert sorted(from_pipeline) == ["AdaptConfig", "_check_test", "_source_covariance"]
+    assert sorted(from_pipeline) == ["AdaptConfig", "_batches", "_check_test", "_source_covariance"]
     pipeline = _referenced_names(ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8")))
     assert {"_power", "_shrink", "_symmetrized"} & pipeline == set()
     # the ridge-and-root of sigma_s_hat, _power(_shrink(...), 0.5), is written once
@@ -441,26 +444,50 @@ SOLVES = {"_closed_form", "solve_closed_form", "solve_gradient", "_descent"}
 
 
 def test_adapt_loop_has_one_solver():
-    # one closed-form solve per batch; the alignment trace runs the gradient
-    # solver on statistics it builds from the kernels, not through _adapt
+    # one closed-form solve per batch, in _batches, which _adapt drains; the
+    # alignment trace takes its statistics from _batches' one transductive
+    # record and runs the gradient solver itself, never through _adapt
     functions = {
         (name, node.name): node
         for name in ("pipeline.py", "experiments.py")
         for node in ast.parse((PACKAGE / name).read_text(encoding="utf-8")).body
         if isinstance(node, ast.FunctionDef)
     }
-    adapt = functions["pipeline.py", "_adapt"]
+    batches, adapt = functions["pipeline.py", "_batches"], functions["pipeline.py", "_adapt"]
     trace = functions["experiments.py", "validate_alignment_trace"]
-    calls = [
-        node.func.id
-        for node in ast.walk(adapt)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-    ]
-    assert [name for name in calls if name in SOLVES] == ["_closed_form"]
-    parameters = {node.arg for node in ast.walk(adapt) if isinstance(node, ast.arg)}
-    names = _referenced_names(adapt) | parameters
-    assert {"solve_gradient", "iterate_hook", "partial"} & names == set()
+    for function, solves in ((batches, ["_closed_form"]), (adapt, [])):
+        calls = [
+            node.func.id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        ]
+        assert [name for name in calls if name in SOLVES] == solves
+        parameters = {node.arg for node in ast.walk(function) if isinstance(node, ast.arg)}
+        names = _referenced_names(function) | parameters
+        assert {"solve_gradient", "iterate_hook", "partial"} & names == set()
+    assert "_batches" in _referenced_names(adapt)
     assert {"_adapt", "_closed_form"} & _referenced_names(trace) == set()
+    assert "_batches" in _referenced_names(trace)
+
+
+def test_the_selection_rule_has_one_home():
+    # pipeline selects the pseudo-source, roots it and solves against it only
+    # inside _batches, whose one transductive record the alignment trace
+    # takes; pseudo_source defines _fold, and no module but pipeline reads it
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    assert sorted(name for name, tree in trees.items() if "_fold" in _referenced_names(tree)) == ["pipeline.py"]
+    owners = {
+        id(node): function.name
+        for function in trees["pipeline.py"].body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+    }
+    uses = sorted(
+        f"{owners.get(id(node), '<module>')}:{node.id}"
+        for node in ast.walk(trees["pipeline.py"])
+        if isinstance(node, ast.Name) and node.id in {"_fold", "_source_root", "_closed_form"}
+    )
+    assert uses == ["_batches:_closed_form", "_batches:_fold", "_batches:_source_root"]
 
 
 EXPERIMENT_NAMES = {"solve_gradient", "_descent", "SolverTrace", "objective", "spearman", "_pearson"}
