@@ -10,9 +10,12 @@ this recipe produce bit-identical streams.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import InvalidInput, _check_count
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -21,9 +24,12 @@ _MIX2 = 0x94D049BB133111EB
 
 
 class NormalStream:
-    """Standard normal draws from splitmix64 + Box-Muller, single consumer."""
+    """Standard normal draws from splitmix64 + Box-Muller, single consumer; the
+    seed is an integer of either sign (numpy integers pass, booleans do not)."""
 
     def __init__(self, seed: int):
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise InvalidInput(f"seed must be an integer, got {seed!r}")
         self.state = int(seed) & _MASK64
         self._pending: float | None = None
 
@@ -54,6 +60,8 @@ class NormalStream:
         With d = 2 each row consumes exactly one Box-Muller pair: coordinate
         0 takes the cosine draw and coordinate 1 the sine draw.
         """
+        _check_count("n", n, 0)
+        _check_count("d", d, 0)
         out = np.empty((n, d))
         for i in range(n):
             for j in range(d):

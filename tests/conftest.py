@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,16 @@ def normal_equation_r2(x, y):
     a = np.vstack([x, np.ones_like(x)]).T
     residual = y - a @ np.linalg.solve(a.T @ a, a.T @ y)
     return 1.0 - residual @ residual / ((y - y.mean()) @ (y - y.mean()))
+
+
+def write_f32_tcae(path, z):
+    """Write ``z`` as a float32 .tcae file, laid out byte by byte here, as the
+    benchmark writes its inputs, so the reader is checked on bytes the package
+    did not write (``io.write_embeddings`` writes float64 only)."""
+    z = np.asarray(z, dtype=np.float64)
+    with open(path, "wb") as fh:
+        fh.write(b"TCAE" + struct.pack("<IBQQ", 1, 0, *z.shape))
+        fh.write(np.ascontiguousarray(z, dtype="<f4").tobytes())
 
 
 LAYOUTS = ("C", "F", "row-strided", "column-strided")

@@ -645,7 +645,7 @@ COMMAND_ARGVS = {
 }
 
 # bench/run.py still passes `adapt --solver closed`; the flag goes once the
-# benchmark stops passing it (ROADMAP item 8)
+# benchmark stops passing it (ROADMAP item 12)
 UNREAD = {"adapt": {"solver"}}
 
 

@@ -3,7 +3,6 @@ import math
 import sys
 import threading
 import time
-import warnings
 import xml.dom.minidom
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
@@ -28,6 +27,7 @@ from tcalign.io import (
     write_report_json,
     write_scatter_svg,
 )
+from conftest import write_f32_tcae
 
 
 class TestEmbeddingFormat:
@@ -40,26 +40,16 @@ class TestEmbeddingFormat:
     def test_round_trip_f32_upcasts(self, rng, tmp_path):
         z = rng.standard_normal((4, 2))
         path = tmp_path / "b.tcae"
-        write_embeddings(path, z, dtype="f32")
+        write_f32_tcae(path, z)
         back = read_embeddings(path)
         assert back.dtype == np.float64
         assert np.array_equal(back, z.astype(np.float32).astype(np.float64))
-
-    @pytest.mark.parametrize("value", [1e39, -1e39, np.finfo(np.float64).max])
-    def test_f32_overflow_rejected_before_writing(self, tmp_path, value):
-        # a value the cast would turn into an infinity: no warning, no file
-        path = tmp_path / "o.tcae"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InvalidInput, match="^values beyond float32 range"):
-                write_embeddings(path, [[value, 1.0]], dtype="f32")
-        assert not path.exists()
 
     def test_f32_max_round_trips(self, tmp_path):
         # float32's largest value is in range, and f64 files take any finite value
         path = tmp_path / "m.tcae"
         big = float(np.finfo(np.float32).max)
-        write_embeddings(path, [[big, -big]], dtype="f32")
+        write_f32_tcae(path, [[big, -big]])
         assert read_embeddings(path).tolist() == [[big, -big]]
         write_embeddings(path, [[1e39, 1.0]])
         assert read_embeddings(path).tolist() == [[1e39, 1.0]]
@@ -120,7 +110,7 @@ class TestEmbeddingFormat:
     def test_non_finite_f32_payload_rejected(self, rng, tmp_path, bad):
         # the f32 payload is scanned before its upcast
         path = tmp_path / "bad32.tcae"
-        write_embeddings(path, rng.standard_normal((3, 2)), dtype="f32")
+        write_f32_tcae(path, rng.standard_normal((3, 2)))
         blob = bytearray(path.read_bytes())
         blob[25 + 12 : 25 + 16] = np.array([bad], dtype="<f4").tobytes()
         path.write_bytes(bytes(blob))
@@ -653,8 +643,8 @@ class TestReportJson:
 def _valid_files(tmp_path) -> dict:
     """One small valid file of each persisted format, keyed by format."""
     probs = np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]])
-    write_embeddings(tmp_path / "e32.tcae", [[1.0, -2.0], [0.5, 3.0]], dtype="f32")
-    write_embeddings(tmp_path / "e64.tcae", [[1.0, -2.0, 0.5]], dtype="f64")
+    write_f32_tcae(tmp_path / "e32.tcae", [[1.0, -2.0], [0.5, 3.0]])
+    write_embeddings(tmp_path / "e64.tcae", [[1.0, -2.0, 0.5]])
     write_labels(tmp_path / "l.tcal", [0, 1, 2])
     save_head(SoftmaxHead(weight=[[1.0, -1.0], [0.5, 2.0]], bias=[0.0, 1e-3]), tmp_path / "h.json")
     write_predictions_csv(tmp_path / "p.csv", PredictionBatch(probs, probs.argmax(axis=1)))
@@ -730,10 +720,6 @@ class TestReaderContract:
 @pytest.mark.parametrize(
     "call, pattern",
     [
-        (
-            lambda path: write_embeddings(path, [[1.0]], dtype="f16"),
-            r"^dtype must be 'f32' or 'f64', got 'f16'$",
-        ),
         (lambda path: write_labels(path, []), r"^labels must be a non-empty 1-D vector$"),
         (lambda path: write_labels(path, [[0, 1]]), r"^labels must be a non-empty 1-D vector$"),
         # each prediction file below used to be written, and then refused by read_predictions_csv
@@ -799,7 +785,6 @@ class TestReaderContract:
         ),
     ],
     ids=[
-        "embedding-dtype",
         "labels-empty",
         "labels-2d",
         "predictions-nan",

@@ -13,7 +13,7 @@ import pytest
 
 from tcalign import AdaptConfig, SoftmaxHead, adapt_online, adapt_transductive, gen_linear_shift, train_head
 from tcalign.io import read_embeddings, write_embeddings
-from conftest import random_orthogonal
+from conftest import random_orthogonal, write_f32_tcae
 
 N, D, C = 300, 5, 4
 
@@ -102,8 +102,8 @@ def test_row_permutation_commutes_in_transductive_mode(cloud, selection_mode):
 @SELECTIONS
 def test_f32_and_f64_files_agree(cloud, tmp_path, selection_mode, mode):
     z, head = cloud
-    write_embeddings(tmp_path / "z32.tcae", z, dtype="f32")
-    write_embeddings(tmp_path / "z64.tcae", z, dtype="f64")
+    write_f32_tcae(tmp_path / "z32.tcae", z)
+    write_embeddings(tmp_path / "z64.tcae", z)
     got = run(read_embeddings(tmp_path / "z32.tcae"), head, selection_mode, mode)
     want = run(read_embeddings(tmp_path / "z64.tcae"), head, selection_mode, mode)
     assert np.max(np.abs(got - want)) <= 1e-6

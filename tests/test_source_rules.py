@@ -1,9 +1,10 @@
 """Source rules: the package has one atomic writer, called only in ``io.py``, one decimal float format
 (applied in bulk, with ``%`` only per element in its fallback) and one number
 formatter, one place that opens files, one that packs byte layouts and one
-JSON encoder, all in ``io.py``, and one eigendecomposition, one symmetrizer and one
-conversion of an array argument (``_numeric``, whose only callers are ``_real``, to
-float64, and ``_indices``, to int64), in ``linalg.py``, so no module grows a second copy
+JSON encoder, all in ``io.py``, where no writer packs the float32 dtype
+code, and one eigendecomposition, one symmetrizer and one conversion of
+an array argument (``_numeric``, whose only callers are ``_real``, to float64,
+and ``_indices``, to int64), in ``linalg.py``, so no module grows a second copy
 of any; the symmetrizer runs only on a matrix product or inside ``_symmetric``, and the adapt loop pools
 its moments with ``linalg._pooled``, not through the accumulator; it keeps no public definition that
 nothing reads; the adapt loop and the gradient solver's loop call kernels,
@@ -179,6 +180,26 @@ def _calls(path: Path, name: str) -> list[tuple[str, ast.Call]]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and ast.unparse(node.func) == name
     ]
+
+
+def test_no_writer_packs_float32():
+    # .tcae files are written as float64 only: DTYPE_F32 is named by its own
+    # definition and the PAYLOAD_DTYPES table the reader looks codes up in,
+    # and the one header packed with EMBEDDING_LAYOUT carries DTYPE_F64
+    uses = [
+        f"{path.name}:{ast.unparse(statement.targets[0]) if isinstance(statement, ast.Assign) else statement.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(statement)
+        if "DTYPE_F32" in {getattr(node, "id", None), getattr(node, "attr", None)}
+    ]
+    assert uses == ["io.py:DTYPE_F32", "io.py:PAYLOAD_DTYPES"]
+    packed = [
+        ast.unparse(node.args[2])
+        for _, node in _calls(PACKAGE / "io.py", "struct.pack")
+        if ast.unparse(node.args[0]) == "EMBEDDING_LAYOUT"
+    ]
+    assert packed == ["DTYPE_F64"]
 
 
 def test_symmetrized_only_after_a_product_or_a_boundary_check():

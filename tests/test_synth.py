@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from tcalign import NormalStream, covariance, gen_linear_shift, gen_nonlinear_shift
+from tcalign import InvalidInput, NormalStream, covariance, gen_linear_shift, gen_nonlinear_shift
 
 
 class TestNormalStream:
@@ -120,3 +122,41 @@ class TestNonlinearShift:
         b = gen_nonlinear_shift(seed)
         assert np.array_equal(a.target.features, b.target.features)
         assert np.array_equal(a.source.labels, b.source.labels)
+
+
+class TestSeedRule:
+    @pytest.mark.parametrize("make", [NormalStream, gen_linear_shift, gen_nonlinear_shift])
+    @pytest.mark.parametrize(
+        "seed", [1.9, 1.0, np.float64(2.0), True, np.bool_(False), "1", None], ids=repr
+    )
+    def test_non_integer_seed_rejected(self, make, seed):
+        # 1.9 and True used to draw seed 1's data under their own label, "1"
+        # was accepted and None escaped as a bare TypeError
+        with pytest.raises(InvalidInput, match=rf"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            make(seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, -1, -(2**70), 2**64 + 3])
+    def test_integer_seed_of_either_sign_is_taken_mod_2_64(self, seed):
+        stream = NormalStream(seed)
+        assert stream.state == seed % 2**64
+        assert stream.next_normal() == NormalStream(seed % 2**64).next_normal()
+
+    @pytest.mark.parametrize("kind", [np.int8, np.int64, np.uint64])
+    def test_numpy_integer_seed_draws_the_same_data(self, kind):
+        for gen in (gen_linear_shift, gen_nonlinear_shift):
+            want, got = gen(2), gen(kind(2))
+            assert np.array_equal(got.source.features, want.source.features)
+            assert np.array_equal(got.target.features, want.target.features)
+            assert got.seed == 2
+
+    @pytest.mark.parametrize("n, d", [(-1, 2), (2, -1), (1.5, 2), (2, 2.0), (True, 2), (2, None)])
+    def test_normal_matrix_rejects_bad_counts(self, n, d):
+        # a negative count used to escape as numpy's ValueError
+        with pytest.raises(InvalidInput, match=r"^[nd] must be an integer >= 0, got "):
+            NormalStream(0).normal_matrix(n, d)
+
+    def test_normal_matrix_takes_zero_and_numpy_counts(self):
+        assert NormalStream(0).normal_matrix(0, 2).shape == (0, 2)
+        assert NormalStream(0).normal_matrix(3, 0).shape == (3, 0)
+        want = NormalStream(4).normal_matrix(3, 2)
+        assert np.array_equal(NormalStream(4).normal_matrix(np.int32(3), np.uint8(2)), want)
