@@ -160,3 +160,36 @@ class TestSeedRule:
         assert NormalStream(0).normal_matrix(3, 0).shape == (3, 0)
         want = NormalStream(4).normal_matrix(3, 2)
         assert np.array_equal(NormalStream(4).normal_matrix(np.int32(3), np.uint8(2)), want)
+
+
+# The demo scenarios behind acceptance checks 4-11, written out here rather
+# than read from synth: (rows, scale, centre) per cluster, the cluster index
+# being the label, sources drawn before targets from one stream.
+DEMO_SPECS = {
+    "linear": (
+        [(30, 1.0, (0.0, 0.0)), (30, 1.0, (15.0, 15.0)), (30, 1.0, (0.0, 10.0))],
+        [(250, 2.0, (7.0, 7.0)), (250, 2.5, (0.0, 20.0)), (250, 3.0, (21.0, 21.0))],
+    ),
+    "nonlinear": (
+        [(30, 1.0, (0.0, 0.0)), (30, 1.0, (10.0, 10.0)), (30, 1.0, (0.0, 10.0)), (30, 1.0, (-5.0, -10.0))],
+        [(250, 3.0, (5.0, 5.0)), (250, 1.0, (10.0, 10.0)), (250, 2.0, (0.0, 20.0)), (250, 2.5, (-9.0, 1.0))],
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("gen, kind", [(gen_linear_shift, "linear"), (gen_nonlinear_shift, "nonlinear")])
+def test_demo_data_is_drawn_bit_for_bit(gen, kind, seed):
+    # compared with arrays rebuilt from the stream in this process, not with
+    # a digest: the draws go through the platform's libm
+    stream = NormalStream(seed)
+    want = []
+    for specs in DEMO_SPECS[kind]:
+        features = np.vstack([stream.normal_matrix(rows, 2) * scale + centre for rows, scale, centre in specs])
+        labels = np.repeat(np.arange(len(specs)), [rows for rows, _, _ in specs])
+        want.append((features, labels))
+    data = gen(seed)
+    for batch, (features, labels) in zip((data.source, data.target), want):
+        assert np.array_equal(batch.features, features)
+        assert np.array_equal(batch.labels, labels) and batch.labels.dtype == np.int64
+    assert (data.shift_kind, data.seed) == (kind, seed)
