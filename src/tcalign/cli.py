@@ -10,15 +10,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple, fields
 
 from . import io as tio
-from .errors import NumericalFailure, ParseError, TcaError
-from .experiments import DEFAULT_MAX_ITERS, spearman
+from .errors import InvalidConfig, NumericalFailure, ParseError, TcaError
+from .experiments import DEFAULT_MAX_ITERS, GroupRow, TraceRow, spearman
 from .experiments import validate_alignment_trace, validate_uncertainty_groups
 from .head import accuracy, predict, train_head
 from .linalg import covariance
 from .pipeline import AdaptConfig, adapt_online, adapt_transductive
-from .synth import gen_linear_shift, gen_nonlinear_shift
+from .pseudo_source import SELECTION_MODES
+from .synth import SHIFTS, _shift
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -34,7 +36,7 @@ def _add_adapt_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, default=_DEFAULTS.eps)
     p.add_argument(
         "--select",
-        choices=("global", "class-balanced"),
+        choices=tuple(mode.replace("_", "-") for mode in SELECTION_MODES),
         default=_DEFAULTS.selection_mode.replace("_", "-"),
     )
 
@@ -47,11 +49,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic domain-shift dataset")
-    p.add_argument("--shift", choices=("linear", "nonlinear"), required=True)
+    p.set_defaults(handler=_cmd_synth)
+    p.add_argument("--shift", choices=tuple(SHIFTS), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("train-head", help="train a softmax head on labeled embeddings")
+    p.set_defaults(handler=_cmd_train_head)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--lr", type=float, default=0.1)
@@ -59,13 +63,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("adapt", help="adapt test embeddings and emit predictions")
+    p.set_defaults(handler=_cmd_adapt)
     p.add_argument("--test", required=True)
     p.add_argument("--head", required=True)
     p.add_argument("--labels")
     _add_adapt_options(p)
     p.add_argument("--solver", choices=("closed",), default="closed", help="the only solver")
     p.add_argument("--mode", choices=("transductive", "online"), default="transductive")
-    p.add_argument("--batch-size", type=int, default=_DEFAULTS.batch_size)
+    p.add_argument("--batch-size", type=int, help="online mode only")
     p.add_argument("--out-preds", required=True)
     p.add_argument("--out-report", required=True)
 
@@ -73,6 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     experiments = p.add_subparsers(dest="experiment", required=True)
     groups = experiments.add_parser("groups", help="distance to source per uncertainty group")
     trace = experiments.add_parser("trace", help="distances and accuracy along a gradient solve")
+    groups.set_defaults(handler=_cmd_groups)
+    trace.set_defaults(handler=_cmd_trace)
     for p in (groups, trace):
         p.add_argument("--test", required=True)
         p.add_argument("--head", required=True)
@@ -86,10 +93,12 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--iters", type=int, default=DEFAULT_MAX_ITERS, help="trace iterations")
 
     p = sub.add_parser("eval", help="score stored predictions against labels")
+    p.set_defaults(handler=_cmd_eval)
     p.add_argument("--preds", required=True)
     p.add_argument("--labels", required=True)
 
     p = sub.add_parser("plot", help="scatter-plot 2-D embeddings to SVG")
+    p.set_defaults(handler=_cmd_plot)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--transformed")
@@ -98,19 +107,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cfg_from_args(args, **fields) -> AdaptConfig:
-    """An AdaptConfig from the shared adaptation options, plus ``fields``."""
+def _cfg_from_args(args, **overrides) -> AdaptConfig:
+    """An AdaptConfig from the shared adaptation options, plus ``overrides``."""
     return AdaptConfig(
         k=args.k,
         eps=args.eps,
         selection_mode=args.select.replace("-", "_"),
-        **fields,
+        **overrides,
     )
 
 
 def _cmd_synth(args) -> int:
-    gen = gen_linear_shift if args.shift == "linear" else gen_nonlinear_shift
-    data = gen(args.seed)
+    data = _shift(args.shift, args.seed)
     os.makedirs(args.out, exist_ok=True)
     tio.write_embeddings(os.path.join(args.out, "source.tcae"), data.source.features)
     tio.write_labels(os.path.join(args.out, "source.tcal"), data.source.labels)
@@ -134,10 +142,14 @@ def _cmd_train_head(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
+    if args.batch_size is not None and args.mode != "online":
+        raise InvalidConfig("--batch-size applies only with --mode online")
+    if os.path.realpath(args.out_preds) == os.path.realpath(args.out_report):
+        raise InvalidConfig(f"--out-preds and --out-report name the same file, {args.out_report!r}")
     test = tio.read_embeddings(args.test)
     head = tio.load_head(args.head)
     labels = tio.read_labels(args.labels) if args.labels else None
-    cfg = _cfg_from_args(args, batch_size=args.batch_size)
+    cfg = _cfg_from_args(args, batch_size=_DEFAULTS.batch_size if args.batch_size is None else args.batch_size)
     if args.mode == "online":
         preds, report = adapt_online(test, head, cfg, labels=labels)
     else:
@@ -155,22 +167,24 @@ def _cmd_adapt(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate_theory(args) -> int:
+def _theory_inputs(args):
+    """The test embeddings, head and source statistics that both experiments read."""
     test = tio.read_embeddings(args.test)
     head = tio.load_head(args.head)
-    source = tio.read_embeddings(args.source)
-    source_stats = covariance(source)
-    if args.experiment == "groups":
-        rows = validate_uncertainty_groups(test, head, source_stats, n_groups=args.n_groups)
-        tio.table_to_csv(
-            args.out_csv,
-            ["group_index", "mean_uncertainty", "dist_to_source"],
-            [(r.group_index, r.mean_uncertainty, r.dist_to_source) for r in rows],
-        )
-        rho = spearman([r.group_index for r in rows], [r.dist_to_source for r in rows])
-        print(tio._json_text({"experiment": "groups", "n_groups": len(rows), "spearman": rho}))
-        return EXIT_OK
+    return test, head, covariance(tio.read_embeddings(args.source))
 
+
+def _cmd_groups(args) -> int:
+    test, head, source_stats = _theory_inputs(args)
+    rows = validate_uncertainty_groups(test, head, source_stats, n_groups=args.n_groups)
+    tio.table_to_csv(args.out_csv, [f.name for f in fields(GroupRow)], map(astuple, rows))
+    rho = spearman([r.group_index for r in rows], [r.dist_to_source for r in rows])
+    print(tio._json_text({"experiment": "groups", "n_groups": len(rows), "spearman": rho}))
+    return EXIT_OK
+
+
+def _cmd_trace(args) -> int:
+    test, head, source_stats = _theory_inputs(args)
     labels = tio.read_labels(args.labels)
     result = validate_alignment_trace(
         test,
@@ -182,11 +196,7 @@ def _cmd_validate_theory(args) -> int:
         lr=args.lr,
         max_iters=args.iters,
     )
-    tio.table_to_csv(
-        args.out_csv,
-        ["iteration", "dist_to_pseudo", "dist_to_source", "accuracy"],
-        [(r.iteration, r.dist_to_pseudo, r.dist_to_source, r.accuracy) for r in result.rows],
-    )
+    tio.table_to_csv(args.out_csv, [f.name for f in fields(TraceRow)], map(astuple, result.rows))
     print(
         tio._json_text(
             {
@@ -222,20 +232,10 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "train-head": _cmd_train_head,
-    "adapt": _cmd_adapt,
-    "validate-theory": _cmd_validate_theory,
-    "eval": _cmd_eval,
-    "plot": _cmd_plot,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (TcaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ParseError):

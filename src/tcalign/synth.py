@@ -4,7 +4,8 @@ The upstream demo data was produced with a framework RNG whose draws are not
 reproducible, so this module fixes its own fully specified generator:
 splitmix64 state updates, uniforms u = ((x >> 11) + 1) * 2^-53 in (0, 1],
 and Box-Muller pairs consumed in order. Two independent implementations of
-this recipe produce bit-identical streams.
+this recipe produce bit-identical streams. A seed is taken modulo 2^64, so
+seed -1 and seed 2^64 - 1 draw the same data.
 """
 
 from __future__ import annotations
@@ -87,6 +88,20 @@ class ShiftDataset:
     seed: int
 
 
+# The source and target clusters of each 2-D scenario as (rows, scale,
+# centre); ``_shift`` draws the source first, from one stream.
+SHIFTS = {
+    "linear": (
+        [(30, 1.0, (0.0, 0.0)), (30, 1.0, (15.0, 15.0)), (30, 1.0, (0.0, 10.0))],
+        [(250, 2.0, (7.0, 7.0)), (250, 2.5, (0.0, 20.0)), (250, 3.0, (21.0, 21.0))],
+    ),
+    "nonlinear": (
+        [(30, 1.0, (0.0, 0.0)), (30, 1.0, (10.0, 10.0)), (30, 1.0, (0.0, 10.0)), (30, 1.0, (-5.0, -10.0))],
+        [(250, 3.0, (5.0, 5.0)), (250, 1.0, (10.0, 10.0)), (250, 2.0, (0.0, 20.0)), (250, 2.5, (-9.0, 1.0))],
+    ),
+}
+
+
 def _clusters(stream: NormalStream, specs) -> LabeledBatch:
     """Sample clusters in listed order; the cluster index is the class label."""
     blocks = []
@@ -97,47 +112,20 @@ def _clusters(stream: NormalStream, specs) -> LabeledBatch:
     return LabeledBatch(features=np.vstack(blocks), labels=np.concatenate(labels))
 
 
+def _shift(kind: str, seed: int) -> ShiftDataset:
+    """The ``SHIFTS[kind]`` scenario drawn from ``NormalStream(seed)``."""
+    stream = NormalStream(seed)
+    source_specs, target_specs = SHIFTS[kind]
+    source = _clusters(stream, source_specs)
+    target = _clusters(stream, target_specs)
+    return ShiftDataset(source=source, target=target, shift_kind=kind, seed=seed)
+
+
 def gen_linear_shift(seed: int) -> ShiftDataset:
     """Three-cluster source (90 x 2) and linearly shifted target (750 x 2)."""
-    stream = NormalStream(seed)
-    source = _clusters(
-        stream,
-        [
-            (30, 1.0, (0.0, 0.0)),
-            (30, 1.0, (15.0, 15.0)),
-            (30, 1.0, (0.0, 10.0)),
-        ],
-    )
-    target = _clusters(
-        stream,
-        [
-            (250, 2.0, (7.0, 7.0)),
-            (250, 2.5, (0.0, 20.0)),
-            (250, 3.0, (21.0, 21.0)),
-        ],
-    )
-    return ShiftDataset(source=source, target=target, shift_kind="linear", seed=seed)
+    return _shift("linear", seed)
 
 
 def gen_nonlinear_shift(seed: int) -> ShiftDataset:
     """Four-cluster source (120 x 2) and nonlinearly shifted target (1000 x 2)."""
-    stream = NormalStream(seed)
-    source = _clusters(
-        stream,
-        [
-            (30, 1.0, (0.0, 0.0)),
-            (30, 1.0, (10.0, 10.0)),
-            (30, 1.0, (0.0, 10.0)),
-            (30, 1.0, (-5.0, -10.0)),
-        ],
-    )
-    target = _clusters(
-        stream,
-        [
-            (250, 3.0, (5.0, 5.0)),
-            (250, 1.0, (10.0, 10.0)),
-            (250, 2.0, (0.0, 20.0)),
-            (250, 2.5, (-9.0, 1.0)),
-        ],
-    )
-    return ShiftDataset(source=source, target=target, shift_kind="nonlinear", seed=seed)
+    return _shift("nonlinear", seed)

@@ -155,6 +155,38 @@ class TestAdapt:
         assert exc.value.code == 2
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("size", ["7", "0"])
+    def test_batch_size_refused_outside_online_mode(self, workspace, tmp_path, capsys, size):
+        # transductive mode reads no batch size: 7 used to run as the default
+        # and 0 to exit 2 on a value no batch would use
+        assert main([*adapt_argv(workspace, tmp_path), "--batch-size", size]) == 2
+        assert capsys.readouterr().err == "error: --batch-size applies only with --mode online\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_online_batch_size_defaults_to_adapt_config(self, workspace, tmp_path, capsys):
+        outputs = []
+        for flags in ([], ["--batch-size", str(AdaptConfig().batch_size)]):
+            assert main([*adapt_argv(workspace, tmp_path), "--mode", "online", *flags]) == 0
+            files = [(tmp_path / name).read_bytes() for name in ("p.csv", "r.json")]
+            outputs.append((*files, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("report", ["p.csv", "sub/../p.csv", "link.csv"], ids=["same", "dotdot", "symlink"])
+    def test_one_file_for_both_outputs_refused(self, workspace, tmp_path, monkeypatch, capsys, report):
+        # the report used to overwrite the predictions, with exit 0; the
+        # refusal comes before any input is read
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.csv").symlink_to(tmp_path / "p.csv")
+        argv = adapt_argv(workspace, tmp_path)
+        argv[argv.index("--out-report") + 1] = report
+        for test in (argv[argv.index("--test") + 1], "missing.tcae"):
+            argv[argv.index("--test") + 1] = test
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: --out-preds and --out-report name the same file, {report!r}\n"
+            assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "sub"]
+
     def test_online_run(self, workspace, tmp_path):
         _, data_dir, head_path = workspace
         code = main(
@@ -608,7 +640,7 @@ def test_parser_defaults_match_adapt_config(argv):
     cfg = AdaptConfig()
     assert (args.k, args.eps, args.select.replace("-", "_")) == (cfg.k, cfg.eps, cfg.selection_mode)
     if argv[0] == "adapt":
-        want = ("closed", cfg.batch_size, "transductive")
+        want = ("closed", None, "transductive")
         assert (args.solver, args.batch_size, args.mode) == want
         assert not {"lr", "iters"} & set(vars(args))
     else:
@@ -647,6 +679,8 @@ COMMAND_ARGVS = {
 # bench/run.py still passes `adapt --solver closed`; the flag goes once the
 # benchmark stops passing it (ROADMAP item 12)
 UNREAD = {"adapt": {"solver"}}
+# the sub-command names and the handler argparse sets, which route to a handler
+ROUTING = {"command", "experiment", "handler"}
 
 
 @pytest.mark.parametrize("name", list(COMMAND_ARGVS))
@@ -660,11 +694,38 @@ def test_every_parsed_option_is_read(workspace, tmp_path, name):
             return super().__getattribute__(attr)
 
     args = _build_parser().parse_args(COMMAND_ARGVS[name](workspace, tmp_path), Recording())
-    handler = cli._COMMANDS[args.command]
+    handler = args.handler
     read.clear()  # argparse reads the namespace while it fills it
     assert handler(args) == 0
     used = {attr for attr in read if not attr.startswith("_")}
-    assert used == set(vars(args)) - {"command"} - UNREAD.get(args.command, set())
+    assert used == set(vars(args)) - ROUTING - UNREAD.get(args.command, set())
+
+
+def _leaf_parsers(parser, path=()):
+    """(sub-command words, parser) of every sub-parser that has no sub-commands of its own."""
+    actions = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not actions:
+        yield " ".join(path), parser
+    for action in actions:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, (*path, name))
+
+
+def test_every_command_parses_to_its_own_handler():
+    # main calls the handler its sub-parser sets; one without would fail there
+    leaves = dict(_leaf_parsers(_build_parser()))
+    assert sorted(leaves) == [
+        "adapt", "eval", "plot", "synth", "train-head", "validate-theory groups", "validate-theory trace"
+    ]
+    handlers = []
+    for words, parser in leaves.items():
+        argv = words.split()
+        for action in parser._actions:
+            if action.required:  # the first choice, or any string
+                argv += [action.option_strings[0], next(iter(action.choices or ["x"]))]
+        handlers.append(_build_parser().parse_args(argv).handler)
+    assert all(callable(handler) for handler in handlers)
+    assert len(set(handlers)) == len(handlers)
 
 
 @pytest.mark.parametrize(
@@ -688,8 +749,9 @@ def test_exit_codes(monkeypatch, capsys, error, code):
     def fail(args):
         raise error
 
-    monkeypatch.setitem(cli._COMMANDS, "eval", fail)
-    assert main(["eval", "--preds", "p", "--labels", "l"]) == code
+    argv = ["eval", "--preds", "p", "--labels", "l"]
+    monkeypatch.setattr(cli, _build_parser().parse_args(argv).handler.__name__, fail)
+    assert main(argv) == code
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: bad\n")
 

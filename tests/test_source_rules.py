@@ -16,7 +16,8 @@ once, in ``pseudo_source._scored``, ahead of the batch loop; the adapt loop,
 that selects the pseudo-source, whose record the alignment trace takes, while
 only the trace runs the gradient solver; the adapt path and the closed form
 import nothing from the theory experiments; only ``io.py`` imports ``concurrent.futures``, and no module
-``threading`` or ``multiprocessing``; the package imports at module top only,
+``threading`` or ``multiprocessing``; the CLI restates no shift name or selection mode and
+routes each sub-command through the handler its sub-parser sets; the package imports at module top only,
 with no cycle between ``head.py`` (the model and the label rule) and ``io.py`` (every file format,
 the head JSON included); no module but ``__init__`` imports a name it never
 reads; and every module and name the benchmark imports stays importable."""
@@ -523,6 +524,23 @@ def test_adapt_path_does_not_reach_into_experiments(module):
     assert [name for name in sorted(modules) if "experiments" in name] == []
     # _referenced_names holds the names of ``from . import experiments`` too
     assert ({"experiments"} | EXPERIMENT_NAMES) & _referenced_names(tree) == set()
+
+
+def test_the_cli_restates_no_choice():
+    # the shift names and selection modes are read from synth and
+    # pseudo_source, and main calls the handler each sub-parser sets, so
+    # nothing in cli.py names or branches on a sub-command or a shift
+    from tcalign.pseudo_source import SELECTION_MODES
+    from tcalign.synth import SHIFTS
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert strings & {*SHIFTS, *SELECTION_MODES, *(mode.replace("_", "-") for mode in SELECTION_MODES)} == set()
+    read = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert {"args.command", "args.experiment"} & set(read) == set()
+    compared = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, (ast.Compare, ast.IfExp))]
+    assert [text for text in compared if "args.shift" in text] == []
+    assert "_COMMANDS" not in _definitions(PACKAGE / "cli.py")
 
 
 def test_benchmark_imports_resolve():
