@@ -1,8 +1,10 @@
 """Command-line surface: synth, train-head, adapt, validate-theory groups|trace, eval, plot.
 
 Every file a command reads or writes, the ``plot`` SVG included, goes through
-``io``. Exit codes: 0 success, 2 invalid input or configuration (an OS error
-included), 3 parse error in a persisted artifact, 4 numerical failure.
+``io``; an output that resolves to another output or to an input of its
+command is refused before any file is read. Exit codes: 0 success, 2 invalid
+input or configuration (an OS error included), 3 parse error in a persisted
+artifact, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -10,11 +12,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import astuple, fields
 
 from . import io as tio
 from .errors import InvalidConfig, NumericalFailure, ParseError, TcaError
-from .experiments import DEFAULT_MAX_ITERS, GroupRow, TraceRow, spearman
+from .experiments import DEFAULT_MAX_ITERS, spearman
 from .experiments import validate_alignment_trace, validate_uncertainty_groups
 from .head import accuracy, predict, train_head
 from .linalg import covariance
@@ -28,6 +29,8 @@ EXIT_PARSE = 3
 EXIT_NUMERICAL = 4
 
 _DEFAULTS = AdaptConfig()
+# the argparse types of the files a command reads and of those it writes
+_Input, _Output = type("_Input", (str,), {}), type("_Output", (str,), {})
 
 
 def _add_adapt_options(p: argparse.ArgumentParser) -> None:
@@ -56,23 +59,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-head", help="train a softmax head on labeled embeddings")
     p.set_defaults(handler=_cmd_train_head)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--labels", required=True)
+    p.add_argument("--embeddings", type=_Input, required=True)
+    p.add_argument("--labels", type=_Input, required=True)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--epochs", type=int, default=2000)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_Output, required=True)
 
     p = sub.add_parser("adapt", help="adapt test embeddings and emit predictions")
     p.set_defaults(handler=_cmd_adapt)
-    p.add_argument("--test", required=True)
-    p.add_argument("--head", required=True)
-    p.add_argument("--labels")
+    p.add_argument("--test", type=_Input, required=True)
+    p.add_argument("--head", type=_Input, required=True)
+    p.add_argument("--labels", type=_Input)
     _add_adapt_options(p)
     p.add_argument("--solver", choices=("closed",), default="closed", help="the only solver")
     p.add_argument("--mode", choices=("transductive", "online"), default="transductive")
     p.add_argument("--batch-size", type=int, help="online mode only")
-    p.add_argument("--out-preds", required=True)
-    p.add_argument("--out-report", required=True)
+    p.add_argument("--out-preds", type=_Output, required=True)
+    p.add_argument("--out-report", type=_Output, required=True)
 
     p = sub.add_parser("validate-theory", help="run a theory-validation experiment")
     experiments = p.add_subparsers(dest="experiment", required=True)
@@ -81,12 +84,12 @@ def _build_parser() -> argparse.ArgumentParser:
     groups.set_defaults(handler=_cmd_groups)
     trace.set_defaults(handler=_cmd_trace)
     for p in (groups, trace):
-        p.add_argument("--test", required=True)
-        p.add_argument("--head", required=True)
-        p.add_argument("--source", required=True, help="source embeddings for the reference statistics")
-        p.add_argument("--out-csv", required=True)
+        p.add_argument("--test", type=_Input, required=True)
+        p.add_argument("--head", type=_Input, required=True)
+        p.add_argument("--source", type=_Input, required=True, help="source embeddings for the reference statistics")
+        p.add_argument("--out-csv", type=_Output, required=True)
     groups.add_argument("--n-groups", type=int, default=10)
-    trace.add_argument("--labels", required=True, help="test labels for the accuracy column")
+    trace.add_argument("--labels", type=_Input, required=True, help="test labels for the accuracy column")
     trace.add_argument("--record-every", type=int, default=10)
     _add_adapt_options(trace)
     trace.add_argument("--lr", type=float, help="gradient step (default 1e-3 / lambda_max^2 of S_t)")
@@ -94,15 +97,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score stored predictions against labels")
     p.set_defaults(handler=_cmd_eval)
-    p.add_argument("--preds", required=True)
-    p.add_argument("--labels", required=True)
+    p.add_argument("--preds", type=_Input, required=True)
+    p.add_argument("--labels", type=_Input, required=True)
 
     p = sub.add_parser("plot", help="scatter-plot 2-D embeddings to SVG")
     p.set_defaults(handler=_cmd_plot)
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--transformed")
-    p.add_argument("--out", required=True)
+    p.add_argument("--source", type=_Input, required=True)
+    p.add_argument("--target", type=_Input, required=True)
+    p.add_argument("--transformed", type=_Input)
+    p.add_argument("--out", type=_Output, required=True)
 
     return parser
 
@@ -144,8 +147,6 @@ def _cmd_train_head(args) -> int:
 def _cmd_adapt(args) -> int:
     if args.batch_size is not None and args.mode != "online":
         raise InvalidConfig("--batch-size applies only with --mode online")
-    if os.path.realpath(args.out_preds) == os.path.realpath(args.out_report):
-        raise InvalidConfig(f"--out-preds and --out-report name the same file, {args.out_report!r}")
     test = tio.read_embeddings(args.test)
     head = tio.load_head(args.head)
     labels = tio.read_labels(args.labels) if args.labels else None
@@ -177,7 +178,7 @@ def _theory_inputs(args):
 def _cmd_groups(args) -> int:
     test, head, source_stats = _theory_inputs(args)
     rows = validate_uncertainty_groups(test, head, source_stats, n_groups=args.n_groups)
-    tio.table_to_csv(args.out_csv, [f.name for f in fields(GroupRow)], map(astuple, rows))
+    tio.table_to_csv(args.out_csv, rows)
     rho = spearman([r.group_index for r in rows], [r.dist_to_source for r in rows])
     print(tio._json_text({"experiment": "groups", "n_groups": len(rows), "spearman": rho}))
     return EXIT_OK
@@ -196,19 +197,9 @@ def _cmd_trace(args) -> int:
         lr=args.lr,
         max_iters=args.iters,
     )
-    tio.table_to_csv(args.out_csv, [f.name for f in fields(TraceRow)], map(astuple, result.rows))
-    print(
-        tio._json_text(
-            {
-                "experiment": "trace",
-                "rows": len(result.rows),
-                "spearman_pseudo_vs_source": result.spearman_pseudo_vs_source,
-                "spearman_pseudo_vs_accuracy": result.spearman_pseudo_vs_accuracy,
-                "r2_pseudo_vs_source": result.r2_pseudo_vs_source,
-                "r2_pseudo_vs_accuracy": result.r2_pseudo_vs_accuracy,
-            }
-        )
-    )
+    tio.table_to_csv(args.out_csv, result.rows)
+    fits = ("spearman_pseudo_vs_source", "spearman_pseudo_vs_accuracy", "r2_pseudo_vs_source", "r2_pseudo_vs_accuracy")
+    print(tio._json_text({"experiment": "trace", "rows": len(result.rows), **{k: getattr(result, k) for k in fits}}))
     return EXIT_OK
 
 
@@ -232,9 +223,20 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
+def _refuse_overwrites(args) -> None:
+    """Refuse an output that resolves to another output or to an input of the
+    command, which the write would replace, before any file is read."""
+    paths = [(f"--{dest.replace('_', '-')}", v) for dest, v in vars(args).items() if isinstance(v, (_Input, _Output))]
+    for j, (flag, value) in enumerate(paths):
+        for other, earlier in paths[:j]:
+            if _Output in (type(value), type(earlier)) and os.path.realpath(value) == os.path.realpath(earlier):
+                raise InvalidConfig(f"{other} and {flag} name the same file, {value!r}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _refuse_overwrites(args)
         return args.handler(args)
     except (TcaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

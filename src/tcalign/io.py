@@ -29,8 +29,9 @@ format whole arrays in numpy, about 4e4 values per chunk, from exact 17-digit
 significands and lookup tables. A value whose rounding the bulk path cannot
 certify (within 2^-30 of a tie, or of a decade boundary) and a non-finite one
 fall back to ``FLOAT_FORMAT % x`` one at a time; no value of the benchmark
-workloads' outputs does. A CSV row's integer index is one more float slot: a
-double holds every integer within +-2^53 exactly, and ``FLOAT_FORMAT`` prints
+workloads' outputs does. A CSV row's integer index (an argmax, or the first
+field of ``table_to_csv(path, rows)``'s dataclass rows) is one more float slot:
+a double holds every integer within +-2^53 exactly, and ``FLOAT_FORMAT`` prints
 it as ``%d`` does; an index beyond that has ``"%d" % i`` spliced over its slot.
 An SVG's pixel coordinates are ``:.2f`` f-strings: drawing positions, not data.
 """
@@ -38,6 +39,7 @@ An SVG's pixel coordinates are ``:.2f`` f-strings: drawing positions, not data.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -453,28 +455,22 @@ def load_head(path) -> SoftmaxHead:
         raise ParseError(f"head values are invalid: {exc}", "fields 'weight'/'bias'") from exc
 
 
-def table_to_csv(path, header: list[str], rows) -> None:
-    """Write CSV: ``header``, then per row an integer index followed by floats, LF endings.
-
-    A header with no index column, a row whose field count is not the
-    header's, an index that is not an int64 integer, and a field after it
-    that is not a number are refused before anything is written."""
-    if not header:
-        raise InvalidInput("the CSV header must name an index column")
-    rows, index = list(rows), []
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise InvalidInput(f"row {i} has {len(row)} fields for {len(header)} header columns")
-        if isinstance(row[0], (bool, np.bool_)) or not isinstance(row[0], (int, np.integer)):
-            raise InvalidInput(f"row {i}'s index {row[0]!r} is not an integer")
-        if not -(2**63) <= row[0] < 2**63:
-            raise InvalidInput(f"row {i}'s index {row[0]} is beyond int64")
-        index.append(int(row[0]))  # as Python ints, which no mix of numpy integer types rounds
-    shape = (len(rows), len(header) - 1)
-    values = _real([row[1:] for row in rows], "CSV values")
-    if rows and values.shape != shape:  # zero rows convert to shape (0,)
-        raise InvalidInput(f"each field after the index must be a number, got shape {values.shape} for {shape}")
-    _atomic_write(path, _csv_chunks(header, _indices(index, "CSV index", True), values.reshape(shape)))
+def table_to_csv(path, rows) -> None:
+    """Write ``rows``, a non-empty sequence of one dataclass type whose first
+    field is the integer row index, as CSV: the type's field names, then per
+    row the index and the other fields as floats, LF endings. Other rows, an
+    index that ``_indices`` refuses and a field after it that ``_real``
+    refuses or that is not one number are refused before anything is written."""
+    kinds = {type(row) for row in rows}
+    if len(kinds) != 1 or not dataclasses.is_dataclass(*kinds):
+        raise InvalidInput(f"CSV rows must be of one dataclass type, got {sorted(k.__name__ for k in kinds)}")
+    names = [f.name for f in dataclasses.fields(*kinds)]
+    table = [dataclasses.astuple(row) for row in rows]
+    index = _indices([row[:1] for row in table], "CSV index", True)
+    values = _real([row[1:] for row in table], "CSV values")
+    if index.shape != (len(table), 1) or values.shape != (len(table), len(names) - 1):
+        raise InvalidInput(f"a CSV row must be an index and numbers, got shapes {index.shape} and {values.shape}")
+    _atomic_write(path, _csv_chunks(names, index.ravel(), values))
 
 
 def write_predictions_csv(path, preds: PredictionBatch) -> None:

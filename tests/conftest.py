@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -42,6 +43,16 @@ def write_f32_tcae(path, z):
     with open(path, "wb") as fh:
         fh.write(b"TCAE" + struct.pack("<IBQQ", 1, 0, *z.shape))
         fh.write(np.ascontiguousarray(z, dtype="<f4").tobytes())
+
+
+def table_csv_reference(rows) -> bytes:
+    """The CSV that ``io.table_to_csv`` must write for dataclass ``rows``, row
+    by row: the type's field names, then ``%d`` of each row's first field and
+    ``%.17g`` of each other one."""
+    names = [f.name for f in dataclasses.fields(rows[0])]
+    template = "%d" + ",%.17g" * (len(names) - 1)
+    lines = [",".join(names)] + [template % dataclasses.astuple(row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
 LAYOUTS = ("C", "F", "row-strided", "column-strided")

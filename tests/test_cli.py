@@ -1,6 +1,9 @@
 import argparse
+import hashlib
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 
@@ -8,10 +11,11 @@ import numpy as np
 import pytest
 
 import tcalign
-from tcalign import AdaptConfig, cli
+from tcalign import AdaptConfig, cli, covariance, load_head, validate_alignment_trace, validate_uncertainty_groups
 from tcalign.cli import _build_parser, main
 from tcalign.io import read_embeddings, read_labels, write_embeddings, write_labels
 from tcalign.experiments import DEFAULT_MAX_ITERS
+from conftest import table_csv_reference
 
 
 @pytest.fixture(scope="module")
@@ -539,6 +543,30 @@ class TestValidateTheory:
         assert lines[0] == "iteration,dist_to_pseudo,dist_to_source,accuracy"
         assert len(lines) > 2
 
+    @pytest.mark.parametrize(
+        "argv, experiment",
+        [
+            (groups_argv, lambda test, head, stats, labels: validate_uncertainty_groups(test, head, stats)),
+            (
+                lambda ws, tmp: [*trace_argv(ws, tmp), "--lr", "1e-7", "--iters", "300"],
+                lambda test, head, stats, labels: validate_alignment_trace(
+                    test, head, AdaptConfig(), stats, labels, lr=1e-7, max_iters=300
+                ).rows,
+            ),
+        ],
+        ids=["groups", "trace"],
+    )
+    def test_csv_is_the_returned_rows(self, workspace, tmp_path, argv, experiment):
+        # the CSV is the rows the API returns, written row by row: the row
+        # type's field names, then %d of the index and %.17g of each value
+        _, data_dir, head_path = workspace
+        argv = argv(workspace, tmp_path)
+        assert main(argv) == 0
+        test, source = read_embeddings(data_dir / "target.tcae"), read_embeddings(data_dir / "source.tcae")
+        rows = experiment(test, load_head(head_path), covariance(source), read_labels(data_dir / "target.tcal"))
+        with open(argv[argv.index("--out-csv") + 1], "rb") as fh:
+            assert fh.read() == table_csv_reference(rows)
+
     def test_trace_requires_labels(self, workspace, tmp_path):
         _, data_dir, head_path = workspace
         with pytest.raises(SystemExit) as exc:
@@ -675,6 +703,44 @@ COMMAND_ARGVS = {
         "--out", str(tmp / "o.svg"),
     ],
 }
+
+# an output of each command that writes one, and an input of that command
+OVERWRITES = {
+    "adapt-preds-onto-test": (adapt_argv, "--out-preds", "--test"),
+    "adapt-report-onto-head": (adapt_argv, "--out-report", "--head"),
+    "adapt-preds-onto-labels": (adapt_argv, "--out-preds", "--labels"),
+    "groups-csv-onto-source": (groups_argv, "--out-csv", "--source"),
+    "trace-csv-onto-labels": (trace_argv, "--out-csv", "--labels"),
+    "train-head-out-onto-embeddings": (COMMAND_ARGVS["train-head"], "--out", "--embeddings"),
+    "plot-out-onto-transformed": (COMMAND_ARGVS["plot"], "--out", "--transformed"),
+}
+
+
+@pytest.mark.parametrize("way", ["same", "dotdot", "symlink"])
+@pytest.mark.parametrize("argv, output, onto", OVERWRITES.values(), ids=OVERWRITES.keys())
+def test_output_onto_an_input_is_refused(workspace, tmp_path, monkeypatch, capsys, argv, output, onto, way):
+    # `adapt --out-preds <the --test file>` used to exit 0 and replace the
+    # input with the predictions; the refusal comes before any input is read
+    monkeypatch.chdir(tmp_path)
+    argv = argv(workspace, tmp_path)
+    shutil.copy(argv[argv.index(onto) + 1], tmp_path / "input")
+    digest = hashlib.sha256((tmp_path / "input").read_bytes()).hexdigest()
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "input")
+    for name in ("input", "missing"):
+        argv[argv.index(onto) + 1] = name
+        argv[argv.index(output) + 1] = {"same": name, "dotdot": f"sub/../{name}", "symlink": "link"}[way]
+        if way == "symlink":
+            (tmp_path / "link").unlink()
+            (tmp_path / "link").symlink_to(tmp_path / name)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        first, second, value = re.fullmatch(r"error: (\S+) and (\S+) name the same file, '(.*)'\n", err).groups()
+        assert {first, second} == {output, onto} and value == argv[argv.index(second) + 1]
+        assert hashlib.sha256((tmp_path / "input").read_bytes()).hexdigest() == digest
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["input", "link", "sub"]
+
 
 # bench/run.py still passes `adapt --solver closed`; the flag goes once the
 # benchmark stops passing it (ROADMAP item 12)

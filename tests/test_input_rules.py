@@ -15,7 +15,7 @@ its power-of-two multiples get one verdict.
 """
 
 import pickle
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 import pytest
@@ -56,6 +56,15 @@ S = np.array([[2.0, 0.5], [0.5, 1.0]])
 MU = np.zeros(2)
 PROBS = np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
 SERIES = np.array([0.1, 0.4, 0.2, 0.9])
+
+
+@dataclass
+class Row:
+    """A table row for ``table_to_csv``: the index, then two values."""
+
+    i: int
+    x: float
+    y: float
 
 
 def _complex_array(a):
@@ -168,15 +177,13 @@ ENTRIES = {
     "write_predictions_csv": lambda bad, tmp: write_predictions_csv(
         tmp / "preds.csv", PredictionBatch(probs=bad(PROBS), argmax=np.array([0, 2]))
     ),
-    "table_to_csv": lambda bad, tmp: table_to_csv(
-        tmp / "table.csv", ["i", "x", "y"], [(0, *bad(SERIES[:2]))]
-    ),
+    "table_to_csv": lambda bad, tmp: table_to_csv(tmp / "table.csv", [Row(0, *bad(SERIES[:2]))]),
 }
 
 
 def _refusal(entry, kind, message: str) -> str:
     """What ``entry`` says of ``kind``: an object array is refused for its dtype,
-    whatever it holds, except by table_to_csv, whose row tuple unpacks it into
+    whatever it holds, except by table_to_csv, whose row fields unpack it into
     Python numbers that the gate sees as ``message`` says."""
     if kind in (_object_array_with_complex, _object_array_with_string) and entry is not ENTRIES["table_to_csv"]:
         return _dtype_refused("object")

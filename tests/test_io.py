@@ -5,6 +5,7 @@ import threading
 import time
 import xml.dom.minidom
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, make_dataclass
 from decimal import Decimal
 
 import numpy as np
@@ -27,7 +28,34 @@ from tcalign.io import (
     write_report_json,
     write_scatter_svg,
 )
-from conftest import write_f32_tcae
+from conftest import table_csv_reference, write_f32_tcae
+
+
+@dataclass
+class Pair:
+    """A test table's row: the index, then one value."""
+
+    i: int
+    v: float
+
+
+@dataclass
+class Triple:
+    i: int
+    a: float
+    b: float
+
+
+@dataclass
+class Fieldless:
+    pass
+
+
+def table_rows(index, values) -> list:
+    """``index[r]`` and the floats of ``values[r]`` as rows of a dataclass with
+    fields i, p0, p1, ..."""
+    row = make_dataclass("Row", [("i", int)] + [(f"p{j}", float) for j in range(values.shape[1])])
+    return [row(i, *v) for i, v in zip(index.tolist(), values.tolist())]
 
 
 class TestEmbeddingFormat:
@@ -205,7 +233,7 @@ class TestCsv:
     def test_table_bytes_are_pinned(self, tmp_path):
         # an int index column, then floats in the shared 17-significant-digit text
         path = tmp_path / "t.csv"
-        table_to_csv(path, ["i", "a", "b"], [(0, -0.0, 5e-324), (12, 1.0 / 3.0, 1e-300)])
+        table_to_csv(path, [Triple(0, -0.0, 5e-324), Triple(12, 1.0 / 3.0, 1e-300)])
         assert path.read_bytes() == (
             b"i,a,b\n0,-0,4.9406564584124654e-324\n12,0.33333333333333331,1e-300\n"
         )
@@ -428,26 +456,21 @@ class TestCsvWriterBytes:
         index[: min(n, 4)] = [0, -1, 2**63 - 1, -(2**63)][: min(n, 4)]
         sign = rng.choice([-1.0, 1.0], size=probs.shape)
         values = probs * sign * 10.0 ** rng.integers(-320, 300, size=probs.shape)
-        rows = [(i, *row) for i, row in zip(index.tolist(), values.tolist())]
-        header = ["i"] + header[1:]
-        table_to_csv(tmp_path / "t.csv", header, rows)
-        assert (tmp_path / "t.csv").read_bytes() == _reference_csv(header, index.tolist(), values)
+        rows = table_rows(index, values)
+        table_to_csv(tmp_path / "t.csv", rows)
+        assert (tmp_path / "t.csv").read_bytes() == _reference_csv(["i"] + header[1:], index.tolist(), values)
 
     def test_indices_around_the_exact_double_range(self, tmp_path):
         # +-2^53 print from their float slot; one beyond has "%d" spliced in
         index = [2**53, -(2**53), 2**53 + 1, -(2**53 + 1), 2**63 - 1, -(2**63), 0, -1]
         values = np.linspace(-1.0, 1.0, len(index))[:, None]
-        table_to_csv(tmp_path / "t.csv", ["i", "v"], [(i, v) for i, (v,) in zip(index, values.tolist())])
+        table_to_csv(tmp_path / "t.csv", [Pair(i, v) for i, (v,) in zip(index, values.tolist())])
         assert (tmp_path / "t.csv").read_bytes() == _reference_csv(["i", "v"], index, values)
 
     def test_index_only_table(self, tmp_path):
-        table_to_csv(tmp_path / "t.csv", ["i"], [(3,), (-(2**63),)])
+        table_to_csv(tmp_path / "t.csv", table_rows(np.array([3, -(2**63)]), np.empty((2, 0))))
         expected = _reference_csv(["i"], [3, -(2**63)], np.empty((2, 0)))
         assert (tmp_path / "t.csv").read_bytes() == expected == b"i\n3\n-9223372036854775808\n"
-
-    def test_empty_table_is_its_header(self, tmp_path):
-        table_to_csv(tmp_path / "t.csv", ["i", "a"], [])
-        assert (tmp_path / "t.csv").read_bytes() == b"i,a\n"
 
 
 class TestCsvWorkers:
@@ -487,11 +510,10 @@ class TestCsvWorkers:
         header = ["argmax"] + [f"p{j}" for j in range(c)]
         index = np.arange(n) - n // 2
         values = probs * rng.choice([-1.0, 1.0], size=probs.shape) * 10.0 ** rng.integers(-320, 300, size=probs.shape)
-        rows = [(i, *row) for i, row in zip(index.tolist(), values.tolist())]
-        table_header = ["i"] + header[1:]
+        rows = table_rows(index, values)
         writes = [
             (lambda path: write_predictions_csv(path, preds), _reference_csv(header, preds.argmax.tolist(), probs)),
-            (lambda path: table_to_csv(path, table_header, rows), _reference_csv(table_header, index.tolist(), values)),
+            (lambda path: table_to_csv(path, rows), table_csv_reference(rows)),
         ]
         before = threading.active_count()
         for write, expected in writes:
@@ -756,32 +778,38 @@ class TestReaderContract:
             lambda path: write_predictions_csv(path, PredictionBatch(np.full((1, 2), 0.5), np.array([[1]]))),
             r"^argmax shape \(1, 1\) for 1 probability rows$",
         ),
+        (lambda path: table_to_csv(path, [Pair(0, 0.5), Pair(1.5, 0.5)]), r"^CSV index must be integers$"),
         (
-            lambda path: table_to_csv(path, ["i", "v"], [(0, 0.5), (1.5, 0.5)]),
-            r"^row 1's index 1.5 is not an integer$",
+            lambda path: table_to_csv(path, [Pair(True, 0.5)]),
+            r"^CSV index must hold integers or floats, got dtype bool$",
         ),
-        (lambda path: table_to_csv(path, ["i", "v"], [(True, 0.5)]), r"^row 0's index True is not an integer$"),
+        (lambda path: table_to_csv(path, [Pair(2**63, 0.5)]), r"^CSV index must be integers$"),
+        # a type with no fields has an empty header and no index column, and a
+        # table with a list for a field has no CSV form
         (
-            lambda path: table_to_csv(path, ["i", "v"], [(2**63, 0.5)]),
-            r"^row 0's index 9223372036854775808 is beyond int64$",
-        ),
-        (
-            lambda path: table_to_csv(path, ["i", "v"], [(0, 0.5, 1.0)]),
-            r"^row 0 has 3 fields for 2 header columns$",
-        ),
-        (
-            lambda path: table_to_csv(path, ["i", "v"], [(0, 0.5), (1,)]),
-            r"^row 1 has 1 fields for 2 header columns$",
-        ),
-        # a table with no index column, or with a list for a field, has no CSV form
-        (lambda path: table_to_csv(path, [], [()]), r"^the CSV header must name an index column$"),
-        (
-            lambda path: table_to_csv(path, ["i", "v"], [(0, [0.5, 0.6])]),
-            r"^each field after the index must be a number, got shape \(1, 1, 2\) for \(1, 1\)$",
+            lambda path: table_to_csv(path, [Fieldless()]),
+            r"^a CSV row must be an index and numbers, got shapes \(1, 0\) and \(1, 0\)$",
         ),
         (
-            lambda path: table_to_csv(path, ["i", "a", "b"], [(0, [0.5], [0.6])]),
-            r"^each field after the index must be a number, got shape \(1, 2, 1\) for \(1, 2\)$",
+            lambda path: table_to_csv(path, [Pair(0, [0.5, 0.6])]),
+            r"^a CSV row must be an index and numbers, got shapes \(1, 1\) and \(1, 1, 2\)$",
+        ),
+        (
+            lambda path: table_to_csv(path, [Triple(0, [0.5], [0.6])]),
+            r"^a CSV row must be an index and numbers, got shapes \(1, 1\) and \(1, 2, 1\)$",
+        ),
+        # the header is the rows' type's: no rows, mixed types or rows that are no dataclass give none
+        (
+            lambda path: table_to_csv(path, []),
+            r"^CSV rows must be of one dataclass type, got \[\]$",
+        ),
+        (
+            lambda path: table_to_csv(path, [Pair(0, 0.5), Triple(1, 0.5, 1.0)]),
+            r"^CSV rows must be of one dataclass type, got \['Pair', 'Triple'\]$",
+        ),
+        (
+            lambda path: table_to_csv(path, [(0, 0.5)]),
+            r"^CSV rows must be of one dataclass type, got \['tuple'\]$",
         ),
     ],
     ids=[
@@ -798,11 +826,12 @@ class TestReaderContract:
         "table-float-index",
         "table-bool-index",
         "table-index-beyond-int64",
-        "table-long-row",
-        "table-short-row",
         "table-empty-header",
         "table-list-field",
         "table-nested-fields",
+        "table-no-rows",
+        "table-mixed-types",
+        "table-tuple-rows",
     ],
 )
 def test_writers_reject(tmp_path, call, pattern):

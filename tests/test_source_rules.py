@@ -16,7 +16,7 @@ once, in ``pseudo_source._scored``, ahead of the batch loop; the adapt loop,
 that selects the pseudo-source, whose record the alignment trace takes, while
 only the trace runs the gradient solver; the adapt path and the closed form
 import nothing from the theory experiments; only ``io.py`` imports ``concurrent.futures``, and no module
-``threading`` or ``multiprocessing``; the CLI restates no shift name or selection mode and
+``threading`` or ``multiprocessing``; the CLI restates no shift name or selection mode, builds no CSV header and
 routes each sub-command through the handler its sub-parser sets; the package imports at module top only,
 with no cycle between ``head.py`` (the model and the label rule) and ``io.py`` (every file format,
 the head JSON included); no module but ``__init__`` imports a name it never
@@ -541,6 +541,22 @@ def test_the_cli_restates_no_choice():
     compared = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, (ast.Compare, ast.IfExp))]
     assert [text for text in compared if "args.shift" in text] == []
     assert "_COMMANDS" not in _definitions(PACKAGE / "cli.py")
+
+
+def test_the_cli_builds_no_csv_header():
+    # io.table_to_csv reads a theory table's header off its row dataclass, so
+    # cli.py imports nothing from dataclasses and names no row type
+    import dataclasses
+
+    from tcalign import experiments
+
+    rows = {name for name, kind in vars(experiments).items() if name.endswith("Row") and dataclasses.is_dataclass(kind)}
+    assert {"GroupRow", "TraceRow"} <= rows
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert "dataclasses" not in modules
+    assert rows & _referenced_names(tree) == set()
 
 
 def test_benchmark_imports_resolve():
