@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidConfig, InvalidInput, _check_count, _check_positive
 from .head import SoftmaxHead, check_labels, softmax_rows
-from .linalg import _check_width, _covariance, _distance, _moments, _real, _spectral_radius
+from .linalg import _check_width, _covariance, _distance, _finite, _moments, _real, _spectral_radius
 from .linalg import _shrink, _square_pair, shrink, validate_embeddings
 from .pipeline import AdaptConfig, _batches, _check_test, _source_covariance
 from .pseudo_source import _scored
@@ -45,11 +45,9 @@ class SolverTrace:
 def _checked(w, sigma_t, sigma_s_hat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(w, sigma_t, sigma_s_hat) as float64, once they are finite square matrices of one shape."""
     sigma_t, sigma_s_hat = _square_pair(sigma_t, sigma_s_hat, "sigma_t", "sigma_s_hat")
-    w = _real(w, "w")
+    w = _finite(w, "w", 2)
     if w.shape != sigma_t.shape:
         raise InvalidInput(f"w shape {w.shape} does not match sigma shape {sigma_t.shape}")
-    if not np.all(np.isfinite(w)):
-        raise InvalidInput("w contains non-finite entries")
     return w, sigma_t, sigma_s_hat
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateLabels, InvalidInput, NumericalFailure
 from .errors import _check_count, _check_positive
-from .linalg import _check_width, _indices, _read_only, _real, validate_embeddings
+from .linalg import _check_width, _finite, _indices, _read_only, validate_embeddings
 
 
 @dataclass(frozen=True)
@@ -29,17 +29,11 @@ class SoftmaxHead:
     bias: np.ndarray
 
     def __post_init__(self):
-        weight, bias = _real(self.weight, "head weight"), _real(self.bias, "head bias")
-        if weight.ndim != 2:
-            raise InvalidInput("head weight must be a c x d matrix")
+        weight, bias = _finite(self.weight, "head weight", 2), _finite(self.bias, "head bias", 1)
         if bias.shape != (weight.shape[0],):
             raise InvalidInput(f"bias shape {bias.shape} does not match weight rows {weight.shape[0]}")
         if weight.shape[0] < 2:
             raise InvalidInput("head needs at least 2 classes")
-        if weight.shape[1] < 1:
-            raise InvalidInput("head needs at least 1 embedding dimension")
-        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
-            raise InvalidInput("head contains non-finite values")
         object.__setattr__(self, "weight", _read_only(weight))
         object.__setattr__(self, "bias", _read_only(bias))
 

@@ -9,8 +9,10 @@ malformed file, non-UTF-8 text included, raises ParseError. The head JSON
 every format; the values the formats carry (``SoftmaxHead``,
 ``PredictionBatch``) are ``head``'s, which imports nothing from here. Each
 writer converts its array arguments once, through ``linalg._real`` or
-``linalg._indices``; ``save_head`` prints the head's float64 arrays as they
-are. Every writer here, ``write_scatter_svg``
+``linalg._indices``; a float array that must be non-empty and finite
+(embeddings, probabilities) passes ``_real``'s checked form,
+``linalg._finite``, whose two messages name the argument. ``save_head`` prints
+the head's float64 arrays as they are. Every writer here, ``write_scatter_svg``
 included, goes through the temp-file rename of ``_atomic_write``, so a crashed
 process never leaves a half-written artifact; a CSV streams to it chunk by
 chunk, in row order, never joined in memory. Its chunks are formatted on a
@@ -52,7 +54,7 @@ import numpy as np
 
 from .errors import InvalidInput, ParseError
 from .head import PredictionBatch, SoftmaxHead
-from .linalg import _indices, _real, validate_embeddings
+from .linalg import _finite, _indices, _real, validate_embeddings
 
 EMBEDDING_MAGIC = b"TCAE"
 LABEL_MAGIC = b"TCAL"
@@ -476,22 +478,16 @@ def table_to_csv(path, rows) -> None:
 def write_predictions_csv(path, preds: PredictionBatch) -> None:
     """Persist a PredictionBatch as CSV: argmax column then one column per class.
 
-    A batch that ``read_predictions_csv`` would refuse (probabilities that are
-    not a matrix, no rows, an argmax that is not an integer in [0, c), one per
-    probability row, or a non-finite probability) is refused before anything
-    is written."""
-    probs, argmax = _real(preds.probs, "probabilities"), _indices(preds.argmax, "argmax", True)
-    if probs.ndim != 2:
-        raise InvalidInput(f"probabilities must be a 2-D matrix, got ndim={probs.ndim}")
+    A batch that ``read_predictions_csv`` would refuse is refused before
+    anything is written: probabilities that ``linalg._finite`` refuses (not a
+    non-empty matrix, or a non-finite entry), or an argmax that is not an
+    integer in [0, c), one per probability row."""
+    probs, argmax = _finite(preds.probs, "probabilities", 2), _indices(preds.argmax, "argmax", True)
     if argmax.shape != probs.shape[:1]:
         raise InvalidInput(f"argmax shape {argmax.shape} for {probs.shape[0]} probability rows")
     c = probs.shape[1]
-    if argmax.size < 1:
-        raise InvalidInput("predictions must have at least one row")
     if argmax.min() < 0 or argmax.max() >= c:
         raise InvalidInput(f"argmax must lie in [0, {c}), got min {argmax.min()}, max {argmax.max()}")
-    if not np.all(np.isfinite(probs)):
-        raise InvalidInput("predictions contain a non-finite probability")
     header = ["argmax"] + [f"p{j}" for j in range(c)]
     _atomic_write(path, _csv_chunks(header, argmax, probs))
 

@@ -5,6 +5,12 @@ accepts only float and integer dtypes and refuses a ragged nest, complex
 values, strings and every other dtype (object, bool, datetime) with
 InvalidInput. It has two doors, its only callers: ``_real`` takes its result
 to float64, and ``_indices`` to int64, refusing a value the cast would change.
+The float door has one checked form, ``_finite``, which every float array
+argument that must be non-empty and finite passes (embeddings, through
+``validate_embeddings``, square matrices, through ``_square``, and the head's,
+the transform's and a prediction batch's arrays): a wrong rank or an empty
+array raises "{name} must be a non-empty {ndim}-D array, got shape {shape}",
+and a NaN or an infinity "{name} contains non-finite entries".
 ``_symmetric`` accepts a matrix within SYMMETRY_ATOL x max|entry| of its
 transpose and returns it symmetrized.
 Moments are (count, mean, scatter) values, exactly symmetric as built:
@@ -71,16 +77,19 @@ def _indices(values, name: str, signed: bool = False) -> np.ndarray:
     return as_int
 
 
+def _finite(a, name: str, ndim: int) -> np.ndarray:
+    """``a`` through ``_real``, once it is a non-empty ``ndim``-D array of finite entries."""
+    a = _real(a, name)
+    if a.ndim != ndim or a.size == 0:
+        raise InvalidInput(f"{name} must be a non-empty {ndim}-D array, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInput(f"{name} contains non-finite entries")
+    return a
+
+
 def validate_embeddings(z, name: str = "embeddings") -> np.ndarray:
     """Check an n x d embedding matrix and return it as a float64 array."""
-    z = _real(z, name)
-    if z.ndim != 2:
-        raise InvalidInput(f"{name} must be a 2-D matrix, got ndim={z.ndim}")
-    if z.shape[0] < 1 or z.shape[1] < 1:
-        raise InvalidInput(f"{name} must have at least one row and one column, got {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise InvalidInput(f"{name} contains non-finite entries")
-    return z
+    return _finite(z, name, 2)
 
 
 def _check_width(z: np.ndarray, dim: int, owner: str, name: str = "embedding") -> np.ndarray:
@@ -92,11 +101,9 @@ def _check_width(z: np.ndarray, dim: int, owner: str, name: str = "embedding") -
 
 def _square(a, name: str) -> np.ndarray:
     """A non-empty square matrix of finite entries, as float64."""
-    a = _real(a, name)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+    a = _finite(a, name, 2)
+    if a.shape[0] != a.shape[1]:
         raise InvalidInput(f"{name} must be a non-empty square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInput(f"{name} contains non-finite entries")
     return a
 
 

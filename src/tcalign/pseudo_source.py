@@ -34,7 +34,9 @@ def batch_uncertainties(probs) -> np.ndarray:
     """Row-wise prediction uncertainty for an n x c probability matrix."""
     probs = _real(probs, "probabilities")
     if probs.ndim != 2 or probs.shape[1] < 1:
-        raise InvalidInput("probability matrix must be 2-D")
+        raise InvalidInput(
+            f"probabilities must be a 2-D array with at least one column, got shape {probs.shape}"
+        )
     if not np.all(probs >= 0):  # written so that NaN fails too, and zero rows pass
         raise InvalidInput("probabilities must be nonnegative")
     if not np.all(np.abs(probs.sum(axis=1) - 1.0) <= PROB_SUM_ATOL):
@@ -66,6 +68,8 @@ def _candidates(uncertainty, rows, classes) -> tuple[np.ndarray, np.ndarray, np.
     rows = np.arange(uncertainty.size) if rows is None else _indices(rows, "rows", True)
     if rows.shape != uncertainty.shape:
         raise InvalidInput(f"{rows.size} row indices for {uncertainty.size} uncertainties")
+    if np.unique(rows).size != rows.size:  # a repeated row would be selected, and counted, twice
+        raise InvalidInput("rows must be distinct")
     if classes is not None:
         classes = _indices(classes, "classes", True)
         if classes.shape != uncertainty.shape:
@@ -83,8 +87,8 @@ def _class_rank(sorted_classes: np.ndarray) -> np.ndarray:
 def most_certain(uncertainty, k, rows=None, classes=None) -> np.ndarray:
     """Rows of the min(k, n) lowest-uncertainty candidates, in ascending row order.
 
-    ``rows`` names each candidate's row (default 0..n-1); ties go to the lower
-    row. With ``classes``, keep the k most certain candidates of each class
+    ``rows`` names each candidate's row, each row once (default 0..n-1); ties
+    go to the lower row. With ``classes``, keep the k most certain candidates of each class
     instead; a class with fewer keeps all of them, and no slot moves to
     another class. Folding a stream in batches through this function retains
     the same rows as one call over the whole stream.

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .head import SoftmaxHead
-from .linalg import _check_eps, _check_width, _power, _read_only, _real, _shrink, _square_pair
+from .linalg import _check_eps, _check_width, _finite, _power, _read_only, _shrink, _square_pair
 from .linalg import _symmetric, _symmetrized, validate_embeddings
 
 DEFAULT_EPS = 1e-3
@@ -37,11 +37,8 @@ class AlignmentTransform:
 
     def __post_init__(self):
         names = ("w", "mu_t", "mu_s_hat")
-        w, mu_t, mu_s_hat = (_real(getattr(self, name), f"transform {name}") for name in names)
-        if w.ndim != 2:
-            raise InvalidInput(f"transform w must be a d x d matrix, got ndim={w.ndim}")
-        if not all(np.all(np.isfinite(a)) for a in (w, mu_t, mu_s_hat)):
-            raise InvalidInput("alignment transform contains non-finite values")
+        w = _finite(self.w, "transform w", 2)
+        mu_t, mu_s_hat = (_finite(getattr(self, name), f"transform {name}", 1) for name in names[1:])
         d = w.shape[0]
         if w.shape != (d, d) or mu_t.shape != (d,) or mu_s_hat.shape != (d,):
             raise InvalidInput(

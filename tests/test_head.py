@@ -360,7 +360,7 @@ def _load_head_text(path, text: str) -> SoftmaxHead:
         (
             lambda tmp: SoftmaxHead(weight=[1.0, 2.0], bias=[0.0]),
             InvalidInput,
-            r"^head weight must be a c x d matrix$",
+            r"^head weight must be a non-empty 2-D array, got shape \(2,\)$",
         ),
         (
             lambda tmp: SoftmaxHead(weight=np.zeros((2, 2)), bias=np.zeros(3)),
@@ -376,7 +376,7 @@ def _load_head_text(path, text: str) -> SoftmaxHead:
             # save_head used to write "d": 0, which load_head refuses
             lambda tmp: SoftmaxHead(weight=np.zeros((2, 0)), bias=[0.0, 0.0]),
             InvalidInput,
-            r"^head needs at least 1 embedding dimension$",
+            r"^head weight must be a non-empty 2-D array, got shape \(2, 0\)$",
         ),
         (
             lambda tmp: train_head(np.eye(3), [0, 1, 2], lr=0.1, epochs=1, n_classes=2),

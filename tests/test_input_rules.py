@@ -9,12 +9,16 @@ parse, for a list nested to uneven depths, and for any other dtype: an object
 array (whatever it holds), a list holding None and a boolean array. The
 entries that take labels, rows, classes or an argmax refuse the same, and a
 writer leaves no file; they then share one integer rule, ``_indices``, which
-takes integral floats by value and refuses a fraction. ``_symmetric`` accepts
-a matrix within SYMMETRY_ATOL x max|entry| of its transpose, so a matrix and
-its power-of-two multiples get one verdict.
+takes integral floats by value and refuses a fraction. A float argument that
+must be non-empty and finite passes ``_real``'s checked form, ``_finite``,
+whose two messages (a wrong rank or an empty array; a NaN or an infinity)
+name the argument. ``_symmetric`` accepts a matrix within SYMMETRY_ATOL x
+max|entry| of its transpose, so a matrix and its power-of-two multiples get
+one verdict.
 """
 
 import pickle
+import re
 from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
@@ -146,6 +150,7 @@ def _dtype_refused(dtype: str) -> str:
 ENTRIES = {
     "adapt_transductive": lambda bad, tmp: adapt_transductive(bad(Z), HEAD),
     "adapt_online": lambda bad, tmp: adapt_online(bad(Z), HEAD),
+    "source_stats": lambda bad, tmp: adapt_transductive(Z, HEAD, source_stats=(MU, bad(S))),
     "predict": lambda bad, tmp: predict(HEAD, bad(Z)),
     "train_head": lambda bad, tmp: train_head(bad(Z), LABELS, 0.1, 1),
     "SoftmaxHead": lambda bad, tmp: SoftmaxHead(weight=bad(HEAD.weight), bias=HEAD.bias),
@@ -157,6 +162,7 @@ ENTRIES = {
     "spd_power": lambda bad, tmp: spd_power(bad(S), 0.5),
     "solve_closed_form": lambda bad, tmp: solve_closed_form(S, bad(S)),
     "AlignmentTransform": lambda bad, tmp: AlignmentTransform(w=bad(S), mu_t=MU, mu_s_hat=MU),
+    "AlignmentTransform-mu_t": lambda bad, tmp: AlignmentTransform(w=S, mu_t=bad(MU), mu_s_hat=MU),
     "AlignmentTransform-mean": lambda bad, tmp: AlignmentTransform(w=S, mu_t=MU, mu_s_hat=bad(MU)),
     "apply_transform": lambda bad, tmp: apply_transform(bad(Z), AlignmentTransform(S, MU, MU)),
     "objective": lambda bad, tmp: objective(bad(S), S, S),
@@ -234,6 +240,65 @@ def test_object_array_of_numbers_is_refused():
     # even when every entry is a float
     with pytest.raises(InvalidInput, match=r"^embeddings must hold integers or floats, got dtype object$"):
         covariance(Z.astype(object))
+
+
+# each ENTRIES argument that linalg._finite checks: the name its messages give, and its valid value
+FINITE_ARGUMENTS = {
+    **dict.fromkeys(["covariance", "predict", "train_head", "apply_transform", "write_embeddings"], ("embeddings", Z)),
+    "CovarianceAccumulator.update": ("batch", Z),
+    "scatter_svg": ("target", Z),
+    **dict.fromkeys(
+        ["adapt_transductive", "adapt_online", "validate_uncertainty_groups", "validate_alignment_trace"], ("test", Z)
+    ),
+    "correlation_distance": ("b", S),
+    "shrink": ("sigma", S),
+    "spd_power": ("sigma", S),
+    "solve_closed_form": ("sigma_s_hat", S),
+    "objective_gradient": ("sigma_s_hat", S),
+    "solve_gradient": ("sigma_t", S),
+    "source_stats": ("source_stats covariance", S),
+    "objective": ("w", S),
+    "SoftmaxHead": ("head weight", HEAD.weight),
+    "SoftmaxHead-bias": ("head bias", HEAD.bias),
+    "AlignmentTransform": ("transform w", S),
+    "AlignmentTransform-mu_t": ("transform mu_t", MU),
+    "AlignmentTransform-mean": ("transform mu_s_hat", MU),
+    "write_predictions_csv": ("probabilities", PROBS),
+}
+
+
+def _first_entry(value):
+    def bad(a):
+        out = np.array(a, dtype=np.float64)
+        out.flat[0] = value
+        return out
+
+    return bad
+
+
+FINITE_KINDS = {
+    "nan": _first_entry(np.nan),
+    "inf": _first_entry(np.inf),
+    "wrong-rank": lambda a: a[0] if a.ndim == 2 else a[None],
+    "empty": lambda a: a[:0],
+}
+
+
+@pytest.mark.parametrize("kind", FINITE_KINDS)
+@pytest.mark.parametrize("entry", FINITE_ARGUMENTS)
+def test_one_rank_and_finiteness_rule(tmp_path, entry, kind):
+    # linalg._finite checks every float array argument's rank, emptiness and
+    # finiteness; the head, the transform and the probabilities used to word
+    # each failure their own way
+    name, valid = FINITE_ARGUMENTS[entry]
+    bad = FINITE_KINDS[kind](valid)
+    if kind in ("nan", "inf"):
+        message = f"{name} contains non-finite entries"
+    else:
+        message = f"{name} must be a non-empty {valid.ndim}-D array, got shape {bad.shape}"
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        ENTRIES[entry](FINITE_KINDS[kind], tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("fn", [objective, objective_gradient])

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import sys
 import threading
 import time
@@ -525,6 +526,22 @@ class TestCsvWorkers:
             assert len(formatters) == 5 + (offset > 0) and len(set(formatters)) <= workers
             assert threading.current_thread() not in formatters
 
+    @pytest.mark.parametrize("unknown", [False, True], ids=["cpu-count", "no-cpu-count"])
+    def test_cores_fall_back_to_the_cpu_count(self, tmp_path, rng, monkeypatch, formatters, unknown):
+        # a platform without os.sched_getaffinity sizes the pool by os.cpu_count(),
+        # or by 1 when that is unknown; the bytes stay the reference's
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        if unknown:
+            monkeypatch.setattr(os, "cpu_count", lambda: None)
+        cores = io._cores()
+        assert cores == (os.cpu_count() or 1) and (cores == 1 or not unknown)
+        probs = _probabilities(rng, 5 * self.ROWS, 10)
+        preds = PredictionBatch(probs=probs, argmax=probs.argmax(axis=1))
+        write_predictions_csv(tmp_path / "p.csv", preds)
+        header = ["argmax"] + [f"p{j}" for j in range(10)]
+        assert (tmp_path / "p.csv").read_bytes() == _reference_csv(header, preds.argmax.tolist(), probs)
+        assert len(formatters) == 5 and len(set(formatters)) <= cores
+
     def test_workers_are_capped_by_the_chunk_count(self, tmp_path, rng, monkeypatch, formatters):
         monkeypatch.setattr(io, "_cores", lambda: 8)
         probs = _probabilities(rng, 2 * self.ROWS, 10)
@@ -747,7 +764,7 @@ class TestReaderContract:
         # each prediction file below used to be written, and then refused by read_predictions_csv
         (
             lambda path: write_predictions_csv(path, PredictionBatch(np.array([[np.nan, 1.0]]), np.array([1]))),
-            r"^predictions contain a non-finite probability$",
+            r"^probabilities contains non-finite entries$",
         ),
         (
             lambda path: write_predictions_csv(path, PredictionBatch(np.array([[0.5, 0.5]]), np.array([5]))),
@@ -759,11 +776,11 @@ class TestReaderContract:
         ),
         (
             lambda path: write_predictions_csv(path, PredictionBatch(np.empty((0, 2)), np.empty(0, np.int64))),
-            r"^predictions must have at least one row$",
+            r"^probabilities must be a non-empty 2-D array, got shape \(0, 2\)$",
         ),
         (
             lambda path: write_predictions_csv(path, PredictionBatch(np.array([0.5, 0.5]), np.array([0, 0]))),
-            r"^probabilities must be a 2-D matrix, got ndim=1$",
+            r"^probabilities must be a non-empty 2-D array, got shape \(2,\)$",
         ),
         # each file below used to be written with its index truncated, or to fail in numpy
         (

@@ -269,7 +269,9 @@ class TestSquareMatrixRule:
         ids=["correlation_distance", "shrink", "spd_power"],
     )
     def test_empty_or_non_finite_rejected(self, call, bad):
-        with pytest.raises(InvalidInput, match="non-empty square matrix|non-finite entries"):
+        with pytest.raises(
+            InvalidInput, match=r"must be a non-empty 2-D array, got shape \(0, 0\)$|contains non-finite entries$"
+        ):
             call(bad)
 
 
@@ -440,11 +442,11 @@ def _power_without_eigh(monkeypatch):
 @pytest.mark.parametrize(
     "call, error, pattern",
     [
-        (lambda mp: covariance([1.0, 2.0]), InvalidInput, r"^embeddings must be a 2-D matrix, got ndim=1$"),
+        (lambda mp: covariance([1.0, 2.0]), InvalidInput, r"^embeddings must be a non-empty 2-D array, got shape \(2,\)$"),
         (
             lambda mp: covariance(np.empty((0, 2))),
             InvalidInput,
-            r"^embeddings must have at least one row and one column, got \(0, 2\)$",
+            r"^embeddings must be a non-empty 2-D array, got shape \(0, 2\)$",
         ),
         (
             _power_without_eigh,

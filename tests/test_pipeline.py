@@ -805,7 +805,7 @@ class TestSourceStatsChecked:
             (object, r"source_stats must be a \(mean, covariance\) pair, got type"),
             ((np.eye(2),), r"source_stats must be a \(mean, covariance\) pair, got tuple"),
             ((np.zeros(3), np.eye(3)), r"source_stats covariance must be 2 x 2, got \(3, 3\)"),
-            ((np.zeros(2), np.ones(2)), "source_stats covariance must be a non-empty square matrix"),
+            ((np.zeros(2), np.ones(2)), r"source_stats covariance must be a non-empty 2-D array, got shape \(2,\)$"),
             ((np.zeros(2), np.diag([1.0, np.nan])), "source_stats covariance contains non-finite entries"),
             ((np.zeros(2), np.diag([1.0, np.inf])), "source_stats covariance contains non-finite entries"),
         ],

@@ -84,8 +84,11 @@ class TestOneHot:
         assert uncertainty([1.0]) == 0.0
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidInput):
-            batch_uncertainties(np.empty((1, 0)))
+        # a 2-D matrix with no columns used to be told it "must be 2-D"
+        with pytest.raises(
+            InvalidInput, match=r"^probabilities must be a 2-D array with at least one column, got shape \(3, 0\)$"
+        ):
+            batch_uncertainties(np.zeros((3, 0)))
 
     def test_zero_rows_give_an_empty_vector(self):
         # as most_certain takes zero candidates; np.min of no rows used to raise a bare ValueError
@@ -388,8 +391,11 @@ class TestClassBalancedSelect:
         ([0.1, 0.2], [0], None, r"^1 row indices for 2 uncertainties$"),
         ([0.1, 0.2], None, [0], r"^1 predicted classes for 2 uncertainties$"),
         ([0.1, 0.2], None, [0, -1], r"^predicted classes must be nonnegative$"),
+        # a repeated row used to be selected twice: most_certain([0.1, 0.2], 2, rows=[3, 3]) returned [3 3]
+        ([0.1, 0.2], [3, 3], None, r"^rows must be distinct$"),
+        ([0.1, 0.2], [3, 3], [0, 0], r"^rows must be distinct$"),
     ],
-    ids=["uncertainty-not-1d", "row-count", "class-count", "negative-class"],
+    ids=["uncertainty-not-1d", "row-count", "class-count", "negative-class", "repeated-rows", "repeated-rows-balanced"],
 )
 def test_candidates_rejected(uncertainty, rows, classes, pattern):
     with pytest.raises(InvalidInput, match=pattern):

@@ -4,7 +4,8 @@ formatter, one place that opens files, one that packs byte layouts and one
 JSON encoder, all in ``io.py``, where no writer packs the float32 dtype
 code, and one eigendecomposition, one symmetrizer and one conversion of
 an array argument (``_numeric``, whose only callers are ``_real``, to float64,
-and ``_indices``, to int64), in ``linalg.py``, so no module grows a second copy
+and ``_indices``, to int64) and one scan of a float array argument's rank, emptiness and
+finiteness (``_finite``), in ``linalg.py``, so no module grows a second copy
 of any; the symmetrizer runs only on a matrix product or inside ``_symmetric``, and the adapt loop pools
 its moments with ``linalg._pooled``, not through the accumulator; it keeps no public definition that
 nothing reads; the adapt loop and the gradient solver's loop call kernels,
@@ -235,6 +236,26 @@ def test_the_gate_has_two_doors():
     assert found == ["linalg.py:_indices", "linalg.py:_real"]
 
 
+def test_only_the_door_scans_arguments_for_non_finite_entries():
+    # linalg._finite checks every float array argument's rank, emptiness and
+    # finiteness; the others read np.isfinite for a reason of their own: the
+    # .tcae reader refuses a payload with ParseError, _pearson returns None, and
+    # the rest check values they computed themselves
+    found = sorted(owner for path in PACKAGE.glob("*.py") for owner, _ in _calls(path, "np.isfinite"))
+    assert sorted(set(found)) == [
+        "experiments.py:_descent",
+        "experiments.py:_pearson",
+        "head.py:softmax_rows",
+        "io.py:_fill_floats",
+        "io.py:read_embeddings",
+        "linalg.py:_finite",
+        "linalg.py:_moments",
+        "linalg.py:_pooled",
+        "linalg.py:_power",
+        "linalg.py:_shrink",
+    ]
+
+
 def test_adapt_loop_pools_triples_without_the_accumulator():
     # the loop keeps (count, mean, scatter) triples and pools them with
     # linalg._pooled, which CovarianceAccumulator wraps for the public API
@@ -294,6 +315,7 @@ ADAPT_LOOP = {
     "_adapt": "pipeline.py",
 }
 CHECKED_ENTRIES = {
+    "_finite",
     "AlignmentTransform",
     "correlation_distance",
     "validate_embeddings",
